@@ -14,8 +14,10 @@ from .distribution import (
     GompertzReference,
     gompertz_curve,
     gompertz_reference,
+    gompertz_reference_table,
     histogram,
     kl_divergence,
+    kl_divergence_table,
 )
 from .embed import (
     EmbeddedTrajectory,

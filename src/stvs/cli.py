@@ -18,7 +18,14 @@ import numpy as np
 
 from . import oel, synth
 from .emd import decompose, filter_imfs_by_frequency
-from .errors import ComputationError, StvsError, ValidationError
+from .errors import (
+    ComputationError,
+    StvsError,
+    TrivialRecovery,
+    TriviallySafe,
+    TriviallyTripping,
+    ValidationError,
+)
 from .indices import AssessmentConfig, assess, imf_threshold
 from .ingest import (
     VoltageTrajectory,
@@ -290,6 +297,16 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
+def _exponent_rows(target: str, series, dt: float) -> list[str]:
+    """CSV rows `target,k,t,lambda,divergence_factor` of one series."""
+    return [
+        f"{target},{k},{float(k * dt)!r},{float(lam)!r},{float(f)!r}"
+        for k, lam, f in zip(
+            series.k_offsets, series.lambdas, series.divergence_factors
+        )
+    ]
+
+
 def _cmd_exponents(args) -> int:
     """Emit `target,k,t,lambda,divergence_factor` rows per analysis target."""
     from .indices import _embedding_parameters
@@ -317,10 +334,7 @@ def _cmd_exponents(args) -> int:
         )
         emb = delay_embed(states, m=m, tau=tau, theiler=theiler, dt=window.dt)
         series = fsle_oscillation_series(emb, anchor_window=period)
-        for k, lam, f in zip(
-            series.k_offsets, series.lambdas, series.divergence_factors
-        ):
-            lines.append(f"imf,{k},{k * window.dt!r},{lam!r},{f!r}")
+        lines += _exponent_rows("imf", series, window.dt)
 
     for c, cid in enumerate(window.channel_ids):
         eq0 = args.eq0 if args.eq0 is not None else prefault.get(cid, 1.0)
@@ -331,10 +345,7 @@ def _cmd_exponents(args) -> int:
         except StvsError as exc:
             log.info("residual series for %s skipped: %s", cid, exc)
             continue
-        for k, lam, f in zip(
-            series.k_offsets, series.lambdas, series.divergence_factors
-        ):
-            lines.append(f"R:{cid},{k},{k * window.dt!r},{lam!r},{f!r}")
+        lines += _exponent_rows(f"R:{cid}", series, window.dt)
     _emit("\n".join(lines), args.output)
     return 0
 
@@ -379,13 +390,30 @@ def _cmd_tune(args) -> int:
         v_pre = prefault[cid]
         eq0 = args.eq0 if args.eq0 is not None else v_pre
         residual = decomp.residuals[c]
-        series = fsle_residual_series(residual, eq0=eq0, dt=window.dt)
+        try:
+            series = fsle_residual_series(residual, eq0=eq0, dt=window.dt)
+        except TrivialRecovery as exc:
+            log.info("%s: %s", cid, exc)
+            out.append({"id": cid, "trivial": "non-trip"})
+            continue
         charac = oel.build_characteristic(
             spec, channel.voltage, channel.reactive_power
         )
-        critical = oel.construct_critical_signals(
-            residual, window.dt, eq0, list(charac.vcaps), series
-        )
+        entry = {
+            "id": cid,
+            "k1": charac.k1,
+            "k2": charac.k2,
+            "vcaps": [list(vt) for vt in charac.vcaps],
+        }
+        out.append(entry)
+        try:
+            critical = oel.construct_critical_signals(
+                residual, window.dt, eq0, list(charac.vcaps), series
+            )
+        except (TriviallySafe, TriviallyTripping) as exc:
+            log.info("%s: %s", cid, exc)
+            entry["trivial"] = "non-trip" if isinstance(exc, TriviallySafe) else "trip"
+            continue
         n = critical.window_samples
         tuning = oel.tune_gamma(
             critical.s1[:n], critical.s2[:n], eq0, v_pre, window.dt,
@@ -393,20 +421,14 @@ def _cmd_tune(args) -> int:
             gamma1_grid=config.gamma1_grid(),
             x_star_grid=config.x_star_grid(),
         )
-        out.append(
-            {
-                "id": cid,
-                "gamma1": tuning.gamma1,
-                "x_star": tuning.x_star,
-                "d_s1": tuning.d_s1,
-                "d_s2": tuning.d_s2,
-                "f_star": tuning.f_star,
-                "epsilon": tuning.epsilon,
-                "d_critical_r": tuning.d_critical_r,
-                "k1": charac.k1,
-                "k2": charac.k2,
-                "vcaps": [list(vt) for vt in charac.vcaps],
-            }
+        entry.update(
+            gamma1=tuning.gamma1,
+            x_star=tuning.x_star,
+            d_s1=tuning.d_s1,
+            d_s2=tuning.d_s2,
+            f_star=tuning.f_star,
+            epsilon=tuning.epsilon,
+            d_critical_r=tuning.d_critical_r,
         )
     if not out:
         raise ValidationError("no generator in --gen-config matches a channel")

@@ -85,26 +85,77 @@ def histogram(
     )
 
 
-def gompertz_reference(
-    gamma: float, x_star: float, bin_edges: np.ndarray
-) -> GompertzReference:
-    """Evaluate sigma at bin centers and normalize to a distribution."""
-    if gamma <= 0:
-        raise ValidationError(f"gamma must be positive, got {gamma}")
+def gompertz_reference_table(
+    gammas: np.ndarray, x_stars: np.ndarray, bin_edges: np.ndarray
+) -> np.ndarray:
+    """Reference probabilities for every (gamma, x*) pair of a grid.
+
+    Returns an array of shape (len(gammas), len(x_stars), bins) whose
+    row [i, j] is sigma at the bin centers for (gammas[i], x_stars[j]),
+    normalized, floored at the smallest normal double and normalized
+    again.  The whole table is validated once.
+    """
+    gammas = np.asarray(gammas, dtype=float)
+    x_stars = np.asarray(x_stars, dtype=float)
+    if not np.all(gammas > 0):
+        bad = gammas[~(gammas > 0)][0]
+        raise ValidationError(f"gamma must be positive, got {bad}")
     edges = np.asarray(bin_edges, dtype=float)
     if len(edges) < 3 or np.any(np.diff(edges) <= 0):
         raise ValidationError("need strictly ascending edges for >= 2 bins")
     centers = 0.5 * (edges[:-1] + edges[1:])
+    # The steps keep the single-point order (log sigma, shift by the row
+    # maximum, exp, normalize, floor, normalize) so every row is bit for
+    # bit the single-point result; the tuner's ties are decided on exact
+    # values.  One buffer goes through all of them in place.
+    p = gammas[:, None, None] * (centers - x_stars[:, None])
     with np.errstate(over="ignore"):
-        log_sigma = -np.exp(gamma * (centers - x_star))
-    shifted = log_sigma - log_sigma.max()
-    p = np.exp(shifted)
-    p /= p.sum()
-    p = np.maximum(p, _PROB_FLOOR)
-    p /= p.sum()
+        np.exp(p, out=p)
+    np.negative(p, out=p)
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    np.maximum(p, _PROB_FLOOR, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    if not np.all(p > 0):
+        raise ValidationError("reference probabilities must be positive")
+    if np.any(np.abs(p.sum(axis=-1) - 1.0) > 1e-12):
+        raise ValidationError("reference probabilities must sum to 1")
+    return p
+
+
+def gompertz_reference(
+    gamma: float, x_star: float, bin_edges: np.ndarray
+) -> GompertzReference:
+    """Evaluate sigma at bin centers and normalize to a distribution."""
+    edges = np.asarray(bin_edges, dtype=float)
+    p = gompertz_reference_table([gamma], [x_star], edges)[0, 0]
     return GompertzReference(
         gamma=gamma, x_star=x_star, bin_edges=edges, probabilities=p
     )
+
+
+def kl_divergence_table(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Relative entropy sum p ln(p/q) of one p against every row of q.
+
+    ``q`` has shape (..., bins) and must be strictly positive; the sum
+    runs over the last axis on p's non-zero bins (0 ln 0 taken as 0).
+    """
+    pp = np.asarray(p, dtype=float)
+    qp = np.asarray(q, dtype=float)
+    if qp.shape[-1:] != pp.shape:
+        raise ValidationError("histogram and reference grids differ")
+    if not np.all(qp > 0):
+        raise ValidationError("reference has a zero bin: KL undefined")
+    nz = pp > 0
+    pn = pp[nz]
+    # compress copies the compared bins into a contiguous buffer, so each
+    # row is summed exactly as a lone 1-D vector would be
+    terms = np.compress(nz, qp, axis=-1)
+    np.divide(pn, terms, out=terms)
+    np.log(terms, out=terms)
+    terms *= pn
+    return terms.sum(axis=-1)
 
 
 def kl_divergence(
@@ -119,9 +170,4 @@ def kl_divergence(
         p.bin_edges, q.bin_edges
     ):
         raise ValidationError("histogram and reference grids differ")
-    qp = np.asarray(q.probabilities, dtype=float)
-    if np.any(qp <= 0):
-        raise ValidationError("reference has a zero bin: KL undefined")
-    pp = np.asarray(p.probabilities, dtype=float)
-    nz = pp > 0
-    return float(np.sum(pp[nz] * np.log(pp[nz] / qp[nz])))
+    return float(kl_divergence_table(p.probabilities, q.probabilities))

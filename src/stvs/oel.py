@@ -24,7 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import gompertz_reference, histogram, kl_divergence
+from .distribution import (
+    gompertz_reference_table,
+    histogram,
+    kl_divergence_table,
+)
 from .errors import (
     ComputationError,
     TrivialRecovery,
@@ -355,7 +359,9 @@ def tune_gamma(
     Stage 1 minimizes |D_s1 - D_s2| over the (gamma1, x*) grid to get
     f*; stage 2 returns the smallest gamma1 (ties to smallest x*) among
     points within f* + tolerance.  The recovery threshold is the s1/s2
-    index midpoint at the selected point.
+    index midpoint at the selected point.  The grid is scored in one
+    pass: the (gamma1, x*, bin) reference table is built once and each
+    critical-signal histogram is scored against all of its rows.
     """
     if gamma1_grid is None:
         gamma1_grid = np.geomspace(1.0, 200.0, 40)
@@ -370,17 +376,15 @@ def tune_gamma(
     d2_weight, h2 = _recovery_score(s2, dt, eq0, v_pre, grid)
     bins, lo, hi = grid
     edges = np.linspace(lo, hi, bins + 1)
+    table = gompertz_reference_table(gamma1_grid, x_star_grid, edges)
 
-    n_g, n_x = gamma1_grid.size, x_star_grid.size
-    d1 = np.zeros((n_g, n_x))
-    d2 = np.zeros((n_g, n_x))
-    for gi, gamma in enumerate(gamma1_grid):
-        for xi, x_star in enumerate(x_star_grid):
-            ref = gompertz_reference(gamma, x_star, edges)
-            if h1 is not None:
-                d1[gi, xi] = d1_weight * kl_divergence(h1, ref)
-            if h2 is not None:
-                d2[gi, xi] = d2_weight * kl_divergence(h2, ref)
+    def scores(weight: float, hist) -> np.ndarray:
+        if hist is None:
+            return np.zeros(table.shape[:2])
+        return weight * kl_divergence_table(hist.probabilities, table)
+
+    d1 = scores(d1_weight, h1)
+    d2 = scores(d2_weight, h2)
     diff = np.abs(d1 - d2)
     f_star = float(diff.min())
     tol = f_star if search_tol is None else float(search_tol)

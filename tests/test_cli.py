@@ -122,6 +122,11 @@ def test_exponents_emits_series(capsys, stable_case_csv):
     assert lines[0] == "target,k,t,lambda,divergence_factor"
     targets = {ln.split(",")[0] for ln in lines[1:]}
     assert "imf" in targets
+    for ln in lines[1:]:
+        _, k, t, lam, factor = ln.split(",")
+        int(k)
+        for cell in (t, lam, factor):
+            float(cell)  # plain float literals, not numpy reprs
 
 
 def test_tune_emits_threshold_document(capsys, tmp_path, gen_config):
@@ -139,6 +144,50 @@ def test_tune_emits_threshold_document(capsys, tmp_path, gen_config):
         )
         assert entry["k1"] == pytest.approx(QV_K1, rel=1e-6)
         assert entry["k2"] == pytest.approx(QV_K2, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "lvrt, verdict", [("1.5@1.5", "trip"), ("0.1@1.5", "non-trip")]
+)
+def test_tune_reports_trivial_generator_like_assess(capsys, tmp_path, lvrt, verdict):
+    traj = synth_scenario("mixed", osc_params(recovery=0.5, dip=0.3, decay=0.4))
+    path = tmp_path / "mixed.csv"
+    write_trajectory(traj, path)
+    config = tmp_path / "lvrt.ini"
+    config.write_text(f"[G1]\nxd_prime = 0\np_active = 0\nlvrt = {lvrt}\n")
+    argv = ["--in", str(path), "--t0", "1.1", "--gen-config", str(config)]
+    code, assessed = run_json(capsys, ["assess", *argv])
+    assert code == 0
+    g1 = next(g for g in assessed["generators"] if g["id"] == "G1")
+    assert g1["class"] == verdict
+    code, doc = run_json(capsys, ["tune", *argv])
+    assert code == 0
+    (entry,) = doc["generators"]
+    assert entry["id"] == "G1"
+    assert entry["trivial"] == verdict
+    assert entry["vcaps"] == [[float(v) for v in lvrt.split("@")]]
+    assert {"k1", "k2"} <= entry.keys()
+    assert "d_critical_r" not in entry
+
+
+def test_tune_reports_undipped_generator_like_assess(capsys, tmp_path):
+    # the voltage is back at 1.0 pu from the clearing instant on: no dip
+    rows = ["time,V:G1,Q:G1"]
+    for i in range(210):
+        t = 0.02 * i
+        v = 0.5 if 1.0 <= t < 1.1 else 1.0
+        rows.append(f"{t!r},{v!r},{0.2 + 0.01 * i / 210!r}")
+    path = tmp_path / "flat.csv"
+    path.write_text("\n".join(rows) + "\n")
+    config = tmp_path / "lvrt.ini"
+    config.write_text("[G1]\nxd_prime = 0\np_active = 0\nlvrt = 0.9@1.5\n")
+    argv = ["--in", str(path), "--t0", "1.1", "--gen-config", str(config)]
+    code, assessed = run_json(capsys, ["assess", *argv])
+    assert code == 0
+    assert assessed["generators"][0]["class"] == "non-trip"
+    code, doc = run_json(capsys, ["tune", *argv])
+    assert code == 0
+    assert doc["generators"] == [{"id": "G1", "trivial": "non-trip"}]
 
 
 # -- synth ------------------------------------------------------------------------------

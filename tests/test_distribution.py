@@ -3,12 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import kl_oracle, reference_oracle
 from stvs.distribution import (
     DivergenceHistogram,
     gompertz_curve,
     gompertz_reference,
+    gompertz_reference_table,
     histogram,
     kl_divergence,
+    kl_divergence_table,
 )
 from stvs.errors import ValidationError
 
@@ -103,6 +106,37 @@ def test_reference_rejects_nonpositive_gamma():
         gompertz_reference(-3.0, 1.0, edges)
 
 
+@pytest.mark.parametrize(
+    "n_gamma, n_x, gamma_hi",
+    [(40, 26, 200.0), (118, 76, 200.0), (15, 11, 1e3)],
+    ids=["default-grid", "fine-grid", "floored"],
+)
+def test_reference_table_rows_match_single_point_bit_for_bit(n_gamma, n_x, gamma_hi):
+    edges = np.linspace(0.0, 1.5, 41)
+    gammas = np.geomspace(1.0, gamma_hi, n_gamma)
+    x_stars = np.linspace(0.8, 1.3, n_x)
+    table = gompertz_reference_table(gammas, x_stars, edges)
+    assert table.shape == (n_gamma, n_x, 40)
+    for gi, gamma in enumerate(gammas):
+        for xi, x_star in enumerate(x_stars):
+            row = table[gi, xi]
+            assert np.array_equal(row, gompertz_reference(gamma, x_star, edges).probabilities)
+            assert np.array_equal(row, reference_oracle(gamma, x_star, edges))
+    if gamma_hi >= 1e3:
+        assert np.any(table <= 2 * np.finfo(float).tiny)  # the floor applied
+
+
+def test_reference_table_rejects_bad_grid():
+    edges = np.linspace(0.0, 1.5, 21)
+    for gammas in ([1.0, 0.0], [-2.0, 5.0], [np.nan]):
+        with pytest.raises(ValidationError):
+            gompertz_reference_table(np.array(gammas), np.array([1.0]), edges)
+    with pytest.raises(ValidationError):
+        gompertz_reference_table(np.array([1.0]), np.array([1.0]), np.array([0.0, 1.5]))
+    with pytest.raises(ValidationError):
+        gompertz_reference_table(np.array([1.0]), np.array([1.0]), edges[::-1])
+
+
 # -- KL divergence -------------------------------------------------------------------
 
 def test_kl_identical_distributions_is_exactly_zero():
@@ -150,3 +184,28 @@ def test_kl_gibbs_inequality(seed):
     if not np.allclose(p.probabilities, q.probabilities):
         assert d > 0.0
     assert kl_divergence(p, p) == 0.0
+
+
+def test_kl_table_matches_single_point_bit_for_bit():
+    rng = np.random.default_rng(7)
+    edges = np.linspace(0.0, 1.5, 41)
+    gammas = np.geomspace(1.0, 200.0, 40)
+    x_stars = np.linspace(0.8, 1.3, 26)
+    table = gompertz_reference_table(gammas, x_stars, edges)
+    h = histogram(rng.uniform(0.3, 1.2, 90), 40, 0.0, 1.5)
+    assert np.any(h.probabilities == 0)  # the zero bins are skipped
+    scores = kl_divergence_table(h.probabilities, table)
+    assert scores.shape == (40, 26)
+    for gi, gamma in enumerate(gammas):
+        for xi, x_star in enumerate(x_stars):
+            ref = gompertz_reference(gamma, x_star, edges)
+            assert scores[gi, xi] == kl_divergence(h, ref)
+            assert scores[gi, xi] == kl_oracle(h.probabilities, table[gi, xi])
+
+
+def test_kl_table_rejects_zero_reference_bin_and_bin_mismatch():
+    p = np.array([0.5, 0.5])
+    with pytest.raises(ValidationError):
+        kl_divergence_table(p, np.array([[0.5, 0.5], [1.0, 0.0]]))
+    with pytest.raises(ValidationError):
+        kl_divergence_table(p, np.full((2, 3), 1.0 / 3.0))

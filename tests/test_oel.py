@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
 
-from conftest import QV_K1, QV_K2
+from conftest import QV_K1, QV_K2, kl_oracle, osc_params, reference_oracle
+from stvs import oel
+from stvs.distribution import histogram
 from stvs.errors import (
     ComputationError,
+    TrivialRecovery,
     TriviallySafe,
     TriviallyTripping,
     ValidationError,
 )
-from stvs.indices import classify
+from stvs.indices import AssessmentConfig, assess, classify
 from stvs.lyapunov import fsle_residual_series
 from stvs.oel import (
     GeneratorSpec,
+    TuningResult,
     _ev_residual,
     build_characteristic,
     construct_critical_signals,
@@ -20,6 +24,7 @@ from stvs.oel import (
     tune_gamma,
     voltage_cap,
 )
+from stvs.synth import synth_scenario
 
 DT = 0.02
 
@@ -259,6 +264,114 @@ def test_tuned_signals_sit_in_the_critical_band():
     for d in (result.d_s1, result.d_s2):
         label, _ = classify(d, result.d_critical_r, result.epsilon)
         assert label == "critical"
+
+
+def loop_tune(s1, s2, eq0, v_pre, dt, grid, gamma1_grid=None, x_star_grid=None):
+    """Point-by-point search over the grid, one reference per point."""
+    gammas = np.geomspace(1.0, 200.0, 40) if gamma1_grid is None else gamma1_grid
+    x_stars = np.linspace(0.8, 1.3, 26) if x_star_grid is None else x_star_grid
+
+    def score(signal):
+        weight = abs(v_pre - float(signal[0]))
+        try:
+            series = fsle_residual_series(signal, eq0=eq0, dt=dt)
+        except TrivialRecovery:
+            return weight, None
+        return weight, histogram(series.divergence_factors, *grid)
+
+    (w1, h1), (w2, h2) = score(s1), score(s2)
+    bins, lo, hi = grid
+    edges = np.linspace(lo, hi, bins + 1)
+    d1 = np.zeros((gammas.size, x_stars.size))
+    d2 = np.zeros_like(d1)
+    for gi, gamma in enumerate(gammas):
+        for xi, x_star in enumerate(x_stars):
+            q = reference_oracle(gamma, x_star, edges)
+            if h1 is not None:
+                d1[gi, xi] = w1 * kl_oracle(h1.probabilities, q)
+            if h2 is not None:
+                d2[gi, xi] = w2 * kl_oracle(h2.probabilities, q)
+    diff = np.abs(d1 - d2)
+    f_star = float(diff.min())
+    gi, xi = np.nonzero(diff <= f_star + f_star + 1e-15)
+    order = np.lexsort((x_stars[xi], gammas[gi]))
+    sel_g, sel_x = gi[order[0]], xi[order[0]]
+    d_s1, d_s2 = float(d1[sel_g, sel_x]), float(d2[sel_g, sel_x])
+    return TuningResult(
+        gamma1=float(gammas[sel_g]),
+        x_star=float(x_stars[sel_x]),
+        d_s1=d_s1,
+        d_s2=d_s2,
+        f_star=f_star,
+        epsilon=abs(d_s1 - d_s2),
+        d_critical_r=0.5 * (d_s1 + d_s2),
+        search_tol=f_star,
+    )
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        _critical_pair(),
+        _critical_pair(rate_slow=0.05, rate_fast=0.9, dip=0.35),
+        _critical_pair(rate_slow=0.3, rate_fast=0.4, dip=0.15),
+        (_critical_pair()[0], _critical_pair()[0].copy()),
+    ],
+    ids=["default", "wide", "close", "identical"],
+)
+def test_tune_equals_loop_oracle(pair):
+    s1, s2 = pair
+    grid = (40, 0.0, 1.5)
+    assert tune_gamma(s1, s2, 1.0, 1.0, DT, grid) == loop_tune(s1, s2, 1.0, 1.0, DT, grid)
+
+
+def test_tune_equals_loop_oracle_on_fine_grid():
+    s1, s2 = _critical_pair()
+    grid = (40, 0.0, 1.5)
+    fine = dict(
+        gamma1_grid=np.geomspace(1.0, 200.0, 118),
+        x_star_grid=np.linspace(0.8, 1.3, 76),
+    )
+    assert tune_gamma(s1, s2, 1.0, 1.0, DT, grid, **fine) == loop_tune(
+        s1, s2, 1.0, 1.0, DT, grid, **fine
+    )
+
+
+def test_tune_equals_loop_oracle_on_recorded_pairs(monkeypatch, generator_specs):
+    # critical-signal pairs exactly as assess builds them from records:
+    # stalled recoveries bin into 1-2 bins, the recovering mixed records
+    # into 7-9, where a row sum takes numpy's pairwise path
+    tuned = oel.tune_gamma
+    calls = []
+
+    def checked(*args, **kwargs):
+        result = tuned(*args, **kwargs)
+        assert result == loop_tune(*args, **kwargs)
+        calls.append(result)
+        return result
+
+    monkeypatch.setattr(oel, "tune_gamma", checked)
+    config = AssessmentConfig(generators=generator_specs)
+    records = [
+        ("stalled-recovery", dict(level=0.67, stall_creep=0.002, seed=3)),
+        ("stalled-recovery", dict(level=0.7, stall_creep=0.004, seed=11)),
+        ("stalled-recovery", dict(level=0.73, stall_creep=0.006, seed=29)),
+        ("mixed", dict(recovery=0.8, dip=0.3, decay=0.4, seed=1)),
+        ("mixed", dict(recovery=0.9, dip=0.28, decay=0.4, seed=4)),
+    ]
+    for kind, params in records:
+        traj = synth_scenario(
+            kind, osc_params(stall_osc_amp=0.01, noise_sigma=0.0015, **params)
+        )
+        assess(traj, config)
+    assert len(calls) == 3 * len(records)
+
+
+def test_tune_rejects_nonpositive_gamma_grid():
+    s1, s2 = _critical_pair()
+    for bad in ([0.0, 1.0, 2.0], [5.0, -1.0]):
+        with pytest.raises(ValidationError):
+            tune_gamma(s1, s2, 1.0, 1.0, DT, (40, 0.0, 1.5), gamma1_grid=np.array(bad))
 
 
 # -- generator config -----------------------------------------------------------------
