@@ -23,7 +23,6 @@ from .embed import (
     EmbeddedTrajectory,
     augment_rocov,
     delay_embed,
-    nearest_neighbors,
     normalize_channels,
     select_delay,
 )
@@ -67,7 +66,6 @@ from .lyapunov import (
     ExponentSeries,
     fsle_oscillation_series,
     fsle_residual_series,
-    ftle_imf_series,
     ftle_window,
     noise_bias_variance,
 )

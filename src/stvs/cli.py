@@ -12,20 +12,13 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import oel, synth
-from .emd import decompose, filter_imfs_by_frequency
-from .errors import (
-    ComputationError,
-    StvsError,
-    TrivialRecovery,
-    TriviallySafe,
-    TriviallyTripping,
-    ValidationError,
-)
+from .distribution import gompertz_reference
+from .emd import decompose
+from .errors import ComputationError, StvsError, ValidationError
 from .indices import AssessmentConfig, assess, imf_threshold
 from .ingest import (
     VoltageTrajectory,
@@ -36,10 +29,6 @@ from .ingest import (
     trajectory_from_columns,
     write_trajectory,
 )
-from .lyapunov import fsle_residual_series
-from .distribution import gompertz_reference
-
-log = logging.getLogger("stvs")
 
 _LOG_LEVELS = {
     "error": logging.ERROR,
@@ -49,41 +38,19 @@ _LOG_LEVELS = {
 }
 
 
-@dataclass
-class RunConfig:
-    """Resolved run parameters, echoed into every JSON output."""
-
-    input: str | None = None
-    output: str | None = None
-    fault_clear_time: float | None = None
-    window: float = 3.0
-    bins: int = 20
-    lo: float = 0.0
-    hi: float = 1.5
-    gamma2: float = 10.0
-    gen_config: str | None = None
-    stream: bool = False
-    report_interval: float = 0.1
-    seed: int = 0
-    eq0: float | None = None
-    lookback: float = 0.5
-
-    def validate(self) -> None:
-        if self.window <= 0:
-            raise ValidationError("--window must be positive")
-        if self.bins < 2:
-            raise ValidationError("--bins must be >= 2")
-        if not self.lo < self.hi:
-            raise ValidationError("--lo must be below --hi")
-        if self.gamma2 <= 0:
-            raise ValidationError("--gamma2 must be positive")
-        if self.report_interval <= 0:
-            raise ValidationError("--report-interval must be positive")
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse usage errors are validation errors
         raise ValidationError(message)
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
 
 
 def _build_parser() -> _Parser:
@@ -111,7 +78,7 @@ def _build_parser() -> _Parser:
     p_assess.add_argument("--stream", action="store_true",
                           help="read rows from stdin, emit JSON lines")
     p_assess.add_argument("--report-interval", dest="report_interval",
-                          type=float, default=0.1)
+                          type=_positive_float, default=0.1)
     p_assess.add_argument("--eq0", type=float, default=None,
                           help="explicit post-fault equilibrium voltage")
 
@@ -127,7 +94,7 @@ def _build_parser() -> _Parser:
     p_thr.add_argument("--out", dest="output")
 
     p_tune = sub.add_parser("tune", help="derive per-generator recovery thresholds")
-    add_common(p_tune)
+    add_common(p_tune, grid=False)
     p_tune.add_argument("--gen-config", dest="gen_config", required=True)
     p_tune.add_argument("--eq0", type=float, default=None)
 
@@ -171,18 +138,15 @@ def _load_input(args) -> VoltageTrajectory:
 
 
 def _assessment_config(args) -> AssessmentConfig:
-    generators = None
+    """Assessment settings from the flags the subcommand has."""
+    settings = {"window_s": args.window, "eq0": args.eq0}
+    if "bins" in args:
+        settings.update(
+            imf_bins=args.bins, imf_lo=args.lo, imf_hi=args.hi, gamma2=args.gamma2
+        )
     if getattr(args, "gen_config", None):
-        generators = oel.load_generator_config(args.gen_config)
-    return AssessmentConfig(
-        window_s=args.window,
-        imf_bins=args.bins,
-        imf_lo=args.lo,
-        imf_hi=args.hi,
-        gamma2=args.gamma2,
-        eq0=getattr(args, "eq0", None),
-        generators=generators,
-    )
+        settings["generators"] = oel.load_generator_config(args.gen_config)
+    return AssessmentConfig(**settings)
 
 
 def _cmd_assess(args) -> int:
@@ -297,10 +261,10 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
-def _exponent_rows(target: str, series, dt: float) -> list[str]:
+def _exponent_rows(target: str, series) -> list[str]:
     """CSV rows `target,k,t,lambda,divergence_factor` of one series."""
     return [
-        f"{target},{k},{float(k * dt)!r},{float(lam)!r},{float(f)!r}"
+        f"{target},{k},{float(k * series.dt)!r},{float(lam)!r},{float(f)!r}"
         for k, lam, f in zip(
             series.k_offsets, series.lambdas, series.divergence_factors
         )
@@ -308,44 +272,18 @@ def _exponent_rows(target: str, series, dt: float) -> list[str]:
 
 
 def _cmd_exponents(args) -> int:
-    """Emit `target,k,t,lambda,divergence_factor` rows per analysis target."""
-    from .indices import _embedding_parameters
-    from .embed import augment_rocov, delay_embed, normalize_channels
-    from .emd import dominant_imf_frequency
-    from .lyapunov import fsle_oscillation_series
+    """Emit the exponent series `assess` scored, one row per offset.
 
-    traj = _load_input(args)
-    window = extract_post_fault_window(traj, args.window)
-    decomp = filter_imfs_by_frequency(decompose(window), (0.0, 10.0))
-    prefault = traj.prefault_voltage or {}
+    Target `imf` is the oscillation series, `R:<id>` the residual
+    series of each channel that dipped.
+    """
+    result = assess(_load_input(args), _assessment_config(args))
     lines = ["target,k,t,lambda,divergence_factor"]
-
-    signals = [
-        decomp.oscillatory(c)
-        for c in range(decomp.n_channels)
-        if decomp.n_imfs(c) and float(np.std(decomp.oscillatory(c))) > 1e-9
-    ]
-    if signals:
-        freq = dominant_imf_frequency(decomp)
-        period = max(2, int(round(1.0 / (freq * window.dt)))) if freq else None
-        states = augment_rocov(normalize_channels(signals))
-        m, tau, theiler = _embedding_parameters(
-            len(states), period, 4, signals[0]
-        )
-        emb = delay_embed(states, m=m, tau=tau, theiler=theiler, dt=window.dt)
-        series = fsle_oscillation_series(emb, anchor_window=period)
-        lines += _exponent_rows("imf", series, window.dt)
-
-    for c, cid in enumerate(window.channel_ids):
-        eq0 = args.eq0 if args.eq0 is not None else prefault.get(cid, 1.0)
-        try:
-            series = fsle_residual_series(
-                decomp.residuals[c], eq0=eq0, dt=window.dt
-            )
-        except StvsError as exc:
-            log.info("residual series for %s skipped: %s", cid, exc)
-            continue
-        lines += _exponent_rows(f"R:{cid}", series, window.dt)
+    if result.oscillation.series is not None:
+        lines += _exponent_rows("imf", result.oscillation.series)
+    for g in result.per_generator:
+        if g.recovery.series is not None:
+            lines += _exponent_rows(f"R:{g.id}", g.recovery.series)
     _emit("\n".join(lines), args.output)
     return 0
 
@@ -370,66 +308,39 @@ def _cmd_thresholds(args) -> int:
 
 
 def _cmd_tune(args) -> int:
-    config = _assessment_config(args)
-    traj = _load_input(args)
-    window = extract_post_fault_window(traj, args.window)
-    decomp = filter_imfs_by_frequency(decompose(window), (0.0, 10.0))
-    prefault = traj.prefault_voltage
-    if prefault is None:
-        from .indices import _resolve_prefault
+    """Report the recovery-threshold tuning `assess` ran per generator.
 
-        prefault = _resolve_prefault(traj, config)
+    A generator that took a trivial path carries its verdict under
+    "trivial" in place of the tuned fields.
+    """
+    config = _assessment_config(args)
+    result = assess(_load_input(args), config)
     out = []
-    for c, cid in enumerate(window.channel_ids):
-        spec = (config.generators or {}).get(cid)
-        if spec is None:
+    for g in result.per_generator:
+        if g.id not in config.generators:
             continue
-        channel = window.channels[c]
-        if channel.reactive_power is None:
-            raise ValidationError(f"{cid}: no reactive power column for the Q-V fit")
-        v_pre = prefault[cid]
-        eq0 = args.eq0 if args.eq0 is not None else v_pre
-        residual = decomp.residuals[c]
-        try:
-            series = fsle_residual_series(residual, eq0=eq0, dt=window.dt)
-        except TrivialRecovery as exc:
-            log.info("%s: %s", cid, exc)
-            out.append({"id": cid, "trivial": "non-trip"})
-            continue
-        charac = oel.build_characteristic(
-            spec, channel.voltage, channel.reactive_power
-        )
-        entry = {
-            "id": cid,
-            "k1": charac.k1,
-            "k2": charac.k2,
-            "vcaps": [list(vt) for vt in charac.vcaps],
-        }
-        out.append(entry)
-        try:
-            critical = oel.construct_critical_signals(
-                residual, window.dt, eq0, list(charac.vcaps), series
+        entry = {"id": g.id}
+        charac = g.characteristic
+        if charac is not None:
+            entry.update(
+                k1=charac.k1,
+                k2=charac.k2,
+                vcaps=[list(vt) for vt in charac.vcaps],
             )
-        except (TriviallySafe, TriviallyTripping) as exc:
-            log.info("%s: %s", cid, exc)
-            entry["trivial"] = "non-trip" if isinstance(exc, TriviallySafe) else "trip"
-            continue
-        n = critical.window_samples
-        tuning = oel.tune_gamma(
-            critical.s1[:n], critical.s2[:n], eq0, v_pre, window.dt,
-            config.rec_grid(),
-            gamma1_grid=config.gamma1_grid(),
-            x_star_grid=config.x_star_grid(),
-        )
-        entry.update(
-            gamma1=tuning.gamma1,
-            x_star=tuning.x_star,
-            d_s1=tuning.d_s1,
-            d_s2=tuning.d_s2,
-            f_star=tuning.f_star,
-            epsilon=tuning.epsilon,
-            d_critical_r=tuning.d_critical_r,
-        )
+        tuning = g.tuning
+        if tuning is None:
+            entry["trivial"] = g.classification
+        else:
+            entry.update(
+                gamma1=tuning.gamma1,
+                x_star=tuning.x_star,
+                d_s1=tuning.d_s1,
+                d_s2=tuning.d_s2,
+                f_star=tuning.f_star,
+                epsilon=tuning.epsilon,
+                d_critical_r=tuning.d_critical_r,
+            )
+        out.append(entry)
     if not out:
         raise ValidationError("no generator in --gen-config matches a channel")
     _emit(json.dumps({"generators": out}, sort_keys=True), args.output)

@@ -30,7 +30,6 @@ class DivergenceHistogram:
 
     bin_edges: np.ndarray
     probabilities: np.ndarray
-    policy: str = "clamp"
 
     def __post_init__(self) -> None:
         if len(self.bin_edges) != len(self.probabilities) + 1:
@@ -79,9 +78,7 @@ def histogram(
     edges = np.linspace(lo, hi, bins + 1)
     counts, _ = np.histogram(np.clip(f, lo, hi), bins=edges)
     return DivergenceHistogram(
-        bin_edges=edges,
-        probabilities=counts / counts.sum(),
-        policy="clamp",
+        bin_edges=edges, probabilities=counts / counts.sum()
     )
 
 

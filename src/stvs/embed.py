@@ -1,10 +1,11 @@
 """Phase-space reconstruction for the oscillatory voltage components.
 
-Two-stage embedding: each channel is first augmented with its one-step
-difference (rate of change of voltage), then the augmented state is
-time-delay stacked into an m-dimensional trajectory.  Neighbor pairs for
-divergence tracking respect a Theiler window so temporally adjacent,
-dynamically correlated points are never matched.
+Two-stage embedding: each channel is scaled to unit RMS and augmented
+with its one-step difference (rate of change of voltage), then the
+augmented state is time-delay stacked into an m-dimensional trajectory
+whose norm the oscillation exponents read.  The delay comes from the
+dominant oscillation period or, failing that, from the first minimum of
+binned mutual information.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComputationError, ValidationError
+from .errors import ValidationError
 
 MI_BINS = 16  # equiprobable bins for the mutual-information delay scan
 
@@ -25,16 +26,14 @@ class EmbeddedTrajectory:
     points: np.ndarray  # (n_points, m * state_dim)
     m: int
     tau: int
-    theiler: int
     dt: float
 
     def __post_init__(self) -> None:
         if self.points.ndim != 2 or len(self.points) < 2:
             raise ValidationError("embedding needs at least 2 points")
-        if self.m < 1 or self.tau < 1 or self.theiler < 0:
+        if self.m < 1 or self.tau < 1:
             raise ValidationError(
-                f"invalid embedding parameters m={self.m}, tau={self.tau}, "
-                f"theiler={self.theiler}"
+                f"invalid embedding parameters m={self.m}, tau={self.tau}"
             )
 
     @property
@@ -46,7 +45,7 @@ def normalize_channels(signals: list[np.ndarray]) -> list[np.ndarray]:
     """Scale each signal to zero mean and unit RMS.
 
     Mixed per-unit amplitudes across buses would otherwise let one
-    channel dominate all neighbor distances.
+    channel dominate the embedded norm.
     """
     out = []
     for s in signals:
@@ -131,7 +130,7 @@ def select_delay(signal: np.ndarray) -> int:
 
 
 def delay_embed(
-    states: np.ndarray, m: int, tau: int, theiler: int, dt: float
+    states: np.ndarray, m: int, tau: int, dt: float
 ) -> EmbeddedTrajectory:
     """Stack ``m`` delayed copies of the state sequence.
 
@@ -150,35 +149,6 @@ def delay_embed(
         )
     blocks = [states[j * tau: j * tau + n_points] for j in range(m)]
     return EmbeddedTrajectory(
-        points=np.hstack(blocks), m=m, tau=tau, theiler=theiler, dt=dt
+        points=np.hstack(blocks), m=m, tau=tau, dt=dt
     )
 
-
-def nearest_neighbors(emb: EmbeddedTrajectory) -> list[tuple[int, int]]:
-    """Nearest neighbor for each point outside the Theiler window.
-
-    For every reference index i with at least one admissible partner,
-    returns (i, j) with j the Euclidean-nearest index satisfying
-    |i - j| > theiler; ties break toward the smaller j.
-    """
-    pts = emb.points
-    n = len(pts)
-    if n - 1 <= emb.theiler:
-        raise ComputationError(
-            f"Theiler window {emb.theiler} leaves no admissible pairs "
-            f"for {n} points"
-        )
-    sq = np.sum(pts * pts, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T)
-    np.maximum(d2, 0.0, out=d2)
-    ii = np.arange(n)
-    mask = np.abs(ii[:, None] - ii[None, :]) <= emb.theiler
-    d2[mask] = np.inf
-    pairs = []
-    for i in range(n):
-        j = int(np.argmin(d2[i]))
-        if np.isfinite(d2[i, j]):
-            pairs.append((i, j))
-    if not pairs:
-        raise ComputationError("no admissible neighbor pairs found")
-    return pairs

@@ -45,7 +45,11 @@ from .ingest import (
     estimate_prefault_voltage,
     extract_post_fault_window,
 )
-from .lyapunov import fsle_oscillation_series, fsle_residual_series
+from .lyapunov import (
+    ExponentSeries,
+    fsle_oscillation_series,
+    fsle_residual_series,
+)
 
 OSC_X_STAR = 1.0  # oscillation reference shift sits at the unit factor
 
@@ -123,11 +127,11 @@ class AssessmentConfig:
 
 @dataclass(frozen=True)
 class OscillationResult:
-    """System-level oscillation index with diagnostics."""
+    """System-level oscillation index and the exponent series it scored."""
 
     value: float
     note: str | None = None
-    factors: np.ndarray | None = None
+    series: ExponentSeries | None = None
 
 
 @dataclass(frozen=True)
@@ -138,32 +142,53 @@ class RecoveryResult:
     delta_r0: float
     kl: float
     note: str | None = None
-    factors: np.ndarray | None = None
+    series: ExponentSeries | None = None
 
 
 @dataclass(frozen=True)
 class GeneratorAssessment:
+    """One generator's verdict with the intermediates that drove it.
+
+    ``characteristic`` is None without machine data or without a dip;
+    ``tuning`` is None unless the recovery threshold was tuned.
+    """
+
     id: str
-    index: float
-    threshold: float | None
+    recovery: RecoveryResult
     margin: float | None
     classification: str
-    delta_r0: float
+    characteristic: oel.OELCharacteristic | None = None
+    tuning: oel.TuningResult | None = None
+
+    @property
+    def index(self) -> float:
+        return self.recovery.value
+
+    @property
+    def delta_r0(self) -> float:
+        return self.recovery.delta_r0
+
+    @property
+    def threshold(self) -> float | None:
+        return None if self.tuning is None else self.tuning.d_critical_r
 
 
 @dataclass(frozen=True)
 class StabilityAssessment:
     """Assembled oscillation and per-generator recovery verdicts."""
 
-    oscillation_index: float
+    oscillation: OscillationResult
     oscillation_threshold: float
     oscillation_margin: float
     oscillation_classification: str
-    oscillation_note: str | None
     per_generator: tuple[GeneratorAssessment, ...]
     epsilon: float
     config_echo: dict
     latency_s: float
+
+    @property
+    def oscillation_index(self) -> float:
+        return self.oscillation.value
 
     def to_dict(self) -> dict:
         osc = {
@@ -172,8 +197,8 @@ class StabilityAssessment:
             "margin": self.oscillation_margin,
             "class": self.oscillation_classification,
         }
-        if self.oscillation_note:
-            osc["note"] = self.oscillation_note
+        if self.oscillation.note:
+            osc["note"] = self.oscillation.note
         return {
             "oscillation": osc,
             "generators": [
@@ -254,8 +279,8 @@ def _embedding_parameters(
     period_samples: int | None,
     m: int,
     signal_for_delay: np.ndarray,
-) -> tuple[int, int, int]:
-    """Resolve (m, tau, theiler) for the available window length.
+) -> tuple[int, int]:
+    """Resolve (m, tau) for the available window length.
 
     The delay targets a quarter of the dominant oscillation period so
     the embedding span covers most of a cycle: that makes the embedded
@@ -277,11 +302,7 @@ def _embedding_parameters(
     while m > 2 and n_states - (m - 1) * tau < 8:
         m -= 1
     tau = min(tau, max(1, (n_states - 8) // max(m - 1, 1)))
-    n_points = n_states - (m - 1) * tau
-    theiler = min(
-        period_samples or n_points, max(1, (n_points - 2) // 3)
-    )
-    return m, tau, theiler
+    return m, tau
 
 
 def oscillation_index(
@@ -319,19 +340,44 @@ def oscillation_index(
     rms = [float(np.sqrt(np.mean(s**2))) for s in signals]
     dominant = signals[int(np.argmax(rms))]
     states = augment_rocov(normalize_channels(signals))
-    m_use, tau, theiler = _embedding_parameters(
-        len(states), period, m, dominant
-    )
-    emb = delay_embed(states, m=m_use, tau=tau, theiler=theiler, dt=decomp.dt)
+    m_use, tau = _embedding_parameters(len(states), period, m, dominant)
+    emb = delay_embed(states, m=m_use, tau=tau, dt=decomp.dt)
     series = fsle_oscillation_series(
         emb, anchor_window=period if period else None
     )
     bins, lo, hi = grid
     hist = histogram(series.divergence_factors, bins, lo, hi)
     ref = gompertz_reference(gamma2, OSC_X_STAR, hist.bin_edges)
-    return OscillationResult(
-        value=kl_divergence(hist, ref),
-        factors=series.divergence_factors,
+    return OscillationResult(value=kl_divergence(hist, ref), series=series)
+
+
+def _residual_series(
+    residual: np.ndarray, eq0: float, dt: float
+) -> ExponentSeries | None:
+    """Recovery exponents of a residual; None when it never dipped."""
+    try:
+        return fsle_residual_series(residual, eq0=eq0, dt=dt)
+    except TrivialRecovery:
+        return None
+
+
+def _score_recovery(
+    series: ExponentSeries | None,
+    delta_r0: float,
+    gamma1: float,
+    x_star: float,
+    grid: tuple[int, float, float],
+) -> RecoveryResult:
+    if series is None:
+        return RecoveryResult(
+            value=0.0, delta_r0=delta_r0, kl=0.0, note="no dip"
+        )
+    bins, lo, hi = grid
+    hist = histogram(series.divergence_factors, bins, lo, hi)
+    ref = gompertz_reference(gamma1, x_star, hist.bin_edges)
+    kl = kl_divergence(hist, ref)
+    return RecoveryResult(
+        value=delta_r0 * kl, delta_r0=delta_r0, kl=kl, series=series
     )
 
 
@@ -350,22 +396,12 @@ def recovery_index(
     equilibrium floor score 0 (no dip, trivially safe).
     """
     r = np.asarray(residual, dtype=float)
-    delta_r0 = abs(v_pre - float(r[0]))
-    try:
-        series = fsle_residual_series(r, eq0=eq0, dt=dt)
-    except TrivialRecovery:
-        return RecoveryResult(
-            value=0.0, delta_r0=delta_r0, kl=0.0, note="no dip"
-        )
-    bins, lo, hi = grid
-    hist = histogram(series.divergence_factors, bins, lo, hi)
-    ref = gompertz_reference(gamma1, x_star, hist.bin_edges)
-    kl = kl_divergence(hist, ref)
-    return RecoveryResult(
-        value=delta_r0 * kl,
-        delta_r0=delta_r0,
-        kl=kl,
-        factors=series.divergence_factors,
+    return _score_recovery(
+        _residual_series(r, eq0, dt),
+        abs(v_pre - float(r[0])),
+        gamma1,
+        x_star,
+        grid,
     )
 
 
@@ -393,112 +429,78 @@ def _assess_generator(
     eq0: float,
     config: AssessmentConfig,
 ) -> GeneratorAssessment:
-    """Recovery verdict for one generator channel."""
+    """Recovery verdict for one generator channel.
+
+    A residual that never dipped is non-trip.  Without machine data the
+    index is scored on the default Gompertz shape and left unassessed.
+    With it, the voltage caps either settle the verdict (trivially safe
+    or tripping, scored on the default shape) or yield the critical
+    signals from which (gamma1, x*) and the threshold are tuned.
+    """
     spec = (config.generators or {}).get(gen_id)
-    rec_grid = config.rec_grid()
+    if spec is not None:
+        channel = window.channels[window.channel_ids.index(gen_id)]
+        if channel.reactive_power is None:
+            raise ValidationError(
+                f"generator {gen_id}: trip prediction needs reactive power "
+                f"measurements for the Q-V fit"
+            )
     dt = window.dt
+    rec_grid = config.rec_grid()
+    series = _residual_series(residual, eq0, dt)
+    gamma1, x_star = config.gamma1_default, config.x_star_default
+    charac = tuning = None
+    if series is None:
+        label = "non-trip"
+    elif spec is None:
+        label = "not-assessed"
+    else:
+        charac = oel.build_characteristic(
+            spec, channel.voltage, channel.reactive_power
+        )
+        try:
+            critical = oel.construct_critical_signals(
+                residual,
+                dt,
+                eq0,
+                list(charac.vcaps),
+                series,
+                pad_s=config.pickup_pad_s,
+            )
+        except TriviallySafe:
+            label = "non-trip"
+        except TriviallyTripping:
+            label = "trip"
+        else:
+            n = critical.window_samples
+            tuning = oel.tune_gamma(
+                critical.s1[:n],
+                critical.s2[:n],
+                eq0,
+                v_pre,
+                dt,
+                rec_grid,
+                gamma1_grid=config.gamma1_grid(),
+                x_star_grid=config.x_star_grid(),
+            )
+            gamma1, x_star = tuning.gamma1, tuning.x_star
 
-    if spec is None:
-        result = recovery_index(
-            residual,
-            v_pre,
-            eq0,
-            config.gamma1_default,
-            config.x_star_default,
-            rec_grid,
-            dt,
-        )
-        label = "non-trip" if result.note == "no dip" else "not-assessed"
-        return GeneratorAssessment(
-            id=gen_id,
-            index=result.value,
-            threshold=None,
-            margin=None,
-            classification=label,
-            delta_r0=result.delta_r0,
-        )
-
-    channel = window.channels[window.channel_ids.index(gen_id)]
-    if channel.reactive_power is None:
-        raise ValidationError(
-            f"generator {gen_id}: trip prediction needs reactive power "
-            f"measurements for the Q-V fit"
-        )
-    try:
-        series = fsle_residual_series(residual, eq0=eq0, dt=dt)
-    except TrivialRecovery:
-        return GeneratorAssessment(
-            id=gen_id,
-            index=0.0,
-            threshold=None,
-            margin=None,
-            classification="non-trip",
-            delta_r0=abs(v_pre - float(residual[0])),
-        )
-
-    charac = oel.build_characteristic(
-        spec, channel.voltage, channel.reactive_power
+    result = _score_recovery(
+        series, abs(v_pre - float(residual[0])), gamma1, x_star, rec_grid
     )
-    try:
-        critical = oel.construct_critical_signals(
-            residual,
-            dt,
-            eq0,
-            list(charac.vcaps),
-            series,
-            pad_s=config.pickup_pad_s,
+    margin = None
+    if tuning is not None:
+        verdict, margin = classify(
+            result.value, tuning.d_critical_r, tuning.epsilon
         )
-    except TriviallySafe:
-        result = recovery_index(
-            residual, v_pre, eq0,
-            config.gamma1_default, config.x_star_default, rec_grid, dt,
-        )
-        return GeneratorAssessment(
-            id=gen_id,
-            index=result.value,
-            threshold=None,
-            margin=None,
-            classification="non-trip",
-            delta_r0=result.delta_r0,
-        )
-    except TriviallyTripping:
-        result = recovery_index(
-            residual, v_pre, eq0,
-            config.gamma1_default, config.x_star_default, rec_grid, dt,
-        )
-        return GeneratorAssessment(
-            id=gen_id,
-            index=result.value,
-            threshold=None,
-            margin=None,
-            classification="trip",
-            delta_r0=result.delta_r0,
-        )
-
-    n = critical.window_samples
-    tuning = oel.tune_gamma(
-        critical.s1[:n],
-        critical.s2[:n],
-        eq0,
-        v_pre,
-        dt,
-        rec_grid,
-        gamma1_grid=config.gamma1_grid(),
-        x_star_grid=config.x_star_grid(),
-    )
-    result = recovery_index(
-        residual, v_pre, eq0, tuning.gamma1, tuning.x_star, rec_grid, dt
-    )
-    label, margin = classify(
-        result.value, tuning.d_critical_r, tuning.epsilon
-    )
+        label = _RECOVERY_LABEL[verdict]
     return GeneratorAssessment(
         id=gen_id,
-        index=result.value,
-        threshold=tuning.d_critical_r,
+        recovery=result,
         margin=margin,
-        classification=_RECOVERY_LABEL[label],
-        delta_r0=result.delta_r0,
+        classification=label,
+        characteristic=charac,
+        tuning=tuning,
     )
 
 
@@ -564,11 +566,10 @@ def assess(
         )
 
     return StabilityAssessment(
-        oscillation_index=osc.value,
+        oscillation=osc,
         oscillation_threshold=threshold,
         oscillation_margin=osc_margin,
         oscillation_classification=osc_label,
-        oscillation_note=osc.note,
         per_generator=tuple(per_gen),
         epsilon=config.epsilon_osc,
         config_echo=config.echo(),

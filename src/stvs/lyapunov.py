@@ -1,16 +1,18 @@
-"""Finite-time and finite-size Lyapunov exponent series.
+"""Finite-size Lyapunov exponent series and the window-exponent law.
 
-Two estimators feed the stability indices:
+Two estimators feed the stability indices, and both use the
+equilibrium itself as the reference trajectory:
 
-* a finite-size exponent for each recovery residual, measured against
-  the equilibrium voltage (the equilibrium itself is the reference
-  trajectory), and
-* a finite-time exponent for the oscillatory components, obtained from
-  the divergence of embedded neighbor pairs as the least-squares slope
-  of the mean logarithmic distance curve (time-resolved: one slope per
-  expanding window, never collapsed to a single average).
+* for each recovery residual, the exponent of its deviation from the
+  equilibrium voltage, and
+* for the oscillatory components, the exponent of the embedded state's
+  norm (the oscillation-free equilibrium sits at the origin), anchored
+  at the initial post-fault peak.
 
-Divergence factors are exp(lambda); below 1 means convergence.
+Both are time-resolved: one exponent per offset from the anchor, never
+collapsed to a single average.  Divergence factors are exp(lambda);
+below 1 means convergence.  ``ftle_window`` and ``noise_bias_variance``
+give the single-window exponent and its small-noise bias and variance.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ class ExponentSeries:
     divergence_factors: np.ndarray
     k_offsets: np.ndarray
     dt: float
-    kind: str  # "residual-FSLE" | "imf-FTLE"
 
     def __post_init__(self) -> None:
         if len(self.lambdas) == 0:
@@ -94,99 +95,6 @@ def fsle_residual_series(
         divergence_factors=np.exp(lambdas),
         k_offsets=k,
         dt=dt,
-        kind="residual-FSLE",
-    )
-
-
-def ftle_imf_series(
-    emb: EmbeddedTrajectory, pairs: list[tuple[int, int]]
-) -> ExponentSeries:
-    """System-level exponents from neighbor-pair divergence.
-
-    For offset k the pair distance is d(k) = ||y_{i+k} - y_{j+k}||.
-    lambda(k) is the least-squares slope of the mean-over-pairs ln d(k')
-    versus k' dt for k' <= k.  Three sources of estimator bias are
-    controlled:
-
-    * the pair population is fixed: only pairs that survive a common
-      tracking horizon enter the mean, so composition drift cannot
-      masquerade as divergence;
-    * offsets up to the embedding span (m - 1) tau are excluded from the
-      fit, because nearest-neighbor selection biases the initial
-      distance low and embedded vectors share samples until the windows
-      disjoin; and
-    * a slope is only reported once the fit window holds ``min_fit``
-      curve points, since shorter fits of a noisy curve are meaningless.
-
-    Pairs whose initial distance is exactly zero are excluded rather
-    than clamped; zero distances at later offsets drop out of that
-    offset's mean.
-    """
-    pts = emb.points
-    n = len(pts)
-    min_fit = 5
-    usable = [(i, j) for i, j in pairs if n - 1 - max(i, j) >= 2]
-    if not usable:
-        raise ComputationError(
-            "no neighbor pair can be evolved for 2 steps before the "
-            "trajectory ends"
-        )
-    idx = np.array(usable)
-    d0 = np.linalg.norm(pts[idx[:, 0]] - pts[idx[:, 1]], axis=1)
-    idx = idx[d0 > 0.0]
-    if len(idx) == 0:
-        raise ComputationError("all neighbor pairs start at zero distance")
-
-    k0 = max(1, (emb.m - 1) * emb.tau)  # selection bias persists this long
-    horizons = n - 1 - np.max(idx, axis=1)
-    min_pairs = min(5, len(idx))
-    deep_enough = np.sort(horizons)[::-1][min_pairs - 1]  # min_pairs survive
-    target = max(k0 + min_fit, (n - 1) // 2)
-    if np.count_nonzero(horizons >= target) < min_pairs:
-        target = max(int(deep_enough), k0 + min_fit)
-    if np.count_nonzero(horizons >= target) == 0:
-        target = int(horizons.max())
-    idx = idx[horizons >= target]
-    if target - k0 < min_fit:
-        k0 = max(1, target - min_fit)
-    if target - k0 + 1 < min_fit + 1:
-        raise ComputationError("divergence curve too short for slopes")
-
-    # (n_pairs, target+1) distances, fixed population over all offsets.
-    offsets = np.arange(target + 1)
-    ia = idx[:, 0][:, None] + offsets[None, :]
-    ib = idx[:, 1][:, None] + offsets[None, :]
-    d = np.linalg.norm(pts[ia] - pts[ib], axis=2)
-    with np.errstate(divide="ignore"):
-        ln_d = np.where(d > 0.0, np.log(d), np.nan)
-    mean_ln = np.nanmean(ln_d, axis=0)
-    good = np.isfinite(mean_ln)
-    if not np.all(good):
-        last_good = int(np.flatnonzero(good).max())
-        if last_good - k0 + 1 < min_fit + 1:
-            raise ComputationError("divergence curve too short for slopes")
-        target = last_good
-    mean_ln = mean_ln[k0: target + 1]
-
-    # Expanding-window least-squares slopes via cumulative sums.
-    t = np.arange(k0, target + 1) * emb.dt
-    cnt = np.arange(1, len(t) + 1, dtype=float)
-    st = np.cumsum(t)
-    sy = np.cumsum(mean_ln)
-    stt = np.cumsum(t * t)
-    sty = np.cumsum(t * mean_ln)
-    var = stt - st * st / cnt
-    cov = sty - st * sy / cnt
-    with np.errstate(invalid="ignore", divide="ignore"):
-        slopes = cov / var
-    lambdas = slopes[min_fit - 1:]
-    k_offsets = np.arange(k0 + min_fit - 1, target + 1)
-    return ExponentSeries(
-        lambdas=lambdas,
-        divergence_factors=np.exp(lambdas),
-        k_offsets=k_offsets,
-        dt=emb.dt,
-        kind="imf-FTLE",
     )
 
 
@@ -228,7 +136,6 @@ def fsle_oscillation_series(
         divergence_factors=np.exp(lambdas),
         k_offsets=k[keep],
         dt=emb.dt,
-        kind="imf-FTLE",
     )
 
 

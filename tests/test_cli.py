@@ -5,7 +5,10 @@ import pytest
 
 from conftest import QV_K1, QV_K2, P_ACTIVE, XD_PRIME, osc_params, pickup_level
 from stvs.cli import run
-from stvs.ingest import write_trajectory
+from stvs.distribution import gompertz_reference, histogram, kl_divergence
+from stvs.indices import AssessmentConfig, assess
+from stvs.ingest import load_trajectory, write_trajectory
+from stvs.oel import load_generator_config
 from stvs.synth import synth_scenario
 
 
@@ -38,6 +41,19 @@ def run_json(capsys, argv):
     code = run(argv)
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def written_case(tmp_path, kind, **overrides):
+    """CSV path of a scenario; the format carries no pre-fault voltage."""
+    path = tmp_path / f"{kind}.csv"
+    write_trajectory(synth_scenario(kind, osc_params(**overrides)), path)
+    return str(path)
+
+
+def library_assess(path, gen_config=None):
+    generators = load_generator_config(gen_config) if gen_config else None
+    traj = load_trajectory(path).with_fault_clear_time(1.1)
+    return assess(traj, AssessmentConfig(generators=generators))
 
 
 # -- thresholds -------------------------------------------------------------------
@@ -127,6 +143,78 @@ def test_exponents_emits_series(capsys, stable_case_csv):
         int(k)
         for cell in (t, lam, factor):
             float(cell)  # plain float literals, not numpy reprs
+
+
+def test_exponents_print_the_series_assess_scored(capsys, tmp_path):
+    # below-nominal record: the pre-fault voltage has to be estimated
+    path = written_case(
+        tmp_path, "mixed", recovery=0.5, dip=0.3, decay=0.4, nominal=0.95
+    )
+    code = run(["exponents", "--in", path, "--t0", "1.1"])
+    assert code == 0
+    rows: dict[str, list[list[str]]] = {}
+    for ln in capsys.readouterr().out.strip().splitlines()[1:]:
+        target, *cells = ln.split(",")
+        rows.setdefault(target, []).append(cells)
+
+    result = library_assess(path)
+    assert {t for t in rows if t.startswith("R:")} == {
+        f"R:{g.id}" for g in result.per_generator
+    }
+    for g in result.per_generator:
+        series = g.recovery.series
+        assert rows[f"R:{g.id}"] == [
+            [str(k), repr(float(k * series.dt)), repr(float(lam)), repr(float(f))]
+            for k, lam, f in zip(
+                series.k_offsets, series.lambdas, series.divergence_factors
+            )
+        ]
+
+    code, doc = run_json(capsys, ["assess", "--in", path, "--t0", "1.1"])
+    assert code == 0
+    hist = histogram([float(r[3]) for r in rows["imf"]], 20, 0.0, 1.5)
+    ref = gompertz_reference(10.0, 1.0, hist.bin_edges)
+    assert kl_divergence(hist, ref) == doc["oscillation"]["index"]
+
+
+@pytest.mark.parametrize(
+    "kind, overrides",
+    [
+        ("mixed", dict(recovery=0.5, dip=0.3, decay=0.4)),
+        ("stalled-recovery", dict(level=0.7, stall_osc_amp=0.01)),
+    ],
+    ids=["mixed", "stalled"],
+)
+def test_tune_prints_the_tuning_assess_ran(capsys, tmp_path, gen_config, kind, overrides):
+    path = written_case(tmp_path, kind, **overrides)
+    argv = ["--in", path, "--t0", "1.1", "--gen-config", gen_config]
+    code, tuned = run_json(capsys, ["tune", *argv])
+    assert code == 0
+    code, assessed = run_json(capsys, ["assess", *argv])
+    assert code == 0
+    result = library_assess(path, gen_config)
+    assert [e["id"] for e in tuned["generators"]] == [
+        g["id"] for g in assessed["generators"]
+    ]
+    n_tuned = 0
+    for entry, doc, g in zip(
+        tuned["generators"], assessed["generators"], result.per_generator
+    ):
+        if g.tuning is None:  # a trivial path, as the stalled G3 takes
+            assert doc["threshold"] is None
+            assert entry["trivial"] == doc["class"]
+            continue
+        n_tuned += 1
+        assert entry["d_critical_r"] == doc["threshold"]
+        assert (entry["gamma1"], entry["x_star"]) == (g.tuning.gamma1, g.tuning.x_star)
+    assert n_tuned >= 2
+
+
+def test_tune_has_no_oscillation_grid_flags(capsys, tmp_path, gen_config):
+    path = written_case(tmp_path, "mixed", recovery=0.5, dip=0.3, decay=0.4)
+    argv = ["tune", "--in", path, "--t0", "1.1", "--gen-config", gen_config]
+    assert run([*argv, "--bins", "3"]) == 1
+    assert "--bins" in capsys.readouterr().err
 
 
 def test_tune_emits_threshold_document(capsys, tmp_path, gen_config):
@@ -253,6 +341,17 @@ def test_stream_out_of_order_row_continues(monkeypatch, capsys):
     assert code == 0
     assert "out-of-order" in err
     assert len(docs) >= 25
+
+
+@pytest.mark.parametrize("interval", ["0", "-1"])
+def test_stream_rejects_nonpositive_report_interval(monkeypatch, capsys, interval):
+    traj = synth_scenario("stable-osc", osc_params(decay=0.4))
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(stream_rows(traj)) + "\n"))
+    code = run(["assess", "--stream", "--t0", "1.1", "--report-interval", interval])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "--report-interval" in captured.err
+    assert captured.out == ""
 
 
 def test_stream_empty_input_is_success(monkeypatch, capsys):

@@ -44,7 +44,6 @@ def test_out_of_range_factors_clamp_to_edge_bins():
     h = histogram(np.array([-3.0, 0.2, 9.9]), 10, 0.0, 1.5)
     assert h.probabilities[0] > 0  # clamped low outlier
     assert h.probabilities[-1] > 0  # clamped explosive factor
-    assert h.policy == "clamp"
 
 
 def test_histogram_rejects_empty_and_bad_grid():

@@ -1,17 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from stvs.embed import (
-    EmbeddedTrajectory,
     augment_rocov,
     delay_embed,
-    nearest_neighbors,
     normalize_channels,
     select_delay,
 )
-from stvs.errors import ComputationError, ValidationError
+from stvs.errors import ValidationError
 
 
 # -- ROCOV augmentation --------------------------------------------------------
@@ -75,7 +71,7 @@ def test_delay_needs_32_samples():
 
 def test_embed_m1_is_identity():
     states = np.random.default_rng(1).standard_normal((30, 2))
-    emb = delay_embed(states, m=1, tau=1, theiler=0, dt=0.02)
+    emb = delay_embed(states, m=1, tau=1, dt=0.02)
     assert np.array_equal(emb.points, states)
 
 
@@ -83,85 +79,22 @@ def test_embed_length_bound():
     # needs length > (m-1)*tau + 1: nine states cannot support m=3, tau=4
     states = np.random.default_rng(1).standard_normal((9, 1))
     with pytest.raises(ValidationError):
-        delay_embed(states, m=3, tau=4, theiler=0, dt=0.02)
+        delay_embed(states, m=3, tau=4, dt=0.02)
     boundary = np.random.default_rng(1).standard_normal((10, 1))
-    emb = delay_embed(boundary, m=3, tau=4, theiler=0, dt=0.02)
+    emb = delay_embed(boundary, m=3, tau=4, dt=0.02)
     assert emb.n_points == 2
 
 
 def test_embed_point_count_and_dimension():
     states = np.random.default_rng(1).standard_normal((150, 4))
-    emb = delay_embed(states, m=2, tau=5, theiler=3, dt=0.02)
+    emb = delay_embed(states, m=2, tau=5, dt=0.02)
     assert emb.points.shape == (145, 8)
 
 
 def test_embed_recovers_state_sequence():
     states = np.random.default_rng(5).standard_normal((60, 3))
-    emb = delay_embed(states, m=3, tau=4, theiler=0, dt=0.02)
+    emb = delay_embed(states, m=3, tau=4, dt=0.02)
     assert np.array_equal(emb.points[:, :3], states[: len(emb.points)])
-
-
-# -- nearest neighbors -----------------------------------------------------------
-
-def test_identical_points_pair_at_zero_distance():
-    pts = np.array([[1.0, 2.0], [1.0, 2.0], [5.0, 5.0]])
-    emb = EmbeddedTrajectory(points=pts, m=1, tau=1, theiler=0, dt=0.02)
-    pairs = dict(nearest_neighbors(emb))
-    assert pairs[0] == 1
-    assert pairs[1] == 0
-
-
-def test_theiler_window_exhausts_candidates():
-    pts = np.random.default_rng(0).standard_normal((10, 2))
-    emb = EmbeddedTrajectory(points=pts, m=1, tau=1, theiler=9, dt=0.02)
-    with pytest.raises(ComputationError):
-        nearest_neighbors(emb)
-
-
-def brute_force_pairs(points, theiler):
-    pairs = []
-    n = len(points)
-    for i in range(n):
-        best, best_d = None, np.inf
-        for j in range(n):
-            if abs(i - j) <= theiler:
-                continue
-            d = float(np.linalg.norm(points[i] - points[j]))
-            if d < best_d or (d == best_d and (best is None or j < best)):
-                best, best_d = j, d
-        if best is not None:
-            pairs.append((i, best))
-    return pairs
-
-
-def test_neighbors_match_brute_force_oracle():
-    pts = np.random.default_rng(42).standard_normal((200, 3))
-    emb = EmbeddedTrajectory(points=pts, m=1, tau=1, theiler=5, dt=0.02)
-    assert nearest_neighbors(emb) == brute_force_pairs(pts, 5)
-
-
-def test_neighbors_respect_theiler_window():
-    pts = np.random.default_rng(7).standard_normal((120, 2))
-    emb = EmbeddedTrajectory(points=pts, m=1, tau=1, theiler=8, dt=0.02)
-    assert all(abs(i - j) > 8 for i, j in nearest_neighbors(emb))
-
-
-@given(
-    shift=st.lists(
-        st.floats(min_value=-50, max_value=50, allow_nan=False),
-        min_size=2,
-        max_size=2,
-    ),
-    seed=st.integers(min_value=0, max_value=2**16),
-)
-@settings(max_examples=25, deadline=None)
-def test_neighbors_invariant_under_translation(shift, seed):
-    pts = np.random.default_rng(seed).standard_normal((40, 2))
-    emb = EmbeddedTrajectory(points=pts, m=1, tau=1, theiler=2, dt=0.02)
-    moved = EmbeddedTrajectory(
-        points=pts + np.asarray(shift), m=1, tau=1, theiler=2, dt=0.02
-    )
-    assert nearest_neighbors(emb) == nearest_neighbors(moved)
 
 
 # -- normalization ----------------------------------------------------------------

@@ -3,17 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stvs.embed import (
-    EmbeddedTrajectory,
-    augment_rocov,
-    delay_embed,
-    nearest_neighbors,
-)
-from stvs.errors import ComputationError, TrivialRecovery, ValidationError
+from stvs.embed import augment_rocov, delay_embed
+from stvs.errors import TrivialRecovery, ValidationError
 from stvs.lyapunov import (
     fsle_oscillation_series,
     fsle_residual_series,
-    ftle_imf_series,
     ftle_window,
     noise_bias_variance,
 )
@@ -89,56 +83,6 @@ def test_residual_scale_invariance(scale):
     assert np.allclose(a.lambdas, b.lambdas, rtol=1e-9, atol=1e-12)
 
 
-# -- neighbor-pair FTLE -------------------------------------------------------------
-
-def test_imf_series_constant_distances_give_zero():
-    line = np.column_stack([np.arange(200.0), np.zeros(200)])
-    emb = EmbeddedTrajectory(points=line, m=1, tau=1, theiler=0, dt=DT)
-    pairs = [(i, i + 40) for i in range(100)]
-    series = ftle_imf_series(emb, pairs)
-    assert np.allclose(series.lambdas, 0.0, atol=1e-9)
-
-
-def test_imf_series_exact_exponential_distances():
-    pts = np.exp(0.3 * DT * np.arange(260))[:, None]
-    emb = EmbeddedTrajectory(points=pts, m=1, tau=1, theiler=0, dt=DT)
-    series = ftle_imf_series(emb, [(0, 40)])
-    assert np.allclose(series.lambdas, 0.3, atol=1e-9)
-
-
-def test_imf_series_damped_sine_band():
-    t = np.arange(0, 3.0 + DT / 2, DT)
-    sigs = [
-        np.exp(-0.4 * t) * np.sin(2 * np.pi * 1.45 * t + p) for p in (0.0, 1.9)
-    ]
-    states = augment_rocov(sigs)
-    period = int(round(1 / (1.45 * DT)))
-    emb = delay_embed(states, m=4, tau=period // 4, theiler=period, dt=DT)
-    series = ftle_imf_series(emb, nearest_neighbors(emb))
-    mask = (series.k_offsets * DT >= 0.3) & (series.k_offsets * DT <= 1.0)
-    assert np.any(mask)
-    assert np.all(series.lambdas[mask] >= -0.55)
-    assert np.all(series.lambdas[mask] <= -0.25)
-
-
-def test_imf_series_excludes_zero_distance_pairs():
-    pts = np.zeros((50, 2))
-    emb = EmbeddedTrajectory(points=pts, m=1, tau=1, theiler=0, dt=DT)
-    with pytest.raises(ComputationError):
-        ftle_imf_series(emb, [(0, 10), (1, 20)])
-
-
-def test_imf_series_scale_invariance():
-    rng = np.random.default_rng(11)
-    pts = rng.standard_normal((120, 3)).cumsum(axis=0)
-    emb = EmbeddedTrajectory(points=pts, m=1, tau=1, theiler=4, dt=DT)
-    pairs = nearest_neighbors(emb)
-    a = ftle_imf_series(emb, pairs)
-    emb2 = EmbeddedTrajectory(points=7.5 * pts, m=1, tau=1, theiler=4, dt=DT)
-    b = ftle_imf_series(emb2, pairs)
-    assert np.allclose(a.lambdas, b.lambdas, rtol=1e-9, atol=1e-12)
-
-
 # -- oscillation-state FSLE -----------------------------------------------------------
 
 def test_oscillation_series_reads_envelope_decay():
@@ -149,7 +93,7 @@ def test_oscillation_series_reads_envelope_decay():
     ]
     states = augment_rocov(sigs)
     period = int(round(1 / (4.8 * DT)))
-    emb = delay_embed(states, m=4, tau=max(1, period // 4), theiler=0, dt=DT)
+    emb = delay_embed(states, m=4, tau=max(1, period // 4), dt=DT)
     series = fsle_oscillation_series(emb, anchor_window=period)
     late = series.k_offsets * DT > 1.0
     assert np.all(series.lambdas[late] > -0.55)
@@ -161,7 +105,7 @@ def test_oscillation_series_flat_for_constant_amplitude():
     sigs = [np.sin(2 * np.pi * 4.8 * t + p) for p in (0.0, 2.1)]
     states = augment_rocov(sigs)
     period = int(round(1 / (4.8 * DT)))
-    emb = delay_embed(states, m=4, tau=max(1, period // 4), theiler=0, dt=DT)
+    emb = delay_embed(states, m=4, tau=max(1, period // 4), dt=DT)
     series = fsle_oscillation_series(emb, anchor_window=period)
     late = series.k_offsets * DT > 1.0
     assert np.all(np.abs(series.lambdas[late]) < 0.1)
