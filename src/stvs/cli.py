@@ -2,7 +2,9 @@
 
 Subcommands: assess, decompose, exponents, thresholds, tune, synth.
 Results go to stdout (or --out); diagnostics go to stderr.  Exit codes:
-0 success, 1 invalid input, 2 computation failure.
+0 success, 1 invalid input, 2 computation failure.  A reader that closes
+stdout early (``stvs assess --stream ... | head``) ends the run quietly
+with 0.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from . import oel, synth
 from .distribution import gompertz_reference
 from .emd import decompose
 from .errors import ComputationError, StvsError, ValidationError
-from .indices import AssessmentConfig, assess, imf_threshold
+from .indices import AssessmentConfig, analysis_window_s, assess, imf_threshold
 from .ingest import (
     VoltageTrajectory,
     detect_fault_clear_index,
@@ -82,7 +84,17 @@ def _build_parser() -> _Parser:
     p_assess.add_argument("--eq0", type=float, default=None,
                           help="explicit post-fault equilibrium voltage")
 
-    p_dec = sub.add_parser("decompose", help="emit IMFs and residual as CSV")
+    p_dec = sub.add_parser(
+        "decompose",
+        help="emit IMFs and residual as CSV",
+        description=(
+            "Decompose the post-fault window assess analyses (--window, "
+            "shortened to the data after fault clearing) and print every "
+            "IMF and the residual per channel: the IMFs are taken before "
+            "the frequency-band filter that assess applies, so each "
+            "channel's V equals the sum of its IMFs and R."
+        ),
+    )
     add_common(p_dec, grid=False)
 
     p_exp = sub.add_parser("exponents", help="emit exponent series as CSV")
@@ -164,7 +176,9 @@ def _cmd_stream(args, config: AssessmentConfig) -> int:
 
     Emits one JSON line per report interval once 0.5 s of post-fault
     data has accumulated.  Out-of-order rows are reported on stderr and
-    skipped; the stream continues.
+    skipped; the stream continues.  Rows whose column count differs
+    from the header's are dropped too: the first one is reported on
+    stderr, and the number dropped when the stream ends.
     """
     header = sys.stdin.readline()
     if not header.strip():
@@ -175,6 +189,7 @@ def _cmd_stream(args, config: AssessmentConfig) -> int:
     t_index = names.index("time") if "time" in names else 0
     next_report: float | None = None
     emitted = 0
+    bad_width = 0
 
     def try_report(force: bool = False) -> None:
         nonlocal next_report, emitted
@@ -212,6 +227,14 @@ def _cmd_stream(args, config: AssessmentConfig) -> int:
         except ValueError:
             sys.stderr.write(f"stvs: skipping malformed row: {line}\n")
             continue
+        if len(vals) != len(names):
+            if not bad_width:
+                sys.stderr.write(
+                    f"stvs: dropping row with {len(vals)} columns (header has "
+                    f"{len(names)}): {line}; such rows are dropped and counted\n"
+                )
+            bad_width += 1
+            continue
         if vals[t_index] <= last_t:
             sys.stderr.write(
                 f"stvs: out-of-order timestamp {vals[t_index]} (last {last_t}); "
@@ -224,13 +247,17 @@ def _cmd_stream(args, config: AssessmentConfig) -> int:
             try_report()
         except StvsError as exc:
             sys.stderr.write(f"stvs: {exc}\n")
+    if bad_width:
+        sys.stderr.write(
+            f"stvs: dropped {bad_width} row(s) with the wrong number of columns\n"
+        )
     return 0
 
 
 def _cmd_decompose(args) -> int:
     traj = _load_input(args)
-    window = extract_post_fault_window(traj, args.window)
-    decomp = decompose(window)
+    window = extract_post_fault_window(traj, analysis_window_s(traj, args.window))
+    decomp = decompose(window, n_directions=AssessmentConfig().n_directions)
     t = window.times()
     n_imfs = max((decomp.n_imfs(c) for c in range(decomp.n_channels)), default=0)
     cols = ["t"]
@@ -401,6 +428,12 @@ def run(argv=None) -> int:
     except FileNotFoundError as exc:
         sys.stderr.write(f"stvs: {exc}\n")
         return 1
+    except BrokenPipeError:
+        # The reader closed stdout early (`stvs ... | head`).  Point stdout
+        # at devnull so the flush at interpreter exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 0
 
 
 def main() -> None:

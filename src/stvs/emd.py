@@ -11,14 +11,27 @@ Sifting follows the classic recipe: cubic-spline envelopes through
 mirrored extrema, mean-envelope subtraction, and a Cauchy-style SD
 stopping rule (threshold 0.2, hard cap of 10 iterations per IMF).
 Decomposition stops once the remainder has fewer than 3 extrema.
+
+Envelopes are not-a-knot interpolating splines of degree
+``min(3, n_knots - 1)``, fitted by calling the kernels behind scipy's
+public interpolating-spline constructor directly (the collocation band
+from ``scipy.interpolate._dierckx``, the banded LAPACK solve ``dgbsv``
+and the B-spline evaluator), which skips that constructor's per-call
+validation and array-API overhead.  Every envelope is bit for bit the
+one the public constructor gives (the tests use it as the oracle).  The
+kernels are private scipy names, verified on scipy 1.17.1, the floor
+this package requires.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
+from scipy.interpolate import _dierckx
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgbsv
 
 from .errors import StvsError, ValidationError
 from .ingest import VoltageTrajectory
@@ -116,45 +129,79 @@ def zero_crossing_frequency(x: np.ndarray, dt: float) -> float:
 
 
 def _mirrored_knots(
-    idx: np.ndarray, values: np.ndarray, n: int
+    idx: np.ndarray, rows: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Extend extrema by reflecting up to two about each end of [0, n-1].
+    """Knots at the extrema ``idx``, plus up to two reflected about each end.
 
-    ``values`` may be 1-D (one value per extremum) or 2-D (one row per
-    extremum, multivariate envelope).
+    Returns the knot positions in ascending order and their values
+    ``rows[...]``, which are 1-D (one value per knot) or 2-D (one row
+    per knot, multivariate envelope).  An extremum at 0 or n-1 reflects
+    onto itself; the stable sort keeps the extremum first and the
+    duplicate is dropped, so it is not reflected.
     """
     last = n - 1
-    pos = [float(i) for i in idx]
-    vals = [values[k] for k in range(len(idx))]
-    for k in range(min(2, len(idx))):
-        if idx[k] > 0:
-            pos.append(-float(idx[k]))
-            vals.append(values[k])
-    for k in range(len(idx) - 1, max(len(idx) - 3, -1), -1):
-        if idx[k] < last:
-            pos.append(2.0 * last - float(idx[k]))
-            vals.append(values[k])
-    pos_arr = np.array(pos, dtype=float)
-    vals_arr = np.array(vals, dtype=float)
-    order = np.argsort(pos_arr, kind="stable")
-    pos_arr = pos_arr[order]
-    vals_arr = vals_arr[order]
-    keep = np.concatenate(([True], np.diff(pos_arr) > 0))
-    return pos_arr[keep], vals_arr[keep]
+    head, tail = idx[:2], idx[:-3:-1]  # the outermost extrema at each end
+    samples = np.concatenate((idx, head, tail))
+    pos = np.concatenate((idx, -head, 2 * last - tail)).astype(float)
+    order = np.argsort(pos, kind="stable")
+    pos = pos[order]
+    keep = np.concatenate(([True], pos[1:] > pos[:-1]))
+    return pos[keep], rows[samples[order[keep]]]
+
+
+@lru_cache(maxsize=4)
+def _sample_grid(n: int) -> np.ndarray:
+    grid = np.arange(n, dtype=float)
+    grid.flags.writeable = False
+    return grid
+
+
+def _interpolate(x: np.ndarray, y: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Not-a-knot interpolating spline of degree min(3, len(x) - 1) at ``grid``.
+
+    Bit for bit what scipy's public constructor gives for the same
+    arguments, from the same kernels on the same inputs: the not-a-knot
+    knot vector (for k = 1 scipy's ``[x0, x, x_last]``; k = 2 only
+    arises with 3 knots, where the interior is empty), the collocation
+    band solved with ``dgbsv`` for k > 1, and the evaluator.  ``x``
+    holds at least 2 strictly increasing float knots and ``y`` one
+    finite value (or row) per knot; the checks scipy makes of these on
+    every call are left to the caller.
+    """
+    nt = len(x)
+    k = min(3, nt - 1)
+    inner = k // 2 + 1
+    t = np.concatenate(([x[0]] * (k + 1), x[inner:nt - inner], [x[-1]] * (k + 1)))
+    c = y.reshape(nt, -1)
+    if k > 1:
+        ab = np.zeros((3 * k + 1, nt), order="F")
+        _dierckx._coloc(x, t, k, ab.T, 0)
+        _, _, c, info = dgbsv(k, k, ab, c, overwrite_ab=True, overwrite_b=True)
+        if info > 0:
+            raise LinAlgError("Colocation matrix is singular.")
+        c = np.ascontiguousarray(c)
+    out = _dierckx.evaluate_spline(t, c, k, grid, 0, True)
+    return out.reshape(grid.shape + y.shape[1:])
 
 
 def _envelope(
     idx: np.ndarray, signal_rows: np.ndarray, n: int
 ) -> np.ndarray | None:
-    """Spline through ``signal_rows[idx]`` with mirrored boundary knots."""
+    """Spline through ``signal_rows[idx]`` with mirrored boundary knots.
+
+    Knots are strictly increasing by construction.  A trajectory holds
+    only finite voltages (ingest rejects the rest) and a NaN sample is
+    never an extremum, but an infinite one can be when raw arrays are
+    sifted, so it is rejected with the error scipy raises.
+    """
     if len(idx) < 1:
         return None
-    pos, vals = _mirrored_knots(idx, signal_rows[idx], n)
+    pos, vals = _mirrored_knots(idx, signal_rows, n)
     if len(pos) < 2:
         return None
-    k = min(3, len(pos) - 1)
-    spline = make_interp_spline(pos, vals, k=k)
-    return spline(np.arange(n, dtype=float))
+    if not np.isfinite(vals).all():
+        raise ValueError("Array must not contain infs or nans.")
+    return _interpolate(pos, vals, _sample_grid(n))
 
 
 def _mean_envelope_1d(x: np.ndarray) -> np.ndarray | None:

@@ -405,6 +405,16 @@ def recovery_index(
     )
 
 
+def analysis_window_s(traj: VoltageTrajectory, window_s: float) -> float:
+    """The post-fault window ``assess`` analyses, in seconds.
+
+    ``window_s``, shortened to the data recorded after fault clearing
+    when the record ends sooner.
+    """
+    available = (traj.n_samples - traj.fault_clear_index) * traj.dt
+    return min(window_s, available - traj.dt)
+
+
 def _resolve_prefault(
     traj: VoltageTrajectory, config: AssessmentConfig
 ) -> dict[str, float]:
@@ -515,8 +525,7 @@ def assess(
     re-raised with the stage name attached.
     """
     config = config or AssessmentConfig()
-    available = (traj.n_samples - traj.fault_clear_index) * traj.dt
-    window_s = min(config.window_s, available - traj.dt)
+    window_s = analysis_window_s(traj, config.window_s)
 
     def stage(name, fn, *args, **kwargs):
         try:

@@ -1,15 +1,20 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import stvs
 from conftest import QV_K1, QV_K2, P_ACTIVE, XD_PRIME, osc_params, pickup_level
 from stvs.cli import run
 from stvs.distribution import gompertz_reference, histogram, kl_divergence
 from stvs.indices import AssessmentConfig, assess
 from stvs.ingest import load_trajectory, write_trajectory
 from stvs.oel import load_generator_config
-from stvs.synth import synth_scenario
+from stvs.synth import ScenarioParams, synth_scenario
 
 
 @pytest.fixture
@@ -129,6 +134,29 @@ def test_decompose_emits_imf_columns(capsys, stable_case_csv):
     assert any(c.startswith("IMF1:") for c in header)
     assert "R:G1" in header
     assert len(lines) == 1 + 150
+
+
+def test_decompose_windows_a_short_record_like_assess(capsys, tmp_path):
+    # 2.1 s after --t0: shorter than the default 3 s window
+    traj = synth_scenario("stable-osc", ScenarioParams(post_s=2.0))
+    path = tmp_path / "short.csv"
+    write_trajectory(traj, path)
+    code, doc = run_json(capsys, ["assess", "--in", str(path), "--t0", "1.0"])
+    assert code == 0
+    code = run(["decompose", "--in", str(path), "--t0", "1.0"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    lines = captured.out.strip().splitlines()
+    assert len(lines) - 1 == round(doc["latency_s"] / traj.dt)
+    header = lines[0].split(",")
+    rows = np.array([[float(c) for c in ln.split(",")] for ln in lines[1:]])
+    assert rows[0, 0] == pytest.approx(1.0)
+    # IMFs before the band filter: V is their sum plus R
+    for cid in traj.channel_ids:
+        parts = [j for j, c in enumerate(header) if c.endswith(f":{cid}")]
+        v, rest = parts[0], parts[1:]
+        assert header[v] == f"V:{cid}" and header[rest[-1]] == f"R:{cid}"
+        assert np.allclose(rows[:, rest].sum(axis=1), rows[:, v], atol=1e-12)
 
 
 def test_exponents_emits_series(capsys, stable_case_csv):
@@ -372,3 +400,42 @@ def test_batch_equals_final_stream(monkeypatch, capsys, tmp_path):
     final.pop("latency_s")
     batch.pop("latency_s")
     assert final == batch
+
+
+def test_stream_drops_a_row_with_missing_columns(monkeypatch, capsys):
+    traj = synth_scenario("mixed", osc_params())
+    lines = stream_rows(traj)
+    code, clean, _ = run_stream(monkeypatch, capsys, lines)
+    assert code == 0
+    middle = len(lines) // 2
+    short = lines[middle].rsplit(",", 1)[0]  # the next sample, last column lost
+    lines.insert(middle, short)
+    code, docs, err = run_stream(monkeypatch, capsys, lines)
+    assert code == 0
+    assert docs == clean  # every report after the bad row is still written
+    assert clean[-1]["latency_s"] > traj.dt * (middle - traj.fault_clear_index)
+    assert err.count("dropping row with 6 columns (header has 7)") == 1
+    assert "dropped 1 row(s) with the wrong number of columns" in err
+    assert "Traceback" not in err
+
+
+def test_stream_into_a_closed_pipe_exits_quietly(tmp_path):
+    # enough reports to fill the pipe after the reader has gone
+    traj = synth_scenario("mixed", osc_params(post_s=12.0))
+    path = tmp_path / "rows.csv"
+    path.write_text("\n".join(stream_rows(traj)) + "\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stvs.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    with open(path) as stdin:
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "from stvs.cli import main; main()",
+             "assess", "--stream", "--t0", "1.1", "--report-interval", "0.1"],
+            stdin=stdin, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=120)
+    assert json.loads(first)["latency_s"] >= 0.5
+    assert code == 0
+    assert "Traceback" not in err and "BrokenPipe" not in err

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import make_interp_spline
 
+from stvs import emd
 from stvs.emd import (
     DecompositionResult,
     TrendOnlySignal,
@@ -11,10 +15,12 @@ from stvs.emd import (
     dominant_imf_frequency,
     filter_imfs_by_frequency,
     is_imf,
+    local_extrema,
     sift,
     zero_crossing_frequency,
 )
-from stvs.ingest import Channel, VoltageTrajectory
+from stvs.ingest import Channel, VoltageTrajectory, extract_post_fault_window
+from stvs.synth import ScenarioParams, synth_scenario
 
 
 def make_traj(signals, dt=0.02):
@@ -193,3 +199,144 @@ def test_decompose_signals_rejects_bad_shapes():
         decompose_signals(np.ones(10))
     with pytest.raises(ValidationError):
         decompose_signals(np.ones((2, 3)))
+
+
+# -- envelope oracle ------------------------------------------------------------
+# The envelope spline calls scipy's kernels directly; it must equal, bit for
+# bit, the public constructor on knots mirrored the way the list-building
+# loop below does it.
+
+def mirrored_knots_oracle(idx, values, n):
+    last = n - 1
+    pos = [float(i) for i in idx]
+    vals = [values[k] for k in range(len(idx))]
+    for k in range(min(2, len(idx))):
+        if idx[k] > 0:
+            pos.append(-float(idx[k]))
+            vals.append(values[k])
+    for k in range(len(idx) - 1, max(len(idx) - 3, -1), -1):
+        if idx[k] < last:
+            pos.append(2.0 * last - float(idx[k]))
+            vals.append(values[k])
+    pos_arr = np.array(pos, dtype=float)
+    vals_arr = np.array(vals, dtype=float)
+    order = np.argsort(pos_arr, kind="stable")
+    pos_arr = pos_arr[order]
+    vals_arr = vals_arr[order]
+    keep = np.concatenate(([True], np.diff(pos_arr) > 0))
+    return pos_arr[keep], vals_arr[keep]
+
+
+def envelope_oracle(idx, signal_rows, n):
+    if len(idx) < 1:
+        return None
+    pos, vals = mirrored_knots_oracle(idx, signal_rows[idx], n)
+    if len(pos) < 2:
+        return None
+    spline = make_interp_spline(pos, vals, k=min(3, len(pos) - 1))
+    return spline(np.arange(n, dtype=float))
+
+
+def assert_envelope_matches_oracle(idx, rows, n):
+    idx = np.asarray(idx, dtype=np.intp)
+    got = emd._envelope(idx, rows, n)
+    want = envelope_oracle(idx, rows, n)
+    if want is None:
+        assert got is None
+    else:
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n_ch", [None, 1, 3])
+@pytest.mark.parametrize(
+    "idx, n, n_knots",
+    [
+        ([0], 20, 2),  # at 0: mirrored about n-1 only, k = 1
+        ([19], 20, 2),  # at n-1: mirrored about 0 only
+        ([0], 2, 2),
+        ([7], 20, 3),  # one interior extremum, mirrored both ways: k = 2
+        ([12], 20, 3),
+        ([0, 19], 20, 4),  # k = 3 from here on; neither end is reflected
+        ([0, 7, 19], 20, 5),
+        ([3, 11], 20, 6),
+        ([2, 6, 11, 15, 18], 20, 9),
+        ([0, 4, 9, 13, 19], 20, 7),
+        ([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18], 20, 22),
+    ],
+)
+def test_envelope_equals_public_spline(idx, n, n_knots, n_ch):
+    rng = np.random.default_rng(len(idx) * 31 + n)
+    rows = rng.normal(size=(n,) if n_ch is None else (n, n_ch))
+    assert len(mirrored_knots_oracle(idx, rows[idx], n)[0]) == n_knots
+    assert_envelope_matches_oracle(idx, rows, n)
+
+
+@given(
+    n=st.integers(min_value=2, max_value=160),
+    n_ch=st.sampled_from([None, 1, 2, 10]),
+    picks=st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=40),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@settings(max_examples=200, deadline=None)
+def test_envelope_equals_public_spline_on_drawn_extrema(n, n_ch, picks, seed):
+    idx = np.unique(np.asarray(picks) % n)
+    rows = np.random.default_rng(seed).normal(size=(n,) if n_ch is None else (n, n_ch))
+    assert_envelope_matches_oracle(idx, rows, n)
+
+
+def test_envelope_rejects_an_infinite_extremum_like_the_public_spline():
+    x = np.array([0.0, 1.0, np.inf, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
+    mins, maxs = local_extrema(x)
+    assert 2 in maxs
+    with pytest.raises(ValueError) as want:
+        envelope_oracle(maxs, x, len(x))
+    with pytest.raises(ValueError) as got:
+        emd._envelope(maxs, x, len(x))
+    assert str(got.value) == str(want.value)
+    with pytest.raises(ValueError):
+        sift(x)
+
+
+def test_nan_sample_never_reaches_the_envelope_fit(monkeypatch):
+    t = np.arange(0, 3, 0.02)
+    x = np.sin(2 * np.pi * 1.5 * t)
+    x[40] = np.nan
+    mins, maxs = local_extrema(x)
+    assert not np.isnan(x[np.concatenate((mins, maxs))]).any()
+    imf, rem = sift(x)
+    monkeypatch.setattr(emd, "_envelope", envelope_oracle)
+    want_imf, want_rem = sift(x)
+    assert np.array_equal(imf, want_imf, equal_nan=True)
+    assert np.array_equal(rem, want_rem, equal_nan=True)
+
+
+def assert_decompositions_equal(a, b):
+    assert [len(c) for c in a.imfs] == [len(c) for c in b.imfs]
+    for ca, cb in zip(a.imfs, b.imfs):
+        assert all(np.array_equal(x, y) for x, y in zip(ca, cb))
+    assert all(np.array_equal(x, y) for x, y in zip(a.residuals, b.residuals))
+
+
+@pytest.mark.parametrize(
+    "kind, n_channels, fs, seed",
+    [
+        ("mixed", 3, 50.0, 3),
+        ("stalled-recovery", 3, 50.0, 4),
+        ("stable-osc", 10, 200.0, 5),
+        ("mixed", 1, 50.0, 6),  # one channel: the univariate sift path
+        ("growing-osc", 1, 50.0, 7),
+    ],
+)
+def test_decompose_equals_decomposition_with_public_spline(
+    monkeypatch, kind, n_channels, fs, seed
+):
+    traj = synth_scenario(
+        kind,
+        ScenarioParams(n_channels=n_channels, fs=fs, noise_sigma=0.001, seed=seed),
+    )
+    window = extract_post_fault_window(traj, 3.0)
+    got = decompose(window)
+    assert any(got.imfs)
+    monkeypatch.setattr(emd, "_envelope", envelope_oracle)
+    assert_decompositions_equal(got, decompose(window))
