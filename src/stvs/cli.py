@@ -175,10 +175,16 @@ def _cmd_stream(args, config: AssessmentConfig) -> int:
     """Assess a growing window fed row-by-row on stdin.
 
     Emits one JSON line per report interval once 0.5 s of post-fault
-    data has accumulated.  Out-of-order rows are reported on stderr and
-    skipped; the stream continues.  Rows whose column count differs
-    from the header's are dropped too: the first one is reported on
-    stderr, and the number dropped when the stream ends.
+    data has accumulated.  With ``--t0`` no report is attempted before
+    a row at or past t0 has arrived.  Out-of-order rows are reported on
+    stderr and skipped; the stream continues.  Rows whose column count
+    differs from the header's are dropped too: the first one is
+    reported on stderr, and the number dropped when the stream ends.
+    A kept row that makes the history invalid (a NaN or non-positive
+    voltage, a gap in the sampling) stays in every later rebuild, so
+    it is reported once and the stream stops with exit 1; the reports
+    already written stay.  A failing report (fault clearing outside the
+    data, a computation failure) is reported and the stream goes on.
     """
     header = sys.stdin.readline()
     if not header.strip():
@@ -188,15 +194,11 @@ def _cmd_stream(args, config: AssessmentConfig) -> int:
     last_t = -np.inf
     t_index = names.index("time") if "time" in names else 0
     next_report: float | None = None
-    emitted = 0
     bad_width = 0
+    status = 0
 
-    def try_report(force: bool = False) -> None:
-        nonlocal next_report, emitted
-        if len(rows) < 2:
-            return
-        data = np.array(rows)
-        traj = trajectory_from_columns(names, data, origin="<stdin>")
+    def try_report(traj: VoltageTrajectory) -> None:
+        nonlocal next_report
         if args.t0 is not None:
             traj = traj.with_fault_clear_time(args.t0)
         else:
@@ -204,18 +206,17 @@ def _cmd_stream(args, config: AssessmentConfig) -> int:
                 traj.t_start + detect_fault_clear_index(traj) * traj.dt
             )
         t0_time = traj.t_start + traj.fault_clear_index * traj.dt
-        data_time = float(data[-1, t_index]) - t0_time
+        data_time = rows[-1][t_index] - t0_time
         if data_time < 0.5:
             return
         if next_report is None:
             next_report = data_time
-        if data_time + 1e-9 < next_report and not force:
+        if data_time + 1e-9 < next_report:
             return
         doc = assess(traj, config).to_dict()
         doc["latency_s"] = data_time
         sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
         sys.stdout.flush()
-        emitted += 1
         next_report = data_time + args.report_interval
 
     for raw in sys.stdin:
@@ -243,15 +244,26 @@ def _cmd_stream(args, config: AssessmentConfig) -> int:
             continue
         last_t = vals[t_index]
         rows.append(vals)
+        if len(rows) < 2 or (args.t0 is not None and last_t < args.t0):
+            continue
         try:
-            try_report()
+            traj = trajectory_from_columns(names, np.array(rows), origin="<stdin>")
+        except ValidationError as exc:
+            sys.stderr.write(
+                f"stvs: {exc}; every later report would contain it, "
+                f"so the stream stops\n"
+            )
+            status = 1
+            break
+        try:
+            try_report(traj)
         except StvsError as exc:
             sys.stderr.write(f"stvs: {exc}\n")
     if bad_width:
         sys.stderr.write(
             f"stvs: dropped {bad_width} row(s) with the wrong number of columns\n"
         )
-    return 0
+    return status
 
 
 def _cmd_decompose(args) -> int:

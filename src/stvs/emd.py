@@ -17,14 +17,19 @@ Envelopes are not-a-knot interpolating splines of degree
 public interpolating-spline constructor directly (the collocation band
 from ``scipy.interpolate._dierckx``, the banded LAPACK solve ``dgbsv``
 and the B-spline evaluator), which skips that constructor's per-call
-validation and array-API overhead.  Every envelope is bit for bit the
-one the public constructor gives (the tests use it as the oracle).  The
-kernels are private scipy names, verified on scipy 1.17.1, the floor
-this package requires.
+validation and array-API overhead.  A sifting pass fits its envelopes
+in one batch: one extrema scan over every direction projection, one
+vectorised pass for every envelope's mirrored knots, and one banded
+solve for all cubic envelopes, whose collocation bands sit side by side
+in a block-diagonal band matrix.  Every envelope is still bit for bit
+the one the public constructor gives (the tests use it, and a
+one-direction-at-a-time loop, as the oracle).  The kernels are private
+scipy names, verified on scipy 1.17.1, the floor this package requires.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -87,18 +92,34 @@ class DecompositionResult:
         return out
 
 
+def _extrema_scan(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Interior extrema of every row of a 2-D array, from one scan.
+
+    Returns flat ``(pos, row, is_max)`` arrays ordered by row, then by
+    position.  The rows are scanned as one flat sequence of sample
+    differences, and two neighbouring non-zero differences form an
+    extremum only when they belong to the same row, so each row gets
+    exactly what a scan of that row alone gives: plateaus collapse to
+    their midpoints, and a NaN sample is never an extremum (its sign is
+    NaN, neither a minimum nor a maximum).
+    """
+    seg_len = max(rows.shape[1] - 1, 1)
+    dx = (rows[:, 1:] - rows[:, :-1]).ravel()
+    nz = (dx != 0).nonzero()[0]
+    s = np.sign(dx[nz])
+    seg = nz // seg_len
+    change = ((s[:-1] != s[1:]) & (seg[:-1] == seg[1:])).nonzero()[0]
+    kinds = s[change]
+    change = change[~np.isnan(kinds)]
+    row = seg[change]
+    pos = (nz[change] + 1 + nz[change + 1]) // 2 - row * seg_len
+    return pos, row, s[change] > 0
+
+
 def local_extrema(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Interior minima and maxima indices, plateaus collapsed to midpoints."""
-    x = np.asarray(x, dtype=float)
-    dx = np.diff(x)
-    nz = np.flatnonzero(dx != 0)
-    if nz.size < 2:
-        return np.array([], dtype=int), np.array([], dtype=int)
-    s = np.sign(dx[nz])
-    change = np.flatnonzero(s[:-1] != s[1:])
-    pos = (nz[change] + 1 + nz[change + 1]) // 2
-    kinds = s[change]
-    return pos[kinds < 0], pos[kinds > 0]
+    pos, _, is_max = _extrema_scan(np.asarray(x, dtype=float).reshape(1, -1))
+    return pos[~is_max], pos[is_max]
 
 
 def count_extrema(x: np.ndarray) -> int:
@@ -129,24 +150,48 @@ def zero_crossing_frequency(x: np.ndarray, dt: float) -> float:
 
 
 def _mirrored_knots(
-    idx: np.ndarray, rows: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Knots at the extrema ``idx``, plus up to two reflected about each end.
+    idx: np.ndarray, lens: np.ndarray, rows: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Knots of several envelopes, built in one vectorised pass.
 
-    Returns the knot positions in ascending order and their values
-    ``rows[...]``, which are 1-D (one value per knot) or 2-D (one row
-    per knot, multivariate envelope).  An extremum at 0 or n-1 reflects
-    onto itself; the stable sort keeps the extremum first and the
-    duplicate is dropped, so it is not reflected.
+    ``idx`` holds every envelope's extrema, one envelope after the
+    other: ``lens[e] >= 1`` of them for envelope ``e``, ascending.  Each
+    envelope gets its extrema plus up to two reflected about each end
+    (the first two about 0, the last two about n-1).  Returns the knot
+    positions, ascending within each envelope, their values
+    ``rows[...]`` (1-D, one value per knot, or 2-D, one row per knot:
+    a multivariate envelope) and every envelope's knot count.  An
+    extremum at 0 or n-1 reflects onto itself; the stable sort keeps
+    the extremum first and the duplicate is dropped, so it is not
+    reflected.
     """
     last = n - 1
-    head, tail = idx[:2], idx[:-3:-1]  # the outermost extrema at each end
-    samples = np.concatenate((idx, head, tail))
-    pos = np.concatenate((idx, -head, 2 * last - tail)).astype(float)
-    order = np.argsort(pos, kind="stable")
-    pos = pos[order]
-    keep = np.concatenate(([True], pos[1:] > pos[:-1]))
-    return pos[keep], rows[samples[order[keep]]]
+    ends = np.cumsum(lens)
+    starts = ends - lens
+    two = lens > 1
+    # the extrema each mirror comes from: first, second, last, second-last
+    src = np.concatenate((starts, starts[two] + 1, ends - 1, ends[two] - 2))
+    n_head = len(src) // 2
+    mirrored = idx[src]
+    samples = np.concatenate((idx, mirrored))
+    np.negative(mirrored[:n_head], out=mirrored[:n_head])
+    np.subtract(2 * last, mirrored[n_head:], out=mirrored[n_head:])
+    # one sort key per candidate: envelope id x 4n + position, shifted
+    # to be non-negative (positions lie in [-last, 2 last]); candidates
+    # of one envelope keep the order extrema, then mirrors as listed
+    span = 4 * n
+    env = np.repeat(np.arange(len(lens)), lens)
+    key = np.concatenate((env, env[src])) * span
+    key += np.concatenate((idx, mirrored))
+    key += n
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    keep = np.concatenate(([True], key[1:] > key[:-1]))
+    key = key[keep]
+    env = key // span
+    knots = (key - env * span - n).astype(float)
+    counts = np.bincount(env, minlength=len(lens))
+    return knots, rows[samples[order[keep]]], counts
 
 
 @lru_cache(maxsize=4)
@@ -184,32 +229,82 @@ def _interpolate(x: np.ndarray, y: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return out.reshape(grid.shape + y.shape[1:])
 
 
-def _envelope(
-    idx: np.ndarray, signal_rows: np.ndarray, n: int
-) -> np.ndarray | None:
-    """Spline through ``signal_rows[idx]`` with mirrored boundary knots.
+def _envelopes(
+    idx: np.ndarray, lens: np.ndarray, rows: np.ndarray, n: int
+) -> Iterator[np.ndarray | None]:
+    """Splines through ``rows`` at every envelope's mirrored extrema.
+
+    Takes the extrema as :func:`_mirrored_knots` does and yields one
+    envelope per entry of ``lens``, in order, on the sample grid 0..n-1
+    (``None`` for an envelope with fewer than 2 knots).  Every envelope
+    of 4 or more knots is a cubic: their collocation bands go into the
+    column blocks of one band matrix and one ``dgbsv`` solves the
+    block-diagonal system, with all their knot values as the right-hand
+    side.  Rows outside a block are exact zeros there, so pivoting and
+    elimination give each block what its own solve gives; envelopes of
+    2 or 3 knots go through :func:`_interpolate`.  Either way each
+    envelope is bit for bit the public constructor's.  The envelopes
+    are evaluated one at a time as the caller asks for them.
 
     Knots are strictly increasing by construction.  A trajectory holds
     only finite voltages (ingest rejects the rest) and a NaN sample is
     never an extremum, but an infinite one can be when raw arrays are
     sifted, so it is rejected with the error scipy raises.
     """
-    if len(idx) < 1:
-        return None
-    pos, vals = _mirrored_knots(idx, signal_rows, n)
-    if len(pos) < 2:
-        return None
+    knots, vals, counts = _mirrored_knots(idx, lens, rows, n)
     if not np.isfinite(vals).all():
         raise ValueError("Array must not contain infs or nans.")
-    return _interpolate(pos, vals, _sample_grid(n))
+    grid = _sample_grid(n)
+    cubic = counts >= 4
+    if cubic.any():
+        # every cubic's not-a-knot vector from one repeat: each end knot
+        # four times, its neighbour dropped
+        in_cubic = np.repeat(cubic, counts)
+        x = knots[in_cubic]
+        m = counts[cubic]
+        x_end = np.cumsum(m)
+        x_start = x_end - m
+        reps = np.ones(len(x), dtype=np.intp)
+        reps[x_start] = reps[x_end - 1] = 4
+        reps[x_start + 1] = reps[x_end - 2] = 0
+        t = np.repeat(x, reps)
+        t_start = x_start + 4 * np.arange(len(m))
+        blocks = list(zip(x_start.tolist(), x_end.tolist(), t_start.tolist()))
+        ab = np.zeros((10, len(x)), order="F")
+        for lo, hi, t_lo in blocks:  # each cubic's band in its own columns
+            _dierckx._coloc(
+                x[lo:hi], t[t_lo:t_lo + hi - lo + 4], 3, ab[:, lo:hi].T, 0
+            )
+        rhs = (vals if in_cubic.all() else vals[in_cubic]).reshape(len(x), -1)
+        _, _, c, info = dgbsv(3, 3, ab, rhs, overwrite_ab=True, overwrite_b=True)
+        del ab, rhs  # not held through the copy below or the evaluations
+        if info > 0:
+            raise LinAlgError("Colocation matrix is singular.")
+        c = np.ascontiguousarray(c)
+        blocks = iter(blocks)
+    shape = grid.shape + rows.shape[1:]
+    start = 0
+    for count in counts.tolist():
+        if count >= 4:
+            lo, hi, t_lo = next(blocks)
+            env = _dierckx.evaluate_spline(
+                t[t_lo:t_lo + hi - lo + 4], c[lo:hi], 3, grid, 0, True
+            )
+            yield env.reshape(shape)
+        elif count >= 2:
+            end = start + count
+            yield _interpolate(knots[start:end], vals[start:end], grid)
+        else:
+            yield None
+        start += count
 
 
 def _mean_envelope_1d(x: np.ndarray) -> np.ndarray | None:
     mins, maxs = local_extrema(x)
     if len(mins) < 1 or len(maxs) < 1 or len(mins) + len(maxs) < 2:
         return None
-    upper = _envelope(maxs, x, len(x))
-    lower = _envelope(mins, x, len(x))
+    lens = np.array([len(maxs), len(mins)])
+    upper, lower = _envelopes(np.concatenate((maxs, mins)), lens, x, len(x))
     if upper is None or lower is None:
         return None
     return 0.5 * (upper + lower)
@@ -255,31 +350,58 @@ def _direction_vectors(n_directions: int, n_dim: int) -> np.ndarray:
     return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
 
 
+def _projections(x: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """Row j is the projection ``x @ directions[j]``.
+
+    One matrix-vector product per direction: a single matrix product
+    may sum in another order, and the projections' last bits decide
+    which samples are extrema.
+    """
+    proj = np.empty((len(directions), x.shape[0]))
+    for j, d in enumerate(directions):
+        proj[j] = x @ d
+    return proj
+
+
 def _mean_envelope_mv(
     x: np.ndarray, directions: np.ndarray
 ) -> np.ndarray | None:
-    """Average of direction-projected envelope means, one pass of MEMD."""
+    """Average of direction-projected envelope means, one pass of MEMD.
+
+    A direction whose projection has fewer than 3 extrema, or no minimum
+    or no maximum, is skipped.  Every other direction's upper and lower
+    envelope of ``x`` come from one extrema scan and one batched fit.
+    """
     n = x.shape[0]
+    n_dir = len(directions)
+    pos, d_of, is_max = _extrema_scan(_projections(x, directions))
+    n_max = np.bincount(d_of[is_max], minlength=n_dir)
+    n_min = np.bincount(d_of[~is_max], minlength=n_dir)
+    used = (n_min >= 1) & (n_max >= 1) & (n_min + n_max >= 3)
+    if not used.any():
+        return None
+    # envelope 2r is the upper and 2r + 1 the lower one of the r-th used
+    # direction; the stable sort keeps each envelope's extrema ascending
+    sel = used[d_of]
+    env = 2 * (np.cumsum(used) - 1)[d_of[sel]] + ~is_max[sel]
+    order = np.argsort(env, kind="stable")
+    lens = np.bincount(env, minlength=2 * int(used.sum()))
+    envelopes = _envelopes(pos[sel][order], lens, x, n)
     total = np.zeros_like(x)
-    used = 0
-    for d in directions:
-        p = x @ d
-        mins, maxs = local_extrema(p)
-        if len(mins) + len(maxs) < 3 or len(mins) < 1 or len(maxs) < 1:
-            continue
-        upper = _envelope(maxs, x, n)
-        lower = _envelope(mins, x, n)
+    n_used = 0
+    for upper, lower in zip(envelopes, envelopes):  # consecutive pairs
         if upper is None or lower is None:
             continue
         total += 0.5 * (upper + lower)
-        used += 1
-    if used == 0:
+        n_used += 1
+    if n_used == 0:
         return None
-    return total / used
+    return total / n_used
 
 
 def _projections_exhausted(x: np.ndarray, directions: np.ndarray) -> bool:
-    return all(count_extrema(x @ d) < 3 for d in directions)
+    _, d_of, _ = _extrema_scan(_projections(x, directions))
+    return bool(np.all(np.bincount(d_of, minlength=len(directions)) < 3))
 
 
 def _mode_condition_all(x: np.ndarray) -> bool:

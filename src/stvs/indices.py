@@ -16,11 +16,18 @@ value, yielding a classification and a signed percentage margin.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import oel
-from .distribution import gompertz_reference, histogram, kl_divergence
+from .distribution import (
+    gompertz_reference,
+    gompertz_reference_table,
+    histogram,
+    kl_divergence,
+    kl_divergence_table,
+)
 from .embed import (
     augment_rocov,
     delay_embed,
@@ -252,9 +259,15 @@ def imf_threshold(
     factors concentrate at and just below 1: the construction spreads
     unit mass uniformly over the bin containing x = 1 and the two bins
     below it, then measures the KL distance to the Gompertz reference
-    with shift 1 on the same grid.
+    with shift 1 on the same grid.  The value depends only on the grid
+    and gamma2, so it is computed once per distinct set of them.
     """
     lo, hi = grid_range
+    return _imf_threshold(bins, lo, hi, gamma2)
+
+
+@lru_cache(maxsize=16)
+def _imf_threshold(bins: int, lo: float, hi: float, gamma2: float) -> float:
     if bins < 3:
         raise ValidationError("need at least 3 bins for the threshold")
     if not lo < hi:
@@ -267,11 +280,8 @@ def imf_threshold(
         raise ValidationError("grid leaves no room below the unit factor")
     p = np.zeros(bins)
     p[ic - 2: ic + 1] = 1.0 / 3.0
-    from .distribution import DivergenceHistogram
-
-    hist = DivergenceHistogram(bin_edges=edges, probabilities=p)
-    ref = gompertz_reference(gamma2, OSC_X_STAR, edges)
-    return kl_divergence(hist, ref)
+    ref = gompertz_reference_table([gamma2], [OSC_X_STAR], edges)[0, 0]
+    return float(kl_divergence_table(p, ref))
 
 
 def _embedding_parameters(

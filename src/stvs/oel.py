@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -343,6 +344,20 @@ def _recovery_score(
     return delta, hist
 
 
+@lru_cache(maxsize=8)
+def _reference_table(gammas: bytes, x_stars: bytes, edges: bytes) -> np.ndarray:
+    """The (gamma1, x*, bin) reference table of a tuning grid, built once.
+
+    Keyed on the exact bytes of the float64 grids; every generator of
+    every assessment on the same grid shares one read-only table.
+    """
+    table = gompertz_reference_table(
+        np.frombuffer(gammas), np.frombuffer(x_stars), np.frombuffer(edges)
+    )
+    table.flags.writeable = False
+    return table
+
+
 def tune_gamma(
     s1: np.ndarray,
     s2: np.ndarray,
@@ -361,7 +376,9 @@ def tune_gamma(
     points within f* + tolerance.  The recovery threshold is the s1/s2
     index midpoint at the selected point.  The grid is scored in one
     pass: the (gamma1, x*, bin) reference table is built once and each
-    critical-signal histogram is scored against all of its rows.
+    critical-signal histogram is scored against all of its rows.  The
+    table depends only on the grids, so it is built once per grid and
+    shared.
     """
     if gamma1_grid is None:
         gamma1_grid = np.geomspace(1.0, 200.0, 40)
@@ -376,7 +393,9 @@ def tune_gamma(
     d2_weight, h2 = _recovery_score(s2, dt, eq0, v_pre, grid)
     bins, lo, hi = grid
     edges = np.linspace(lo, hi, bins + 1)
-    table = gompertz_reference_table(gamma1_grid, x_star_grid, edges)
+    table = _reference_table(
+        gamma1_grid.tobytes(), x_star_grid.tobytes(), edges.tobytes()
+    )
 
     def scores(weight: float, hist) -> np.ndarray:
         if hist is None:

@@ -419,6 +419,55 @@ def test_stream_drops_a_row_with_missing_columns(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def synth_cli_rows(capsys, kind="mixed", seed=1):
+    """Rows as `stvs synth KIND --seed SEED` prints them."""
+    assert run(["synth", kind, "--seed", str(seed)]) == 0
+    return capsys.readouterr().out.strip().splitlines()
+
+
+def test_stream_with_t0_waits_for_t0(monkeypatch, capsys, tmp_path):
+    lines = synth_cli_rows(capsys)
+    code, docs, err = run_stream(monkeypatch, capsys, lines)
+    assert code == 0
+    assert err == ""  # was one "outside the record" line per row before t0
+    assert 0.5 <= docs[0]["latency_s"] < 0.52
+    path = tmp_path / "case.csv"
+    path.write_text("\n".join(lines) + "\n")
+    _, batch = run_json(capsys, ["assess", "--in", str(path), "--t0", "1.1"])
+    final = docs[-1]
+    assert final.pop("latency_s") == pytest.approx(batch.pop("latency_s"), abs=0.02)
+    assert final == batch
+
+
+def test_stream_stops_once_on_a_nan_in_the_history(monkeypatch, capsys):
+    lines = synth_cli_rows(capsys)
+    _, clean, _ = run_stream(monkeypatch, capsys, lines)
+    names = lines[0].split(",")
+    row = lines[120].split(",")  # the 120th data row
+    row[names.index("V:G1")] = "nan"
+    lines[120] = ",".join(row)
+    code, docs, err = run_stream(monkeypatch, capsys, lines)
+    assert code == 1
+    assert err.count("\n") == 1
+    assert "NaN voltage in 'V:G1' at row 119" in err
+    assert "stream stops" in err
+    assert docs and docs == clean[: len(docs)]  # earlier reports stay
+    assert docs[-1]["latency_s"] < float(row[0]) - 1.1
+
+
+def test_stream_stops_once_on_a_gap_in_the_history(monkeypatch, capsys):
+    lines = synth_cli_rows(capsys)
+    _, clean, _ = run_stream(monkeypatch, capsys, lines)
+    lines[150] = lines[150].rsplit(",", 1)[0]  # the 150th data row loses a column
+    code, docs, err = run_stream(monkeypatch, capsys, lines)
+    assert code == 1
+    assert err.count("non-uniform sampling at row 149") == 1
+    assert err.count("dropping row with 6 columns (header has 7)") == 1
+    assert "dropped 1 row(s) with the wrong number of columns" in err
+    assert len(err.strip().splitlines()) == 3
+    assert docs and docs == clean[: len(docs)]
+
+
 def test_stream_into_a_closed_pipe_exits_quietly(tmp_path):
     # enough reports to fill the pipe after the reader has gone
     traj = synth_scenario("mixed", osc_params(post_s=12.0))

@@ -237,9 +237,75 @@ def envelope_oracle(idx, signal_rows, n):
     return spline(np.arange(n, dtype=float))
 
 
+# The sifting pass scans every projection for extrema at once and fits all
+# of its envelopes in one banded solve; the loops below are the one-signal,
+# one-direction, one-spline reference it must equal bit for bit.
+
+def local_extrema_oracle(x):
+    x = np.asarray(x, dtype=float)
+    dx = np.diff(x)
+    nz = np.flatnonzero(dx != 0)
+    if nz.size < 2:
+        return np.array([], dtype=int), np.array([], dtype=int)
+    s = np.sign(dx[nz])
+    change = np.flatnonzero(s[:-1] != s[1:])
+    pos = (nz[change] + 1 + nz[change + 1]) // 2
+    kinds = s[change]
+    return pos[kinds < 0], pos[kinds > 0]
+
+
+def mean_envelope_1d_oracle(x):
+    mins, maxs = local_extrema_oracle(x)
+    if len(mins) < 1 or len(maxs) < 1 or len(mins) + len(maxs) < 2:
+        return None
+    upper = envelope_oracle(maxs, x, len(x))
+    lower = envelope_oracle(mins, x, len(x))
+    if upper is None or lower is None:
+        return None
+    return 0.5 * (upper + lower)
+
+
+def mean_envelope_mv_oracle(x, directions):
+    n = x.shape[0]
+    total = np.zeros_like(x)
+    used = 0
+    for d in directions:
+        mins, maxs = local_extrema_oracle(x @ d)
+        if len(mins) + len(maxs) < 3 or len(mins) < 1 or len(maxs) < 1:
+            continue
+        upper = envelope_oracle(maxs, x, n)
+        lower = envelope_oracle(mins, x, n)
+        if upper is None or lower is None:
+            continue
+        total += 0.5 * (upper + lower)
+        used += 1
+    if used == 0:
+        return None
+    return total / used
+
+
+def projections_exhausted_oracle(x, directions):
+    return all(
+        sum(len(e) for e in local_extrema_oracle(x @ d)) < 3 for d in directions
+    )
+
+
+def use_loop_oracles(monkeypatch):
+    monkeypatch.setattr(emd, "_mean_envelope_1d", mean_envelope_1d_oracle)
+    monkeypatch.setattr(emd, "_mean_envelope_mv", mean_envelope_mv_oracle)
+    monkeypatch.setattr(emd, "_projections_exhausted", projections_exhausted_oracle)
+
+
+def fit_envelope(idx, rows, n):
+    """The batched fitting helper on one envelope."""
+    idx = np.asarray(idx, dtype=np.intp)
+    (env,) = emd._envelopes(idx, np.array([len(idx)]), rows, n)
+    return env
+
+
 def assert_envelope_matches_oracle(idx, rows, n):
     idx = np.asarray(idx, dtype=np.intp)
-    got = emd._envelope(idx, rows, n)
+    got = fit_envelope(idx, rows, n)
     want = envelope_oracle(idx, rows, n)
     if want is None:
         assert got is None
@@ -292,7 +358,7 @@ def test_envelope_rejects_an_infinite_extremum_like_the_public_spline():
     with pytest.raises(ValueError) as want:
         envelope_oracle(maxs, x, len(x))
     with pytest.raises(ValueError) as got:
-        emd._envelope(maxs, x, len(x))
+        fit_envelope(maxs, x, len(x))
     assert str(got.value) == str(want.value)
     with pytest.raises(ValueError):
         sift(x)
@@ -305,7 +371,7 @@ def test_nan_sample_never_reaches_the_envelope_fit(monkeypatch):
     mins, maxs = local_extrema(x)
     assert not np.isnan(x[np.concatenate((mins, maxs))]).any()
     imf, rem = sift(x)
-    monkeypatch.setattr(emd, "_envelope", envelope_oracle)
+    monkeypatch.setattr(emd, "_mean_envelope_1d", mean_envelope_1d_oracle)
     want_imf, want_rem = sift(x)
     assert np.array_equal(imf, want_imf, equal_nan=True)
     assert np.array_equal(rem, want_rem, equal_nan=True)
@@ -338,5 +404,163 @@ def test_decompose_equals_decomposition_with_public_spline(
     window = extract_post_fault_window(traj, 3.0)
     got = decompose(window)
     assert any(got.imfs)
-    monkeypatch.setattr(emd, "_envelope", envelope_oracle)
+    use_loop_oracles(monkeypatch)
     assert_decompositions_equal(got, decompose(window))
+
+
+# -- batched sifting pass ---------------------------------------------------------
+
+def signals_with_plateaus(n_min=0, n_max=40, n_ch_max=1):
+    """Small integer alphabets: plateaus and equal neighbours are common."""
+    return st.tuples(
+        st.integers(min_value=n_min, max_value=n_max),
+        st.integers(min_value=1, max_value=n_ch_max),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=0, max_value=2**16),
+        st.sampled_from([0.0, 0.0, 0.0, 1.0, 10.0]),
+    ).map(_integer_signal)
+
+
+def _integer_signal(spec):
+    n, n_ch, levels, seed, trend = spec
+    rng = np.random.default_rng(seed)
+    x = rng.integers(-levels, levels + 1, size=(n, n_ch)).astype(float)
+    x += trend * np.arange(n)[:, None] * rng.integers(-2, 3, size=n_ch)
+    return x
+
+
+@given(x=signals_with_plateaus(), nan_at=st.integers(min_value=-1, max_value=40))
+@settings(max_examples=200, deadline=None)
+def test_local_extrema_equals_one_signal_scan(x, nan_at):
+    x = x[:, 0].copy()
+    if 0 <= nan_at < len(x):
+        x[nan_at] = np.nan
+    got, want = local_extrema(x), local_extrema_oracle(x)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
+    if 0 <= nan_at < len(x):
+        assert nan_at not in np.concatenate(got)
+
+
+@given(
+    x=signals_with_plateaus(n_ch_max=10),
+    nan_at=st.integers(min_value=-1, max_value=400),
+)
+@settings(max_examples=200, deadline=None)
+def test_extrema_scan_of_rows_equals_scan_of_each_row(x, nan_at):
+    rows = x.T.copy()
+    if 0 <= nan_at < rows.size:
+        rows.flat[nan_at] = np.nan
+    pos, row, is_max = emd._extrema_scan(rows)
+    assert np.all(np.diff(row) >= 0)
+    for r in range(rows.shape[0]):
+        mins, maxs = local_extrema_oracle(rows[r])
+        mine = row == r
+        assert np.array_equal(pos[mine & ~is_max], mins)
+        assert np.array_equal(pos[mine & is_max], maxs)
+
+
+@given(
+    n=st.integers(min_value=2, max_value=80),
+    n_ch=st.sampled_from([None, 1, 3]),
+    picks=st.lists(
+        st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=12),
+        min_size=1,
+        max_size=8,
+    ),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@settings(max_examples=200, deadline=None)
+def test_batched_envelopes_equal_public_spline_one_by_one(n, n_ch, picks, seed):
+    # envelopes of 2 (k = 1), 3 (k = 2) and more knots (cubics sharing one
+    # block-diagonal solve), extrema at 0 and n-1 included
+    shape = (n,) if n_ch is None else (n, n_ch)
+    rows = np.random.default_rng(seed).normal(size=shape)
+    extrema = [np.unique(np.asarray(p) % n) for p in picks]
+    lens = np.array([len(e) for e in extrema])
+    got = list(emd._envelopes(np.concatenate(extrema), lens, rows, n))
+    assert len(got) == len(extrema)
+    for env, idx in zip(got, extrema):
+        want = envelope_oracle(idx, rows, n)
+        if want is None:
+            assert env is None
+        else:
+            assert env.shape == want.shape
+            assert np.array_equal(env, want)
+
+
+def assert_pass_matches_loop(x, directions):
+    got = emd._mean_envelope_mv(x, directions)
+    want = mean_envelope_mv_oracle(x, directions)
+    if want is None:
+        assert got is None
+    else:
+        assert np.array_equal(got, want)
+    assert emd._projections_exhausted(x, directions) == projections_exhausted_oracle(
+        x, directions
+    )
+    return want
+
+
+@given(
+    x=signals_with_plateaus(n_min=5, n_max=40, n_ch_max=10),
+    n_dir=st.integers(min_value=1, max_value=16),
+    drawn=st.one_of(st.none(), st.integers(min_value=0, max_value=2**16)),
+)
+@settings(max_examples=200, deadline=None)
+def test_mean_envelope_mv_equals_direction_loop(x, n_dir, drawn):
+    # draws cover 1-10 channels, plateaus, one-extremum envelopes (k = 2),
+    # skipped directions and passes with every direction skipped
+    if drawn is None:
+        directions = emd._direction_vectors(n_dir, x.shape[1])
+    else:
+        directions = np.random.default_rng(drawn).normal(size=(n_dir, x.shape[1]))
+    assert_pass_matches_loop(x, directions)
+
+
+def envelope_extrema_counts(x, directions):
+    """Extrema behind each used direction's (upper, lower) envelope."""
+    counts = []
+    for d in directions:
+        mins, maxs = local_extrema_oracle(x @ d)
+        if len(mins) + len(maxs) >= 3 and len(mins) and len(maxs):
+            counts.append((len(maxs), len(mins)))
+    return counts
+
+
+def test_mean_envelope_mv_single_extremum_direction_equals_loop():
+    # one minimum under two maxima: the lower envelope has 3 knots (k = 2);
+    # the negated direction turns it into the upper envelope
+    x = np.array([0.0, 3.0, 1.0, 2.0, 0.0, 0.0])[:, None]
+    directions = np.array([[1.0], [-1.0]])
+    assert envelope_extrema_counts(x, directions) == [(2, 1), (1, 2)]
+    assert assert_pass_matches_loop(x, directions) is not None
+
+
+def test_mean_envelope_mv_skipped_direction_equals_loop():
+    t = np.arange(0, 3, 0.02)
+    x = np.column_stack([0.05 * np.sin(2 * np.pi * 1.5 * t), t])
+    directions = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
+    assert len(envelope_extrema_counts(x, directions)) == 1  # the ramp is skipped
+    assert assert_pass_matches_loop(x, directions) is not None
+
+
+def test_mean_envelope_mv_with_every_direction_skipped_is_none():
+    t = np.arange(0, 3, 0.02)
+    x = np.column_stack([t, t * t])
+    directions = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
+    assert emd._mean_envelope_mv(x, directions) is None
+    assert assert_pass_matches_loop(x, directions) is None
+
+
+def test_infinite_sample_raises_through_decompose_signals(monkeypatch):
+    t = np.arange(0, 3, 0.02)
+    x = np.column_stack([np.sin(2 * np.pi * 1.5 * t), np.cos(2 * np.pi * 1.5 * t)])
+    x[37, 0] = np.inf
+    with pytest.raises(ValueError) as got:
+        decompose_signals(x)
+    use_loop_oracles(monkeypatch)
+    with pytest.raises(ValueError) as want:
+        decompose_signals(x)
+    assert str(got.value) == str(want.value) == "Array must not contain infs or nans."

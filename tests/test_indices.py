@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import osc_params
+from stvs import indices
 from stvs.emd import decompose, filter_imfs_by_frequency
 from stvs.errors import ValidationError
 from stvs.indices import (
@@ -54,6 +55,15 @@ def test_imf_threshold_depends_on_bin_count():
     a = imf_threshold(20, (0.0, 1.5), 10.0)
     b = imf_threshold(40, (0.0, 1.5), 10.0)
     assert a != pytest.approx(b, abs=1e-3)
+
+
+def test_imf_threshold_is_computed_once_per_grid():
+    value = imf_threshold(20, (0.0, 1.5), 10.0)
+    hits = indices._imf_threshold.cache_info().hits
+    assert imf_threshold(20, [0.0, 1.5], 10.0) == value
+    assert indices._imf_threshold.cache_info().hits == hits + 1
+    assert indices._imf_threshold.__wrapped__(20, 0.0, 1.5, 10.0) == value
+    assert imf_threshold(20, (0.0, 1.5), 9.0) != value
 
 
 def test_imf_threshold_needs_unit_factor_inside_grid():

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import QV_K1, QV_K2, kl_oracle, osc_params, reference_oracle
 from stvs import oel
-from stvs.distribution import histogram
+from stvs.distribution import gompertz_reference_table, histogram
 from stvs.errors import (
     ComputationError,
     TrivialRecovery,
@@ -365,6 +365,26 @@ def test_tune_equals_loop_oracle_on_recorded_pairs(monkeypatch, generator_specs)
         )
         assess(traj, config)
     assert len(calls) == 3 * len(records)
+
+
+def test_tuner_reference_table_is_built_once_per_grid_and_read_only():
+    grid = (40, 0.0, 1.5)
+    gammas = np.geomspace(1.0, 200.0, 40)
+    x_stars = np.linspace(0.8, 1.3, 26)
+    edges = np.linspace(0.0, 1.5, 41)
+    key = (gammas.tobytes(), x_stars.tobytes(), edges.tobytes())
+    s1, s2 = _critical_pair()
+    tune_gamma(s1, s2, 1.0, 1.0, DT, grid)
+    hits = oel._reference_table.cache_info().hits
+    tune_gamma(*_critical_pair(rate_slow=0.05, rate_fast=0.9), 1.0, 1.0, DT, grid)
+    assert oel._reference_table.cache_info().hits == hits + 1
+    table = oel._reference_table(*key)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0, 0] = 0.5
+    assert np.array_equal(table, gompertz_reference_table(gammas, x_stars, edges))
+    coarse = np.linspace(0.0, 1.5, 21).tobytes()
+    assert oel._reference_table(*key[:2], coarse).shape == (40, 26, 20)
 
 
 def test_tune_rejects_nonpositive_gamma_grid():
