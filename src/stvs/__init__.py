@@ -12,7 +12,6 @@ each with a critical value, a classification and a signed margin.
 from .distribution import (
     DivergenceHistogram,
     GompertzReference,
-    gompertz_curve,
     gompertz_reference,
     gompertz_reference_table,
     histogram,
@@ -28,7 +27,6 @@ from .embed import (
 )
 from .emd import (
     DecompositionResult,
-    SiftConfig,
     TrendOnlySignal,
     decompose,
     decompose_signals,

@@ -21,8 +21,16 @@ from . import oel, synth
 from .distribution import gompertz_reference
 from .emd import decompose
 from .errors import ComputationError, StvsError, ValidationError
-from .indices import AssessmentConfig, analysis_window_s, assess, imf_threshold
+from .indices import (
+    OSC_X_STAR,
+    AssessmentConfig,
+    analysis_window_s,
+    assess,
+    imf_threshold,
+)
 from .ingest import (
+    TIME_COLUMN,
+    VOLTAGE_PREFIX,
     VoltageTrajectory,
     detect_fault_clear_index,
     extract_post_fault_window,
@@ -58,6 +66,7 @@ def _positive_float(text: str) -> float:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="stvs", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = AssessmentConfig()
 
     def add_common(p, *, io=True, grid=True):
         if io:
@@ -65,13 +74,13 @@ def _build_parser() -> _Parser:
             p.add_argument("--out", dest="output", help="output path (default stdout)")
             p.add_argument("--t0", type=float, default=None,
                            help="fault clear time in seconds (auto-detected if omitted)")
-            p.add_argument("--window", type=float, default=3.0,
+            p.add_argument("--window", type=float, default=defaults.window_s,
                            help="post-fault analysis window in seconds")
         if grid:
-            p.add_argument("--bins", type=int, default=20)
-            p.add_argument("--lo", type=float, default=0.0)
-            p.add_argument("--hi", type=float, default=1.5)
-            p.add_argument("--gamma2", type=float, default=10.0)
+            p.add_argument("--bins", type=int, default=defaults.imf_bins)
+            p.add_argument("--lo", type=float, default=defaults.imf_lo)
+            p.add_argument("--hi", type=float, default=defaults.imf_hi)
+            p.add_argument("--gamma2", type=float, default=defaults.gamma2)
 
     p_assess = sub.add_parser("assess", help="full stability assessment")
     add_common(p_assess)
@@ -192,7 +201,7 @@ def _cmd_stream(args, config: AssessmentConfig) -> int:
     names = [c.strip() for c in header.split(",")]
     rows: list[list[float]] = []
     last_t = -np.inf
-    t_index = names.index("time") if "time" in names else 0
+    t_index = names.index(TIME_COLUMN) if TIME_COLUMN in names else 0
     next_report: float | None = None
     bad_width = 0
     status = 0
@@ -269,12 +278,12 @@ def _cmd_stream(args, config: AssessmentConfig) -> int:
 def _cmd_decompose(args) -> int:
     traj = _load_input(args)
     window = extract_post_fault_window(traj, analysis_window_s(traj, args.window))
-    decomp = decompose(window, n_directions=AssessmentConfig().n_directions)
+    decomp = decompose(window)
     t = window.times()
     n_imfs = max((decomp.n_imfs(c) for c in range(decomp.n_channels)), default=0)
     cols = ["t"]
     for cid in decomp.channel_ids:
-        cols.append(f"V:{cid}")
+        cols.append(VOLTAGE_PREFIX + cid)
     for k in range(n_imfs):
         for cid in decomp.channel_ids:
             cols.append(f"IMF{k + 1}:{cid}")
@@ -330,7 +339,7 @@ def _cmd_exponents(args) -> int:
 def _cmd_thresholds(args) -> int:
     value = imf_threshold(args.bins, (args.lo, args.hi), args.gamma2)
     edges = np.linspace(args.lo, args.hi, args.bins + 1)
-    ref = gompertz_reference(args.gamma2, 1.0, edges)
+    ref = gompertz_reference(args.gamma2, OSC_X_STAR, edges)
     doc = {
         "imf_critical": value,
         "bins": args.bins,
@@ -397,20 +406,7 @@ def _cmd_synth(args) -> int:
             raise ValidationError(f"unknown scenario parameter {key!r}")
         overrides[key] = int(val) if key in ("n_channels", "seed") else float(val)
     traj = synth.synth_scenario(args.kind, synth.ScenarioParams(**overrides))
-    if args.output:
-        write_trajectory(traj, args.output)
-        return 0
-    cols = ["time"] + [f"V:{ch.id}" for ch in traj.channels]
-    qch = [ch for ch in traj.channels if ch.reactive_power is not None]
-    cols += [f"Q:{ch.id}" for ch in qch]
-    lines = [",".join(cols)]
-    t = traj.times()
-    for i in range(traj.n_samples):
-        row = [repr(float(t[i]))]
-        row += [repr(float(ch.voltage[i])) for ch in traj.channels]
-        row += [repr(float(ch.reactive_power[i])) for ch in qch]
-        lines.append(",".join(row))
-    sys.stdout.write("\n".join(lines) + "\n")
+    write_trajectory(traj, args.output or sys.stdout)
     return 0
 
 

@@ -58,12 +58,6 @@ class GompertzReference:
             raise ValidationError("reference probabilities must sum to 1")
 
 
-def gompertz_curve(x, gamma: float, x_star: float):
-    """Raw (unnormalized) sigma(x) = exp(-exp(gamma (x - x*)))."""
-    with np.errstate(over="ignore"):
-        return np.exp(-np.exp(gamma * (np.asarray(x, dtype=float) - x_star)))
-
-
 def histogram(
     factors: np.ndarray, bins: int, lo: float, hi: float
 ) -> DivergenceHistogram:

@@ -9,8 +9,9 @@ time scales on every channel.
 
 Sifting follows the classic recipe: cubic-spline envelopes through
 mirrored extrema, mean-envelope subtraction, and a Cauchy-style SD
-stopping rule (threshold 0.2, hard cap of 10 iterations per IMF).
-Decomposition stops once the remainder has fewer than 3 extrema.
+stopping rule (``SD_THRESHOLD``, at most ``MAX_SIFTS`` passes per IMF).
+Decomposition stops after ``MAX_IMFS`` IMFs, or once the remainder has
+fewer than 3 extrema (in every projection, for several channels).
 
 Envelopes are not-a-knot interpolating splines of degree
 ``min(3, n_knots - 1)``, fitted by calling the kernels behind scipy's
@@ -41,20 +42,16 @@ from scipy.linalg.lapack import dgbsv
 from .errors import StvsError, ValidationError
 from .ingest import VoltageTrajectory
 
+SD_THRESHOLD = 0.2  # sifting stops below this normalised envelope energy
+MAX_SIFTS = 10  # sifting passes per IMF
+MAX_IMFS = 12
+N_DIRECTIONS = 8  # projection directions of a multi-channel pass
 _DIRECTION_SEED = 988_221_735  # fixed: decomposition must be deterministic
 _AMPLITUDE_FLOOR = 1e-12
 
 
 class TrendOnlySignal(StvsError):
     """Signal has too few extrema to sift: it is already a trend."""
-
-
-@dataclass(frozen=True)
-class SiftConfig:
-    """Stopping parameters for one IMF extraction."""
-
-    sd_threshold: float = 0.2
-    max_iterations: int = 10
 
 
 @dataclass(frozen=True)
@@ -310,9 +307,7 @@ def _mean_envelope_1d(x: np.ndarray) -> np.ndarray | None:
     return 0.5 * (upper + lower)
 
 
-def sift(
-    signal: np.ndarray, stop: SiftConfig | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def sift(signal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Extract one IMF from a scalar signal.
 
     Returns ``(imf, remainder)`` with ``signal == imf + remainder``
@@ -320,14 +315,13 @@ def sift(
     than 4 samples or fewer than 2 extrema, which tells the caller to
     stop decomposing.
     """
-    stop = stop or SiftConfig()
     x = np.asarray(signal, dtype=float)
     if x.size < 4 or count_extrema(x) < 2:
         raise TrendOnlySignal(
             f"{x.size}-sample signal with {count_extrema(x)} extrema is a trend"
         )
     h = x.copy()
-    for _ in range(stop.max_iterations):
+    for _ in range(MAX_SIFTS):
         env = _mean_envelope_1d(h)
         if env is None:
             break
@@ -335,7 +329,7 @@ def sift(
         denom = float(np.sum(h * h))
         sd = float(np.sum(env * env)) / denom if denom > 0 else 0.0
         h = h_new
-        if sd < stop.sd_threshold and is_imf(h):
+        if sd < SD_THRESHOLD and is_imf(h):
             break
     return h, x - h
 
@@ -399,28 +393,17 @@ def _mean_envelope_mv(
     return total / n_used
 
 
-def _projections_exhausted(x: np.ndarray, directions: np.ndarray) -> bool:
-    _, d_of, _ = _extrema_scan(_projections(x, directions))
-    return bool(np.all(np.bincount(d_of, minlength=len(directions)) < 3))
-
-
 def _mode_condition_all(x: np.ndarray) -> bool:
     return all(is_imf(x[:, j]) for j in range(x.shape[1]))
 
 
-def decompose_signals(
-    signals: np.ndarray,
-    n_directions: int = 8,
-    stop: SiftConfig | None = None,
-    max_imfs: int = 12,
-) -> tuple[list[np.ndarray], np.ndarray]:
+def decompose_signals(signals: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """Decompose an (n_samples, n_channels) array into IMF matrices.
 
     Returns ``(imf_list, residual)`` where each entry of ``imf_list`` is
     an (n_samples, n_channels) matrix and the additive reconstruction is
     exact.  Single-channel input falls back to univariate sifting.
     """
-    stop = stop or SiftConfig()
     x = np.asarray(signals, dtype=float)
     if x.ndim != 2 or x.shape[0] < 4:
         raise ValidationError("need a 2-D sample array with >= 4 samples")
@@ -430,9 +413,9 @@ def decompose_signals(
     r = x.copy()
 
     if n_ch == 1:
-        while len(imfs) < max_imfs and count_extrema(r[:, 0]) >= 3:
+        while len(imfs) < MAX_IMFS and count_extrema(r[:, 0]) >= 3:
             try:
-                imf, rem = sift(r[:, 0], stop)
+                imf, rem = sift(r[:, 0])
             except TrendOnlySignal:
                 break
             imfs.append(imf[:, None])
@@ -441,18 +424,25 @@ def decompose_signals(
                 break
         return imfs, r
 
-    directions = _direction_vectors(n_directions, n_ch)
-    while len(imfs) < max_imfs and not _projections_exhausted(r, directions):
-        m = r.copy()
-        for _ in range(stop.max_iterations):
-            env = _mean_envelope_mv(m, directions)
-            if env is None:
-                break
+    directions = _direction_vectors(N_DIRECTIONS, n_ch)
+    while len(imfs) < MAX_IMFS:
+        # The first pass is also the stop test: maxima and minima of a
+        # finite projection alternate, so the pass is None exactly when
+        # every projection of r has fewer than 3 extrema.
+        env = _mean_envelope_mv(r, directions)
+        if env is None:
+            break
+        m = r
+        for i in range(MAX_SIFTS):
+            if i:
+                env = _mean_envelope_mv(m, directions)
+                if env is None:
+                    break
             m_new = m - env
             denom = float(np.sum(m * m))
             sd = float(np.sum(env * env)) / denom if denom > 0 else 0.0
             m = m_new
-            if sd < stop.sd_threshold and _mode_condition_all(m):
+            if sd < SD_THRESHOLD and _mode_condition_all(m):
                 break
         if np.max(np.abs(m)) < _AMPLITUDE_FLOOR * scale:
             break
@@ -461,12 +451,7 @@ def decompose_signals(
     return imfs, r
 
 
-def decompose(
-    traj: VoltageTrajectory,
-    n_directions: int = 8,
-    stop: SiftConfig | None = None,
-    max_imfs: int = 12,
-) -> DecompositionResult:
+def decompose(traj: VoltageTrajectory) -> DecompositionResult:
     """Decompose every channel of a post-fault trajectory.
 
     Constant channels yield zero IMFs with the signal as residual; they
@@ -476,9 +461,7 @@ def decompose(
     v = traj.voltage_matrix()
     active = [j for j in range(v.shape[1]) if count_extrema(v[:, j]) >= 2]
     if active:
-        imf_mats, resid = decompose_signals(
-            v[:, active], n_directions=n_directions, stop=stop, max_imfs=max_imfs
-        )
+        imf_mats, resid = decompose_signals(v[:, active])
     else:
         imf_mats, resid = [], v[:, :0]
 

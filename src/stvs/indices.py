@@ -11,6 +11,12 @@ Two complementary quantities summarize a post-fault window:
 
 Both increase toward instability; each is compared against a critical
 value, yielding a classification and a signed percentage margin.
+
+``AssessmentConfig`` carries what a run may set; the method's fixed
+choices (the frequency band, the embedding dimension, the recovery grid,
+the untuned Gompertz shape and the pre-fault lookback) are the module
+constants below, and ``oel`` and ``emd`` hold those of the tuner and of
+the sifting.
 """
 
 from __future__ import annotations
@@ -62,52 +68,43 @@ OSC_X_STAR = 1.0  # oscillation reference shift sits at the unit factor
 
 NO_OSC_TAG = "no oscillatory content"
 
+# Fixed choices of the method.  IMFs whose zero-crossing frequency lies
+# in BAND_HZ feed the oscillation index, embedded in EMBED_M dimensions
+# at most.  The recovery histogram grid (bins, lo, hi) has twice the
+# resolution of the default IMF grid on the same range, so nearby
+# recovery rates land in distinct bins.  A generator without a tuned
+# threshold is scored on the default Gompertz shape (gamma1, x*).  With
+# no explicit pre-fault voltage, V_pre is the mean over LOOKBACK_S
+# before fault onset.
+BAND_HZ = (0.0, 10.0)
+EMBED_M = 4
+REC_GRID = (40, 0.0, 1.5)
+GAMMA1_DEFAULT = 10.0
+X_STAR_DEFAULT = 1.05
+LOOKBACK_S = 0.5
+
 
 @dataclass(frozen=True)
 class AssessmentConfig:
-    """Defaults for the full assessment pipeline.
+    """The settings of one assessment.
 
-    The IMF grid (20 bins on [0, 1.5], gamma2 = 10) is the threshold
-    construction grid; the recovery grid uses twice the resolution on
-    the same range so nearby recovery rates land in distinct bins.
+    The analysis window, the IMF threshold grid (20 bins on [0, 1.5],
+    gamma2 = 10 by default), an explicit post-fault equilibrium (None:
+    the per-channel pre-fault mean) and the machine data of the
+    generators whose recovery threshold is tuned.  Everything else the
+    pipeline uses is a module constant next to the code that reads it.
     """
 
     window_s: float = 3.0
-    lookback_s: float = 0.5
     imf_bins: int = 20
     imf_lo: float = 0.0
     imf_hi: float = 1.5
     gamma2: float = 10.0
-    band: tuple[float, float] = (0.0, 10.0)
-    rec_bins: int = 40
-    rec_lo: float = 0.0
-    rec_hi: float = 1.5
-    gamma1_default: float = 10.0
-    x_star_default: float = 1.05
-    eq0: float | None = None  # None: per-channel pre-fault mean
-    epsilon_osc: float = 0.0
-    embed_m: int = 4
-    n_directions: int = 8
-    gamma1_range: tuple[float, float, int] = (1.0, 200.0, 40)
-    x_star_range: tuple[float, float, int] = (0.8, 1.3, 26)
-    pickup_pad_s: float = 1.0
+    eq0: float | None = None
     generators: dict[str, oel.GeneratorSpec] | None = None
 
-    def imf_grid(self) -> tuple[int, float, float]:
-        return self.imf_bins, self.imf_lo, self.imf_hi
-
-    def rec_grid(self) -> tuple[int, float, float]:
-        return self.rec_bins, self.rec_lo, self.rec_hi
-
-    def gamma1_grid(self) -> np.ndarray:
-        lo, hi, n = self.gamma1_range
-        return np.geomspace(lo, hi, int(n))
-
-    def x_star_grid(self) -> np.ndarray:
-        lo, hi, n = self.x_star_range
-        return np.linspace(lo, hi, int(n))
-
     def echo(self) -> dict:
+        rec_bins, rec_lo, rec_hi = REC_GRID
         return {
             "window_s": self.window_s,
             "gamma2": self.gamma2,
@@ -116,19 +113,15 @@ class AssessmentConfig:
                 "lo": self.imf_lo,
                 "hi": self.imf_hi,
             },
-            "rec_grid": {
-                "bins": self.rec_bins,
-                "lo": self.rec_lo,
-                "hi": self.rec_hi,
-            },
-            "band_hz": list(self.band),
-            "gamma1_default": self.gamma1_default,
-            "x_star_default": self.x_star_default,
+            "rec_grid": {"bins": rec_bins, "lo": rec_lo, "hi": rec_hi},
+            "band_hz": list(BAND_HZ),
+            "gamma1_default": GAMMA1_DEFAULT,
+            "x_star_default": X_STAR_DEFAULT,
             "eq0": self.eq0,
-            "epsilon_osc": self.epsilon_osc,
-            "embed_m": self.embed_m,
-            "gamma1_range": list(self.gamma1_range),
-            "x_star_range": list(self.x_star_range),
+            "epsilon_osc": 0.0,  # classify's tolerance, always 0
+            "embed_m": EMBED_M,
+            "gamma1_range": list(oel.GAMMA1_RANGE),
+            "x_star_range": list(oel.X_STAR_RANGE),
         }
 
 
@@ -189,7 +182,6 @@ class StabilityAssessment:
     oscillation_margin: float
     oscillation_classification: str
     per_generator: tuple[GeneratorAssessment, ...]
-    epsilon: float
     config_echo: dict
     latency_s: float
 
@@ -319,7 +311,7 @@ def oscillation_index(
     decomp: DecompositionResult,
     gamma2: float,
     grid: tuple[int, float, float],
-    m: int = 4,
+    m: int = EMBED_M,
 ) -> OscillationResult:
     """System-level oscillation index from the retained IMFs.
 
@@ -425,9 +417,7 @@ def analysis_window_s(traj: VoltageTrajectory, window_s: float) -> float:
     return min(window_s, available - traj.dt)
 
 
-def _resolve_prefault(
-    traj: VoltageTrajectory, config: AssessmentConfig
-) -> dict[str, float]:
+def _resolve_prefault(traj: VoltageTrajectory) -> dict[str, float]:
     if traj.prefault_voltage:
         return dict(traj.prefault_voltage)
     if traj.fault_clear_index == 0:
@@ -435,9 +425,7 @@ def _resolve_prefault(
             "cannot estimate the pre-fault voltage: no samples before the "
             "fault and no explicit value supplied"
         )
-    lookback = min(
-        config.lookback_s, traj.fault_clear_index * traj.dt
-    )
+    lookback = min(LOOKBACK_S, traj.fault_clear_index * traj.dt)
     return estimate_prefault_voltage(traj, lookback)
 
 
@@ -447,7 +435,7 @@ def _assess_generator(
     window: VoltageTrajectory,
     v_pre: float,
     eq0: float,
-    config: AssessmentConfig,
+    spec: oel.GeneratorSpec | None,
 ) -> GeneratorAssessment:
     """Recovery verdict for one generator channel.
 
@@ -457,7 +445,6 @@ def _assess_generator(
     or tripping, scored on the default shape) or yield the critical
     signals from which (gamma1, x*) and the threshold are tuned.
     """
-    spec = (config.generators or {}).get(gen_id)
     if spec is not None:
         channel = window.channels[window.channel_ids.index(gen_id)]
         if channel.reactive_power is None:
@@ -466,9 +453,8 @@ def _assess_generator(
                 f"measurements for the Q-V fit"
             )
     dt = window.dt
-    rec_grid = config.rec_grid()
     series = _residual_series(residual, eq0, dt)
-    gamma1, x_star = config.gamma1_default, config.x_star_default
+    gamma1, x_star = GAMMA1_DEFAULT, X_STAR_DEFAULT
     charac = tuning = None
     if series is None:
         label = "non-trip"
@@ -480,12 +466,7 @@ def _assess_generator(
         )
         try:
             critical = oel.construct_critical_signals(
-                residual,
-                dt,
-                eq0,
-                list(charac.vcaps),
-                series,
-                pad_s=config.pickup_pad_s,
+                residual, dt, eq0, list(charac.vcaps), series
             )
         except TriviallySafe:
             label = "non-trip"
@@ -494,19 +475,12 @@ def _assess_generator(
         else:
             n = critical.window_samples
             tuning = oel.tune_gamma(
-                critical.s1[:n],
-                critical.s2[:n],
-                eq0,
-                v_pre,
-                dt,
-                rec_grid,
-                gamma1_grid=config.gamma1_grid(),
-                x_star_grid=config.x_star_grid(),
+                critical.s1[:n], critical.s2[:n], eq0, v_pre, dt, REC_GRID
             )
             gamma1, x_star = tuning.gamma1, tuning.x_star
 
     result = _score_recovery(
-        series, abs(v_pre - float(residual[0])), gamma1, x_star, rec_grid
+        series, abs(v_pre - float(residual[0])), gamma1, x_star, REC_GRID
     )
     margin = None
     if tuning is not None:
@@ -544,20 +518,17 @@ def assess(
             raise type(exc)(f"[{name}] {exc}") from exc
 
     window = stage("ingest", extract_post_fault_window, traj, window_s)
-    v_pre = stage("ingest", _resolve_prefault, traj, config)
+    v_pre = stage("ingest", _resolve_prefault, traj)
 
-    decomp = stage(
-        "emd", decompose, window, n_directions=config.n_directions
-    )
-    retained = stage("emd", filter_imfs_by_frequency, decomp, config.band)
+    decomp = stage("emd", decompose, window)
+    retained = stage("emd", filter_imfs_by_frequency, decomp, BAND_HZ)
 
     osc = stage(
         "oscillation",
         oscillation_index,
         retained,
         config.gamma2,
-        config.imf_grid(),
-        config.embed_m,
+        (config.imf_bins, config.imf_lo, config.imf_hi),
     )
     threshold = stage(
         "oscillation",
@@ -566,7 +537,7 @@ def assess(
         (config.imf_lo, config.imf_hi),
         config.gamma2,
     )
-    osc_label, osc_margin = classify(osc.value, threshold, config.epsilon_osc)
+    osc_label, osc_margin = classify(osc.value, threshold)
 
     per_gen = []
     for ch_index, gen_id in enumerate(window.channel_ids):
@@ -580,7 +551,7 @@ def assess(
                 window,
                 v_pre[gen_id],
                 eq0,
-                config,
+                (config.generators or {}).get(gen_id),
             )
         )
 
@@ -590,7 +561,6 @@ def assess(
         oscillation_margin=osc_margin,
         oscillation_classification=osc_label,
         per_generator=tuple(per_gen),
-        epsilon=config.epsilon_osc,
         config_echo=config.echo(),
         latency_s=window_s,
     )

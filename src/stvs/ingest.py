@@ -2,13 +2,16 @@
 
 CSV layout: a header row with a ``time`` column in seconds, per-unit
 voltage columns named ``V:<id>`` and optional reactive-power columns
-``Q:<id>`` in MVAr.  A plain ``key=value`` config file can carry
-``fault_clear_time``, ``window_duration`` and ``lookback`` (seconds).
+``Q:<id>`` in MVAr: ``TIME_COLUMN``, ``VOLTAGE_PREFIX`` and
+``REACTIVE_PREFIX``, which the reader, the writer and the CLI share.  A
+plain ``key=value`` config file can carry ``fault_clear_time``,
+``window_duration`` and ``lookback`` (seconds).
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,14 +26,9 @@ DT_REL_TOL = 1e-6
 # auto-detection heuristics.
 FAULT_LEVEL_PU = 0.6
 
-
-@dataclass(frozen=True)
-class ColumnSchema:
-    """Column-name mapping for CSV ingestion."""
-
-    time: str = "time"
-    voltage_prefix: str = "V:"
-    reactive_prefix: str = "Q:"
+TIME_COLUMN = "time"
+VOLTAGE_PREFIX = "V:"
+REACTIVE_PREFIX = "Q:"
 
 
 @dataclass(frozen=True)
@@ -121,16 +119,13 @@ class VoltageTrajectory:
         return replace(self, prefault_voltage=dict(v_pre))
 
 
-def load_trajectory(
-    path, schema: ColumnSchema | None = None
-) -> VoltageTrajectory:
+def load_trajectory(path) -> VoltageTrajectory:
     """Load and validate a trajectory from CSV.
 
     dt is inferred from the time column and must be uniform within
     ``DT_REL_TOL`` relative tolerance.  NaN or non-positive voltages are
     rejected with the offending row index (0-based data rows).
     """
-    schema = schema or ColumnSchema()
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if not header:
@@ -140,28 +135,26 @@ def load_trajectory(
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise ValidationError(f"{path}: malformed numeric data: {exc}") from exc
-    return trajectory_from_columns(names, data, schema=schema, origin=str(path))
+    return trajectory_from_columns(names, data, origin=str(path))
 
 
 def trajectory_from_columns(
     names: list[str],
     data: np.ndarray,
-    schema: ColumnSchema | None = None,
     origin: str = "<data>",
 ) -> VoltageTrajectory:
     """Build a validated trajectory from already-parsed CSV columns."""
-    schema = schema or ColumnSchema()
     if data.ndim != 2 or data.shape[0] < 2:
         raise ValidationError(f"{origin}: need at least 2 data rows")
-    if schema.time not in names:
-        raise ValidationError(f"{origin}: missing {schema.time!r} column")
-    v_cols = [c for c in names if c.startswith(schema.voltage_prefix)]
+    if TIME_COLUMN not in names:
+        raise ValidationError(f"{origin}: missing {TIME_COLUMN!r} column")
+    v_cols = [c for c in names if c.startswith(VOLTAGE_PREFIX)]
     if not v_cols:
         raise ValidationError(
-            f"{origin}: no voltage columns with prefix {schema.voltage_prefix!r}"
+            f"{origin}: no voltage columns with prefix {VOLTAGE_PREFIX!r}"
         )
 
-    t = data[:, names.index(schema.time)]
+    t = data[:, names.index(TIME_COLUMN)]
     diffs = np.diff(t)
     dt = float(diffs[0])
     if dt <= 0:
@@ -176,7 +169,7 @@ def trajectory_from_columns(
 
     channels = []
     for col in v_cols:
-        cid = col[len(schema.voltage_prefix):]
+        cid = col[len(VOLTAGE_PREFIX):]
         v = data[:, names.index(col)].copy()
         if not np.all(np.isfinite(v)):
             bad = int(np.flatnonzero(~np.isfinite(v))[0])
@@ -186,7 +179,7 @@ def trajectory_from_columns(
             raise ValidationError(
                 f"{origin}: non-positive voltage in {col!r} at row {bad}"
             )
-        q_name = schema.reactive_prefix + cid
+        q_name = REACTIVE_PREFIX + cid
         q = data[:, names.index(q_name)].copy() if q_name in names else None
         channels.append(Channel(id=cid, voltage=v, reactive_power=q))
 
@@ -195,17 +188,21 @@ def trajectory_from_columns(
     )
 
 
-def write_trajectory(traj: VoltageTrajectory, path) -> None:
-    """Write a trajectory back to the CSV input format.
+def write_trajectory(traj: VoltageTrajectory, dest) -> None:
+    """Write a trajectory in the CSV input format to a path or text stream.
 
     Floats are written with shortest round-trip repr so a load/write/load
-    cycle reproduces the samples bit for bit.
+    cycle reproduces the samples bit for bit.  A stream is left open.
     """
-    cols = ["time"] + [f"V:{ch.id}" for ch in traj.channels]
+    cols = [TIME_COLUMN] + [VOLTAGE_PREFIX + ch.id for ch in traj.channels]
     q_channels = [ch for ch in traj.channels if ch.reactive_power is not None]
-    cols += [f"Q:{ch.id}" for ch in q_channels]
+    cols += [REACTIVE_PREFIX + ch.id for ch in q_channels]
     t = traj.times()
-    with open(path, "w", encoding="utf-8") as fh:
+    if hasattr(dest, "write"):
+        target = nullcontext(dest)
+    else:
+        target = open(dest, "w", encoding="utf-8")
+    with target as fh:
         fh.write(",".join(cols) + "\n")
         for i in range(traj.n_samples):
             row = [repr(float(t[i]))]

@@ -63,21 +63,21 @@ def fsle_residual_series(
     residual: np.ndarray,
     eq0: float,
     dt: float,
-    t0_index: int = 0,
 ) -> ExponentSeries:
     """Recovery-rate exponents of a residual trend toward equilibrium.
 
-    lambda(k) = ln(|R(t0 + k dt) - eq0| / |R(t0) - eq0|) / (k dt) for
-    k = 1..K.  Offsets where the deviation is exactly zero are skipped
-    (their logarithm is unbounded); raises :class:`TrivialRecovery` when
-    the initial deviation is below the per-unit floor.
+    The residual starts at t0.  lambda(k) = ln(|R(t0 + k dt) - eq0| /
+    |R(t0) - eq0|) / (k dt) for k = 1..K.  Offsets where the deviation
+    is exactly zero are skipped (their logarithm is unbounded); raises
+    :class:`TrivialRecovery` when the initial deviation is below the
+    per-unit floor.
     """
     r = np.asarray(residual, dtype=float)
-    if not (0 <= t0_index < len(r) - 1):
+    if len(r) < 2:
         raise ValidationError(
-            f"t0_index {t0_index} leaves no samples to analyse"
+            f"a residual of {len(r)} sample(s) leaves none to analyse"
         )
-    dev = np.abs(r[t0_index:] - eq0)
+    dev = np.abs(r - eq0)
     d0 = float(dev[0])
     if d0 < EPS_FLOOR:
         raise TrivialRecovery(

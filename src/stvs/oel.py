@@ -42,6 +42,13 @@ from .lyapunov import ExponentSeries, fsle_residual_series
 V_CAP_RANGE = (0.0, 2.0)  # physically admissible per-unit root window
 _RESIDUAL_TOL = 1e-9
 
+# The (gamma1, x*) tuning grid: geometric in gamma1, linear in x*, each
+# as (lo, hi, points).
+GAMMA1_RANGE = (1.0, 200.0, 40)
+X_STAR_RANGE = (0.8, 1.3, 26)
+# The critical signals run this far past the latest pickup delay.
+PICKUP_PAD_S = 1.0
+
 
 @dataclass(frozen=True)
 class GeneratorSpec:
@@ -103,9 +110,8 @@ class TuningResult:
     """Outcome of the (gamma1, x*) search.
 
     ``epsilon`` is the detection tolerance used downstream: the residual
-    index gap |d_s1 - d_s2| at the selected point.  ``search_tol`` is
-    the stage-2 admissibility tolerance (defaults to the achieved
-    minimum f*).
+    index gap |d_s1 - d_s2| at the selected point, which stage 2 keeps
+    within 2 f* (the achieved minimum f* plus a tolerance of f*).
     """
 
     gamma1: float
@@ -115,12 +121,11 @@ class TuningResult:
     f_star: float
     epsilon: float
     d_critical_r: float
-    search_tol: float
 
     def __post_init__(self) -> None:
         if abs(self.d_critical_r - 0.5 * (self.d_s1 + self.d_s2)) > 1e-12:
             raise ComputationError("threshold is not the s1/s2 midpoint")
-        if abs(self.d_s1 - self.d_s2) > self.f_star + self.search_tol + 1e-12:
+        if abs(self.d_s1 - self.d_s2) > self.f_star + self.f_star + 1e-12:
             raise ComputationError("selected point violates the tolerance")
 
 
@@ -247,7 +252,6 @@ def construct_critical_signals(
     eq0: float,
     vcaps: list[tuple[float, float]] | tuple[tuple[float, float], ...],
     exp_series: ExponentSeries,
-    pad_s: float = 1.0,
 ) -> CriticalSignals:
     """Build the slowest/fastest critical recovery signals.
 
@@ -257,7 +261,8 @@ def construct_critical_signals(
     tangent to the cap characteristic from below, s2 the fastest member
     shifted tangent from above.  Raises TriviallySafe when the residual
     never dips below any cap, TriviallyTripping when even the fastest
-    admissible recovery can never reach the lowest cap.
+    admissible recovery can never reach the lowest cap.  The signals
+    are sampled up to ``PICKUP_PAD_S`` past the latest cap time.
     """
     r = np.asarray(residual, dtype=float)
     if r.size < 2:
@@ -308,7 +313,7 @@ def construct_critical_signals(
             "even the fastest admissible recovery never reaches a cap"
         )
 
-    horizon = float(times.max()) + pad_s
+    horizon = float(times.max()) + PICKUP_PAD_S
     t = np.arange(0.0, horizon + 0.5 * dt, dt)
     shift1 = float(np.min(caps - member_at(lam_slow, times)))
     shift2 = float(np.max(caps - member_at(lam_fast, times)))
@@ -367,23 +372,23 @@ def tune_gamma(
     grid: tuple[int, float, float],
     gamma1_grid: np.ndarray | None = None,
     x_star_grid: np.ndarray | None = None,
-    search_tol: float | None = None,
 ) -> TuningResult:
     """Two-stage grid search for the Gompertz shape of the recovery index.
 
     Stage 1 minimizes |D_s1 - D_s2| over the (gamma1, x*) grid to get
     f*; stage 2 returns the smallest gamma1 (ties to smallest x*) among
-    points within f* + tolerance.  The recovery threshold is the s1/s2
-    index midpoint at the selected point.  The grid is scored in one
+    points within f* + f*.  The grids default to ``GAMMA1_RANGE`` and
+    ``X_STAR_RANGE``.  The recovery threshold is the s1/s2 index
+    midpoint at the selected point.  The grid is scored in one
     pass: the (gamma1, x*, bin) reference table is built once and each
     critical-signal histogram is scored against all of its rows.  The
     table depends only on the grids, so it is built once per grid and
     shared.
     """
     if gamma1_grid is None:
-        gamma1_grid = np.geomspace(1.0, 200.0, 40)
+        gamma1_grid = np.geomspace(*GAMMA1_RANGE)
     if x_star_grid is None:
-        x_star_grid = np.linspace(0.8, 1.3, 26)
+        x_star_grid = np.linspace(*X_STAR_RANGE)
     gamma1_grid = np.asarray(gamma1_grid, dtype=float)
     x_star_grid = np.asarray(x_star_grid, dtype=float)
     if gamma1_grid.size == 0 or x_star_grid.size == 0:
@@ -406,8 +411,7 @@ def tune_gamma(
     d2 = scores(d2_weight, h2)
     diff = np.abs(d1 - d2)
     f_star = float(diff.min())
-    tol = f_star if search_tol is None else float(search_tol)
-    admissible = diff <= f_star + tol + 1e-15
+    admissible = diff <= f_star + f_star + 1e-15
     gi, xi = np.nonzero(admissible)
     order = np.lexsort((x_star_grid[xi], gamma1_grid[gi]))
     sel_g, sel_x = gi[order[0]], xi[order[0]]
@@ -421,7 +425,6 @@ def tune_gamma(
         f_star=f_star,
         epsilon=abs(d_s1 - d_s2),
         d_critical_r=0.5 * (d_s1 + d_s2),
-        search_tol=tol,
     )
 
 

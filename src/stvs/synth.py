@@ -121,11 +121,6 @@ def analytic_ftle(p: TwoTimescaleParams, t_window: float) -> tuple[float, float]
     return lam, bound
 
 
-def ftle_validity_window(p: TwoTimescaleParams) -> tuple[float, float]:
-    """T range where the closed form is trustworthy: (3/a, 1/(3 eps))."""
-    return 3.0 / p.a, 1.0 / (3.0 * p.eps)
-
-
 def add_noise(
     traj: TwoTimescaleTrajectory, spec: NoiseSpec
 ) -> TwoTimescaleTrajectory:

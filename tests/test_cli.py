@@ -323,6 +323,17 @@ def test_synth_writes_loadable_scenario(tmp_path, capsys):
     assert doc["oscillation"]["class"] == "stable"
 
 
+def test_synth_stdout_equals_the_out_file(tmp_path, capsys):
+    argv = ["synth", "mixed", "n_channels=2", "noise_sigma=0.001", "--seed", "3"]
+    assert run(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "case.csv"
+    assert run([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert printed == out.read_text(encoding="utf-8")
+    assert printed.splitlines()[0] == "time,V:G1,V:G2,Q:G1,Q:G2"
+
+
 def test_synth_rejects_unknown_parameter(capsys):
     assert run(["synth", "stable-osc", "bogus=1"]) == 1
 

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from conftest import kl_oracle, reference_oracle
 from stvs.distribution import (
     DivergenceHistogram,
-    gompertz_curve,
     gompertz_reference,
     gompertz_reference_table,
     histogram,
@@ -66,10 +65,6 @@ def test_histogram_invariant_under_permutation(seed):
 
 
 # -- Gompertz reference -------------------------------------------------------------
-
-def test_raw_curve_value_at_shift():
-    assert gompertz_curve(1.0, 10.0, 1.0) == pytest.approx(np.exp(-1.0))
-
 
 def test_large_gamma_becomes_a_step():
     edges = np.linspace(0.0, 1.5, 21)

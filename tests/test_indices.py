@@ -230,6 +230,45 @@ def test_assess_invariant_to_extra_constant_channel(generator_specs):
         assert g_plus.classification == g_base.classification
 
 
+# The "config" echo of a document assessed with the default settings,
+# pinned literally: moving a setting between AssessmentConfig and a
+# module constant must leave it unchanged.
+DEFAULT_ECHO = {
+    "band_hz": [0.0, 10.0],
+    "embed_m": 4,
+    "epsilon_osc": 0.0,
+    "eq0": None,
+    "gamma1_default": 10.0,
+    "gamma1_range": [1.0, 200.0, 40],
+    "gamma2": 10.0,
+    "imf_grid": {"bins": 20, "hi": 1.5, "lo": 0.0},
+    "rec_grid": {"bins": 40, "hi": 1.5, "lo": 0.0},
+    "window_s": 3.0,
+    "x_star_default": 1.05,
+    "x_star_range": [0.8, 1.3, 26],
+}
+
+
+def test_assess_echoes_the_default_settings(generator_specs):
+    traj = synth_scenario("mixed", osc_params(recovery=0.5, dip=0.3, decay=0.4))
+    for config in (AssessmentConfig(), AssessmentConfig(generators=generator_specs)):
+        assert assess(traj, config).to_dict()["config"] == DEFAULT_ECHO
+
+
+def test_assess_echoes_the_settings_it_was_given():
+    traj = synth_scenario("mixed", osc_params(recovery=0.5, dip=0.3, decay=0.4))
+    config = AssessmentConfig(
+        window_s=2.0, imf_bins=30, imf_lo=0.2, imf_hi=2.0, gamma2=7.0, eq0=0.98
+    )
+    assert assess(traj, config).to_dict()["config"] == {
+        **DEFAULT_ECHO,
+        "window_s": 2.0,
+        "imf_grid": {"bins": 30, "hi": 2.0, "lo": 0.2},
+        "gamma2": 7.0,
+        "eq0": 0.98,
+    }
+
+
 def test_assess_json_contract(generator_specs):
     traj = synth_scenario("mixed", osc_params(recovery=0.5, dip=0.3, decay=0.4))
     doc = assess(traj, AssessmentConfig(generators=generator_specs)).to_dict()

@@ -305,7 +305,6 @@ def loop_tune(s1, s2, eq0, v_pre, dt, grid, gamma1_grid=None, x_star_grid=None):
         f_star=f_star,
         epsilon=abs(d_s1 - d_s2),
         d_critical_r=0.5 * (d_s1 + d_s2),
-        search_tol=f_star,
     )
 
 
