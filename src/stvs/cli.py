@@ -185,10 +185,13 @@ def _cmd_stream(args, config: AssessmentConfig) -> int:
 
     Emits one JSON line per report interval once 0.5 s of post-fault
     data has accumulated.  With ``--t0`` no report is attempted before
-    a row at or past t0 has arrived.  Out-of-order rows are reported on
-    stderr and skipped; the stream continues.  Rows whose column count
-    differs from the header's are dropped too: the first one is
-    reported on stderr, and the number dropped when the stream ends.
+    a row at or past t0 has arrived; without it, a history with no
+    fault signature yet is reported once on stderr, and once more at
+    the end if none ever showed, so that no report was written.
+    Out-of-order rows are reported on stderr and skipped; the stream
+    continues.  Rows whose column count differs from the header's are
+    dropped too: the first one is reported on stderr, and the number
+    dropped when the stream ends.
     A kept row that makes the history invalid (a NaN or non-positive
     voltage, a gap in the sampling) stays in every later rebuild, so
     it is reported once and the stream stops with exit 1; the reports
@@ -205,15 +208,26 @@ def _cmd_stream(args, config: AssessmentConfig) -> int:
     next_report: float | None = None
     bad_width = 0
     status = 0
+    # the history has had no fault signature so far; once one is found
+    # it stays in every longer history
+    no_signature = False
 
     def try_report(traj: VoltageTrajectory) -> None:
-        nonlocal next_report
+        nonlocal next_report, no_signature
         if args.t0 is not None:
             traj = traj.with_fault_clear_time(args.t0)
         else:
-            traj = traj.with_fault_clear_time(
-                traj.t_start + detect_fault_clear_index(traj) * traj.dt
-            )
+            try:
+                clear_index = detect_fault_clear_index(traj)
+            except ValidationError as exc:
+                if not no_signature:
+                    sys.stderr.write(
+                        f"stvs: {exc}; reports start once a later row shows one\n"
+                    )
+                no_signature = True
+                return
+            no_signature = False
+            traj = traj.with_fault_clear_time(traj.t_start + clear_index * traj.dt)
         t0_time = traj.t_start + traj.fault_clear_index * traj.dt
         data_time = rows[-1][t_index] - t0_time
         if data_time < 0.5:
@@ -271,6 +285,11 @@ def _cmd_stream(args, config: AssessmentConfig) -> int:
     if bad_width:
         sys.stderr.write(
             f"stvs: dropped {bad_width} row(s) with the wrong number of columns\n"
+        )
+    if no_signature:
+        sys.stderr.write(
+            "stvs: the stream ended without a fault signature, so no report "
+            "was written; pass --t0\n"
         )
     return status
 

@@ -26,21 +26,64 @@ in a block-diagonal band matrix.  Every envelope is still bit for bit
 the one the public constructor gives (the tests use it, and a
 one-direction-at-a-time loop, as the oracle).  The kernels are private
 scipy names, verified on scipy 1.17.1, the floor this package requires.
+
+The two compiled modules, ``scipy.interpolate._dierckx`` and
+``scipy.linalg._flapack``, are loaded from their files in the scipy
+installation by :func:`_scipy_extension`, without running the
+``__init__`` of ``scipy.interpolate`` or ``scipy.linalg``: those pull in
+``scipy.optimize``, ``scipy.special``, the array-API layer and
+``numpy.f2py``, which sifting never calls and which made up about three
+quarters of a fresh process's start-up.  A module already imported (say,
+by the caller importing ``scipy.interpolate`` first) is used as it is.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
+from types import ModuleType
 
 import numpy as np
-from scipy.interpolate import _dierckx
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgbsv
+import scipy
+from numpy.linalg import LinAlgError
 
 from .errors import StvsError, ValidationError
 from .ingest import VoltageTrajectory
+
+
+def _scipy_extension(name: str) -> ModuleType:
+    """The compiled scipy module ``name``, without its package's ``__init__``.
+
+    Returns ``sys.modules[name]`` when it is already imported; otherwise
+    finds the extension file under the ``scipy.__path__`` entries and
+    executes it.  Raises :class:`ImportError` naming the module and the
+    scipy version when no such file exists.
+    """
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    subdir = name.split(".")[1:-1]
+    for root in scipy.__path__:
+        finder = FileFinder(
+            os.path.join(root, *subdir), (ExtensionFileLoader, EXTENSION_SUFFIXES)
+        )
+        spec = finder.find_spec(name)
+        if spec is not None:
+            module = module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(
+        f"{name} not found in scipy {scipy.__version__}", name=name
+    )
+
+
+_dierckx = _scipy_extension("scipy.interpolate._dierckx")
+dgbsv = _scipy_extension("scipy.linalg._flapack").dgbsv
 
 SD_THRESHOLD = 0.2  # sifting stops below this normalised envelope energy
 MAX_SIFTS = 10  # sifting passes per IMF

@@ -4,8 +4,8 @@ CSV layout: a header row with a ``time`` column in seconds, per-unit
 voltage columns named ``V:<id>`` and optional reactive-power columns
 ``Q:<id>`` in MVAr: ``TIME_COLUMN``, ``VOLTAGE_PREFIX`` and
 ``REACTIVE_PREFIX``, which the reader, the writer and the CLI share.  A
-plain ``key=value`` config file can carry ``fault_clear_time``,
-``window_duration`` and ``lookback`` (seconds).
+plain ``key=value`` config file can carry ``fault_clear_time``
+(seconds).
 """
 
 from __future__ import annotations
@@ -317,10 +317,17 @@ def detect_fault_clear_index(traj: VoltageTrajectory) -> int:
 def load_run_config(path) -> dict[str, float]:
     """Read a plain ``key=value`` run config (values parsed as floats).
 
-    Recognised keys: fault_clear_time, window_duration, lookback.
-    Unknown keys are rejected so typos fail loudly.
+    The one recognised key is fault_clear_time.  Unknown keys are
+    rejected so typos fail loudly, and so are ``window_duration`` and
+    ``lookback``, which no run reads: the window is set with
+    ``--window`` and the pre-fault lookback is fixed
+    (``indices.LOOKBACK_S``).
     """
-    known = {"fault_clear_time", "window_duration", "lookback"}
+    known = {"fault_clear_time"}
+    unread = {
+        "window_duration": "set the analysis window with --window",
+        "lookback": "the pre-fault lookback is fixed (stvs.indices.LOOKBACK_S)",
+    }
     out: dict[str, float] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for ln, raw in enumerate(fh, start=1):
@@ -330,6 +337,10 @@ def load_run_config(path) -> dict[str, float]:
             if "=" not in line:
                 raise ValidationError(f"{path}:{ln}: expected key=value")
             key, val = (s.strip() for s in line.split("=", 1))
+            if key in unread:
+                raise ValidationError(
+                    f"{path}:{ln}: key {key!r} is not read: {unread[key]}"
+                )
             if key not in known:
                 raise ValidationError(f"{path}:{ln}: unknown key {key!r}")
             try:

@@ -499,3 +499,29 @@ def test_stream_into_a_closed_pipe_exits_quietly(tmp_path):
     assert json.loads(first)["latency_s"] >= 0.5
     assert code == 0
     assert "Traceback" not in err and "BrokenPipe" not in err
+
+
+def run_stream_without_t0(monkeypatch, capsys, lines):
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+    code = run(["assess", "--stream", "--report-interval", "0.1"])
+    captured = capsys.readouterr()
+    docs = [json.loads(ln) for ln in captured.out.strip().splitlines() if ln]
+    return code, docs, captured.err
+
+
+@pytest.mark.parametrize(
+    "kind, override, reports",
+    [("stable-osc", "freq_hz=4.8", True), ("stalled-recovery", "level=0.85", False)],
+)
+def test_stream_without_t0_says_once_that_no_fault_signature_was_found(
+    monkeypatch, capsys, kind, override, reports
+):
+    assert run(["synth", kind, override]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    code, docs, err = run_stream_without_t0(monkeypatch, capsys, lines)
+    assert code == 0
+    assert bool(docs) is reports
+    assert err.count("no fault signature found") == 1  # was one line per row
+    ended = "the stream ended without a fault signature, so no report was written"
+    assert (ended in err) is not reports
+    assert len(err.strip().splitlines()) == 1 + (not reports)

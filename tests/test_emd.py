@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import make_interp_spline
 
+import stvs
 from stvs import emd
 from stvs.emd import (
     DecompositionResult,
@@ -19,7 +25,12 @@ from stvs.emd import (
     sift,
     zero_crossing_frequency,
 )
-from stvs.ingest import Channel, VoltageTrajectory, extract_post_fault_window
+from stvs.ingest import (
+    Channel,
+    VoltageTrajectory,
+    extract_post_fault_window,
+    write_trajectory,
+)
 from stvs.synth import ScenarioParams, synth_scenario
 
 
@@ -562,3 +573,51 @@ def test_infinite_sample_raises_through_decompose_signals(monkeypatch):
     with pytest.raises(ValueError) as want:
         decompose_signals(x)
     assert str(got.value) == str(want.value) == "Array must not contain infs or nans."
+
+
+# -- scipy kernels ------------------------------------------------------------------
+
+def run_python(code, *args):
+    """Run ``code`` in a fresh interpreter that imports this stvs."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stvs.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_assess_loads_the_kernels_without_their_packages(tmp_path):
+    path = tmp_path / "case.csv"
+    write_trajectory(synth_scenario("mixed", ScenarioParams(seed=1)), path)
+    code = """if True:
+        import sys
+        import stvs, stvs.cli
+        assert stvs.cli.run(["assess", "--in", sys.argv[1], "--t0", "1.1"]) == 0
+        print(sorted(m for m in ("scipy.interpolate", "scipy.linalg") if m in sys.modules))
+        import scipy.interpolate, scipy.linalg.lapack
+        print(stvs.emd._dierckx is sys.modules["scipy.interpolate._dierckx"])
+        print(stvs.emd.dgbsv is scipy.linalg.lapack.dgbsv)
+    """
+    lines = run_python(code, str(path)).splitlines()
+    assert lines[-3:] == ["[]", "True", "True"]
+
+
+def test_kernels_imported_first_are_the_ones_used():
+    code = """if True:
+        import sys
+        import scipy.interpolate
+        import stvs.emd
+        print(stvs.emd._dierckx is sys.modules["scipy.interpolate._dierckx"])
+    """
+    assert run_python(code).split() == ["True"]
+
+
+def test_missing_kernel_is_an_import_error_naming_it():
+    name = "scipy.interpolate._no_such_kernel"
+    with pytest.raises(ImportError) as exc:
+        emd._scipy_extension(name)
+    assert str(exc.value) == f"{name} not found in scipy {scipy.__version__}"
+    assert exc.value.name == name

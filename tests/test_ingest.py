@@ -188,9 +188,19 @@ def test_detect_fault_clear_requires_dip():
 
 def test_run_config_roundtrip(tmp_path):
     path = tmp_path / "run.conf"
-    path.write_text("fault_clear_time = 1.1\nwindow_duration=3.0\n# comment\nlookback = 0.5\n")
-    cfg = load_run_config(path)
-    assert cfg == {"fault_clear_time": 1.1, "window_duration": 3.0, "lookback": 0.5}
+    path.write_text("fault_clear_time = 1.1\n# comment\n\n")
+    assert load_run_config(path) == {"fault_clear_time": 1.1}
+
+
+@pytest.mark.parametrize(
+    "line, hint",
+    [("window_duration=3.0", "--window"), ("lookback = 0.5", "LOOKBACK_S")],
+)
+def test_run_config_rejects_keys_no_run_reads(tmp_path, line, hint):
+    path = tmp_path / "run.conf"
+    path.write_text(f"fault_clear_time = 1.1\n# comment\n{line}\n")
+    with pytest.raises(ValidationError, match=f"run.conf:3: .*is not read: .*{hint}"):
+        load_run_config(path)
 
 
 def test_run_config_rejects_unknown_key(tmp_path):
