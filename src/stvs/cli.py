@@ -31,9 +31,13 @@ from .indices import (
 from .ingest import (
     TIME_COLUMN,
     VOLTAGE_PREFIX,
+    NO_FAULT_SIGNATURE,
+    FaultClearTracker,
+    RowChecker,
     VoltageTrajectory,
     detect_fault_clear_index,
     extract_post_fault_window,
+    fault_clear_index,
     load_run_config,
     load_trajectory,
     trajectory_from_columns,
@@ -184,63 +188,51 @@ def _cmd_stream(args, config: AssessmentConfig) -> int:
     """Assess a growing window fed row-by-row on stdin.
 
     Emits one JSON line per report interval once 0.5 s of post-fault
-    data has accumulated.  With ``--t0`` no report is attempted before
-    a row at or past t0 has arrived; without it, a history with no
-    fault signature yet is reported once on stderr, and once more at
-    the end if none ever showed, so that no report was written.
+    data has accumulated.  Each row is parsed once into one buffer and
+    checked once, on its own, so the work per row does not grow with
+    the history; a trajectory is built from the buffer only for a row
+    that is due a report.  With ``--t0`` no row is checked before a row
+    at or past t0 has arrived, and those waiting rows are then checked
+    together; a t0 before the first row can never be reported, so it is
+    reported once and the stream stops with exit 1.  Without it, the
+    rows are checked from the second on, the fault signature is tracked
+    row by row, and a history with no fault signature yet is reported
+    once on stderr, and once more at the end if none ever showed, so
+    that no report was written.  A stream that ends before the first
+    report (less than 0.5 s after fault clearing, or before ``--t0``)
+    says so on stderr and exits 0.
     Out-of-order rows are reported on stderr and skipped; the stream
     continues.  Rows whose column count differs from the header's are
     dropped too: the first one is reported on stderr, and the number
     dropped when the stream ends.
     A kept row that makes the history invalid (a NaN or non-positive
-    voltage, a gap in the sampling) stays in every later rebuild, so
+    voltage, a gap in the sampling) stays in every later report, so
     it is reported once and the stream stops with exit 1; the reports
-    already written stay.  A failing report (fault clearing outside the
-    data, a computation failure) is reported and the stream goes on.
+    already written stay.  A failing report (a computation failure) is
+    reported and the stream goes on.
     """
     header = sys.stdin.readline()
     if not header.strip():
         return 0
     names = [c.strip() for c in header.split(",")]
-    rows: list[list[float]] = []
-    last_t = -np.inf
     t_index = names.index(TIME_COLUMN) if TIME_COLUMN in names else 0
+    # column-major, so that a column of the history is contiguous
+    buf = np.empty((len(names), 256))
+    n = 0
+    last_t = -np.inf
+    checker = RowChecker(names, origin="<stdin>")
+    tracker = FaultClearTracker()
+    # t0_time is the time of the sample nearest the fault clear time
+    # `resolved`, resolved again only when the clear time moves
+    resolved: float | None = None
+    t0_time: float | None = None
+    data_time: float | None = None
     next_report: float | None = None
     bad_width = 0
     status = 0
     # the history has had no fault signature so far; once one is found
     # it stays in every longer history
     no_signature = False
-
-    def try_report(traj: VoltageTrajectory) -> None:
-        nonlocal next_report, no_signature
-        if args.t0 is not None:
-            traj = traj.with_fault_clear_time(args.t0)
-        else:
-            try:
-                clear_index = detect_fault_clear_index(traj)
-            except ValidationError as exc:
-                if not no_signature:
-                    sys.stderr.write(
-                        f"stvs: {exc}; reports start once a later row shows one\n"
-                    )
-                no_signature = True
-                return
-            no_signature = False
-            traj = traj.with_fault_clear_time(traj.t_start + clear_index * traj.dt)
-        t0_time = traj.t_start + traj.fault_clear_index * traj.dt
-        data_time = rows[-1][t_index] - t0_time
-        if data_time < 0.5:
-            return
-        if next_report is None:
-            next_report = data_time
-        if data_time + 1e-9 < next_report:
-            return
-        doc = assess(traj, config).to_dict()
-        doc["latency_s"] = data_time
-        sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
-        sys.stdout.flush()
-        next_report = data_time + args.report_interval
 
     for raw in sys.stdin:
         line = raw.strip()
@@ -266,11 +258,20 @@ def _cmd_stream(args, config: AssessmentConfig) -> int:
             )
             continue
         last_t = vals[t_index]
-        rows.append(vals)
-        if len(rows) < 2 or (args.t0 is not None and last_t < args.t0):
+        if n == buf.shape[1]:
+            buf = np.concatenate([buf, np.empty_like(buf)], axis=1)
+        buf[:, n] = vals
+        n += 1
+        if n < 2 or (args.t0 is not None and last_t < args.t0):
             continue
+        data = buf[:, :n].T
         try:
-            traj = trajectory_from_columns(names, np.array(rows), origin="<stdin>")
+            if checker.rows:
+                checker.check(data)
+            else:
+                # the backlog is built once, so the trajectory's own checks
+                # (dt > 0) run on it too; dt and t_start never change after
+                trajectory_from_columns(names, data, "<stdin>", checker)
         except ValidationError as exc:
             sys.stderr.write(
                 f"stvs: {exc}; every later report would contain it, "
@@ -278,9 +279,46 @@ def _cmd_stream(args, config: AssessmentConfig) -> int:
             )
             status = 1
             break
+        if args.t0 is not None:
+            clear_time = args.t0
+        else:
+            clear_index = tracker.update(data, checker.voltage_index)
+            if clear_index is None:
+                if not no_signature:
+                    sys.stderr.write(
+                        f"stvs: {NO_FAULT_SIGNATURE}; reports start once a "
+                        f"later row shows one\n"
+                    )
+                no_signature = True
+                continue
+            no_signature = False
+            clear_time = checker.t_start + clear_index * checker.dt
         try:
-            try_report(traj)
+            if clear_time != resolved:
+                index = fault_clear_index(clear_time, checker.t_start, checker.dt, n)
+                resolved = clear_time
+                t0_time = checker.t_start + index * checker.dt
+            data_time = last_t - t0_time
+            if data_time < 0.5:
+                continue
+            if next_report is None:
+                next_report = data_time
+            if data_time + 1e-9 < next_report:
+                continue
+            traj = trajectory_from_columns(names, data, "<stdin>", checker)
+            doc = assess(traj.with_fault_clear_time(clear_time), config).to_dict()
+            doc["latency_s"] = data_time
+            sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
+            sys.stdout.flush()
+            next_report = data_time + args.report_interval
         except StvsError as exc:
+            if resolved is None and clear_time < checker.t_start:
+                # t_start is fixed, so no later row can bring t0 inside
+                sys.stderr.write(
+                    f"stvs: {exc}; it is before the first row, so the stream stops\n"
+                )
+                status = 1
+                break
             sys.stderr.write(f"stvs: {exc}\n")
     if bad_width:
         sys.stderr.write(
@@ -291,6 +329,17 @@ def _cmd_stream(args, config: AssessmentConfig) -> int:
             "stvs: the stream ended without a fault signature, so no report "
             "was written; pass --t0\n"
         )
+    elif status == 0 and next_report is None:
+        if data_time is not None:
+            sys.stderr.write(
+                f"stvs: the stream ended {data_time:.3g} s after fault clearing, "
+                f"so no report was written; the first report needs 0.5 s\n"
+            )
+        elif args.t0 is not None and n:
+            sys.stderr.write(
+                f"stvs: the stream ended at {last_t} s, before the fault clear "
+                f"time {args.t0} s, so no report was written\n"
+            )
     return status
 
 

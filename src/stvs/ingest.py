@@ -69,6 +69,9 @@ class VoltageTrajectory:
                 raise ValidationError(
                     f"channel {ch.id!r} length {len(ch.voltage)} != {n}"
                 )
+            # two reductions in the usual case: a NaN makes min() NaN
+            if ch.voltage.min() > 0 and ch.voltage.max() < np.inf:
+                continue
             if not np.all(np.isfinite(ch.voltage)):
                 bad = int(np.flatnonzero(~np.isfinite(ch.voltage))[0])
                 raise ValidationError(
@@ -105,12 +108,7 @@ class VoltageTrajectory:
 
     def with_fault_clear_time(self, t0: float) -> "VoltageTrajectory":
         """Return a copy whose fault_clear_index matches time ``t0``."""
-        idx = int(round((t0 - self.t_start) / self.dt))
-        if not (0 <= idx < self.n_samples):
-            raise ValidationError(
-                f"fault clear time {t0} s outside the record "
-                f"[{self.t_start}, {self.t_start + self.duration}] s"
-            )
+        idx = fault_clear_index(t0, self.t_start, self.dt, self.n_samples)
         return replace(self, fault_clear_index=idx)
 
     def with_prefault_voltage(
@@ -138,53 +136,122 @@ def load_trajectory(path) -> VoltageTrajectory:
     return trajectory_from_columns(names, data, origin=str(path))
 
 
+def fault_clear_index(t0: float, t_start: float, dt: float, n_samples: int) -> int:
+    """Index of the sample nearest time ``t0`` in a record of ``n_samples``
+    samples taken every ``dt`` from ``t_start``; outside it is an error."""
+    idx = int(round((t0 - t_start) / dt))
+    if not (0 <= idx < n_samples):
+        raise ValidationError(
+            f"fault clear time {t0} s outside the record "
+            f"[{t_start}, {t_start + (n_samples - 1) * dt}] s"
+        )
+    return idx
+
+
+class RowChecker:
+    """The row checks of parsed CSV columns, run once per row.
+
+    ``check(data)`` checks the rows of ``data`` that earlier calls have
+    not, so a caller that appends rows to one buffer and checks after
+    each append checks every row once.  A row is checked against
+    dt = t[1] - t[0]: its time step first, then each ``V:`` column's NaN
+    check and sign check.  Rows are numbered from 0, and the relative
+    jitter a message quotes is the largest over all rows checked.
+    """
+
+    def __init__(self, names: list[str], origin: str = "<data>") -> None:
+        self.origin = origin
+        self.rows = 0  # rows checked so far
+        self.dt = math.nan
+        self.t_start = math.nan
+        self.jitter_max = 0.0
+        self._time = names.index(TIME_COLUMN) if TIME_COLUMN in names else None
+        self._voltages = [
+            (col, names.index(col)) for col in names if col.startswith(VOLTAGE_PREFIX)
+        ]
+        self.voltage_index = [j for _, j in self._voltages]  # the V: columns
+
+    def check(self, data: np.ndarray) -> None:
+        """Check the rows of ``data`` past the first ``self.rows``."""
+        origin = self.origin
+        if data.ndim != 2 or data.shape[0] < 2:
+            raise ValidationError(f"{origin}: need at least 2 data rows")
+        if self._time is None:
+            raise ValidationError(f"{origin}: missing {TIME_COLUMN!r} column")
+        if not self._voltages:
+            raise ValidationError(
+                f"{origin}: no voltage columns with prefix {VOLTAGE_PREFIX!r}"
+            )
+        start = self.rows
+        if start == len(data):
+            return
+        t = data[:, self._time]
+        if start == 0:
+            self.t_start = float(t[0])
+            self.dt = float(t[1] - t[0])
+            if self.dt <= 0:
+                raise ValidationError(f"{origin}: time column is not increasing")
+        first = max(start, 1)
+        jitter = np.abs(t[first:] - t[first - 1:-1] - self.dt) / self.dt
+        self.jitter_max = jitter.max(initial=self.jitter_max)
+        if (jitter > DT_REL_TOL).any():
+            bad = first + int(np.argmax(jitter > DT_REL_TOL))
+            raise ValidationError(
+                f"{origin}: non-uniform sampling at row {bad} "
+                f"(relative jitter {self.jitter_max:.3g})"
+            )
+        block = data[start:, self.voltage_index]
+        if not (block.min() > 0 and block.max() < np.inf):  # as in VoltageTrajectory
+            for col, j in self._voltages:
+                v = data[start:, j]
+                if not np.all(np.isfinite(v)):
+                    bad = start + int(np.flatnonzero(~np.isfinite(v))[0])
+                    raise ValidationError(
+                        f"{origin}: NaN voltage in {col!r} at row {bad}"
+                    )
+                if np.any(v <= 0):
+                    bad = start + int(np.flatnonzero(v <= 0)[0])
+                    raise ValidationError(
+                        f"{origin}: non-positive voltage in {col!r} at row {bad}"
+                    )
+        self.rows = len(data)
+
+
 def trajectory_from_columns(
     names: list[str],
     data: np.ndarray,
     origin: str = "<data>",
+    checker: RowChecker | None = None,
 ) -> VoltageTrajectory:
-    """Build a validated trajectory from already-parsed CSV columns."""
-    if data.ndim != 2 or data.shape[0] < 2:
-        raise ValidationError(f"{origin}: need at least 2 data rows")
-    if TIME_COLUMN not in names:
-        raise ValidationError(f"{origin}: missing {TIME_COLUMN!r} column")
-    v_cols = [c for c in names if c.startswith(VOLTAGE_PREFIX)]
-    if not v_cols:
-        raise ValidationError(
-            f"{origin}: no voltage columns with prefix {VOLTAGE_PREFIX!r}"
-        )
+    """Build a validated trajectory from already-parsed CSV columns.
 
-    t = data[:, names.index(TIME_COLUMN)]
-    diffs = np.diff(t)
-    dt = float(diffs[0])
-    if dt <= 0:
-        raise ValidationError(f"{origin}: time column is not increasing")
-    jitter = np.abs(diffs - dt) / dt
-    if np.any(jitter > DT_REL_TOL):
-        bad = int(np.argmax(jitter > DT_REL_TOL)) + 1
-        raise ValidationError(
-            f"{origin}: non-uniform sampling at row {bad} "
-            f"(relative jitter {jitter.max():.3g})"
-        )
+    The channels hold copies of the columns.  With a ``checker``, ``data``
+    is an append-only buffer whose leading rows the checker has seen in
+    earlier calls: only the rows added since are checked, and since
+    checked rows are never written again the channels hold views.
+    """
+    copy = checker is None
+    if checker is None:
+        checker = RowChecker(names, origin)
+    checker.check(data)
+
+    def column(name: str) -> np.ndarray:
+        view = data[:, names.index(name)]
+        if copy:
+            return view.copy()
+        view.flags.writeable = False
+        return view
 
     channels = []
-    for col in v_cols:
+    for col in names:
+        if not col.startswith(VOLTAGE_PREFIX):
+            continue
         cid = col[len(VOLTAGE_PREFIX):]
-        v = data[:, names.index(col)].copy()
-        if not np.all(np.isfinite(v)):
-            bad = int(np.flatnonzero(~np.isfinite(v))[0])
-            raise ValidationError(f"{origin}: NaN voltage in {col!r} at row {bad}")
-        if np.any(v <= 0):
-            bad = int(np.flatnonzero(v <= 0)[0])
-            raise ValidationError(
-                f"{origin}: non-positive voltage in {col!r} at row {bad}"
-            )
         q_name = REACTIVE_PREFIX + cid
-        q = data[:, names.index(q_name)].copy() if q_name in names else None
-        channels.append(Channel(id=cid, voltage=v, reactive_power=q))
-
+        q = column(q_name) if q_name in names else None
+        channels.append(Channel(id=cid, voltage=column(col), reactive_power=q))
     return VoltageTrajectory(
-        channels=tuple(channels), dt=dt, t_start=float(t[0])
+        channels=tuple(channels), dt=checker.dt, t_start=checker.t_start
     )
 
 
@@ -292,6 +359,12 @@ def estimate_prefault_voltage(
     }
 
 
+NO_FAULT_SIGNATURE = (
+    "no fault signature found (no sub-0.6 pu dip with recovery); "
+    "pass the fault clear time explicitly"
+)
+
+
 def detect_fault_clear_index(traj: VoltageTrajectory) -> int:
     """Heuristic t0: one past the last sub-0.6 pu sample that is followed
     by a monotone rise over 3 samples on the same channel.
@@ -307,11 +380,32 @@ def detect_fault_clear_index(traj: VoltageTrajectory) -> int:
                 best = k + 1 if best is None else max(best, k + 1)
                 break
     if best is None:
-        raise ValidationError(
-            "no fault signature found (no sub-0.6 pu dip with recovery); "
-            "pass the fault clear time explicitly"
-        )
+        raise ValidationError(NO_FAULT_SIGNATURE)
     return best
+
+
+class FaultClearTracker:
+    """``detect_fault_clear_index`` of a history that grows row by row.
+
+    Each appended row makes one more dip candidate k = n - 4 checkable
+    on every channel.  The newest qualifying candidate is the last dip,
+    so the index becomes k + 1 when it qualifies and stays put when not.
+    """
+
+    def __init__(self) -> None:
+        self.index: int | None = None  # None until a dip qualifies
+        self._next = 0  # first candidate not yet checked
+
+    def update(self, data: np.ndarray, columns: list[int]) -> int | None:
+        """Index after the rows of ``data`` (n, columns), voltages in ``columns``."""
+        for k in range(self._next, len(data) - 3):
+            a, b, c, d = data[k:k + 4].tolist()
+            for j in columns:
+                if a[j] < FAULT_LEVEL_PU and a[j] < b[j] < c[j] < d[j]:
+                    self.index = k + 1
+                    break
+        self._next = max(self._next, len(data) - 3)
+        return self.index
 
 
 def load_run_config(path) -> dict[str, float]:

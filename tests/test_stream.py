@@ -1,0 +1,500 @@
+"""`stvs assess --stream` against the per-row rebuild loop it replaced,
+against batch `assess` on the same rows, and the incremental pieces
+(row checks, fault-signature tracking) it is built from."""
+
+import contextlib
+import io
+import json
+import sys
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import stvs.cli as cli
+from stvs.cli import run
+from stvs.errors import StvsError, ValidationError
+from stvs.indices import assess
+from stvs.ingest import (
+    DT_REL_TOL,
+    REACTIVE_PREFIX,
+    TIME_COLUMN,
+    VOLTAGE_PREFIX,
+    Channel,
+    FaultClearTracker,
+    VoltageTrajectory,
+    detect_fault_clear_index,
+    write_trajectory,
+)
+from stvs.synth import SCENARIO_KINDS, ScenarioParams, synth_scenario
+
+# -- the loop the stream replaced, kept as the oracle ------------------------------
+
+
+def oracle_from_columns(names, data, origin="<data>"):
+    """Whole-history validation and build, as every row used to run it."""
+    if data.ndim != 2 or data.shape[0] < 2:
+        raise ValidationError(f"{origin}: need at least 2 data rows")
+    if TIME_COLUMN not in names:
+        raise ValidationError(f"{origin}: missing {TIME_COLUMN!r} column")
+    v_cols = [c for c in names if c.startswith(VOLTAGE_PREFIX)]
+    if not v_cols:
+        raise ValidationError(
+            f"{origin}: no voltage columns with prefix {VOLTAGE_PREFIX!r}"
+        )
+    t = data[:, names.index(TIME_COLUMN)]
+    diffs = np.diff(t)
+    dt = float(diffs[0])
+    if dt <= 0:
+        raise ValidationError(f"{origin}: time column is not increasing")
+    jitter = np.abs(diffs - dt) / dt
+    if np.any(jitter > DT_REL_TOL):
+        bad = int(np.argmax(jitter > DT_REL_TOL)) + 1
+        raise ValidationError(
+            f"{origin}: non-uniform sampling at row {bad} "
+            f"(relative jitter {jitter.max():.3g})"
+        )
+    channels = []
+    for col in v_cols:
+        cid = col[len(VOLTAGE_PREFIX):]
+        v = data[:, names.index(col)].copy()
+        if not np.all(np.isfinite(v)):
+            bad = int(np.flatnonzero(~np.isfinite(v))[0])
+            raise ValidationError(f"{origin}: NaN voltage in {col!r} at row {bad}")
+        if np.any(v <= 0):
+            bad = int(np.flatnonzero(v <= 0)[0])
+            raise ValidationError(
+                f"{origin}: non-positive voltage in {col!r} at row {bad}"
+            )
+        q_name = REACTIVE_PREFIX + cid
+        q = data[:, names.index(q_name)].copy() if q_name in names else None
+        channels.append(Channel(id=cid, voltage=v, reactive_power=q))
+    return VoltageTrajectory(channels=tuple(channels), dt=dt, t_start=float(t[0]))
+
+
+def oracle_stream(args, config):
+    """Rebuild and re-check the whole history on every row."""
+    header = sys.stdin.readline()
+    if not header.strip():
+        return 0
+    names = [c.strip() for c in header.split(",")]
+    rows = []
+    last_t = -np.inf
+    t_index = names.index(TIME_COLUMN) if TIME_COLUMN in names else 0
+    next_report = None
+    bad_width = 0
+    status = 0
+    no_signature = False
+
+    def try_report(traj):
+        nonlocal next_report, no_signature
+        if args.t0 is not None:
+            traj = traj.with_fault_clear_time(args.t0)
+        else:
+            try:
+                clear_index = detect_fault_clear_index(traj)
+            except ValidationError as exc:
+                if not no_signature:
+                    sys.stderr.write(
+                        f"stvs: {exc}; reports start once a later row shows one\n"
+                    )
+                no_signature = True
+                return
+            no_signature = False
+            traj = traj.with_fault_clear_time(traj.t_start + clear_index * traj.dt)
+        t0_time = traj.t_start + traj.fault_clear_index * traj.dt
+        data_time = rows[-1][t_index] - t0_time
+        if data_time < 0.5:
+            return
+        if next_report is None:
+            next_report = data_time
+        if data_time + 1e-9 < next_report:
+            return
+        doc = assess(traj, config).to_dict()
+        doc["latency_s"] = data_time
+        sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
+        sys.stdout.flush()
+        next_report = data_time + args.report_interval
+
+    for raw in sys.stdin:
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            vals = [float(v) for v in line.split(",")]
+        except ValueError:
+            sys.stderr.write(f"stvs: skipping malformed row: {line}\n")
+            continue
+        if len(vals) != len(names):
+            if not bad_width:
+                sys.stderr.write(
+                    f"stvs: dropping row with {len(vals)} columns (header has "
+                    f"{len(names)}): {line}; such rows are dropped and counted\n"
+                )
+            bad_width += 1
+            continue
+        if vals[t_index] <= last_t:
+            sys.stderr.write(
+                f"stvs: out-of-order timestamp {vals[t_index]} (last {last_t}); "
+                f"row skipped\n"
+            )
+            continue
+        last_t = vals[t_index]
+        rows.append(vals)
+        if len(rows) < 2 or (args.t0 is not None and last_t < args.t0):
+            continue
+        try:
+            traj = oracle_from_columns(names, np.array(rows), origin="<stdin>")
+        except ValidationError as exc:
+            sys.stderr.write(
+                f"stvs: {exc}; every later report would contain it, "
+                f"so the stream stops\n"
+            )
+            status = 1
+            break
+        try:
+            try_report(traj)
+        except StvsError as exc:
+            sys.stderr.write(f"stvs: {exc}\n")
+    if bad_width:
+        sys.stderr.write(
+            f"stvs: dropped {bad_width} row(s) with the wrong number of columns\n"
+        )
+    if no_signature:
+        sys.stderr.write(
+            "stvs: the stream ended without a fault signature, so no report "
+            "was written; pass --t0\n"
+        )
+    return status
+
+
+# -- running a stream ----------------------------------------------------------------
+
+
+class Feeder:
+    """stdin that counts the data rows it has handed out."""
+
+    def __init__(self, lines):
+        self._lines = iter(line + "\n" for line in lines)
+        self.handed = 0
+
+    def readline(self):
+        return next(self._lines, "")
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        line = next(self._lines)
+        self.handed += 1
+        return line
+
+
+class Capture(io.StringIO):
+    """stdout that notes how many rows were handed out at each write."""
+
+    def __init__(self, feeder):
+        super().__init__()
+        self.feeder = feeder
+        self.rows_at_write = []
+
+    def write(self, text):
+        self.rows_at_write.append(self.feeder.handed)
+        return super().write(text)
+
+
+def stream(argv, lines, command=None):
+    """(exit code, stdout, stderr, data rows read at each report) of one run."""
+    feeder = Feeder(lines)
+    out, err = Capture(feeder), io.StringIO()
+    patch = (
+        mock.patch.object(cli, "_cmd_stream", command)
+        if command
+        else contextlib.nullcontext()
+    )
+    saved = sys.stdin
+    sys.stdin = feeder
+    try:
+        with patch, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue(), out.rows_at_write
+
+
+def record_lines(kind, **params):
+    buf = io.StringIO()
+    write_trajectory(synth_scenario(kind, ScenarioParams(**params)), buf)
+    return buf.getvalue().splitlines()
+
+
+def stream_argv(t0, interval=0.1):
+    argv = ["assess", "--stream", "--report-interval", str(interval)]
+    return argv + (["--t0", "1.1"] if t0 else [])
+
+
+def ended_early(err):
+    return "stvs: the stream ended " in err and "so no report was written" in err
+
+
+# -- the oracle ------------------------------------------------------------------------
+
+FAULTS = ("nan", "nonpositive", "short", "order", "jitter", "nan-time")
+
+
+def inject(lines, fault, where, pick):
+    """Damage the data row at fraction ``where`` of the record in place."""
+    r = 1 + int(where * (len(lines) - 2))
+    cells = lines[r].split(",")
+    names = lines[0].split(",")
+    v_cols = [j for j, c in enumerate(names) if c.startswith(VOLTAGE_PREFIX)]
+    if fault == "nan":
+        cells[v_cols[pick % len(v_cols)]] = "nan"
+    elif fault == "nonpositive":
+        cells[v_cols[pick % len(v_cols)]] = ("0.0", "-0.4")[pick % 2]
+    elif fault == "short":
+        cells = cells[:-1]
+    elif fault == "order":
+        lines.insert(r + 1, lines[max(r - pick % 4, 1)])  # a duplicate or an earlier row
+    elif fault == "nan-time":
+        cells[0] = "nan"  # passes the order check, since NaN compares false
+    else:
+        dt = float(lines[2].split(",")[0]) - float(lines[1].split(",")[0])
+        step = (5e-7, 2e-6, 1e-3, 0.3)[pick % 4]  # under and over the tolerance
+        cells[0] = repr(float(cells[0]) + step * dt)
+    if fault != "order":
+        lines[r] = ",".join(cells)
+
+
+@given(
+    kind=st.sampled_from(SCENARIO_KINDS),
+    n_channels=st.integers(1, 3),
+    fs=st.sampled_from([25.0, 50.0]),
+    post_s=st.floats(0.6, 1.2),
+    noise_sigma=st.sampled_from([0.0, 0.002]),  # noise in the fault moves the last dip
+    seed=st.integers(0, 2**16),
+    faults=st.lists(
+        st.tuples(st.sampled_from(FAULTS), st.floats(0, 1), st.integers(0, 7)),
+        max_size=2,
+    ),
+)
+@settings(max_examples=40, deadline=None)
+def test_stream_writes_what_the_per_row_rebuild_wrote(
+    kind, n_channels, fs, post_s, noise_sigma, seed, faults
+):
+    lines = record_lines(
+        kind, n_channels=n_channels, fs=fs, post_s=post_s, noise_sigma=noise_sigma, seed=seed
+    )
+    for fault, where, pick in faults:
+        inject(lines, fault, where, pick)
+    for with_t0 in (True, False):
+        argv = stream_argv(with_t0)
+        want_code, want_out, want_err, _ = stream(argv, lines, oracle_stream)
+        code, out, err, _ = stream(argv, lines)
+        assert (code, out) == (want_code, want_out)
+        if code == 0 and not out and err != want_err:
+            # the one line that says why a stream ended without a report is new
+            assert err.startswith(want_err)
+            assert err[len(want_err):].count("\n") == 1 and ended_early(err)
+        else:
+            assert err == want_err
+
+
+def test_stream_reports_every_fault_like_the_per_row_rebuild():
+    lines = record_lines("mixed", seed=3)
+    cases = [[(fault, where)] for fault in FAULTS for where in (0.0, 0.05, 0.5)]
+    # a NaN time stays in the history, so a later jitter quotes NaN as the largest
+    cases.append([("nan-time", 0.3), ("jitter", 0.6)])
+    for faults in cases:  # at the first row, before and after t0
+        damaged = list(lines)
+        for fault, where in faults:
+            inject(damaged, fault, where, 3)
+        for with_t0 in (True, False):
+            argv = stream_argv(with_t0, interval=0.5)
+            assert stream(argv, damaged)[:3] == stream(argv, damaged, oracle_stream)[:3]
+
+
+def test_stream_follows_a_second_fault_like_the_per_row_rebuild():
+    lines = record_lines("mixed", post_s=1.5, seed=1)
+    shift = float(lines[-1].split(",")[0]) + 0.02
+    for line in record_lines("mixed", post_s=3.0, seed=2)[1:]:
+        cells = line.split(",")
+        cells[0] = repr(float(cells[0]) + shift)
+        lines.append(",".join(cells))
+    argv = stream_argv(False)
+    code, out, err, rows_at_write = stream(argv, lines)
+    assert (code, out, err) == stream(argv, lines, oracle_stream)[:3]
+    # reports pause from the second fault until its data time passes the
+    # first one's: t0 has moved on to the second dip
+    gaps = np.diff(rows_at_write)
+    assert code == 0 and gaps.max() > 20 * gaps.min()
+
+
+# -- batch equality --------------------------------------------------------------------
+
+
+@given(
+    kind=st.sampled_from(SCENARIO_KINDS),
+    n_channels=st.integers(1, 4),
+    fs=st.integers(25, 100),
+    post_s=st.floats(0.6, 4.0),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=25, deadline=None)
+def test_final_stream_report_equals_batch_assess(
+    tmp_path_factory, kind, n_channels, fs, post_s, seed
+):
+    lines = record_lines(kind, n_channels=n_channels, fs=float(fs), post_s=post_s, seed=seed)
+    for with_t0 in (True, False):
+        code, out, err, rows_at_write = stream(stream_argv(with_t0, interval=1.0), lines)
+        assert code == 0
+        if not out:
+            # no fault signature without --t0, or one that shows too late
+            assert not with_t0 and ("no fault signature" in err or ended_early(err))
+            continue
+        final = json.loads(out.splitlines()[-1])
+        path = tmp_path_factory.mktemp("batch") / "rows.csv"
+        path.write_text("\n".join(lines[: 1 + rows_at_write[-1]]) + "\n")
+        batch_argv = ["assess", "--in", str(path)] + (["--t0", "1.1"] if with_t0 else [])
+        batch_code, batch_out, _, _ = stream(batch_argv, [])
+        assert batch_code == 0
+        batch = json.loads(batch_out)
+        final.pop("latency_s")
+        batch.pop("latency_s")
+        assert final == batch
+
+
+# -- fault-signature tracking -------------------------------------------------------
+
+
+def detect_or_none(v):
+    traj = VoltageTrajectory(
+        channels=tuple(Channel(id=str(c), voltage=v[:, c]) for c in range(v.shape[1])),
+        dt=0.02,
+    )
+    try:
+        return detect_fault_clear_index(traj)
+    except ValidationError:
+        return None
+
+
+def dip_and_rise(depth, step):
+    """A sub-0.6 pu dip followed by a monotone rise over 3 samples."""
+    return [depth, depth + step, depth + 2 * step, depth + 3 * step]
+
+
+@st.composite
+def histories(draw):
+    n_channels = draw(st.integers(1, 3))
+    length = draw(st.integers(2, 60))
+    level = st.floats(0.2, 1.2)
+    v = np.array(draw(st.lists(
+        st.lists(level, min_size=n_channels, max_size=n_channels),
+        min_size=length, max_size=length,
+    )))
+    # zero, one or two dips with recovery, so the last dip moves
+    for _ in range(draw(st.integers(0, 2))):
+        if length >= 4:
+            at = draw(st.integers(0, length - 4))
+            depth = draw(st.floats(0.1, 0.59))
+            v[at:at + 4, draw(st.integers(0, n_channels - 1))] = dip_and_rise(
+                depth, draw(st.floats(0.001, 0.2))
+            )
+    return v
+
+
+@given(v=histories())
+@settings(max_examples=200, deadline=None)
+def test_tracker_equals_detection_on_every_prefix(v):
+    tracker = FaultClearTracker()
+    columns = list(range(v.shape[1]))
+    for n in range(2, len(v) + 1):
+        assert tracker.update(v[:n], columns) == detect_or_none(v[:n])
+
+
+def test_tracker_follows_the_last_dip():
+    v = np.full((30, 2), 1.0)
+    v[3:7, 0] = dip_and_rise(0.3, 0.1)
+    v[18:22, 1] = dip_and_rise(0.4, 0.05)
+    tracker = FaultClearTracker()
+    seen = [tracker.update(v[:n], [0, 1]) for n in range(2, 31)]
+    assert seen == [detect_or_none(v[:n]) for n in range(2, 31)]
+    # 0.45 pu at row 19 still rises over 3 samples, onto the 1.0 pu plateau
+    assert None in seen and 4 in seen and seen[-1] == 20
+
+
+def test_tracker_catches_up_on_a_backlog():
+    v = np.full((30, 1), 1.0)
+    v[10:14, 0] = dip_and_rise(0.3, 0.1)
+    tracker = FaultClearTracker()
+    assert tracker.update(v[:20], [0]) == 12 == detect_or_none(v[:20])
+    assert tracker.update(v, [0]) == 12
+
+
+# -- work per row ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("with_t0", [True, False])
+def test_stream_builds_one_trajectory_per_report_not_per_row(with_t0):
+    lines = record_lines("mixed", post_s=3.0, noise_sigma=0.001)
+    built = []
+    real = cli.trajectory_from_columns
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return real(*args, **kwargs)
+
+    with mock.patch.object(cli, "trajectory_from_columns", counting):
+        code, out, err, _ = stream(stream_argv(with_t0), lines)
+    reports = len(out.splitlines())
+    assert code == 0 and "stops" not in err
+    assert reports >= 20
+    assert len(built) <= reports + 1
+    assert len(built) < (len(lines) - 1) / 4
+
+
+# -- how a stream ends without a report ------------------------------------------------
+
+
+def test_stream_stops_once_on_a_t0_before_the_first_row(capsys, tmp_path):
+    assert run(["synth", "mixed", "--seed", "1"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    lines = lines[:1] + lines[60:]  # the first 59 data rows cut: t_start 1.18 s
+    code, out, err, _ = stream(["assess", "--stream", "--t0", "1.1"], lines)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1  # was one line per row and exit 0
+    assert "fault clear time 1.1 s outside the record [1.18," in err
+    assert "before the first row, so the stream stops" in err
+    path = tmp_path / "cut.csv"
+    path.write_text("\n".join(lines) + "\n")
+    code = run(["assess", "--in", str(path), "--t0", "1.1"])
+    batch = capsys.readouterr()
+    assert (code, batch.out, batch.err.count("\n")) == (1, "", 1)
+    assert "fault clear time 1.1 s outside the record [1.18," in batch.err
+
+
+def test_stream_says_why_a_short_record_got_no_report(capsys, tmp_path):
+    assert run(["synth", "mixed", "post_s=0.3"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    code, out, err, _ = stream(["assess", "--stream", "--t0", "1.1"], lines)
+    assert (code, out) == (0, "")
+    assert err == (
+        "stvs: the stream ended 0.3 s after fault clearing, so no report was "
+        "written; the first report needs 0.5 s\n"
+    )
+    path = tmp_path / "short.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert run(["assess", "--in", str(path), "--t0", "1.1"]) == 0
+    assert "oscillation" in json.loads(capsys.readouterr().out)
+
+
+def test_stream_says_when_it_ended_before_t0():
+    lines = record_lines("mixed")[:40]  # up to 0.76 s; t0 is 1.1 s
+    code, out, err, _ = stream(["assess", "--stream", "--t0", "1.1"], lines)
+    assert (code, out) == (0, "")
+    assert err == (
+        "stvs: the stream ended at 0.76 s, before the fault clear time 1.1 s, "
+        "so no report was written\n"
+    )
