@@ -27,11 +27,9 @@ from .embed import (
 )
 from .emd import (
     DecompositionResult,
-    TrendOnlySignal,
     decompose,
     decompose_signals,
     filter_imfs_by_frequency,
-    sift,
     zero_crossing_frequency,
 )
 from .errors import (

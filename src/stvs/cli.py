@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
+import math
 import os
 import sys
 
@@ -44,24 +44,23 @@ from .ingest import (
     write_trajectory,
 )
 
-_LOG_LEVELS = {
-    "error": logging.ERROR,
-    "warn": logging.WARNING,
-    "info": logging.INFO,
-    "debug": logging.DEBUG,
-}
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse usage errors are validation errors
         raise ValidationError(message)
 
 
-def _positive_float(text: str) -> float:
+def _finite_float(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
     if not value > 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text}")
     return value
@@ -76,9 +75,9 @@ def _build_parser() -> _Parser:
         if io:
             p.add_argument("--in", dest="input", help="input CSV path")
             p.add_argument("--out", dest="output", help="output path (default stdout)")
-            p.add_argument("--t0", type=float, default=None,
+            p.add_argument("--t0", type=_finite_float, default=None,
                            help="fault clear time in seconds (auto-detected if omitted)")
-            p.add_argument("--window", type=float, default=defaults.window_s,
+            p.add_argument("--window", type=_finite_float, default=defaults.window_s,
                            help="post-fault analysis window in seconds")
         if grid:
             p.add_argument("--bins", type=int, default=defaults.imf_bins)
@@ -94,7 +93,7 @@ def _build_parser() -> _Parser:
                           help="read rows from stdin, emit JSON lines")
     p_assess.add_argument("--report-interval", dest="report_interval",
                           type=_positive_float, default=0.1)
-    p_assess.add_argument("--eq0", type=float, default=None,
+    p_assess.add_argument("--eq0", type=_finite_float, default=None,
                           help="explicit post-fault equilibrium voltage")
 
     p_dec = sub.add_parser(
@@ -112,7 +111,7 @@ def _build_parser() -> _Parser:
 
     p_exp = sub.add_parser("exponents", help="emit exponent series as CSV")
     add_common(p_exp, grid=False)
-    p_exp.add_argument("--eq0", type=float, default=None)
+    p_exp.add_argument("--eq0", type=_finite_float, default=None)
 
     p_thr = sub.add_parser("thresholds", help="print the critical oscillation index")
     add_common(p_thr, io=False)
@@ -121,7 +120,7 @@ def _build_parser() -> _Parser:
     p_tune = sub.add_parser("tune", help="derive per-generator recovery thresholds")
     add_common(p_tune, grid=False)
     p_tune.add_argument("--gen-config", dest="gen_config", required=True)
-    p_tune.add_argument("--eq0", type=float, default=None)
+    p_tune.add_argument("--eq0", type=_finite_float, default=None)
 
     p_syn = sub.add_parser("synth", help="write a synthetic scenario CSV")
     p_syn.add_argument("kind", choices=synth.SCENARIO_KINDS)
@@ -489,8 +488,6 @@ _COMMANDS = {
 
 
 def run(argv=None) -> int:
-    level = _LOG_LEVELS.get(os.environ.get("STVS_LOG", "warn").lower(), logging.WARNING)
-    logging.basicConfig(stream=sys.stderr, level=level, format="stvs %(levelname)s: %(message)s")
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -2,16 +2,19 @@
 
 Each channel splits into intrinsic mode functions (oscillatory
 components whose extrema and zero-crossing counts differ by at most
-one) plus a residual trend that carries the slow recovery.  Multi-channel
-records are decomposed jointly: envelopes are taken at the extrema of
-shared direction projections so that IMF level i refers to comparable
-time scales on every channel.
+one) plus a residual trend that carries the slow recovery.  The channels
+are decomposed jointly (multivariate EMD): envelopes are taken at the
+extrema of shared direction projections so that IMF level i refers to
+comparable time scales on every channel.  One sifting loop serves any
+channel count; a single channel has the one direction 1, where the pass
+is plain EMD.
 
 Sifting follows the classic recipe: cubic-spline envelopes through
 mirrored extrema, mean-envelope subtraction, and a Cauchy-style SD
 stopping rule (``SD_THRESHOLD``, at most ``MAX_SIFTS`` passes per IMF).
-Decomposition stops after ``MAX_IMFS`` IMFs, or once the remainder has
-fewer than 3 extrema (in every projection, for several channels).
+Sifting stops once every projection of the iterate has fewer than 3
+extrema, and decomposition stops after ``MAX_IMFS`` IMFs or once the
+remainder has reached that state.
 
 Envelopes are not-a-knot interpolating splines of degree
 ``min(3, n_knots - 1)``, fitted by calling the kernels behind scipy's
@@ -52,7 +55,7 @@ import numpy as np
 import scipy
 from numpy.linalg import LinAlgError
 
-from .errors import StvsError, ValidationError
+from .errors import ValidationError
 from .ingest import VoltageTrajectory
 
 
@@ -91,10 +94,6 @@ MAX_IMFS = 12
 N_DIRECTIONS = 8  # projection directions of a multi-channel pass
 _DIRECTION_SEED = 988_221_735  # fixed: decomposition must be deterministic
 _AMPLITUDE_FLOOR = 1e-12
-
-
-class TrendOnlySignal(StvsError):
-    """Signal has too few extrema to sift: it is already a trend."""
 
 
 @dataclass(frozen=True)
@@ -339,46 +338,14 @@ def _envelopes(
         start += count
 
 
-def _mean_envelope_1d(x: np.ndarray) -> np.ndarray | None:
-    mins, maxs = local_extrema(x)
-    if len(mins) < 1 or len(maxs) < 1 or len(mins) + len(maxs) < 2:
-        return None
-    lens = np.array([len(maxs), len(mins)])
-    upper, lower = _envelopes(np.concatenate((maxs, mins)), lens, x, len(x))
-    if upper is None or lower is None:
-        return None
-    return 0.5 * (upper + lower)
-
-
-def sift(signal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Extract one IMF from a scalar signal.
-
-    Returns ``(imf, remainder)`` with ``signal == imf + remainder``
-    exactly.  Raises :class:`TrendOnlySignal` when the signal has fewer
-    than 4 samples or fewer than 2 extrema, which tells the caller to
-    stop decomposing.
-    """
-    x = np.asarray(signal, dtype=float)
-    if x.size < 4 or count_extrema(x) < 2:
-        raise TrendOnlySignal(
-            f"{x.size}-sample signal with {count_extrema(x)} extrema is a trend"
-        )
-    h = x.copy()
-    for _ in range(MAX_SIFTS):
-        env = _mean_envelope_1d(h)
-        if env is None:
-            break
-        h_new = h - env
-        denom = float(np.sum(h * h))
-        sd = float(np.sum(env * env)) / denom if denom > 0 else 0.0
-        h = h_new
-        if sd < SD_THRESHOLD and is_imf(h):
-            break
-    return h, x - h
-
-
 def _direction_vectors(n_directions: int, n_dim: int) -> np.ndarray:
-    """Deterministic quasi-uniform unit vectors for envelope projections."""
+    """Deterministic quasi-uniform unit vectors for envelope projections.
+
+    In one dimension ±1 give the same envelope mean, so there is one
+    direction, and a pass is plain EMD's.
+    """
+    if n_dim == 1:
+        return np.ones((1, 1))
     if n_dim == 2:
         angles = np.pi * np.arange(n_directions) / n_directions
         return np.column_stack([np.cos(angles), np.sin(angles)])
@@ -445,7 +412,7 @@ def decompose_signals(signals: np.ndarray) -> tuple[list[np.ndarray], np.ndarray
 
     Returns ``(imf_list, residual)`` where each entry of ``imf_list`` is
     an (n_samples, n_channels) matrix and the additive reconstruction is
-    exact.  Single-channel input falls back to univariate sifting.
+    exact.
     """
     x = np.asarray(signals, dtype=float)
     if x.ndim != 2 or x.shape[0] < 4:
@@ -454,19 +421,6 @@ def decompose_signals(signals: np.ndarray) -> tuple[list[np.ndarray], np.ndarray
     scale = float(np.max(np.abs(x))) or 1.0
     imfs: list[np.ndarray] = []
     r = x.copy()
-
-    if n_ch == 1:
-        while len(imfs) < MAX_IMFS and count_extrema(r[:, 0]) >= 3:
-            try:
-                imf, rem = sift(r[:, 0])
-            except TrendOnlySignal:
-                break
-            imfs.append(imf[:, None])
-            r = rem[:, None]
-            if np.max(np.abs(imf)) < _AMPLITUDE_FLOOR * scale:
-                break
-        return imfs, r
-
     directions = _direction_vectors(N_DIRECTIONS, n_ch)
     while len(imfs) < MAX_IMFS:
         # The first pass is also the stop test: maxima and minima of a

@@ -111,11 +111,6 @@ class VoltageTrajectory:
         idx = fault_clear_index(t0, self.t_start, self.dt, self.n_samples)
         return replace(self, fault_clear_index=idx)
 
-    def with_prefault_voltage(
-        self, v_pre: dict[str, float]
-    ) -> "VoltageTrajectory":
-        return replace(self, prefault_voltage=dict(v_pre))
-
 
 def load_trajectory(path) -> VoltageTrajectory:
     """Load and validate a trajectory from CSV.
@@ -189,13 +184,15 @@ class RowChecker:
         if start == 0:
             self.t_start = float(t[0])
             self.dt = float(t[1] - t[0])
-            if self.dt <= 0:
+            if not self.dt > 0:
                 raise ValidationError(f"{origin}: time column is not increasing")
         first = max(start, 1)
         jitter = np.abs(t[first:] - t[first - 1:-1] - self.dt) / self.dt
         self.jitter_max = jitter.max(initial=self.jitter_max)
-        if (jitter > DT_REL_TOL).any():
-            bad = first + int(np.argmax(jitter > DT_REL_TOL))
+        # a NaN time gives a NaN jitter, which no comparison passes
+        uniform = jitter <= DT_REL_TOL
+        if not uniform.all():
+            bad = first + int(np.argmin(uniform))
             raise ValidationError(
                 f"{origin}: non-uniform sampling at row {bad} "
                 f"(relative jitter {self.jitter_max:.3g})"

@@ -114,6 +114,34 @@ def test_assess_rejects_nan_file(tmp_path, capsys):
     assert "row 1" in capsys.readouterr().err
 
 
+def with_nan_time(lines, row):
+    """CSV lines with data row ``row``'s time set to NaN."""
+    cells = lines[row + 1].split(",")
+    cells[lines[0].split(",").index("time")] = "nan"
+    return lines[: row + 1] + [",".join(cells)] + lines[row + 2:]
+
+
+def test_assess_rejects_a_nan_timestamp(tmp_path, capsys):
+    lines = synth_cli_rows(capsys)
+    path = tmp_path / "nan_time.csv"
+    path.write_text("\n".join(with_nan_time(lines, 90)) + "\n")
+    code = run(["assess", "--in", str(path), "--t0", "1.1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "non-uniform sampling at row 90" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag", ["--t0", "--window", "--eq0"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_float_flag_is_validation_error(capsys, stable_case_csv, flag, value):
+    code = run(["assess", "--in", stable_case_csv, f"{flag}={value}"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert f"argument {flag}: must be a finite number, got {value}" in captured.err
+    assert captured.out == ""
+
+
 def test_unknown_flag_is_validation_error(capsys):
     assert run(["assess", "--frobnicate"]) == 1
 
@@ -464,6 +492,17 @@ def test_stream_stops_once_on_a_nan_in_the_history(monkeypatch, capsys):
     assert "stream stops" in err
     assert docs and docs == clean[: len(docs)]  # earlier reports stay
     assert docs[-1]["latency_s"] < float(row[0]) - 1.1
+
+
+def test_stream_stops_once_on_a_nan_timestamp(monkeypatch, capsys):
+    lines = synth_cli_rows(capsys)
+    _, clean, _ = run_stream(monkeypatch, capsys, lines)
+    code, docs, err = run_stream(monkeypatch, capsys, with_nan_time(lines, 90))
+    assert code == 1
+    assert err.count("\n") == 1
+    assert "non-uniform sampling at row 90" in err
+    assert "stream stops" in err
+    assert docs and docs == clean[: len(docs)]  # no report has a NaN latency
 
 
 def test_stream_stops_once_on_a_gap_in_the_history(monkeypatch, capsys):

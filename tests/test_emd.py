@@ -13,7 +13,6 @@ import stvs
 from stvs import emd
 from stvs.emd import (
     DecompositionResult,
-    TrendOnlySignal,
     count_extrema,
     count_zero_crossings,
     decompose,
@@ -22,7 +21,6 @@ from stvs.emd import (
     filter_imfs_by_frequency,
     is_imf,
     local_extrema,
-    sift,
     zero_crossing_frequency,
 )
 from stvs.ingest import (
@@ -42,32 +40,51 @@ def make_traj(signals, dt=0.02):
     return VoltageTrajectory(channels=channels, dt=dt)
 
 
-# -- sift -------------------------------------------------------------------
+# -- one channel -----------------------------------------------------------
 
-def test_sift_pure_sine_recovers_the_sine():
+def test_decompose_pure_sine_recovers_the_sine():
     t = np.arange(0, 10, 0.02)  # 10 periods at 1 Hz
     sine = np.sin(2 * np.pi * t)
-    imf, remainder = sift(sine)
+    imfs, residual = decompose_signals(sine[:, None])
+    assert len(imfs) == 1
+    imf, remainder = imfs[0][:, 0], residual[:, 0]
     assert np.corrcoef(imf, sine)[0, 1] > 0.99
     assert np.sqrt(np.mean(remainder**2)) < 0.02 * np.sqrt(np.mean(sine**2))
     assert is_imf(imf)
     assert np.array_equal(imf + remainder, sine)
 
 
-def test_sift_monotone_ramp_is_a_trend():
-    with pytest.raises(TrendOnlySignal):
-        sift(np.linspace(0.0, 1.0, 200))
+def test_decompose_monotone_ramp_is_a_trend():
+    ramp = np.linspace(0.0, 1.0, 200)
+    imfs, residual = decompose_signals(ramp[:, None])
+    assert imfs == []
+    assert np.array_equal(residual[:, 0], ramp)
 
 
-def test_sift_separates_sine_from_ramp():
+def test_decompose_separates_sine_from_ramp():
     t = np.arange(0, 10, 0.02)
     sine = np.sin(2 * np.pi * t)
     ramp = 0.05 * t
-    imf, remainder = sift(sine + ramp)
-    assert np.corrcoef(imf, sine)[0, 1] > 0.99
+    imfs, residual = decompose_signals((sine + ramp)[:, None])
+    assert len(imfs) == 1
+    assert np.corrcoef(imfs[0][:, 0], sine)[0, 1] > 0.99
     interior = slice(len(t) // 10, -len(t) // 10)
-    err = np.max(np.abs(remainder[interior] - ramp[interior]))
+    err = np.max(np.abs(residual[interior, 0] - ramp[interior]))
     assert err < 0.02 * (ramp.max() - ramp.min())
+
+
+def test_one_column_with_two_extrema_ends_sifting():
+    # one period of a sine: one maximum and one minimum, too few to sift,
+    # like a projection of several channels with fewer than 3 extrema
+    x = np.sin(2 * np.pi * np.arange(50) / 50)
+    mins, maxs = local_extrema(x)
+    assert (len(mins), len(maxs)) == (1, 1)
+    directions = emd._direction_vectors(8, 1)
+    assert np.array_equal(directions, [[1.0]])
+    assert emd._mean_envelope_mv(x[:, None], directions) is None
+    imfs, residual = decompose_signals(x[:, None])
+    assert imfs == []
+    assert np.array_equal(residual[:, 0], x)
 
 
 # -- decompose ---------------------------------------------------------------
@@ -265,17 +282,6 @@ def local_extrema_oracle(x):
     return pos[kinds < 0], pos[kinds > 0]
 
 
-def mean_envelope_1d_oracle(x):
-    mins, maxs = local_extrema_oracle(x)
-    if len(mins) < 1 or len(maxs) < 1 or len(mins) + len(maxs) < 2:
-        return None
-    upper = envelope_oracle(maxs, x, len(x))
-    lower = envelope_oracle(mins, x, len(x))
-    if upper is None or lower is None:
-        return None
-    return 0.5 * (upper + lower)
-
-
 def mean_envelope_mv_oracle(x, directions):
     n = x.shape[0]
     total = np.zeros_like(x)
@@ -302,7 +308,6 @@ def projections_exhausted_oracle(x, directions):
 
 
 def use_loop_oracles(monkeypatch):
-    monkeypatch.setattr(emd, "_mean_envelope_1d", mean_envelope_1d_oracle)
     monkeypatch.setattr(emd, "_mean_envelope_mv", mean_envelope_mv_oracle)
 
 
@@ -370,8 +375,9 @@ def test_envelope_rejects_an_infinite_extremum_like_the_public_spline():
     with pytest.raises(ValueError) as got:
         fit_envelope(maxs, x, len(x))
     assert str(got.value) == str(want.value)
-    with pytest.raises(ValueError):
-        sift(x)
+    with pytest.raises(ValueError) as sifted:
+        decompose_signals(x[:, None])
+    assert str(sifted.value) == str(want.value)
 
 
 def test_nan_sample_never_reaches_the_envelope_fit(monkeypatch):
@@ -380,11 +386,14 @@ def test_nan_sample_never_reaches_the_envelope_fit(monkeypatch):
     x[40] = np.nan
     mins, maxs = local_extrema(x)
     assert not np.isnan(x[np.concatenate((mins, maxs))]).any()
-    imf, rem = sift(x)
-    monkeypatch.setattr(emd, "_mean_envelope_1d", mean_envelope_1d_oracle)
-    want_imf, want_rem = sift(x)
-    assert np.array_equal(imf, want_imf, equal_nan=True)
-    assert np.array_equal(rem, want_rem, equal_nan=True)
+    imfs, residual = decompose_signals(x[:, None])
+    assert imfs
+    use_loop_oracles(monkeypatch)
+    want_imfs, want_residual = decompose_signals(x[:, None])
+    assert len(imfs) == len(want_imfs)
+    for got, want in zip(imfs, want_imfs):
+        assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(residual, want_residual, equal_nan=True)
 
 
 def assert_decompositions_equal(a, b):
@@ -400,7 +409,7 @@ def assert_decompositions_equal(a, b):
         ("mixed", 3, 50.0, 3),
         ("stalled-recovery", 3, 50.0, 4),
         ("stable-osc", 10, 200.0, 5),
-        ("mixed", 1, 50.0, 6),  # one channel: the univariate sift path
+        ("mixed", 1, 50.0, 6),  # one channel: a pass with one direction
         ("growing-osc", 1, 50.0, 7),
     ],
 )

@@ -47,11 +47,11 @@ def oracle_from_columns(names, data, origin="<data>"):
     t = data[:, names.index(TIME_COLUMN)]
     diffs = np.diff(t)
     dt = float(diffs[0])
-    if dt <= 0:
+    if not dt > 0:
         raise ValidationError(f"{origin}: time column is not increasing")
     jitter = np.abs(diffs - dt) / dt
-    if np.any(jitter > DT_REL_TOL):
-        bad = int(np.argmax(jitter > DT_REL_TOL)) + 1
+    if not np.all(jitter <= DT_REL_TOL):  # a NaN time fails too
+        bad = int(np.argmin(jitter <= DT_REL_TOL)) + 1
         raise ValidationError(
             f"{origin}: non-uniform sampling at row {bad} "
             f"(relative jitter {jitter.max():.3g})"
@@ -305,7 +305,7 @@ def test_stream_writes_what_the_per_row_rebuild_wrote(
 def test_stream_reports_every_fault_like_the_per_row_rebuild():
     lines = record_lines("mixed", seed=3)
     cases = [[(fault, where)] for fault in FAULTS for where in (0.0, 0.05, 0.5)]
-    # a NaN time stays in the history, so a later jitter quotes NaN as the largest
+    # a NaN time stops the stream before a later jitter is seen
     cases.append([("nan-time", 0.3), ("jitter", 0.6)])
     for faults in cases:  # at the first row, before and after t0
         damaged = list(lines)
