@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -38,9 +39,9 @@ from .ingest import (
     detect_fault_clear_index,
     extract_post_fault_window,
     fault_clear_index,
-    load_run_config,
     load_trajectory,
     trajectory_from_columns,
+    write_columns,
     write_trajectory,
 )
 
@@ -81,9 +82,9 @@ def _build_parser() -> _Parser:
                            help="post-fault analysis window in seconds")
         if grid:
             p.add_argument("--bins", type=int, default=defaults.imf_bins)
-            p.add_argument("--lo", type=float, default=defaults.imf_lo)
-            p.add_argument("--hi", type=float, default=defaults.imf_hi)
-            p.add_argument("--gamma2", type=float, default=defaults.gamma2)
+            p.add_argument("--lo", type=_finite_float, default=defaults.imf_lo)
+            p.add_argument("--hi", type=_finite_float, default=defaults.imf_hi)
+            p.add_argument("--gamma2", type=_positive_float, default=defaults.gamma2)
 
     p_assess = sub.add_parser("assess", help="full stability assessment")
     add_common(p_assess)
@@ -147,18 +148,9 @@ def _load_input(args) -> VoltageTrajectory:
     if not args.input:
         raise ValidationError("--in is required for this subcommand")
     traj = load_trajectory(args.input)
-    t0 = args.t0
-    if t0 is None:
-        sidecar = args.input + ".conf"
-        if os.path.exists(sidecar):
-            t0 = load_run_config(sidecar).get("fault_clear_time")
-    if t0 is not None:
-        traj = traj.with_fault_clear_time(t0)
-    else:
-        traj = traj.with_fault_clear_time(
-            traj.t_start + detect_fault_clear_index(traj) * traj.dt
-        )
-    return traj
+    if args.t0 is not None:
+        return traj.with_fault_clear_time(args.t0)
+    return replace(traj, fault_clear_index=detect_fault_clear_index(traj))
 
 
 def _assessment_config(args) -> AssessmentConfig:
@@ -221,10 +213,10 @@ def _cmd_stream(args, config: AssessmentConfig) -> int:
     last_t = -np.inf
     checker = RowChecker(names, origin="<stdin>")
     tracker = FaultClearTracker()
-    # t0_time is the time of the sample nearest the fault clear time
-    # `resolved`, resolved again only when the clear time moves
+    # t0_index is the sample nearest the fault clear time `resolved`,
+    # resolved again only when the clear time moves
     resolved: float | None = None
-    t0_time: float | None = None
+    t0_index = 0
     data_time: float | None = None
     next_report: float | None = None
     bad_width = 0
@@ -294,10 +286,9 @@ def _cmd_stream(args, config: AssessmentConfig) -> int:
             clear_time = checker.t_start + clear_index * checker.dt
         try:
             if clear_time != resolved:
-                index = fault_clear_index(clear_time, checker.t_start, checker.dt, n)
+                t0_index = fault_clear_index(clear_time, checker.t_start, checker.dt, n)
                 resolved = clear_time
-                t0_time = checker.t_start + index * checker.dt
-            data_time = last_t - t0_time
+            data_time = last_t - (checker.t_start + t0_index * checker.dt)
             if data_time < 0.5:
                 continue
             if next_report is None:
@@ -305,7 +296,7 @@ def _cmd_stream(args, config: AssessmentConfig) -> int:
             if data_time + 1e-9 < next_report:
                 continue
             traj = trajectory_from_columns(names, data, "<stdin>", checker)
-            doc = assess(traj.with_fault_clear_time(clear_time), config).to_dict()
+            doc = assess(replace(traj, fault_clear_index=t0_index), config).to_dict()
             doc["latency_s"] = data_time
             sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
             sys.stdout.flush()
@@ -346,33 +337,17 @@ def _cmd_decompose(args) -> int:
     traj = _load_input(args)
     window = extract_post_fault_window(traj, analysis_window_s(traj, args.window))
     decomp = decompose(window)
-    t = window.times()
+    ids = decomp.channel_ids
     n_imfs = max((decomp.n_imfs(c) for c in range(decomp.n_channels)), default=0)
-    cols = ["t"]
-    for cid in decomp.channel_ids:
-        cols.append(VOLTAGE_PREFIX + cid)
+    zeros = np.zeros(window.n_samples)
+    names = ["t"] + [VOLTAGE_PREFIX + cid for cid in ids]
+    columns = [window.times()] + [ch.voltage for ch in window.channels]
     for k in range(n_imfs):
-        for cid in decomp.channel_ids:
-            cols.append(f"IMF{k + 1}:{cid}")
-    for cid in decomp.channel_ids:
-        cols.append(f"R:{cid}")
-    lines = [",".join(cols)]
-    v = window.voltage_matrix()
-    for i in range(window.n_samples):
-        row = [repr(float(t[i]))]
-        row += [repr(float(v[i, c])) for c in range(decomp.n_channels)]
-        for k in range(n_imfs):
-            for c in range(decomp.n_channels):
-                val = (
-                    decomp.imfs[c][k][i] if k < decomp.n_imfs(c) else 0.0
-                )
-                row.append(repr(float(val)))
-        row += [
-            repr(float(decomp.residuals[c][i]))
-            for c in range(decomp.n_channels)
-        ]
-        lines.append(",".join(row))
-    _emit("\n".join(lines), args.output)
+        names += [f"IMF{k + 1}:{cid}" for cid in ids]
+        columns += [imfs[k] if k < len(imfs) else zeros for imfs in decomp.imfs]
+    names += [f"R:{cid}" for cid in ids]
+    columns += decomp.residuals
+    write_columns(args.output or sys.stdout, names, columns)
     return 0
 
 
@@ -471,7 +446,13 @@ def _cmd_synth(args) -> int:
         key = key.strip()
         if key not in synth.ScenarioParams.__dataclass_fields__:
             raise ValidationError(f"unknown scenario parameter {key!r}")
-        overrides[key] = int(val) if key in ("n_channels", "seed") else float(val)
+        try:
+            if key in ("n_channels", "seed"):
+                overrides[key] = int(val)
+            else:
+                overrides[key] = _finite_float(val)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ValidationError(f"scenario parameter {key}: {exc}") from None
     traj = synth.synth_scenario(args.kind, synth.ScenarioParams(**overrides))
     write_trajectory(traj, args.output or sys.stdout)
     return 0
@@ -511,3 +492,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -3,9 +3,12 @@
 CSV layout: a header row with a ``time`` column in seconds, per-unit
 voltage columns named ``V:<id>`` and optional reactive-power columns
 ``Q:<id>`` in MVAr: ``TIME_COLUMN``, ``VOLTAGE_PREFIX`` and
-``REACTIVE_PREFIX``, which the reader, the writer and the CLI share.  A
-plain ``key=value`` config file can carry ``fault_clear_time``
-(seconds).
+``REACTIVE_PREFIX``, which the reader, the writer and the CLI share.
+A file and a stream of rows go through the same rules: ``RowChecker``
+checks rows, ``_bad_voltage`` finds a bad voltage sample,
+``trajectory_from_columns`` builds the trajectory and
+``FaultClearTracker`` finds the fault clear sample when no time is
+given; ``write_columns`` writes every CSV the package emits.
 """
 
 from __future__ import annotations
@@ -40,6 +43,18 @@ class Channel:
     reactive_power: np.ndarray | None = None
 
 
+def _bad_voltage(v: np.ndarray) -> tuple[str, int] | None:
+    """The first bad sample of the voltage column ``v`` as (what, row):
+    the first non-finite row, else the first non-positive row."""
+    # two reductions in the usual case: a NaN makes min() NaN
+    if v.min() > 0 and v.max() < np.inf:
+        return None
+    finite = np.isfinite(v)
+    if not finite.all():
+        return "non-finite", int(np.flatnonzero(~finite)[0])
+    return "non-positive", int(np.flatnonzero(v <= 0)[0])
+
+
 @dataclass(frozen=True)
 class VoltageTrajectory:
     """Uniformly sampled multi-channel voltage record with fault markers.
@@ -69,18 +84,11 @@ class VoltageTrajectory:
                 raise ValidationError(
                     f"channel {ch.id!r} length {len(ch.voltage)} != {n}"
                 )
-            # two reductions in the usual case: a NaN makes min() NaN
-            if ch.voltage.min() > 0 and ch.voltage.max() < np.inf:
-                continue
-            if not np.all(np.isfinite(ch.voltage)):
-                bad = int(np.flatnonzero(~np.isfinite(ch.voltage))[0])
+            bad = _bad_voltage(ch.voltage)
+            if bad is not None:
+                what, row = bad
                 raise ValidationError(
-                    f"channel {ch.id!r} has non-finite voltage at row {bad}"
-                )
-            if np.any(ch.voltage <= 0):
-                bad = int(np.flatnonzero(ch.voltage <= 0)[0])
-                raise ValidationError(
-                    f"channel {ch.id!r} has non-positive voltage at row {bad}"
+                    f"channel {ch.id!r} has {what} voltage at row {row}"
                 )
         if not (0 <= self.fault_clear_index < n):
             raise ValidationError(
@@ -149,9 +157,10 @@ class RowChecker:
     ``check(data)`` checks the rows of ``data`` that earlier calls have
     not, so a caller that appends rows to one buffer and checks after
     each append checks every row once.  A row is checked against
-    dt = t[1] - t[0]: its time step first, then each ``V:`` column's NaN
-    check and sign check.  Rows are numbered from 0, and the relative
-    jitter a message quotes is the largest over all rows checked.
+    dt = t[1] - t[0]: its time step first (a NaN time is named as such),
+    then each ``V:`` column's NaN check and sign check.  Rows are
+    numbered from 0, and the relative jitter a message quotes is the
+    largest over all rows checked.
     """
 
     def __init__(self, names: list[str], origin: str = "<data>") -> None:
@@ -185,6 +194,11 @@ class RowChecker:
             self.t_start = float(t[0])
             self.dt = float(t[1] - t[0])
             if not self.dt > 0:
+                for row in (0, 1):
+                    if math.isnan(t[row]):
+                        raise ValidationError(
+                            f"{origin}: time is not a number at row {row}"
+                        )
                 raise ValidationError(f"{origin}: time column is not increasing")
         first = max(start, 1)
         jitter = np.abs(t[first:] - t[first - 1:-1] - self.dt) / self.dt
@@ -193,23 +207,23 @@ class RowChecker:
         uniform = jitter <= DT_REL_TOL
         if not uniform.all():
             bad = first + int(np.argmin(uniform))
+            if math.isnan(t[bad]):
+                raise ValidationError(f"{origin}: time is not a number at row {bad}")
             raise ValidationError(
                 f"{origin}: non-uniform sampling at row {bad} "
                 f"(relative jitter {self.jitter_max:.3g})"
             )
         block = data[start:, self.voltage_index]
-        if not (block.min() > 0 and block.max() < np.inf):  # as in VoltageTrajectory
+        # two reductions for all columns in the usual case; a gate per
+        # column would cost every streamed row two per column
+        if not (block.min() > 0 and block.max() < np.inf):
             for col, j in self._voltages:
-                v = data[start:, j]
-                if not np.all(np.isfinite(v)):
-                    bad = start + int(np.flatnonzero(~np.isfinite(v))[0])
+                bad = _bad_voltage(data[start:, j])
+                if bad is not None:
+                    what, row = bad
+                    what = "NaN" if what == "non-finite" else what
                     raise ValidationError(
-                        f"{origin}: NaN voltage in {col!r} at row {bad}"
-                    )
-                if np.any(v <= 0):
-                    bad = start + int(np.flatnonzero(v <= 0)[0])
-                    raise ValidationError(
-                        f"{origin}: non-positive voltage in {col!r} at row {bad}"
+                        f"{origin}: {what} voltage in {col!r} at row {start + row}"
                     )
         self.rows = len(data)
 
@@ -222,20 +236,17 @@ def trajectory_from_columns(
 ) -> VoltageTrajectory:
     """Build a validated trajectory from already-parsed CSV columns.
 
-    The channels hold copies of the columns.  With a ``checker``, ``data``
+    The channels hold read-only views of the columns of ``data``, so the
+    caller must not write to ``data`` again.  With a ``checker``, ``data``
     is an append-only buffer whose leading rows the checker has seen in
-    earlier calls: only the rows added since are checked, and since
-    checked rows are never written again the channels hold views.
+    earlier calls: only the rows added since are checked.
     """
-    copy = checker is None
     if checker is None:
         checker = RowChecker(names, origin)
     checker.check(data)
 
     def column(name: str) -> np.ndarray:
         view = data[:, names.index(name)]
-        if copy:
-            return view.copy()
         view.flags.writeable = False
         return view
 
@@ -252,27 +263,38 @@ def trajectory_from_columns(
     )
 
 
-def write_trajectory(traj: VoltageTrajectory, dest) -> None:
-    """Write a trajectory in the CSV input format to a path or text stream.
+def write_columns(dest, names: list[str], columns) -> None:
+    """Write equal-length columns as CSV, under a ``names`` header, to a
+    path or text stream.
 
     Floats are written with shortest round-trip repr so a load/write/load
     cycle reproduces the samples bit for bit.  A stream is left open.
     """
-    cols = [TIME_COLUMN] + [VOLTAGE_PREFIX + ch.id for ch in traj.channels]
-    q_channels = [ch for ch in traj.channels if ch.reactive_power is not None]
-    cols += [REACTIVE_PREFIX + ch.id for ch in q_channels]
-    t = traj.times()
+    table = np.column_stack(columns)
     if hasattr(dest, "write"):
         target = nullcontext(dest)
     else:
         target = open(dest, "w", encoding="utf-8")
     with target as fh:
-        fh.write(",".join(cols) + "\n")
-        for i in range(traj.n_samples):
-            row = [repr(float(t[i]))]
-            row += [repr(float(ch.voltage[i])) for ch in traj.channels]
-            row += [repr(float(ch.reactive_power[i])) for ch in q_channels]
-            fh.write(",".join(row) + "\n")
+        fh.write(",".join(names) + "\n")
+        # tolist() per row: the whole table as Python floats would take
+        # about five times the memory of the array
+        for row in table:
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
+
+
+def write_trajectory(traj: VoltageTrajectory, dest) -> None:
+    """Write a trajectory in the CSV input format to a path or text stream."""
+    q_channels = [ch for ch in traj.channels if ch.reactive_power is not None]
+    write_columns(
+        dest,
+        [TIME_COLUMN]
+        + [VOLTAGE_PREFIX + ch.id for ch in traj.channels]
+        + [REACTIVE_PREFIX + ch.id for ch in q_channels],
+        [traj.times()]
+        + [ch.voltage for ch in traj.channels]
+        + [ch.reactive_power for ch in q_channels],
+    )
 
 
 def extract_post_fault_window(
@@ -368,25 +390,22 @@ def detect_fault_clear_index(traj: VoltageTrajectory) -> int:
 
     A convenience only; an explicit fault-clear time always wins.
     """
-    best = None
-    for ch in traj.channels:
-        v = ch.voltage
-        low = np.flatnonzero(v[:-3] < FAULT_LEVEL_PU)
-        for k in low[::-1]:
-            if v[k] < v[k + 1] < v[k + 2] < v[k + 3]:
-                best = k + 1 if best is None else max(best, k + 1)
-                break
-    if best is None:
+    index = FaultClearTracker().update(
+        traj.voltage_matrix(), list(range(len(traj.channels)))
+    )
+    if index is None:
         raise ValidationError(NO_FAULT_SIGNATURE)
-    return best
+    return index
 
 
 class FaultClearTracker:
-    """``detect_fault_clear_index`` of a history that grows row by row.
+    """The fault-signature scan of ``detect_fault_clear_index``, for a
+    history that grows row by row.
 
     Each appended row makes one more dip candidate k = n - 4 checkable
-    on every channel.  The newest qualifying candidate is the last dip,
-    so the index becomes k + 1 when it qualifies and stays put when not.
+    on every channel; a call checks every candidate it has not, in one
+    pass.  The newest qualifying candidate is the last dip, so the index
+    becomes k + 1 when it qualifies and stays put when not.
     """
 
     def __init__(self) -> None:
@@ -395,51 +414,13 @@ class FaultClearTracker:
 
     def update(self, data: np.ndarray, columns: list[int]) -> int | None:
         """Index after the rows of ``data`` (n, columns), voltages in ``columns``."""
-        for k in range(self._next, len(data) - 3):
-            a, b, c, d = data[k:k + 4].tolist()
-            for j in columns:
-                if a[j] < FAULT_LEVEL_PU and a[j] < b[j] < c[j] < d[j]:
-                    self.index = k + 1
-                    break
-        self._next = max(self._next, len(data) - 3)
+        start = self._next
+        v = data[start:, columns]
+        a, b, c, d = v[:-3], v[1:-2], v[2:-1], v[3:]
+        dips = np.flatnonzero(
+            ((a < FAULT_LEVEL_PU) & (a < b) & (b < c) & (c < d)).any(axis=1)
+        )
+        if dips.size:
+            self.index = start + int(dips[-1]) + 1
+        self._next = max(start, len(data) - 3)
         return self.index
-
-
-def load_run_config(path) -> dict[str, float]:
-    """Read a plain ``key=value`` run config (values parsed as floats).
-
-    The one recognised key is fault_clear_time.  Unknown keys are
-    rejected so typos fail loudly, and so are ``window_duration`` and
-    ``lookback``, which no run reads: the window is set with
-    ``--window`` and the pre-fault lookback is fixed
-    (``indices.LOOKBACK_S``).
-    """
-    known = {"fault_clear_time"}
-    unread = {
-        "window_duration": "set the analysis window with --window",
-        "lookback": "the pre-fault lookback is fixed (stvs.indices.LOOKBACK_S)",
-    }
-    out: dict[str, float] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValidationError(f"{path}:{ln}: expected key=value")
-            key, val = (s.strip() for s in line.split("=", 1))
-            if key in unread:
-                raise ValidationError(
-                    f"{path}:{ln}: key {key!r} is not read: {unread[key]}"
-                )
-            if key not in known:
-                raise ValidationError(f"{path}:{ln}: unknown key {key!r}")
-            try:
-                out[key] = float(val)
-            except ValueError as exc:
-                raise ValidationError(
-                    f"{path}:{ln}: {key} needs a numeric value, got {val!r}"
-                ) from exc
-            if not math.isfinite(out[key]):
-                raise ValidationError(f"{path}:{ln}: {key} must be finite")
-    return out

@@ -20,6 +20,7 @@ recovery threshold.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -61,17 +62,23 @@ class GeneratorSpec:
     lvrt: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
+        for name in ("xd_prime", "p_active"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(
+                    f"{self.id}: {name} must be finite, got {getattr(self, name)}"
+                )
         if self.xd_prime < 0:
             raise ValidationError(f"{self.id}: xd_prime must be >= 0")
         if not self.pickups and not self.lvrt:
             raise ValidationError(
                 f"{self.id}: need at least one pickup or lvrt entry"
             )
+        # levels and times must be positive and finite; NaN fails any comparison
         for e_i, t_i in self.pickups:
-            if e_i <= 0 or t_i <= 0:
+            if not (0 < e_i < math.inf and 0 < t_i < math.inf):
                 raise ValidationError(f"{self.id}: bad pickup ({e_i}, {t_i})")
         for v_i, t_i in self.lvrt:
-            if v_i <= 0 or t_i <= 0:
+            if not (0 < v_i < math.inf and 0 < t_i < math.inf):
                 raise ValidationError(f"{self.id}: bad lvrt ({v_i}, {t_i})")
 
 

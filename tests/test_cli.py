@@ -128,11 +128,11 @@ def test_assess_rejects_a_nan_timestamp(tmp_path, capsys):
     code = run(["assess", "--in", str(path), "--t0", "1.1"])
     captured = capsys.readouterr()
     assert code == 1
-    assert "non-uniform sampling at row 90" in captured.err
+    assert "time is not a number at row 90" in captured.err
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("flag", ["--t0", "--window", "--eq0"])
+@pytest.mark.parametrize("flag", ["--t0", "--window", "--eq0", "--lo", "--hi", "--gamma2"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_float_flag_is_validation_error(capsys, stable_case_csv, flag, value):
     code = run(["assess", "--in", stable_case_csv, f"{flag}={value}"])
@@ -140,6 +140,55 @@ def test_non_finite_float_flag_is_validation_error(capsys, stable_case_csv, flag
     assert code == 1
     assert f"argument {flag}: must be a finite number, got {value}" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["thresholds", "--gamma2", "inf"], "argument --gamma2: must be a finite number"),
+        (["thresholds", "--gamma2", "0"], "argument --gamma2: must be positive"),
+        (["thresholds", "--lo", "nan"], "argument --lo: must be a finite number"),
+        (["thresholds", "--hi", "x"], "argument --hi: not a number"),
+        (["synth", "mixed", "n_channels=abc"], "scenario parameter n_channels: "),
+        (["synth", "mixed", "fs=nan"], "scenario parameter fs: must be a finite number"),
+        (["synth", "mixed", "post_s=inf"], "scenario parameter post_s: must be a finite"),
+        (["synth", "mixed", "decay=x"], "scenario parameter decay: not a number"),
+    ],
+)
+def test_bad_number_is_validation_error_that_names_it(capsys, argv, named):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert named in captured.err
+
+
+@pytest.mark.parametrize(
+    "entry",
+    ["xd_prime = nan", "p_active = inf", "pickup = nan@20", "pickup = 1.8@inf", "lvrt = 0.9@nan"],
+)
+def test_non_finite_machine_data_is_validation_error(capsys, tmp_path, stable_case_csv, entry):
+    key, value = (s.strip() for s in entry.split("="))
+    entries = {"xd_prime": "0.3", "p_active": "0.9", "pickup": "1.8@20", key: value}
+    path = tmp_path / "gens.ini"
+    path.write_text("[G1]\n" + "".join(f"{k} = {v}\n" for k, v in entries.items()))
+    code = run(["assess", "--in", stable_case_csv, "--t0", "1.1", "--gen-config", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.startswith("stvs: G1: ")
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["synth", "mixed", "post_s=0.5"]
+    assert run(argv) == 0
+    printed = capsys.readouterr().out
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stvs.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "stvs.cli", *argv],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == printed and printed.startswith("time,V:G1")
 
 
 def test_unknown_flag_is_validation_error(capsys):
@@ -162,6 +211,16 @@ def test_decompose_emits_imf_columns(capsys, stable_case_csv):
     assert any(c.startswith("IMF1:") for c in header)
     assert "R:G1" in header
     assert len(lines) == 1 + 150
+
+
+def test_decompose_out_file_equals_stdout(capsys, tmp_path, stable_case_csv):
+    argv = ["decompose", "--in", stable_case_csv, "--t0", "1.1"]
+    assert run(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "dec.csv"
+    assert run([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == printed.encode()
 
 
 def test_decompose_windows_a_short_record_like_assess(capsys, tmp_path):
@@ -500,7 +559,7 @@ def test_stream_stops_once_on_a_nan_timestamp(monkeypatch, capsys):
     code, docs, err = run_stream(monkeypatch, capsys, with_nan_time(lines, 90))
     assert code == 1
     assert err.count("\n") == 1
-    assert "non-uniform sampling at row 90" in err
+    assert "time is not a number at row 90" in err
     assert "stream stops" in err
     assert docs and docs == clean[: len(docs)]  # no report has a NaN latency
 

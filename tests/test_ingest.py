@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stvs.errors import ValidationError
 from stvs.ingest import (
@@ -8,8 +10,8 @@ from stvs.ingest import (
     detect_fault_clear_index,
     estimate_prefault_voltage,
     extract_post_fault_window,
-    load_run_config,
     load_trajectory,
+    write_columns,
     write_trajectory,
 )
 
@@ -69,6 +71,16 @@ def test_load_rejects_jittered_timestamps(tmp_path):
         load_trajectory(path)
 
 
+@pytest.mark.parametrize("row", [0, 1, 2, 30])
+def test_load_names_a_nan_time(tmp_path, row):
+    path = tmp_path / "nan_time.csv"
+    t = 0.02 * np.arange(50)
+    t[row] = np.nan
+    write_csv(path, "time,V:A", [(t[i], 1.0) for i in range(50)])
+    with pytest.raises(ValidationError, match=f"time is not a number at row {row}$"):
+        load_trajectory(path)
+
+
 def test_load_requires_time_and_voltage_columns(tmp_path):
     path = tmp_path / "cols.csv"
     write_csv(path, "t,V:A", [(0.0, 1.0), (0.02, 1.0)])
@@ -99,6 +111,30 @@ def test_roundtrip_bit_for_bit(tmp_path):
         assert np.array_equal(orig.voltage, again.voltage)
         if orig.reactive_power is not None:
             assert np.array_equal(orig.reactive_power, again.reactive_power)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(
+    n=st.integers(2, 20),
+    t_start=st.floats(-100.0, 100.0),
+    dt=st.floats(1e-4, 1.0),
+    data=st.data(),
+)
+@settings(max_examples=50, deadline=None)
+def test_write_columns_load_roundtrip_bit_for_bit(tmp_path_factory, n, t_start, dt, data):
+    samples = st.lists(finite, min_size=n, max_size=n)
+    v = np.abs(data.draw(samples)) + 5e-324  # positive, subnormals included
+    q = np.array(data.draw(samples))
+    t = t_start + dt * np.arange(n)
+    path = tmp_path_factory.mktemp("cols") / "cols.csv"
+    write_columns(path, ["time", "V:A", "Q:A"], [t, v, q])
+    back = load_trajectory(path)
+    assert (back.t_start, back.dt) == (t[0], t[1] - t[0])
+    (ch,) = back.channels
+    assert ch.voltage.tobytes() == v.tobytes()
+    assert ch.reactive_power.tobytes() == q.tobytes()  # -0.0 stays -0.0
 
 
 def test_slice_does_not_mutate_parent():
@@ -184,27 +220,3 @@ def test_detect_fault_clear_requires_dip():
     )
     with pytest.raises(ValidationError):
         detect_fault_clear_index(traj)
-
-
-def test_run_config_roundtrip(tmp_path):
-    path = tmp_path / "run.conf"
-    path.write_text("fault_clear_time = 1.1\n# comment\n\n")
-    assert load_run_config(path) == {"fault_clear_time": 1.1}
-
-
-@pytest.mark.parametrize(
-    "line, hint",
-    [("window_duration=3.0", "--window"), ("lookback = 0.5", "LOOKBACK_S")],
-)
-def test_run_config_rejects_keys_no_run_reads(tmp_path, line, hint):
-    path = tmp_path / "run.conf"
-    path.write_text(f"fault_clear_time = 1.1\n# comment\n{line}\n")
-    with pytest.raises(ValidationError, match=f"run.conf:3: .*is not read: .*{hint}"):
-        load_run_config(path)
-
-
-def test_run_config_rejects_unknown_key(tmp_path):
-    path = tmp_path / "run.conf"
-    path.write_text("fault_cleer_time = 1.1\n")
-    with pytest.raises(ValidationError, match="unknown key"):
-        load_run_config(path)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -424,3 +426,22 @@ def test_generator_config_rejects_malformed_pairs(tmp_path):
 def test_generator_spec_requires_protection_entries():
     with pytest.raises(ValidationError):
         GeneratorSpec(id="G9", xd_prime=0.3, p_active=0.9)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"xd_prime": math.nan},
+        {"xd_prime": math.inf},
+        {"p_active": math.nan},
+        {"p_active": -math.inf},
+        {"pickups": ((math.nan, 20.0),)},
+        {"pickups": ((1.8, math.inf),)},
+        {"lvrt": ((math.nan, 1.5),)},
+        {"lvrt": ((0.9, math.nan),)},
+    ],
+)
+def test_generator_spec_rejects_non_finite_machine_data(fields):
+    spec = {"id": "G9", "xd_prime": 0.3, "p_active": 0.9, "pickups": ((1.8, 20.0),)}
+    with pytest.raises(ValidationError, match="^G9: "):
+        GeneratorSpec(**{**spec, **fields})

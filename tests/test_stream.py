@@ -5,6 +5,7 @@ against batch `assess` on the same rows, and the incremental pieces
 import contextlib
 import io
 import json
+import re
 import sys
 from unittest import mock
 
@@ -19,6 +20,8 @@ from stvs.errors import StvsError, ValidationError
 from stvs.indices import assess
 from stvs.ingest import (
     DT_REL_TOL,
+    FAULT_LEVEL_PU,
+    NO_FAULT_SIGNATURE,
     REACTIVE_PREFIX,
     TIME_COLUMN,
     VOLTAGE_PREFIX,
@@ -48,10 +51,15 @@ def oracle_from_columns(names, data, origin="<data>"):
     diffs = np.diff(t)
     dt = float(diffs[0])
     if not dt > 0:
+        for row in (0, 1):
+            if np.isnan(t[row]):
+                raise ValidationError(f"{origin}: time is not a number at row {row}")
         raise ValidationError(f"{origin}: time column is not increasing")
     jitter = np.abs(diffs - dt) / dt
     if not np.all(jitter <= DT_REL_TOL):  # a NaN time fails too
         bad = int(np.argmin(jitter <= DT_REL_TOL)) + 1
+        if np.isnan(t[bad]):
+            raise ValidationError(f"{origin}: time is not a number at row {bad}")
         raise ValidationError(
             f"{origin}: non-uniform sampling at row {bad} "
             f"(relative jitter {jitter.max():.3g})"
@@ -369,13 +377,31 @@ def test_final_stream_report_equals_batch_assess(
 # -- fault-signature tracking -------------------------------------------------------
 
 
-def detect_or_none(v):
-    traj = VoltageTrajectory(
+def trajectory_of(v):
+    return VoltageTrajectory(
         channels=tuple(Channel(id=str(c), voltage=v[:, c]) for c in range(v.shape[1])),
         dt=0.02,
     )
+
+
+def oracle_detect_fault_clear_index(traj):
+    """The per-channel scan the one-pass tracker replaced."""
+    best = None
+    for ch in traj.channels:
+        v = ch.voltage
+        low = np.flatnonzero(v[:-3] < FAULT_LEVEL_PU)
+        for k in low[::-1]:
+            if v[k] < v[k + 1] < v[k + 2] < v[k + 3]:
+                best = k + 1 if best is None else max(best, k + 1)
+                break
+    if best is None:
+        raise ValidationError(NO_FAULT_SIGNATURE)
+    return best
+
+
+def detect_or_none(v):
     try:
-        return detect_fault_clear_index(traj)
+        return oracle_detect_fault_clear_index(trajectory_of(v))
     except ValidationError:
         return None
 
@@ -412,6 +438,41 @@ def test_tracker_equals_detection_on_every_prefix(v):
     columns = list(range(v.shape[1]))
     for n in range(2, len(v) + 1):
         assert tracker.update(v[:n], columns) == detect_or_none(v[:n])
+
+
+@given(
+    v=st.integers(1, 3).flatmap(
+        lambda n_channels: st.lists(
+            # few levels, so that neighbours tie and sit on FAULT_LEVEL_PU
+            st.lists(
+                st.sampled_from([0.2, 0.3, 0.4, 0.59, FAULT_LEVEL_PU, 0.8, 1.0]),
+                min_size=n_channels,
+                max_size=n_channels,
+            ),
+            min_size=2,
+            max_size=40,
+        )
+    ),
+    chunks=st.lists(st.integers(1, 6), min_size=1, max_size=40),
+)
+@settings(max_examples=300, deadline=None)
+def test_one_pass_scan_equals_the_per_channel_loop(v, chunks):
+    v = np.array(v)
+    want = detect_or_none(v)
+    if want is None:
+        with pytest.raises(ValidationError, match=re.escape(NO_FAULT_SIGNATURE)):
+            detect_fault_clear_index(trajectory_of(v))
+    else:
+        assert detect_fault_clear_index(trajectory_of(v)) == want
+    # row by row, and in backlogs of a few rows
+    columns = list(range(v.shape[1]))
+    for steps in ([1] * len(v), chunks):
+        tracker, n = FaultClearTracker(), 2
+        for step in steps:
+            assert tracker.update(v[:n], columns) == detect_or_none(v[:n])
+            if n == len(v):
+                break
+            n = min(n + step, len(v))
 
 
 def test_tracker_follows_the_last_dip():
