@@ -23,7 +23,6 @@ from .embed import (
     augment_rocov,
     delay_embed,
     normalize_channels,
-    select_delay,
 )
 from .emd import (
     DecompositionResult,

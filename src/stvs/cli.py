@@ -202,7 +202,7 @@ def _cmd_stream(args, config: AssessmentConfig) -> int:
     already written stay.  A failing report (a computation failure) is
     reported and the stream goes on.
     """
-    header = sys.stdin.readline()
+    header = sys.stdin.readline().removeprefix("\ufeff")  # a UTF-8 BOM
     if not header.strip():
         return 0
     names = [c.strip() for c in header.split(",")]

@@ -4,8 +4,7 @@ Two-stage embedding: each channel is scaled to unit RMS and augmented
 with its one-step difference (rate of change of voltage), then the
 augmented state is time-delay stacked into an m-dimensional trajectory
 whose norm the oscillation exponents read.  The delay comes from the
-dominant oscillation period or, failing that, from the first minimum of
-binned mutual information.
+dominant oscillation period.
 """
 
 from __future__ import annotations
@@ -15,9 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-
-MI_BINS = 16  # equiprobable bins for the mutual-information delay scan
-
 
 @dataclass(frozen=True)
 class EmbeddedTrajectory:
@@ -78,55 +74,6 @@ def augment_rocov(imf_signals: list[np.ndarray]) -> np.ndarray:
         cols.append(a[1:])
         cols.append(np.diff(a))
     return np.column_stack(cols)
-
-
-def _equiprobable_bin_indices(x: np.ndarray, n_bins: int) -> np.ndarray:
-    edges = np.quantile(x, np.linspace(0.0, 1.0, n_bins + 1))
-    idx = np.searchsorted(edges, x, side="right") - 1
-    return np.clip(idx, 0, n_bins - 1)
-
-
-def _mutual_information(ix: np.ndarray, iy: np.ndarray, n_bins: int) -> float:
-    joint = np.zeros((n_bins, n_bins))
-    np.add.at(joint, (ix, iy), 1.0)
-    joint /= joint.sum()
-    px = joint.sum(axis=1)
-    py = joint.sum(axis=0)
-    nz = joint > 0
-    return float(
-        np.sum(joint[nz] * np.log(joint[nz] / np.outer(px, py)[nz]))
-    )
-
-
-def select_delay(signal: np.ndarray) -> int:
-    """Delay in samples from the first minimum of binned mutual information.
-
-    Scans lags up to length/4 with 16 equiprobable bins.  If no local
-    minimum appears, falls back to the lag where the autocorrelation
-    first drops below 1/e (or length/4 if it never does).
-    """
-    x = np.asarray(signal, dtype=float)
-    if x.size < 32:
-        raise ValidationError(f"need >= 32 samples, got {x.size}")
-    if np.std(x) < 1e-14:
-        raise ValidationError("constant signal has no informative delay")
-    max_lag = x.size // 4
-    idx = _equiprobable_bin_indices(x, MI_BINS)
-    mi = [
-        _mutual_information(idx[:-lag], idx[lag:], MI_BINS)
-        for lag in range(1, max_lag + 1)
-    ]
-    for k in range(len(mi) - 1):
-        left_ok = k == 0 or mi[k] <= mi[k - 1]
-        if left_ok and mi[k] <= mi[k + 1]:
-            return k + 1
-    centered = x - x.mean()
-    denom = float(np.dot(centered, centered))
-    for lag in range(1, max_lag + 1):
-        acf = float(np.dot(centered[:-lag], centered[lag:])) / denom
-        if acf < 1.0 / np.e:
-            return lag
-    return max_lag
 
 
 def delay_embed(

@@ -45,7 +45,7 @@ from __future__ import annotations
 import os
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from importlib.util import module_from_spec
@@ -103,12 +103,17 @@ class DecompositionResult:
     ``imfs[m]`` is the ordered tuple of IMFs for channel ``m`` (fastest
     first); ``residuals[m]`` is what remains after removing them, so
     ``sum(imfs[m]) + residuals[m]`` reconstructs the input channel.
+    ``freqs[m]`` and ``rms[m]`` line up with ``imfs[m]``: each IMF's
+    zero-crossing frequency in Hz and its RMS, computed once by
+    :func:`decompose` and read by everything downstream.
     """
 
     channel_ids: tuple[str, ...]
     imfs: tuple[tuple[np.ndarray, ...], ...]
     residuals: tuple[np.ndarray, ...]
     dt: float
+    freqs: tuple[tuple[float, ...], ...]
+    rms: tuple[tuple[float, ...], ...]
 
     @property
     def n_channels(self) -> int:
@@ -479,6 +484,14 @@ def decompose(traj: VoltageTrajectory) -> DecompositionResult:
         imfs=tuple(per_channel_imfs),
         residuals=tuple(residuals),
         dt=traj.dt,
+        freqs=tuple(
+            tuple(zero_crossing_frequency(imf, traj.dt) for imf in imfs)
+            for imfs in per_channel_imfs
+        ),
+        rms=tuple(
+            tuple(float(np.sqrt(np.mean(imf * imf))) for imf in imfs)
+            for imfs in per_channel_imfs
+        ),
     )
 
 
@@ -487,38 +500,39 @@ def filter_imfs_by_frequency(
 ) -> DecompositionResult:
     """Drop IMFs whose zero-crossing frequency falls outside ``band``.
 
-    Removed energy is discarded as noise, not folded into the residual,
-    so reconstruction changes by exactly the removed components.
+    IMFs are chosen by their stored frequency, and ``imfs``, ``freqs``
+    and ``rms`` keep the same ones.  Removed energy is discarded as
+    noise, not folded into the residual, so reconstruction changes by
+    exactly the removed components.
     """
     f_min, f_max = band
     if not (0 <= f_min < f_max):
         raise ValidationError(f"invalid frequency band {band}")
-    kept = tuple(
-        tuple(
-            imf
-            for imf in channel_imfs
-            if f_min <= zero_crossing_frequency(imf, decomp.dt) <= f_max
+    kept = [
+        [i for i, f in enumerate(freqs) if f_min <= f <= f_max]
+        for freqs in decomp.freqs
+    ]
+
+    def subset(per_channel):
+        return tuple(
+            tuple(values[i] for i in idx) for values, idx in zip(per_channel, kept)
         )
-        for channel_imfs in decomp.imfs
-    )
-    return DecompositionResult(
-        channel_ids=decomp.channel_ids,
-        imfs=kept,
-        residuals=decomp.residuals,
-        dt=decomp.dt,
+
+    return replace(
+        decomp,
+        imfs=subset(decomp.imfs),
+        freqs=subset(decomp.freqs),
+        rms=subset(decomp.rms),
     )
 
 
 def dominant_imf_frequency(decomp: DecompositionResult) -> float | None:
-    """Zero-crossing frequency of the highest-RMS retained IMF, if any."""
+    """Frequency of the highest-RMS IMF with a frequency above 0, if any."""
     best_rms = 0.0
     best_freq = None
-    for channel_imfs in decomp.imfs:
-        for imf in channel_imfs:
-            rms = float(np.sqrt(np.mean(imf * imf)))
-            if rms > best_rms:
-                freq = zero_crossing_frequency(imf, decomp.dt)
-                if freq > 0:
-                    best_rms = rms
-                    best_freq = freq
+    for freqs, rms in zip(decomp.freqs, decomp.rms):
+        for freq, value in zip(freqs, rms):
+            if value > best_rms and freq > 0:
+                best_rms = value
+                best_freq = freq
     return best_freq

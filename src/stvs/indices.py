@@ -34,12 +34,7 @@ from .distribution import (
     kl_divergence,
     kl_divergence_table,
 )
-from .embed import (
-    augment_rocov,
-    delay_embed,
-    normalize_channels,
-    select_delay,
-)
+from .embed import augment_rocov, delay_embed, normalize_channels
 from .emd import (
     DecompositionResult,
     decompose,
@@ -277,30 +272,19 @@ def _imf_threshold(bins: int, lo: float, hi: float, gamma2: float) -> float:
 
 
 def _embedding_parameters(
-    n_states: int,
-    period_samples: int | None,
-    m: int,
-    signal_for_delay: np.ndarray,
+    n_states: int, period_samples: int | None, m: int
 ) -> tuple[int, int]:
     """Resolve (m, tau) for the available window length.
 
     The delay targets a quarter of the dominant oscillation period so
     the embedding span covers most of a cycle: that makes the embedded
     norm read the oscillation envelope instead of the instantaneous
-    phase.  The mutual-information delay takes over only when no
-    oscillation frequency is measurable.  On short windows the
+    phase.  With no measurable oscillation frequency (no retained IMF
+    crosses zero) the delay is one sample.  On short windows the
     dimension drops before the delay collapses so that at least a
     handful of embedded points remain.
     """
-    if period_samples is not None:
-        tau = max(1, int(round(period_samples / 4)))
-    elif signal_for_delay.size >= 32:
-        try:
-            tau = select_delay(signal_for_delay)
-        except ValidationError:
-            tau = 1
-    else:
-        tau = 1
+    tau = 1 if period_samples is None else max(1, int(round(period_samples / 4)))
     while m > 2 and n_states - (m - 1) * tau < 8:
         m -= 1
     tau = min(tau, max(1, (n_states - 8) // max(m - 1, 1)))
@@ -339,14 +323,10 @@ def oscillation_index(
     period = (
         max(2, int(round(1.0 / (freq * decomp.dt)))) if freq else None
     )
-    rms = [float(np.sqrt(np.mean(s**2))) for s in signals]
-    dominant = signals[int(np.argmax(rms))]
     states = augment_rocov(normalize_channels(signals))
-    m_use, tau = _embedding_parameters(len(states), period, m, dominant)
+    m_use, tau = _embedding_parameters(len(states), period, m)
     emb = delay_embed(states, m=m_use, tau=tau, dt=decomp.dt)
-    series = fsle_oscillation_series(
-        emb, anchor_window=period if period else None
-    )
+    series = fsle_oscillation_series(emb, anchor_window=period)
     bins, lo, hi = grid
     hist = histogram(series.divergence_factors, bins, lo, hi)
     ref = gompertz_reference(gamma2, OSC_X_STAR, hist.bin_edges)

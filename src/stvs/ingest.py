@@ -124,10 +124,11 @@ def load_trajectory(path) -> VoltageTrajectory:
     """Load and validate a trajectory from CSV.
 
     dt is inferred from the time column and must be uniform within
-    ``DT_REL_TOL`` relative tolerance.  NaN or non-positive voltages are
-    rejected with the offending row index (0-based data rows).
+    ``DT_REL_TOL`` relative tolerance.  NaN, infinite or non-positive
+    voltages are rejected with the offending row index (0-based data
+    rows).  A UTF-8 byte-order mark before the header is dropped.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         header = fh.readline().strip()
         if not header:
             raise ValidationError(f"{path}: empty file")
@@ -157,10 +158,10 @@ class RowChecker:
     ``check(data)`` checks the rows of ``data`` that earlier calls have
     not, so a caller that appends rows to one buffer and checks after
     each append checks every row once.  A row is checked against
-    dt = t[1] - t[0]: its time step first (a NaN time is named as such),
-    then each ``V:`` column's NaN check and sign check.  Rows are
-    numbered from 0, and the relative jitter a message quotes is the
-    largest over all rows checked.
+    dt = t[1] - t[0]: its time step first (a NaN or infinite time is
+    named as such), then each ``V:`` column's finiteness check and sign
+    check.  Rows are numbered from 0, and the relative jitter a message
+    quotes is the largest over all rows checked.
     """
 
     def __init__(self, names: list[str], origin: str = "<data>") -> None:
@@ -174,6 +175,13 @@ class RowChecker:
             (col, names.index(col)) for col in names if col.startswith(VOLTAGE_PREFIX)
         ]
         self.voltage_index = [j for _, j in self._voltages]  # the V: columns
+
+    def _check_time(self, t: np.ndarray, row: int) -> None:
+        """Raise if the time at ``row`` is NaN or infinite."""
+        if math.isnan(t[row]):
+            raise ValidationError(f"{self.origin}: time is not a number at row {row}")
+        if math.isinf(t[row]):
+            raise ValidationError(f"{self.origin}: time is not finite at row {row}")
 
     def check(self, data: np.ndarray) -> None:
         """Check the rows of ``data`` past the first ``self.rows``."""
@@ -191,24 +199,22 @@ class RowChecker:
             return
         t = data[:, self._time]
         if start == 0:
+            self._check_time(t, 0)
+            self._check_time(t, 1)
             self.t_start = float(t[0])
-            self.dt = float(t[1] - t[0])
+            self.dt = float(t[1]) - float(t[0])  # Python floats overflow quietly
             if not self.dt > 0:
-                for row in (0, 1):
-                    if math.isnan(t[row]):
-                        raise ValidationError(
-                            f"{origin}: time is not a number at row {row}"
-                        )
                 raise ValidationError(f"{origin}: time column is not increasing")
         first = max(start, 1)
-        jitter = np.abs(t[first:] - t[first - 1:-1] - self.dt) / self.dt
+        # a non-finite time (or an overflow) makes a NaN or inf jitter,
+        # which fails the check below
+        with np.errstate(invalid="ignore", over="ignore"):
+            jitter = np.abs(t[first:] - t[first - 1:-1] - self.dt) / self.dt
         self.jitter_max = jitter.max(initial=self.jitter_max)
-        # a NaN time gives a NaN jitter, which no comparison passes
         uniform = jitter <= DT_REL_TOL
         if not uniform.all():
             bad = first + int(np.argmin(uniform))
-            if math.isnan(t[bad]):
-                raise ValidationError(f"{origin}: time is not a number at row {bad}")
+            self._check_time(t, bad)
             raise ValidationError(
                 f"{origin}: non-uniform sampling at row {bad} "
                 f"(relative jitter {self.jitter_max:.3g})"
@@ -221,7 +227,8 @@ class RowChecker:
                 bad = _bad_voltage(data[start:, j])
                 if bad is not None:
                     what, row = bad
-                    what = "NaN" if what == "non-finite" else what
+                    if what == "non-finite":
+                        what = "NaN" if math.isnan(data[start + row, j]) else "infinite"
                     raise ValidationError(
                         f"{origin}: {what} voltage in {col!r} at row {start + row}"
                     )

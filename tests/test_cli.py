@@ -191,6 +191,19 @@ def test_python_dash_m_runs_the_cli(capsys):
     assert proc.stdout == printed and printed.startswith("time,V:G1")
 
 
+def test_an_infinite_timestamp_prints_one_line_and_no_warning(tmp_path):
+    path = tmp_path / "inf_time.csv"
+    path.write_text("time,V:A\n0,1\ninf,1\n0.04,1\n0.06,1\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stvs.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "stvs.cli", "assess", "--in", str(path), "--t0", "0"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"stvs: {path}: time is not finite at row 1\n"
+
+
 def test_unknown_flag_is_validation_error(capsys):
     assert run(["assess", "--frobnicate"]) == 1
 

@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from stvs.embed import (
-    augment_rocov,
-    delay_embed,
-    normalize_channels,
-    select_delay,
-)
+from stvs.embed import augment_rocov, delay_embed, normalize_channels
 from stvs.errors import ValidationError
 
 
@@ -40,31 +35,6 @@ def test_rocov_needs_two_samples():
 def test_rocov_output_geometry():
     states = augment_rocov([np.ones(40), np.ones(40)])
     assert states.shape == (39, 4)
-
-
-# -- delay selection -----------------------------------------------------------
-
-def test_delay_constant_signal_rejected():
-    with pytest.raises(ValidationError):
-        select_delay(np.full(100, 1.0))
-
-
-def test_delay_noisy_tone_quarter_period():
-    # measured tone: period 40 samples plus realistic sensor noise; the
-    # first mutual-information minimum is the quarter period
-    rng = np.random.default_rng(0)
-    x = np.sin(2 * np.pi * np.arange(4000) / 40.0) + 0.1 * rng.standard_normal(4000)
-    assert abs(select_delay(x) - 10) <= 2
-
-
-def test_delay_white_noise_is_immediate():
-    x = np.random.default_rng(2).standard_normal(512)
-    assert select_delay(x) == 1
-
-
-def test_delay_needs_32_samples():
-    with pytest.raises(ValidationError):
-        select_delay(np.sin(np.arange(20.0)))
 
 
 # -- delay embedding -----------------------------------------------------------

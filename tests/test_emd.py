@@ -177,12 +177,15 @@ def _tone_stack_result(dt=0.02, n=151):
         1.5: 0.05 * np.sin(2 * np.pi * 1.5 * t),
         0.2: 0.03 * np.sin(2 * np.pi * 0.2 * t),
     }
+    imfs = tuple(tones.values())
     return (
         DecompositionResult(
             channel_ids=("A",),
-            imfs=(tuple(tones.values()),),
+            imfs=(imfs,),
             residuals=(np.full(n, 1.0),),
             dt=dt,
+            freqs=(tuple(zero_crossing_frequency(imf, dt) for imf in imfs),),
+            rms=(tuple(float(np.sqrt(np.mean(imf * imf))) for imf in imfs),),
         ),
         tones,
     )
@@ -218,6 +221,30 @@ def test_filter_discards_out_of_band_energy():
 def test_dominant_imf_frequency_picks_highest_rms():
     result, _ = _tone_stack_result()
     assert dominant_imf_frequency(result) == pytest.approx(1.5, rel=0.2)
+
+
+@pytest.mark.parametrize("n_channels", [1, 3, 10])
+def test_stored_imf_stats_equal_a_recomputation(n_channels):
+    params = ScenarioParams(n_channels=n_channels, noise_sigma=0.003, seed=n_channels)
+    window = extract_post_fault_window(synth_scenario("mixed", params), 3.0)
+    decomp = decompose(window)
+    kept = filter_imfs_by_frequency(decomp, (0.5, 5.0))
+    n_kept = 0
+    for ch in range(decomp.n_channels):
+        imfs = decomp.imfs[ch]
+        assert imfs and len(decomp.freqs[ch]) == len(decomp.rms[ch]) == len(imfs)
+        for imf, freq, rms in zip(imfs, decomp.freqs[ch], decomp.rms[ch]):
+            assert freq == zero_crossing_frequency(imf, decomp.dt)
+            assert rms == float(np.sqrt(np.mean(imf * imf)))
+        # the filter keeps the same IMFs in all three tuples
+        picked = [i for i, f in enumerate(decomp.freqs[ch]) if 0.5 <= f <= 5.0]
+        assert len(kept.imfs[ch]) == len(picked)
+        assert all(kept.imfs[ch][k] is imfs[i] for k, i in enumerate(picked))
+        assert kept.freqs[ch] == tuple(decomp.freqs[ch][i] for i in picked)
+        assert kept.rms[ch] == tuple(decomp.rms[ch][i] for i in picked)
+        n_kept += len(picked)
+    n_all = sum(decomp.n_imfs(ch) for ch in range(decomp.n_channels))
+    assert 0 < n_kept < n_all
 
 
 def test_decompose_signals_rejects_bad_shapes():

@@ -4,8 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import osc_params
-from stvs import indices
-from stvs.emd import decompose, filter_imfs_by_frequency
+from stvs import emd, indices
+from stvs.emd import (
+    DecompositionResult,
+    decompose,
+    filter_imfs_by_frequency,
+    zero_crossing_frequency,
+)
 from stvs.errors import ValidationError
 from stvs.indices import (
     NO_OSC_TAG,
@@ -116,6 +121,57 @@ def test_oscillation_index_no_imfs_is_tagged_zero():
     result = oscillation_index(decomp, 10.0, IMF_GRID)
     assert result.value == 0.0
     assert result.note == NO_OSC_TAG
+
+
+def test_imf_without_zero_crossing_embeds_with_unit_delay(monkeypatch):
+    dt, n = 0.02, 150
+    t = dt * np.arange(n)
+    bump = 0.01 * np.exp(-(((t - 1.5) / 0.4) ** 2))  # positive: no zero crossing
+    decomp = DecompositionResult(
+        channel_ids=("A",),
+        imfs=((bump,),),
+        residuals=(np.full(n, 1.0),),
+        dt=dt,
+        freqs=((zero_crossing_frequency(bump, dt),),),
+        rms=((float(np.sqrt(np.mean(bump * bump))),),),
+    )
+    assert decomp.freqs == ((0.0,),)
+    taus = []
+    embed = indices.delay_embed
+
+    def recording(states, m, tau, dt):
+        taus.append(tau)
+        return embed(states, m=m, tau=tau, dt=dt)
+
+    monkeypatch.setattr(indices, "delay_embed", recording)
+    result = oscillation_index(decomp, 10.0, IMF_GRID)
+    assert taus == [1]
+    assert result.note is None and np.isfinite(result.value)
+
+
+def test_zero_crossing_frequency_runs_once_per_imf_per_assess(
+    monkeypatch, generator_specs
+):
+    calls = []
+    frequency = emd.zero_crossing_frequency
+    decomps = []
+    decompose_window = indices.decompose
+
+    def counting(x, dt):
+        calls.append(dt)
+        return frequency(x, dt)
+
+    def keeping(window):
+        decomps.append(decompose_window(window))
+        return decomps[-1]
+
+    monkeypatch.setattr(emd, "zero_crossing_frequency", counting)
+    monkeypatch.setattr(indices, "decompose", keeping)
+    traj = synth_scenario("mixed", osc_params(noise_sigma=0.003, seed=4))
+    assess(traj, AssessmentConfig(generators=generator_specs))
+    (decomp,) = decomps
+    n_imfs = sum(decomp.n_imfs(ch) for ch in range(decomp.n_channels))
+    assert n_imfs > 0 and len(calls) == n_imfs
 
 
 def test_undamped_oscillation_scores_near_threshold():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -79,6 +81,43 @@ def test_load_names_a_nan_time(tmp_path, row):
     write_csv(path, "time,V:A", [(t[i], 1.0) for i in range(50)])
     with pytest.raises(ValidationError, match=f"time is not a number at row {row}$"):
         load_trajectory(path)
+
+
+@pytest.mark.parametrize(
+    "value, what", [(np.nan, "NaN"), (np.inf, "infinite"), (-np.inf, "infinite")]
+)
+def test_load_names_a_non_finite_voltage(tmp_path, value, what):
+    path = tmp_path / "bad.csv"
+    rows = [(0.02 * i, 1.0, 1.0) for i in range(10)]
+    rows[4] = (0.08, 1.0, value)
+    write_csv(path, "time,V:A,V:B", rows)
+    with pytest.raises(ValidationError, match=f"{what} voltage in 'V:B' at row 4$"):
+        load_trajectory(path)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+@pytest.mark.parametrize("rows", [(0,), (1,), (2,), (30,), (30, 31)])
+def test_load_names_an_infinite_time_without_a_warning(tmp_path, rows, value):
+    path = tmp_path / "inf_time.csv"
+    t = 0.02 * np.arange(50)
+    t[list(rows)] = value
+    write_csv(path, "time,V:A", [(t[i], 1.0) for i in range(50)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(
+            ValidationError, match=f"time is not finite at row {rows[0]}$"
+        ):
+            load_trajectory(path)
+    assert caught == []
+
+
+def test_load_reads_a_header_with_a_utf8_bom(tmp_path, three_channel_csv):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + three_channel_csv.read_bytes())
+    plain, bom = load_trajectory(three_channel_csv), load_trajectory(path)
+    assert bom.channel_ids == plain.channel_ids
+    for a, b in zip(plain.channels, bom.channels):
+        assert np.array_equal(a.voltage, b.voltage)
 
 
 def test_load_requires_time_and_voltage_columns(tmp_path):

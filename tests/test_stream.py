@@ -7,6 +7,7 @@ import io
 import json
 import re
 import sys
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -70,7 +71,8 @@ def oracle_from_columns(names, data, origin="<data>"):
         v = data[:, names.index(col)].copy()
         if not np.all(np.isfinite(v)):
             bad = int(np.flatnonzero(~np.isfinite(v))[0])
-            raise ValidationError(f"{origin}: NaN voltage in {col!r} at row {bad}")
+            what = "NaN" if np.isnan(v[bad]) else "infinite"
+            raise ValidationError(f"{origin}: {what} voltage in {col!r} at row {bad}")
         if np.any(v <= 0):
             bad = int(np.flatnonzero(v <= 0)[0])
             raise ValidationError(
@@ -249,7 +251,7 @@ def ended_early(err):
 
 # -- the oracle ------------------------------------------------------------------------
 
-FAULTS = ("nan", "nonpositive", "short", "order", "jitter", "nan-time")
+FAULTS = ("nan", "inf", "nonpositive", "short", "order", "jitter", "nan-time")
 
 
 def inject(lines, fault, where, pick):
@@ -260,6 +262,8 @@ def inject(lines, fault, where, pick):
     v_cols = [j for j, c in enumerate(names) if c.startswith(VOLTAGE_PREFIX)]
     if fault == "nan":
         cells[v_cols[pick % len(v_cols)]] = "nan"
+    elif fault == "inf":
+        cells[v_cols[pick % len(v_cols)]] = ("inf", "-inf")[pick % 2]
     elif fault == "nonpositive":
         cells[v_cols[pick % len(v_cols)]] = ("0.0", "-0.4")[pick % 2]
     elif fault == "short":
@@ -559,3 +563,59 @@ def test_stream_says_when_it_ended_before_t0():
         "stvs: the stream ended at 0.76 s, before the fault clear time 1.1 s, "
         "so no report was written\n"
     )
+
+
+def test_an_infinite_voltage_is_named_infinite_in_batch_and_stream(tmp_path):
+    lines = record_lines("mixed", seed=3)
+    names = lines[0].split(",")
+    cells = lines[40].split(",")  # data row 39
+    cells[names.index("V:G2")] = "inf"
+    lines[40] = ",".join(cells)
+    path = tmp_path / "inf.csv"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err, _ = stream(["assess", "--in", str(path), "--t0", "1.1"], [])
+    assert (code, out) == (1, "")
+    assert err == f"stvs: {path}: infinite voltage in 'V:G2' at row 39\n"
+    code, out, err, _ = stream(stream_argv(True), lines)
+    assert (code, out) == (1, "")
+    assert "<stdin>: infinite voltage in 'V:G2' at row 39" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("with_file", [True, False])
+def test_an_infinite_time_is_one_clean_message(tmp_path, with_file):
+    lines = ["time,V:A", "0,1", "inf,1", "0.04,1", "0.06,1"]
+    path = tmp_path / "inf_time.csv"
+    path.write_text("\n".join(lines) + "\n")
+    if with_file:
+        argv, lines = ["assess", "--in", str(path), "--t0", "0"], []
+    else:
+        argv = ["assess", "--stream", "--t0", "0"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err, _ = stream(argv, lines)
+    assert caught == []
+    assert (code, out) == (1, "")
+    assert "time is not finite at row 1" in err and err.count("\n") == 1
+
+
+def test_a_utf8_bom_before_the_header_changes_no_report(tmp_path):
+    lines = record_lines("mixed", seed=2)
+    bom_lines = ["\ufeff" + lines[0]] + lines[1:]
+    code, out, err, rows_at_write = stream(stream_argv(True, interval=1.0), bom_lines)
+    assert (code, err) == (0, "")
+    assert (code, out, err) == stream(stream_argv(True, interval=1.0), lines)[:3]
+    # batch on the rows the last report had read, with and without the BOM
+    docs = []
+    for name, rows in (("plain", lines), ("bom", bom_lines)):
+        path = tmp_path / f"{name}.csv"
+        path.write_text("\n".join(rows[: 1 + rows_at_write[-1]]) + "\n", encoding="utf-8")
+        argv = ["assess", "--in", str(path), "--t0", "1.1"]
+        code, batch_out, batch_err, _ = stream(argv, [])
+        assert (code, batch_err) == (0, "")
+        docs.append(json.loads(batch_out))
+    final = json.loads(out.splitlines()[-1])
+    assert docs[1] == docs[0]
+    final.pop("latency_s")
+    docs[1].pop("latency_s")
+    assert final == docs[1]
