@@ -75,10 +75,8 @@ from .oel import (
     voltage_cap,
 )
 from .synth import (
-    NoiseSpec,
     ScenarioParams,
     TwoTimescaleParams,
-    add_noise,
     analytic_ftle,
     simulate_two_timescale,
     synth_scenario,

@@ -19,9 +19,9 @@ from dataclasses import replace
 import numpy as np
 
 from . import oel, synth
-from .distribution import gompertz_reference
+from .distribution import reference_table
 from .emd import decompose
-from .errors import ComputationError, StvsError, ValidationError
+from .errors import ComputationError, StvsError, ValidationError, stage
 from .indices import (
     OSC_X_STAR,
     AssessmentConfig,
@@ -144,13 +144,19 @@ def _emit(text: str, output: str | None) -> None:
             sys.stdout.write("\n")
 
 
+def _read_input(path: str, t0: float | None) -> VoltageTrajectory:
+    traj = load_trajectory(path)
+    if t0 is not None:
+        return traj.with_fault_clear_time(t0)
+    return replace(traj, fault_clear_index=detect_fault_clear_index(traj))
+
+
 def _load_input(args) -> VoltageTrajectory:
+    """The --in record with its fault clear sample placed; a failure is
+    an ``[ingest]`` error, as inside ``assess``."""
     if not args.input:
         raise ValidationError("--in is required for this subcommand")
-    traj = load_trajectory(args.input)
-    if args.t0 is not None:
-        return traj.with_fault_clear_time(args.t0)
-    return replace(traj, fault_clear_index=detect_fault_clear_index(traj))
+    return stage("ingest", _read_input, args.input, args.t0)
 
 
 def _assessment_config(args) -> AssessmentConfig:
@@ -265,7 +271,7 @@ def _cmd_stream(args, config: AssessmentConfig) -> int:
                 trajectory_from_columns(names, data, "<stdin>", checker)
         except ValidationError as exc:
             sys.stderr.write(
-                f"stvs: {exc}; every later report would contain it, "
+                f"stvs: [ingest] {exc}; every later report would contain it, "
                 f"so the stream stops\n"
             )
             status = 1
@@ -286,7 +292,9 @@ def _cmd_stream(args, config: AssessmentConfig) -> int:
             clear_time = checker.t_start + clear_index * checker.dt
         try:
             if clear_time != resolved:
-                t0_index = fault_clear_index(clear_time, checker.t_start, checker.dt, n)
+                t0_index = stage(
+                    "ingest", fault_clear_index, clear_time, checker.t_start, checker.dt, n
+                )
                 resolved = clear_time
             data_time = last_t - (checker.t_start + t0_index * checker.dt)
             if data_time < 0.5:
@@ -379,9 +387,11 @@ def _cmd_exponents(args) -> int:
 
 
 def _cmd_thresholds(args) -> int:
+    """Print the critical oscillation index and the reference row it
+    was scored against, read from the cache ``imf_threshold`` read."""
     value = imf_threshold(args.bins, (args.lo, args.hi), args.gamma2)
     edges = np.linspace(args.lo, args.hi, args.bins + 1)
-    ref = gompertz_reference(args.gamma2, OSC_X_STAR, edges)
+    ref = reference_table([args.gamma2], [OSC_X_STAR], edges)[0, 0]
     doc = {
         "imf_critical": value,
         "bins": args.bins,
@@ -390,7 +400,7 @@ def _cmd_thresholds(args) -> int:
         "gamma2": args.gamma2,
         "reference": {
             "bin_edges": edges.tolist(),
-            "probabilities": ref.probabilities.tolist(),
+            "probabilities": ref.tolist(),
         },
     }
     _emit(json.dumps(doc, sort_keys=True), args.output)

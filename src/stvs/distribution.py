@@ -7,11 +7,19 @@ reversed Gompertz curve sigma(x) = exp(-exp(gamma (x - x*))), evaluated
 at bin centers and normalized; it is strictly decreasing in x, which
 makes it an ideal of asymptotic convergence that penalizes slow
 recovery.  Indices are natural-log KL divergences against it.
+
+Every index is scored through ``kl_index``: it bins the factors and
+scores them against the rows of a (gamma, x*, bin) reference table
+that ``reference_table`` builds once per grid and keeps read-only, so
+a single shape, the default shape and the tuner's whole grid take the
+same path.  ``gompertz_reference`` and ``kl_divergence`` are the
+single-point forms of the same computation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -147,6 +155,47 @@ def kl_divergence_table(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     np.log(terms, out=terms)
     terms *= pn
     return terms.sum(axis=-1)
+
+
+@lru_cache(maxsize=8)
+def _reference_table(gammas: bytes, x_stars: bytes, edges: bytes) -> np.ndarray:
+    table = gompertz_reference_table(
+        np.frombuffer(gammas), np.frombuffer(x_stars), np.frombuffer(edges)
+    )
+    table.flags.writeable = False
+    return table
+
+
+def reference_table(
+    gammas: np.ndarray, x_stars: np.ndarray, bin_edges: np.ndarray
+) -> np.ndarray:
+    """``gompertz_reference_table`` of a grid, built once and read-only.
+
+    Keyed on the exact bytes of the float64 grids, in a least-recently-
+    used cache: the tuner reads its grid's table for every generator,
+    so that table stays while the single-shape rows come and go.
+    """
+    return _reference_table(
+        *(np.asarray(a, dtype=float).tobytes() for a in (gammas, x_stars, bin_edges))
+    )
+
+
+def kl_index(
+    factors: np.ndarray,
+    grid: tuple[int, float, float],
+    gammas: np.ndarray,
+    x_stars: np.ndarray,
+) -> np.ndarray:
+    """KL divergence of the factors' histogram against every reference row.
+
+    The factors are binned on ``grid`` = (bins, lo, hi); the result has
+    shape (len(gammas), len(x_stars)), entry [i, j] scored against the
+    reference of (gammas[i], x_stars[j]).
+    """
+    bins, lo, hi = grid
+    hist = histogram(factors, bins, lo, hi)
+    table = reference_table(gammas, x_stars, hist.bin_edges)
+    return kl_divergence_table(hist.probabilities, table)
 
 
 def kl_divergence(

@@ -32,10 +32,6 @@ class EmbeddedTrajectory:
                 f"invalid embedding parameters m={self.m}, tau={self.tau}"
             )
 
-    @property
-    def n_points(self) -> int:
-        return len(self.points)
-
 
 def normalize_channels(signals: list[np.ndarray]) -> list[np.ndarray]:
     """Scale each signal to zero mean and unit RMS.

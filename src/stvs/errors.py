@@ -2,6 +2,7 @@
 
 Two broad failure classes map onto the CLI exit codes: bad inputs
 (exit 1) and numerical/algorithmic failures mid-pipeline (exit 2).
+``stage`` names the pipeline stage a failure came from.
 """
 
 
@@ -30,3 +31,12 @@ class TriviallySafe(StvsError):
 
 class TriviallyTripping(StvsError):
     """No admissible recovery reaches any protection cap: trip certain."""
+
+
+def stage(name: str, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, re-raising a validation or computation
+    failure with ``[name]`` before its message."""
+    try:
+        return fn(*args, **kwargs)
+    except (ValidationError, ComputationError) as exc:
+        raise type(exc)(f"[{name}] {exc}") from exc

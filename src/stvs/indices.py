@@ -10,7 +10,12 @@ Two complementary quantities summarize a post-fault window:
   voltage dip.
 
 Both increase toward instability; each is compared against a critical
-value, yielding a classification and a signed percentage margin.
+value, yielding a classification and a signed percentage margin.  Every
+KL here, the critical oscillation value's included, reads its reference
+from the one cached table of ``distribution``; both indices are scored
+by ``distribution.kl_index``, and a residual becomes its exponent series
+through ``oel.recovery_exponents``, as each critical signal does in the
+tuner.
 
 ``AssessmentConfig`` carries what a run may set; the method's fixed
 choices (the frequency band, the embedding dimension, the recovery grid,
@@ -27,13 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import oel
-from .distribution import (
-    gompertz_reference,
-    gompertz_reference_table,
-    histogram,
-    kl_divergence,
-    kl_divergence_table,
-)
+from .distribution import kl_divergence_table, kl_index, reference_table
 from .embed import augment_rocov, delay_embed, normalize_channels
 from .emd import (
     DecompositionResult,
@@ -42,22 +41,17 @@ from .emd import (
     filter_imfs_by_frequency,
 )
 from .errors import (
-    ComputationError,
-    TrivialRecovery,
     TriviallySafe,
     TriviallyTripping,
     ValidationError,
+    stage,
 )
 from .ingest import (
     VoltageTrajectory,
     estimate_prefault_voltage,
     extract_post_fault_window,
 )
-from .lyapunov import (
-    ExponentSeries,
-    fsle_oscillation_series,
-    fsle_residual_series,
-)
+from .lyapunov import ExponentSeries, fsle_oscillation_series
 
 OSC_X_STAR = 1.0  # oscillation reference shift sits at the unit factor
 
@@ -267,14 +261,14 @@ def _imf_threshold(bins: int, lo: float, hi: float, gamma2: float) -> float:
         raise ValidationError("grid leaves no room below the unit factor")
     p = np.zeros(bins)
     p[ic - 2: ic + 1] = 1.0 / 3.0
-    ref = gompertz_reference_table([gamma2], [OSC_X_STAR], edges)[0, 0]
+    ref = reference_table([gamma2], [OSC_X_STAR], edges)[0, 0]
     return float(kl_divergence_table(p, ref))
 
 
 def _embedding_parameters(
-    n_states: int, period_samples: int | None, m: int
+    n_states: int, period_samples: int | None
 ) -> tuple[int, int]:
-    """Resolve (m, tau) for the available window length.
+    """Resolve (m, tau) for the available window length, m <= EMBED_M.
 
     The delay targets a quarter of the dominant oscillation period so
     the embedding span covers most of a cycle: that makes the embedded
@@ -285,6 +279,7 @@ def _embedding_parameters(
     handful of embedded points remain.
     """
     tau = 1 if period_samples is None else max(1, int(round(period_samples / 4)))
+    m = EMBED_M
     while m > 2 and n_states - (m - 1) * tau < 8:
         m -= 1
     tau = min(tau, max(1, (n_states - 8) // max(m - 1, 1)))
@@ -295,14 +290,14 @@ def oscillation_index(
     decomp: DecompositionResult,
     gamma2: float,
     grid: tuple[int, float, float],
-    m: int = EMBED_M,
 ) -> OscillationResult:
     """System-level oscillation index from the retained IMFs.
 
     Pipeline: per-channel IMF sums -> unit-RMS normalization -> ROCOV
     augmentation -> delay embedding -> amplitude-ratio divergence
     exponents of the embedded state -> divergence-factor histogram ->
-    KL distance to the Gompertz reference with shift 1.
+    KL distance to the Gompertz reference with shift 1, through
+    ``distribution.kl_index``.
 
     The exponent series measures the embedded oscillation state against
     the oscillation-free equilibrium (the origin), mirroring the
@@ -324,23 +319,11 @@ def oscillation_index(
         max(2, int(round(1.0 / (freq * decomp.dt)))) if freq else None
     )
     states = augment_rocov(normalize_channels(signals))
-    m_use, tau = _embedding_parameters(len(states), period, m)
+    m_use, tau = _embedding_parameters(len(states), period)
     emb = delay_embed(states, m=m_use, tau=tau, dt=decomp.dt)
     series = fsle_oscillation_series(emb, anchor_window=period)
-    bins, lo, hi = grid
-    hist = histogram(series.divergence_factors, bins, lo, hi)
-    ref = gompertz_reference(gamma2, OSC_X_STAR, hist.bin_edges)
-    return OscillationResult(value=kl_divergence(hist, ref), series=series)
-
-
-def _residual_series(
-    residual: np.ndarray, eq0: float, dt: float
-) -> ExponentSeries | None:
-    """Recovery exponents of a residual; None when it never dipped."""
-    try:
-        return fsle_residual_series(residual, eq0=eq0, dt=dt)
-    except TrivialRecovery:
-        return None
+    kl = kl_index(series.divergence_factors, grid, [gamma2], [OSC_X_STAR])
+    return OscillationResult(value=float(kl[0, 0]), series=series)
 
 
 def _score_recovery(
@@ -354,10 +337,7 @@ def _score_recovery(
         return RecoveryResult(
             value=0.0, delta_r0=delta_r0, kl=0.0, note="no dip"
         )
-    bins, lo, hi = grid
-    hist = histogram(series.divergence_factors, bins, lo, hi)
-    ref = gompertz_reference(gamma1, x_star, hist.bin_edges)
-    kl = kl_divergence(hist, ref)
+    kl = float(kl_index(series.divergence_factors, grid, [gamma1], [x_star])[0, 0])
     return RecoveryResult(
         value=delta_r0 * kl, delta_r0=delta_r0, kl=kl, series=series
     )
@@ -379,7 +359,7 @@ def recovery_index(
     """
     r = np.asarray(residual, dtype=float)
     return _score_recovery(
-        _residual_series(r, eq0, dt),
+        oel.recovery_exponents(r, eq0, dt),
         abs(v_pre - float(r[0])),
         gamma1,
         x_star,
@@ -433,7 +413,7 @@ def _assess_generator(
                 f"measurements for the Q-V fit"
             )
     dt = window.dt
-    series = _residual_series(residual, eq0, dt)
+    series = oel.recovery_exponents(residual, eq0, dt)
     gamma1, x_star = GAMMA1_DEFAULT, X_STAR_DEFAULT
     charac = tuning = None
     if series is None:
@@ -490,12 +470,6 @@ def assess(
     """
     config = config or AssessmentConfig()
     window_s = analysis_window_s(traj, config.window_s)
-
-    def stage(name, fn, *args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (ValidationError, ComputationError) as exc:
-            raise type(exc)(f"[{name}] {exc}") from exc
 
     window = stage("ingest", extract_post_fault_window, traj, window_s)
     v_pre = stage("ingest", _resolve_prefault, traj)

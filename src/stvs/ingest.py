@@ -14,6 +14,7 @@ given; ``write_columns`` writes every CSV the package emits.
 from __future__ import annotations
 
 import math
+import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
@@ -103,10 +104,6 @@ class VoltageTrajectory:
     def channel_ids(self) -> tuple[str, ...]:
         return tuple(ch.id for ch in self.channels)
 
-    @property
-    def duration(self) -> float:
-        return (self.n_samples - 1) * self.dt
-
     def voltage_matrix(self) -> np.ndarray:
         """Samples as an (n_samples, n_channels) array."""
         return np.column_stack([ch.voltage for ch in self.channels])
@@ -134,7 +131,10 @@ def load_trajectory(path) -> VoltageTrajectory:
             raise ValidationError(f"{path}: empty file")
         names = [c.strip() for c in header.split(",")]
         try:
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            # a header with no rows is reported by the row check below
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise ValidationError(f"{path}: malformed numeric data: {exc}") from exc
     return trajectory_from_columns(names, data, origin=str(path))

@@ -46,9 +46,6 @@ class ExponentSeries:
         ):
             raise ComputationError("divergence factors inconsistent with lambdas")
 
-    def times(self) -> np.ndarray:
-        return self.k_offsets * self.dt
-
 
 def ftle_window(delta0: float, delta_t: float, t_window: float) -> float:
     """Finite-window exponent (1/T) * ln(deltaT / delta0)."""

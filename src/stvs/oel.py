@@ -22,15 +22,10 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .distribution import (
-    gompertz_reference_table,
-    histogram,
-    kl_divergence_table,
-)
+from .distribution import kl_index
 from .errors import (
     ComputationError,
     TrivialRecovery,
@@ -86,11 +81,8 @@ class GeneratorSpec:
 class OELCharacteristic:
     """Fitted Q-V line plus the voltage caps implied by the pickups."""
 
-    xd_prime: float
-    p_active: float
     k1: float
     k2: float
-    pickups: tuple[tuple[float, float], ...]
     vcaps: tuple[tuple[float, float], ...]  # (V_cap_i, t_i)
 
 
@@ -225,15 +217,15 @@ def build_characteristic(
     spec: GeneratorSpec,
     v_samples: np.ndarray,
     q_samples: np.ndarray,
-    v_current: float | None = None,
 ) -> OELCharacteristic:
     """Fit the Q-V line and map every pickup to its voltage cap.
 
-    LVRT entries are grid-code voltage-time pairs and bypass the quartic.
+    Among several admissible caps the one nearest the last voltage
+    sample wins.  LVRT entries are grid-code voltage-time pairs and
+    bypass the quartic.
     """
     k1, k2 = fit_qv(v_samples, q_samples)
-    if v_current is None:
-        v_current = float(np.asarray(v_samples, dtype=float)[-1])
+    v_current = float(np.asarray(v_samples, dtype=float)[-1])
     vcaps = [
         (
             voltage_cap(e_i, spec.xd_prime, spec.p_active, k1, k2, v_current),
@@ -243,14 +235,7 @@ def build_characteristic(
     ]
     vcaps.extend(spec.lvrt)
     vcaps.sort(key=lambda vt: vt[1])
-    return OELCharacteristic(
-        xd_prime=spec.xd_prime,
-        p_active=spec.p_active,
-        k1=k1,
-        k2=k2,
-        pickups=tuple(spec.pickups),
-        vcaps=tuple(vcaps),
-    )
+    return OELCharacteristic(k1=k1, k2=k2, vcaps=tuple(vcaps))
 
 
 def construct_critical_signals(
@@ -338,36 +323,18 @@ def construct_critical_signals(
     )
 
 
-def _recovery_score(
-    signal: np.ndarray,
-    dt: float,
-    eq0: float,
-    v_pre: float,
-    grid: tuple[int, float, float],
-) -> tuple[float, "np.ndarray | None"]:
-    """Dip weight and factor histogram of one critical-signal window."""
-    delta = abs(v_pre - float(signal[0]))
-    try:
-        series = fsle_residual_series(signal, eq0=eq0, dt=dt)
-    except TrivialRecovery:
-        return delta, None
-    bins, lo, hi = grid
-    hist = histogram(series.divergence_factors, bins, lo, hi)
-    return delta, hist
+def recovery_exponents(
+    residual: np.ndarray, eq0: float, dt: float
+) -> ExponentSeries | None:
+    """Recovery exponents of a residual; None when it never dipped.
 
-
-@lru_cache(maxsize=8)
-def _reference_table(gammas: bytes, x_stars: bytes, edges: bytes) -> np.ndarray:
-    """The (gamma1, x*, bin) reference table of a tuning grid, built once.
-
-    Keyed on the exact bytes of the float64 grids; every generator of
-    every assessment on the same grid shares one read-only table.
+    The one step from a residual to the series its recovery index
+    scores, for the measured residual and for both critical signals.
     """
-    table = gompertz_reference_table(
-        np.frombuffer(gammas), np.frombuffer(x_stars), np.frombuffer(edges)
-    )
-    table.flags.writeable = False
-    return table
+    try:
+        return fsle_residual_series(residual, eq0=eq0, dt=dt)
+    except TrivialRecovery:
+        return None
 
 
 def tune_gamma(
@@ -386,11 +353,11 @@ def tune_gamma(
     f*; stage 2 returns the smallest gamma1 (ties to smallest x*) among
     points within f* + f*.  The grids default to ``GAMMA1_RANGE`` and
     ``X_STAR_RANGE``.  The recovery threshold is the s1/s2 index
-    midpoint at the selected point.  The grid is scored in one
-    pass: the (gamma1, x*, bin) reference table is built once and each
-    critical-signal histogram is scored against all of its rows.  The
-    table depends only on the grids, so it is built once per grid and
-    shared.
+    midpoint at the selected point.  Each critical signal's index is
+    its dip weight |V_pre - s(t0)| times ``distribution.kl_index`` over
+    the whole grid, in one pass; a signal that never dipped scores 0.
+    The grid's reference table comes from the cache ``kl_index`` reads,
+    so it is built once per grid and shared by every generator.
     """
     if gamma1_grid is None:
         gamma1_grid = np.geomspace(*GAMMA1_RANGE)
@@ -401,21 +368,15 @@ def tune_gamma(
     if gamma1_grid.size == 0 or x_star_grid.size == 0:
         raise ValidationError("empty tuning search grid")
 
-    d1_weight, h1 = _recovery_score(s1, dt, eq0, v_pre, grid)
-    d2_weight, h2 = _recovery_score(s2, dt, eq0, v_pre, grid)
-    bins, lo, hi = grid
-    edges = np.linspace(lo, hi, bins + 1)
-    table = _reference_table(
-        gamma1_grid.tobytes(), x_star_grid.tobytes(), edges.tobytes()
-    )
+    def scores(signal: np.ndarray) -> np.ndarray:
+        series = recovery_exponents(signal, eq0, dt)
+        if series is None:
+            return np.zeros((gamma1_grid.size, x_star_grid.size))
+        kl = kl_index(series.divergence_factors, grid, gamma1_grid, x_star_grid)
+        return abs(v_pre - float(signal[0])) * kl
 
-    def scores(weight: float, hist) -> np.ndarray:
-        if hist is None:
-            return np.zeros(table.shape[:2])
-        return weight * kl_divergence_table(hist.probabilities, table)
-
-    d1 = scores(d1_weight, h1)
-    d2 = scores(d2_weight, h2)
+    d1 = scores(s1)
+    d2 = scores(s2)
     diff = np.abs(d1 - d2)
     f_star = float(diff.min())
     admissible = diff <= f_star + f_star + 1e-15

@@ -2,8 +2,8 @@
 
 Provides the linear two-time-scale benchmark (fast damped oscillation
 coupled to a slow exponential mode) together with its closed-form
-window exponent, seeded measurement noise, and parameterized voltage
-scenarios for end-to-end pipeline tests.  Closed forms are evaluated
+window exponent, and parameterized voltage scenarios for end-to-end
+pipeline tests.  Closed forms are evaluated
 exactly on the sample grid so validation baselines carry no solver
 error.
 """
@@ -32,8 +32,6 @@ class TwoTimescaleParams:
     """Coefficients of the fast/slow linear benchmark system.
 
     dx/dt = -a x + omega y + b z, dy/dt = -omega x - a y, dz/dt = -eps z.
-    With ``enforce_regime`` set, the fast/slow scale separation
-    omega > a > eps > 0 is required.
     """
 
     a: float
@@ -43,28 +41,10 @@ class TwoTimescaleParams:
     z0: float = 1.0
     x0: float = 0.0
     y0: float = 0.0
-    enforce_regime: bool = False
 
     def __post_init__(self) -> None:
         if self.a <= 0 or self.eps <= 0:
             raise ValidationError("a and eps must be positive")
-        if self.enforce_regime and not (self.omega > self.a > self.eps):
-            raise ValidationError(
-                f"regime omega > a > eps violated: "
-                f"{self.omega} > {self.a} > {self.eps}"
-            )
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Measurement-noise level and RNG seed (Philox, counter-based)."""
-
-    sigma: float
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.sigma < 0:
-            raise ValidationError("sigma must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -119,15 +99,6 @@ def analytic_ftle(p: TwoTimescaleParams, t_window: float) -> tuple[float, float]
     lam = -p.eps + math.log1p(beta) / (2.0 * t_window)
     bound = math.log1p(beta) / (2.0 * p.eps)
     return lam, bound
-
-
-def add_noise(
-    traj: TwoTimescaleTrajectory, spec: NoiseSpec
-) -> TwoTimescaleTrajectory:
-    """Add i.i.d. Gaussian noise per sample per channel, seeded."""
-    rng = np.random.Generator(np.random.Philox(spec.seed))
-    noisy = traj.xyz + rng.normal(0.0, spec.sigma, size=traj.xyz.shape)
-    return TwoTimescaleTrajectory(t=traj.t.copy(), xyz=noisy)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import pytest
 
 import stvs
 from conftest import QV_K1, QV_K2, P_ACTIVE, XD_PRIME, osc_params, pickup_level
+from stvs import indices
 from stvs.cli import run
 from stvs.distribution import gompertz_reference, histogram, kl_divergence
 from stvs.indices import AssessmentConfig, assess
@@ -72,6 +73,25 @@ def test_thresholds_reports_critical_value(capsys):
     assert doc["imf_critical"] == pytest.approx(2.09, abs=0.05)
     assert len(doc["reference"]["probabilities"]) == 20
     assert sum(doc["reference"]["probabilities"]) == pytest.approx(1.0)
+
+
+def test_thresholds_prints_the_reference_row_imf_threshold_scored(capsys, monkeypatch):
+    scored = []
+    kl = indices.kl_divergence_table
+
+    def keeping(p, q):
+        scored.append((q, kl(p, q)))
+        return scored[-1][1]
+
+    monkeypatch.setattr(indices, "kl_divergence_table", keeping)
+    indices._imf_threshold.cache_clear()
+    argv = ["thresholds", "--bins", "30", "--lo", "0.1", "--hi", "2", "--gamma2", "4"]
+    code, doc = run_json(capsys, argv)
+    indices._imf_threshold.cache_clear()  # drop the value scored through the wrapper
+    assert code == 0
+    ((row, value),) = scored
+    assert doc["reference"]["probabilities"] == row.tolist()
+    assert doc["imf_critical"] == value
 
 
 # -- assess -----------------------------------------------------------------------
@@ -201,7 +221,38 @@ def test_an_infinite_timestamp_prints_one_line_and_no_warning(tmp_path):
         env={**os.environ, "PYTHONPATH": src},
     )
     assert (proc.returncode, proc.stdout) == (1, "")
-    assert proc.stderr == f"stvs: {path}: time is not finite at row 1\n"
+    assert proc.stderr == f"stvs: [ingest] {path}: time is not finite at row 1\n"
+
+
+def test_a_header_without_rows_prints_one_line_and_no_warning(tmp_path):
+    path = tmp_path / "hdr.csv"
+    path.write_text("time,V:A\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stvs.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "stvs.cli", "assess", "--in", str(path)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"stvs: [ingest] {path}: need at least 2 data rows\n"
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["--t0", "9.5"], "[ingest] fault clear time 9.5 s outside the record"),
+        ([], "[ingest] no fault signature found"),
+    ],
+    ids=["t0", "detection"],
+)
+def test_placing_the_fault_clear_time_is_an_ingest_error(capsys, tmp_path, argv, named):
+    path = tmp_path / "flat.csv"
+    path.write_text("time,V:A\n0,1\n0.02,1\n0.04,1\n0.06,1\n")
+    code = run(["assess", "--in", str(path), *argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.startswith(f"stvs: {named}")
+    assert captured.err.count("\n") == 1
 
 
 def test_unknown_flag_is_validation_error(capsys):

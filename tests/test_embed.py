@@ -52,7 +52,7 @@ def test_embed_length_bound():
         delay_embed(states, m=3, tau=4, dt=0.02)
     boundary = np.random.default_rng(1).standard_normal((10, 1))
     emb = delay_embed(boundary, m=3, tau=4, dt=0.02)
-    assert emb.n_points == 2
+    assert len(emb.points) == 2
 
 
 def test_embed_point_count_and_dimension():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import osc_params
-from stvs import emd, indices
+from stvs import distribution, emd, indices, oel
 from stvs.emd import (
     DecompositionResult,
     decompose,
@@ -172,6 +172,36 @@ def test_zero_crossing_frequency_runs_once_per_imf_per_assess(
     (decomp,) = decomps
     n_imfs = sum(decomp.n_imfs(ch) for ch in range(decomp.n_channels))
     assert n_imfs > 0 and len(calls) == n_imfs
+
+
+def test_every_kl_of_an_assess_runs_through_the_one_scorer(
+    monkeypatch, generator_specs
+):
+    scored = []
+    kl_index = distribution.kl_index
+
+    def counting(factors, grid, gammas, x_stars):
+        scored.append((grid, np.size(gammas), np.size(x_stars)))
+        return kl_index(factors, grid, gammas, x_stars)
+
+    def forbidden(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+
+        return call
+
+    for module in (indices, oel):
+        monkeypatch.setattr(module, "kl_index", counting)
+    for name in ("gompertz_reference", "kl_divergence", "GompertzReference"):
+        monkeypatch.setattr(distribution, name, forbidden(name))
+    traj = synth_scenario("mixed", osc_params(noise_sigma=0.003, seed=4))
+    result = assess(traj, AssessmentConfig(generators=generator_specs))
+    assert all(g.tuning is not None for g in result.per_generator)
+    assert result.oscillation.note is None
+    tuning = [(REC_GRID, oel.GAMMA1_RANGE[2], oel.X_STAR_RANGE[2])] * 2
+    # the oscillation index, then per generator its two critical
+    # signals over the tuning grid and its index at the tuned point
+    assert scored == [(IMF_GRID, 1, 1)] + (tuning + [(REC_GRID, 1, 1)]) * 3
 
 
 def test_undamped_oscillation_scores_near_threshold():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import QV_K1, QV_K2, kl_oracle, osc_params, reference_oracle
-from stvs import oel
+from stvs import distribution, oel
 from stvs.distribution import gompertz_reference_table, histogram
 from stvs.errors import (
     ComputationError,
@@ -373,19 +373,32 @@ def test_tuner_reference_table_is_built_once_per_grid_and_read_only():
     gammas = np.geomspace(1.0, 200.0, 40)
     x_stars = np.linspace(0.8, 1.3, 26)
     edges = np.linspace(0.0, 1.5, 41)
-    key = (gammas.tobytes(), x_stars.tobytes(), edges.tobytes())
+    cache = distribution._reference_table
     s1, s2 = _critical_pair()
     tune_gamma(s1, s2, 1.0, 1.0, DT, grid)
-    hits = oel._reference_table.cache_info().hits
+    before = cache.cache_info()
     tune_gamma(*_critical_pair(rate_slow=0.05, rate_fast=0.9), 1.0, 1.0, DT, grid)
-    assert oel._reference_table.cache_info().hits == hits + 1
-    table = oel._reference_table(*key)
+    after = cache.cache_info()
+    # one lookup per critical signal, both served from the one table
+    assert (after.hits, after.misses) == (before.hits + 2, before.misses)
+    table = distribution.reference_table(gammas, x_stars, edges)
+    assert distribution.reference_table(list(gammas), x_stars, edges) is table
     assert not table.flags.writeable
     with pytest.raises(ValueError):
         table[0, 0, 0] = 0.5
     assert np.array_equal(table, gompertz_reference_table(gammas, x_stars, edges))
-    coarse = np.linspace(0.0, 1.5, 21).tobytes()
-    assert oel._reference_table(*key[:2], coarse).shape == (40, 26, 20)
+    coarse = np.linspace(0.0, 1.5, 21)
+    assert distribution.reference_table(gammas, x_stars, coarse).shape == (40, 26, 20)
+
+
+def test_tuner_grid_table_stays_cached_across_generators(generator_specs):
+    traj = synth_scenario("mixed", osc_params(noise_sigma=0.003, seed=4))
+    config = AssessmentConfig(generators=generator_specs)
+    assess(traj, config)
+    misses = distribution._reference_table.cache_info().misses
+    result = assess(traj, config)
+    assert all(g.tuning is not None for g in result.per_generator)
+    assert distribution._reference_table.cache_info().misses == misses
 
 
 def test_tune_rejects_nonpositive_gamma_grid():

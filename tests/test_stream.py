@@ -159,7 +159,7 @@ def oracle_stream(args, config):
             traj = oracle_from_columns(names, np.array(rows), origin="<stdin>")
         except ValidationError as exc:
             sys.stderr.write(
-                f"stvs: {exc}; every later report would contain it, "
+                f"stvs: [ingest] {exc}; every later report would contain it, "
                 f"so the stream stops\n"
             )
             status = 1
@@ -575,10 +575,10 @@ def test_an_infinite_voltage_is_named_infinite_in_batch_and_stream(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     code, out, err, _ = stream(["assess", "--in", str(path), "--t0", "1.1"], [])
     assert (code, out) == (1, "")
-    assert err == f"stvs: {path}: infinite voltage in 'V:G2' at row 39\n"
+    assert err == f"stvs: [ingest] {path}: infinite voltage in 'V:G2' at row 39\n"
     code, out, err, _ = stream(stream_argv(True), lines)
     assert (code, out) == (1, "")
-    assert "<stdin>: infinite voltage in 'V:G2' at row 39" in err
+    assert err.startswith("stvs: [ingest] <stdin>: infinite voltage in 'V:G2' at row 39")
     assert err.count("\n") == 1
 
 

@@ -5,10 +5,8 @@ from stvs.emd import decompose, filter_imfs_by_frequency
 from stvs.errors import ValidationError
 from stvs.ingest import extract_post_fault_window
 from stvs.synth import (
-    NoiseSpec,
     ScenarioParams,
     TwoTimescaleParams,
-    add_noise,
     analytic_ftle,
     simulate_two_timescale,
     synth_scenario,
@@ -107,30 +105,6 @@ def test_positivity_window_bound_within_one_sample():
     idx = np.flatnonzero(settled & (lam_series <= 0.0))[0]
     crossing_time = traj.t[1:][idx]
     assert abs(crossing_time - bound) <= dt + 1e-12
-
-
-# -- measurement noise ----------------------------------------------------------------
-
-def test_zero_sigma_is_identity():
-    traj = simulate_two_timescale(BENCH, 1.0, 0.01)
-    noisy = add_noise(traj, NoiseSpec(sigma=0.0, seed=4))
-    assert np.array_equal(noisy.xyz, traj.xyz)
-
-
-def test_noise_is_seed_deterministic():
-    traj = simulate_two_timescale(BENCH, 1.0, 0.01)
-    a = add_noise(traj, NoiseSpec(sigma=0.01, seed=9))
-    b = add_noise(traj, NoiseSpec(sigma=0.01, seed=9))
-    assert np.array_equal(a.xyz, b.xyz)
-    c = add_noise(traj, NoiseSpec(sigma=0.01, seed=10))
-    assert not np.array_equal(a.xyz, c.xyz)
-
-
-def test_noise_empirical_std():
-    traj = simulate_two_timescale(BENCH, 400.0, 0.01)  # > 1e5 samples
-    noisy = add_noise(traj, NoiseSpec(sigma=0.01, seed=1))
-    resid = noisy.xyz - traj.xyz
-    assert np.std(resid) == pytest.approx(0.01, rel=0.02)
 
 
 # -- scenarios -------------------------------------------------------------------------
