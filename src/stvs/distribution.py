@@ -14,6 +14,13 @@ that ``reference_table`` builds once per grid and keeps read-only, so
 a single shape, the default shape and the tuner's whole grid take the
 same path.  ``gompertz_reference`` and ``kl_divergence`` are the
 single-point forms of the same computation.
+
+Binning is one ``searchsorted`` of the grid's cached, read-only edges
+and one ``bincount``, with exactly the counts of ``np.histogram`` on
+the clamped factors but without its sort.  ``kl_index`` skips the
+checks ``histogram`` and ``kl_divergence_table`` make of values it has
+just built itself (a ``DivergenceHistogram``, a positive cached
+table); those public functions keep every check.
 """
 
 from __future__ import annotations
@@ -66,19 +73,60 @@ class GompertzReference:
             raise ValidationError("reference probabilities must sum to 1")
 
 
-def histogram(
-    factors: np.ndarray, bins: int, lo: float, hi: float
-) -> DivergenceHistogram:
-    """Bin divergence factors on [lo, hi], clamping outliers to edge bins."""
-    f = np.asarray(factors, dtype=float)
-    if f.size == 0:
-        raise ValidationError("no divergence factors to bin")
+@lru_cache(maxsize=8)
+def _bin_edges(bins: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """The edges of a histogram grid, and the keys ``_bin_counts`` searches.
+
+    Both are built once per grid and read-only; the keys are the edges
+    followed by NaN, which sorts above every float.
+    """
     if bins < 2:
         raise ValidationError("need at least 2 bins")
     if not lo < hi:
         raise ValidationError(f"invalid range [{lo}, {hi}]")
     edges = np.linspace(lo, hi, bins + 1)
-    counts, _ = np.histogram(np.clip(f, lo, hi), bins=edges)
+    keys = np.append(edges, np.nan)
+    edges.flags.writeable = False
+    keys.flags.writeable = False
+    return edges, keys
+
+
+def _bin_counts(
+    factors: np.ndarray, bins: int, lo: float, hi: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Counts of the factors in the grid's bins, and the grid's edges.
+
+    The counts equal ``np.histogram(np.clip(f, lo, hi), bins=edges)``
+    exactly, from one search of the cached keys and one ``bincount``
+    instead of a sort: a factor on an edge goes to the bin above it
+    (the last bin keeps ``hi``), anything below ``lo`` (with -inf) to
+    the first bin, anything above ``hi`` (with +inf) to the last, and
+    NaN, which searches past the NaN key, is dropped.  Raises when
+    nothing is left to bin.
+    """
+    edges, keys = _bin_edges(bins, lo, hi)
+    # 0: below lo; j + 1: bin j; bins + 1: hi and above; bins + 2: NaN
+    found = np.bincount(
+        keys.searchsorted(np.asarray(factors, dtype=float).ravel(), side="right"),
+        minlength=bins + 3,
+    )
+    counts = found[1:bins + 1]
+    counts[0] += found[0]
+    counts[-1] += found[bins + 1]
+    if not counts.any():
+        raise ValidationError("no divergence factors to bin")
+    return counts, edges
+
+
+def histogram(
+    factors: np.ndarray, bins: int, lo: float, hi: float
+) -> DivergenceHistogram:
+    """Bin divergence factors on [lo, hi], clamping outliers to edge bins.
+
+    NaN factors are dropped; the edges are the grid's cached, read-only
+    array.
+    """
+    counts, edges = _bin_counts(factors, bins, lo, hi)
     return DivergenceHistogram(
         bin_edges=edges, probabilities=counts / counts.sum()
     )
@@ -146,6 +194,11 @@ def kl_divergence_table(p: np.ndarray, q: np.ndarray) -> np.ndarray:
         raise ValidationError("histogram and reference grids differ")
     if not np.all(qp > 0):
         raise ValidationError("reference has a zero bin: KL undefined")
+    return _kl_rows(pp, qp)
+
+
+def _kl_rows(pp: np.ndarray, qp: np.ndarray) -> np.ndarray:
+    """``kl_divergence_table`` on arrays it has already checked."""
     nz = pp > 0
     pn = pp[nz]
     # compress copies the compared bins into a contiguous buffer, so each
@@ -190,12 +243,15 @@ def kl_index(
 
     The factors are binned on ``grid`` = (bins, lo, hi); the result has
     shape (len(gammas), len(x_stars)), entry [i, j] scored against the
-    reference of (gammas[i], x_stars[j]).
+    reference of (gammas[i], x_stars[j]).  It computes what
+    ``kl_divergence_table(histogram(...).probabilities, table)`` gives,
+    without the checks those make of values built here: the counts sum
+    to at least 1, and the cached table was checked positive when it
+    was built.
     """
-    bins, lo, hi = grid
-    hist = histogram(factors, bins, lo, hi)
-    table = reference_table(gammas, x_stars, hist.bin_edges)
-    return kl_divergence_table(hist.probabilities, table)
+    counts, edges = _bin_counts(factors, *grid)
+    table = reference_table(gammas, x_stars, edges)
+    return _kl_rows(counts / counts.sum(), table)
 
 
 def kl_divergence(

@@ -30,6 +30,18 @@ the one the public constructor gives (the tests use it, and a
 one-direction-at-a-time loop, as the oracle).  The kernels are private
 scipy names, verified on scipy 1.17.1, the floor this package requires.
 
+At PMU sizes (a few channels, a few hundred samples) a pass costs more
+in per-call NumPy overhead than in arithmetic, so the glue is kept
+lean without changing a bit of output: each pair of envelopes is
+averaged in place in the freshly evaluated upper envelope (the same
+IEEE operations as ``0.5 * (upper + lower)``), the direction set is
+built once per (directions, dimension) and kept read-only, the mode
+check counts extrema and zero crossings per channel without building
+extrema positions, stopping at the first channel that fails, and the
+sifting loop calls array methods (``a.sum()``, ``a.cumsum()``,
+``a.argsort()``) rather than NumPy's module-level wrappers, which run
+the same reductions behind a few microseconds of dispatch.
+
 The two compiled modules, ``scipy.interpolate._dierckx`` and
 ``scipy.linalg._flapack``, are loaded from their files in the scipy
 installation by :func:`_scipy_extension`, without running the
@@ -42,6 +54,7 @@ by the caller importing ``scipy.interpolate`` first) is used as it is.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 from collections.abc import Iterator
@@ -210,7 +223,7 @@ def _mirrored_knots(
     reflected.
     """
     last = n - 1
-    ends = np.cumsum(lens)
+    ends = lens.cumsum()
     starts = ends - lens
     two = lens > 1
     # the extrema each mirror comes from: first, second, last, second-last
@@ -224,11 +237,11 @@ def _mirrored_knots(
     # to be non-negative (positions lie in [-last, 2 last]); candidates
     # of one envelope keep the order extrema, then mirrors as listed
     span = 4 * n
-    env = np.repeat(np.arange(len(lens)), lens)
+    env = np.arange(len(lens)).repeat(lens)
     key = np.concatenate((env, env[src])) * span
     key += np.concatenate((idx, mirrored))
     key += n
-    order = np.argsort(key, kind="stable")
+    order = key.argsort(kind="stable")
     key = key[order]
     keep = np.concatenate(([True], key[1:] > key[:-1]))
     key = key[keep]
@@ -303,38 +316,39 @@ def _envelopes(
     if cubic.any():
         # every cubic's not-a-knot vector from one repeat: each end knot
         # four times, its neighbour dropped
-        in_cubic = np.repeat(cubic, counts)
+        in_cubic = cubic.repeat(counts)
         x = knots[in_cubic]
         m = counts[cubic]
-        x_end = np.cumsum(m)
+        x_end = m.cumsum()
         x_start = x_end - m
         reps = np.ones(len(x), dtype=np.intp)
         reps[x_start] = reps[x_end - 1] = 4
         reps[x_start + 1] = reps[x_end - 2] = 0
-        t = np.repeat(x, reps)
+        t = x.repeat(reps)
         t_start = x_start + 4 * np.arange(len(m))
-        blocks = list(zip(x_start.tolist(), x_end.tolist(), t_start.tolist()))
+        # (first, end) column and (first, end) knot of each cubic
+        t_end = t_start + m + 4
+        blocks = list(
+            zip(x_start.tolist(), x_end.tolist(), t_start.tolist(), t_end.tolist())
+        )
         ab = np.zeros((10, len(x)), order="F")
-        for lo, hi, t_lo in blocks:  # each cubic's band in its own columns
-            _dierckx._coloc(
-                x[lo:hi], t[t_lo:t_lo + hi - lo + 4], 3, ab[:, lo:hi].T, 0
-            )
+        columns = ab.T  # row j is the band's column j
+        for lo, hi, t_lo, t_hi in blocks:  # each cubic's band in its own columns
+            _dierckx._coloc(x[lo:hi], t[t_lo:t_hi], 3, columns[lo:hi], 0)
         rhs = (vals if in_cubic.all() else vals[in_cubic]).reshape(len(x), -1)
         _, _, c, info = dgbsv(3, 3, ab, rhs, overwrite_ab=True, overwrite_b=True)
-        del ab, rhs  # not held through the copy below or the evaluations
+        del ab, columns, rhs  # not held through the copy below or the evaluations
         if info > 0:
             raise LinAlgError("Colocation matrix is singular.")
         c = np.ascontiguousarray(c)
         blocks = iter(blocks)
-    shape = grid.shape + rows.shape[1:]
+    flat = rows.ndim == 1  # the evaluator returns one column per value
     start = 0
     for count in counts.tolist():
         if count >= 4:
-            lo, hi, t_lo = next(blocks)
-            env = _dierckx.evaluate_spline(
-                t[t_lo:t_lo + hi - lo + 4], c[lo:hi], 3, grid, 0, True
-            )
-            yield env.reshape(shape)
+            lo, hi, t_lo, t_hi = next(blocks)
+            env = _dierckx.evaluate_spline(t[t_lo:t_hi], c[lo:hi], 3, grid, 0, True)
+            yield env.reshape(n) if flat else env
         elif count >= 2:
             end = start + count
             yield _interpolate(knots[start:end], vals[start:end], grid)
@@ -343,20 +357,25 @@ def _envelopes(
         start += count
 
 
+@lru_cache(maxsize=16)
 def _direction_vectors(n_directions: int, n_dim: int) -> np.ndarray:
     """Deterministic quasi-uniform unit vectors for envelope projections.
 
     In one dimension ±1 give the same envelope mean, so there is one
-    direction, and a pass is plain EMD's.
+    direction, and a pass is plain EMD's.  Built once per (directions,
+    dimension) and read-only.
     """
     if n_dim == 1:
-        return np.ones((1, 1))
-    if n_dim == 2:
+        vecs = np.ones((1, 1))
+    elif n_dim == 2:
         angles = np.pi * np.arange(n_directions) / n_directions
-        return np.column_stack([np.cos(angles), np.sin(angles)])
-    rng = np.random.Generator(np.random.Philox(_DIRECTION_SEED))
-    vecs = rng.normal(size=(n_directions, n_dim))
-    return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+        vecs = np.column_stack([np.cos(angles), np.sin(angles)])
+    else:
+        rng = np.random.Generator(np.random.Philox(_DIRECTION_SEED))
+        vecs = rng.normal(size=(n_directions, n_dim))
+        vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+    vecs.flags.writeable = False
+    return vecs
 
 
 def _projections(x: np.ndarray, directions: np.ndarray) -> np.ndarray:
@@ -384,32 +403,52 @@ def _mean_envelope_mv(
     n = x.shape[0]
     n_dir = len(directions)
     pos, d_of, is_max = _extrema_scan(_projections(x, directions))
-    n_max = np.bincount(d_of[is_max], minlength=n_dir)
-    n_min = np.bincount(d_of[~is_max], minlength=n_dir)
+    n_min, n_max = np.bincount(2 * d_of + is_max, minlength=2 * n_dir).reshape(-1, 2).T
     used = (n_min >= 1) & (n_max >= 1) & (n_min + n_max >= 3)
     if not used.any():
         return None
     # envelope 2r is the upper and 2r + 1 the lower one of the r-th used
     # direction; the stable sort keeps each envelope's extrema ascending
     sel = used[d_of]
-    env = 2 * (np.cumsum(used) - 1)[d_of[sel]] + ~is_max[sel]
-    order = np.argsort(env, kind="stable")
+    env = 2 * (used.cumsum() - 1)[d_of[sel]] + ~is_max[sel]
+    order = env.argsort(kind="stable")
     lens = np.bincount(env, minlength=2 * int(used.sum()))
     envelopes = _envelopes(pos[sel][order], lens, x, n)
-    total = np.zeros_like(x)
+    total = np.zeros(x.shape)
     n_used = 0
     for upper, lower in zip(envelopes, envelopes):  # consecutive pairs
         if upper is None or lower is None:
             continue
-        total += 0.5 * (upper + lower)
+        # 0.5 * (upper + lower), formed in the fresh upper envelope
+        upper += lower
+        upper *= 0.5
+        total += upper
         n_used += 1
     if n_used == 0:
         return None
-    return total / n_used
+    total /= n_used
+    return total
 
 
 def _mode_condition_all(x: np.ndarray) -> bool:
-    return all(is_imf(x[:, j]) for j in range(x.shape[1]))
+    """``is_imf`` of every column of ``x``, stopping at the first failure.
+
+    Counts what ``is_imf`` counts without building the extrema
+    positions: an extremum is a sign change between neighbouring
+    non-zero sample differences whose first sign is not NaN (plateaus
+    collapse, a NaN difference never opens an extremum), a zero crossing
+    a sign change between neighbouring non-zero samples.
+    """
+    for col in x.T:
+        d = np.sign(col[1:] - col[:-1])
+        d = d[d != 0]
+        first = d[:-1]
+        n_extrema = np.count_nonzero((first != d[1:]) & (first == first))
+        s = np.sign(col)
+        s = s[s != 0]
+        if abs(n_extrema - np.count_nonzero(s[:-1] != s[1:])) > 1:
+            return False
+    return True
 
 
 def decompose_signals(signals: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
@@ -441,12 +480,12 @@ def decompose_signals(signals: np.ndarray) -> tuple[list[np.ndarray], np.ndarray
                 if env is None:
                     break
             m_new = m - env
-            denom = float(np.sum(m * m))
-            sd = float(np.sum(env * env)) / denom if denom > 0 else 0.0
+            denom = float((m * m).sum())
+            sd = float((env * env).sum()) / denom if denom > 0 else 0.0
             m = m_new
             if sd < SD_THRESHOLD and _mode_condition_all(m):
                 break
-        if np.max(np.abs(m)) < _AMPLITUDE_FLOOR * scale:
+        if np.abs(m).max() < _AMPLITUDE_FLOOR * scale:
             break
         imfs.append(m)
         r = r - m
@@ -489,7 +528,7 @@ def decompose(traj: VoltageTrajectory) -> DecompositionResult:
             for imfs in per_channel_imfs
         ),
         rms=tuple(
-            tuple(float(np.sqrt(np.mean(imf * imf))) for imf in imfs)
+            tuple(math.sqrt(float((imf * imf).sum()) / len(imf)) for imf in imfs)
             for imfs in per_channel_imfs
         ),
     )

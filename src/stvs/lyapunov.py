@@ -31,7 +31,12 @@ EPS_FLOOR = 1e-4
 
 @dataclass(frozen=True)
 class ExponentSeries:
-    """Time-resolved exponent estimates lambda(k) and exp(lambda(k))."""
+    """Time-resolved exponent estimates lambda(k) and exp(lambda(k)).
+
+    The factors must equal exp(lambdas) to a relative 1e-12; NaN on
+    either side is inconsistent.  The exact comparison runs first, as
+    the estimators pass exp(lambdas) itself.
+    """
 
     lambdas: np.ndarray
     divergence_factors: np.ndarray
@@ -41,8 +46,10 @@ class ExponentSeries:
     def __post_init__(self) -> None:
         if len(self.lambdas) == 0:
             raise ComputationError("empty exponent series")
-        if not np.allclose(
-            self.divergence_factors, np.exp(self.lambdas), rtol=1e-12, atol=0.0
+        factors, expected = self.divergence_factors, np.exp(self.lambdas)
+        if not (
+            np.array_equal(factors, expected)
+            or np.allclose(factors, expected, rtol=1e-12, atol=0.0)
         ):
             raise ComputationError("divergence factors inconsistent with lambdas")
 
@@ -83,7 +90,7 @@ def fsle_residual_series(
         )
     k = np.arange(1, len(dev))
     keep = dev[1:] > 0.0
-    if not np.any(keep):
+    if not keep.any():
         raise ComputationError("all residual deviations past t0 are zero")
     k = k[keep]
     lambdas = np.log(dev[1:][keep] / d0) / (k * dt)
@@ -125,7 +132,7 @@ def fsle_oscillation_series(
     k = np.arange(i0 + 1, n) - i0
     tail = norms[i0 + 1:]
     keep = tail > 0.0
-    if not np.any(keep):
+    if not keep.any():
         raise ComputationError("all embedded norms past the anchor are zero")
     lambdas = np.log(tail[keep] / ref) / (k[keep] * emb.dt)
     return ExponentSeries(

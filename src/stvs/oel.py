@@ -22,6 +22,7 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -156,6 +157,14 @@ def _ev_residual(
     return e_i**2 - rhs
 
 
+def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``np.polyval(coeffs, x)``: the same Horner steps from zero."""
+    y = np.zeros(x.shape, x.dtype)
+    for c in coeffs:
+        y = y * x + c
+    return y
+
+
 def voltage_cap(
     e_i: float,
     xd_prime: float,
@@ -189,21 +198,16 @@ def voltage_cap(
         ]
     )
     roots = np.roots(coeffs)
-    deriv = np.polyder(coeffs)
+    deriv = coeffs[:-1] * np.arange(4, 0, -1)  # np.polyder(coeffs)
     for _ in range(3):  # Newton polish to drive the residual below tolerance
-        denom = np.polyval(deriv, roots)
-        step = np.where(denom != 0, np.polyval(coeffs, roots) / denom, 0.0)
+        denom = _horner(deriv, roots)
+        step = np.where(denom != 0, _horner(coeffs, roots) / denom, 0.0)
         roots = roots - step
     real = roots[np.abs(roots.imag) < 1e-9].real
     lo, hi = V_CAP_RANGE
     admissible = np.unique(real[(real > lo) & (real < hi)])
-    admissible = np.array(
-        [
-            v
-            for v in admissible
-            if abs(_ev_residual(v, e_i, xd_prime, p_active, k1, k2)) < _RESIDUAL_TOL
-        ]
-    )
+    residual = _ev_residual(admissible, e_i, xd_prime, p_active, k1, k2)
+    admissible = admissible[np.abs(residual) < _RESIDUAL_TOL]
     if admissible.size == 0:
         raise ComputationError(
             f"pickup level E={e_i} has no admissible voltage cap in "
@@ -254,7 +258,9 @@ def construct_critical_signals(
     shifted tangent from above.  Raises TriviallySafe when the residual
     never dips below any cap, TriviallyTripping when even the fastest
     admissible recovery can never reach the lowest cap.  The signals
-    are sampled up to ``PICKUP_PAD_S`` past the latest cap time.
+    are sampled up to ``PICKUP_PAD_S`` past the latest cap time; raises
+    ComputationError, naming the exponent and that horizon, when an
+    extrapolated member leaves float range before it.
     """
     r = np.asarray(residual, dtype=float)
     if r.size < 2:
@@ -279,7 +285,9 @@ def construct_critical_signals(
         t_query = np.asarray(t_query, dtype=float)
         out = np.empty_like(t_query)
         inside = t_query <= t_w
-        idx = np.clip(np.round(t_query[inside] / dt).astype(int), 0, r.size - 1)
+        idx = (t_query[inside] / dt).round().astype(int)
+        np.maximum(idx, 0, out=idx)  # np.clip(idx, 0, r.size - 1)
+        np.minimum(idx, r.size - 1, out=idx)
         out[inside] = r[idx]
         out[~inside] = tail(lam, t_query[~inside])
         return out
@@ -307,10 +315,19 @@ def construct_critical_signals(
 
     horizon = float(times.max()) + PICKUP_PAD_S
     t = np.arange(0.0, horizon + 0.5 * dt, dt)
-    shift1 = float(np.min(caps - member_at(lam_slow, times)))
-    shift2 = float(np.max(caps - member_at(lam_fast, times)))
-    s1 = member_at(lam_slow, t) + shift1
-    s2 = member_at(lam_fast, t) + shift2
+    # a steep exponent can carry the tail past float range before the
+    # horizon; that is reported below, not warned about here
+    with np.errstate(over="ignore", invalid="ignore"):
+        shift1 = float(np.min(caps - member_at(lam_slow, times)))
+        shift2 = float(np.max(caps - member_at(lam_fast, times)))
+        s1 = member_at(lam_slow, t) + shift1
+        s2 = member_at(lam_fast, t) + shift2
+    for lam, signal in ((lam_slow, s1), (lam_fast, s2)):
+        if not np.isfinite(signal).all():
+            raise ComputationError(
+                f"recovery exponent {lam:.6g}/s extrapolates the residual "
+                f"past float range within the {horizon:g} s horizon"
+            )
     return CriticalSignals(
         t=t,
         s1=s1,
@@ -337,6 +354,15 @@ def recovery_exponents(
         return None
 
 
+@lru_cache(maxsize=1)
+def _default_grids() -> tuple[np.ndarray, np.ndarray]:
+    """The tuner's default (gamma1, x*) grids, built once and read-only."""
+    grids = np.geomspace(*GAMMA1_RANGE), np.linspace(*X_STAR_RANGE)
+    for grid in grids:
+        grid.flags.writeable = False
+    return grids
+
+
 def tune_gamma(
     s1: np.ndarray,
     s2: np.ndarray,
@@ -352,17 +378,19 @@ def tune_gamma(
     Stage 1 minimizes |D_s1 - D_s2| over the (gamma1, x*) grid to get
     f*; stage 2 returns the smallest gamma1 (ties to smallest x*) among
     points within f* + f*.  The grids default to ``GAMMA1_RANGE`` and
-    ``X_STAR_RANGE``.  The recovery threshold is the s1/s2 index
-    midpoint at the selected point.  Each critical signal's index is
-    its dip weight |V_pre - s(t0)| times ``distribution.kl_index`` over
-    the whole grid, in one pass; a signal that never dipped scores 0.
+    ``X_STAR_RANGE``, built once and kept read-only.  The recovery
+    threshold is the s1/s2 index midpoint at the selected point.  Each
+    critical signal's index is its dip weight |V_pre - s(t0)| times
+    ``distribution.kl_index`` over the whole grid, in one pass; a signal
+    that never dipped scores 0.
     The grid's reference table comes from the cache ``kl_index`` reads,
     so it is built once per grid and shared by every generator.
     """
+    default_gammas, default_x_stars = _default_grids()
     if gamma1_grid is None:
-        gamma1_grid = np.geomspace(*GAMMA1_RANGE)
+        gamma1_grid = default_gammas
     if x_star_grid is None:
-        x_star_grid = np.linspace(*X_STAR_RANGE)
+        x_star_grid = default_x_stars
     gamma1_grid = np.asarray(gamma1_grid, dtype=float)
     x_star_grid = np.asarray(x_star_grid, dtype=float)
     if gamma1_grid.size == 0 or x_star_grid.size == 0:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import kl_oracle, reference_oracle
+from stvs import distribution
 from stvs.distribution import (
     DivergenceHistogram,
     gompertz_reference,
@@ -11,6 +12,8 @@ from stvs.distribution import (
     histogram,
     kl_divergence,
     kl_divergence_table,
+    kl_index,
+    reference_table,
 )
 from stvs.errors import ValidationError
 
@@ -62,6 +65,90 @@ def test_histogram_invariant_under_permutation(seed):
     a = histogram(factors, 20, 0.0, 1.5)
     b = histogram(rng.permutation(factors), 20, 0.0, 1.5)
     assert np.array_equal(a.probabilities, b.probabilities)
+
+
+# The grids the binning is checked on: the assess defaults (oscillation and
+# recovery) and a few with negative, tiny and wide ranges.
+GRIDS = [
+    (20, 0.0, 1.5),
+    (40, 0.0, 1.5),
+    (2, -1.0, 1.0),
+    (7, 0.1, 0.1 + 1e-9),
+    (33, -250.0, 1e3),
+]
+
+
+@st.composite
+def factors_on_a_grid(draw):
+    """A grid and factors drawn from its edges, lo, hi, ±inf, NaN and floats."""
+    bins, lo, hi = draw(st.sampled_from(GRIDS))
+    edges = np.linspace(lo, hi, bins + 1)
+    special = st.sampled_from(
+        [*edges.tolist(), lo, hi, np.inf, -np.inf, np.nan]
+    )
+    span = hi - lo
+    inside = st.floats(
+        min_value=lo - span, max_value=hi + span, allow_nan=False
+    )
+    values = draw(st.lists(st.one_of(special, inside), min_size=0, max_size=60))
+    return (bins, lo, hi), np.array(values, dtype=float)
+
+
+def histogram_oracle(f, bins, lo, hi):
+    """The counts np.histogram gives on the clamped factors."""
+    edges = np.linspace(lo, hi, bins + 1)
+    counts, _ = np.histogram(np.clip(f, lo, hi), bins=edges)
+    return counts, edges
+
+
+@given(drawn=factors_on_a_grid())
+@settings(max_examples=400, deadline=None)
+def test_binning_equals_numpy_histogram_of_clamped_factors(drawn):
+    (bins, lo, hi), f = drawn
+    want, edges = histogram_oracle(f, bins, lo, hi)
+    if want.sum() == 0:  # nothing but NaN, or nothing at all
+        for bin_it in (
+            lambda: histogram(f, bins, lo, hi),
+            lambda: kl_index(f, (bins, lo, hi), [10.0], [1.0]),
+        ):
+            with pytest.raises(ValidationError, match="^no divergence factors to bin$"):
+                bin_it()
+        return
+    counts, got_edges = distribution._bin_counts(f, bins, lo, hi)
+    assert counts.dtype == want.dtype
+    assert np.array_equal(counts, want)
+    assert np.array_equal(got_edges, edges)
+    h = histogram(f, bins, lo, hi)
+    assert np.array_equal(h.probabilities, want / want.sum())
+    assert np.array_equal(h.bin_edges, edges)
+    # the scorer equals the checked public pair on the same values
+    gammas, x_stars = np.array([1.0, 10.0, 80.0]), np.array([0.9, 1.0])
+    table = reference_table(gammas, x_stars, edges)
+    assert np.array_equal(
+        kl_index(f, (bins, lo, hi), gammas, x_stars),
+        kl_divergence_table(want / want.sum(), table),
+    )
+
+
+def test_all_nan_factors_raise_the_empty_input_error():
+    for f in (np.array([]), np.full(5, np.nan)):
+        with pytest.raises(ValidationError, match="^no divergence factors to bin$"):
+            histogram(f, 20, 0.0, 1.5)
+        with pytest.raises(ValidationError, match="^no divergence factors to bin$"):
+            kl_index(f, (20, 0.0, 1.5), [10.0], [1.0])
+
+
+def test_bin_edges_are_cached_read_only_and_equal_a_fresh_grid():
+    edges, keys = distribution._bin_edges(20, 0.0, 1.5)
+    again = distribution._bin_edges(20, 0.0, 1.5)
+    assert again[0] is edges and again[1] is keys
+    for array in (edges, keys):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.5
+    assert np.array_equal(edges, np.linspace(0.0, 1.5, 21))
+    assert np.array_equal(keys, np.append(np.linspace(0.0, 1.5, 21), np.nan), equal_nan=True)
+    assert histogram(np.array([1.0]), 20, 0.0, 1.5).bin_edges is edges
 
 
 # -- Gompertz reference -------------------------------------------------------------

@@ -536,6 +536,55 @@ def test_batched_envelopes_equal_public_spline_one_by_one(n, n_ch, picks, seed):
             assert np.array_equal(env, want)
 
 
+@given(
+    x=signals_with_plateaus(n_min=4, n_max=40, n_ch_max=10),
+    nan_at=st.lists(st.integers(min_value=0, max_value=400), max_size=3),
+)
+@settings(max_examples=300, deadline=None)
+def test_mode_condition_equals_is_imf_of_each_column(x, nan_at):
+    # plateaus, equal neighbours, exact zeros and NaN samples, one column
+    # at a time and all together
+    for at in nan_at:
+        if at < x.size:
+            x.flat[at] = np.nan
+    want = [is_imf(x[:, j]) for j in range(x.shape[1])]
+    for j, ok in enumerate(want):
+        assert emd._mode_condition_all(x[:, [j]]) == ok
+    assert emd._mode_condition_all(x) == all(want)
+
+
+def test_mode_condition_counts_plateaus_and_a_nan_like_is_imf():
+    # extrema on plateaus; a NaN difference ends a sign run but never
+    # starts one, while every NaN sample counts as a zero-crossing sign
+    for col, ok in (
+        ([0.0, 1.0, 1.0, 1.0, -1.0, -1.0, 2.0], True),  # 2 extrema, 2 crossings
+        ([0.0, 1.0, np.nan, 2.0, 1.0, 0.5, 0.2], True),  # 1 extremum, 2 crossings
+        ([np.nan, np.nan, 1.0, 2.0, 3.0], False),  # 0 extrema, 2 crossings
+    ):
+        x = np.array(col)[:, None]
+        assert is_imf(x[:, 0]) == ok
+        assert emd._mode_condition_all(x) == ok
+
+
+@pytest.mark.parametrize("n_dim", [1, 2, 3, 10])
+def test_direction_vectors_are_cached_read_only_and_equal_a_fresh_build(n_dim):
+    dirs = emd._direction_vectors(emd.N_DIRECTIONS, n_dim)
+    assert emd._direction_vectors(emd.N_DIRECTIONS, n_dim) is dirs
+    assert not dirs.flags.writeable
+    with pytest.raises(ValueError):
+        dirs[0, 0] = 0.5
+    if n_dim == 1:
+        fresh = np.ones((1, 1))
+    elif n_dim == 2:
+        angles = np.pi * np.arange(emd.N_DIRECTIONS) / emd.N_DIRECTIONS
+        fresh = np.column_stack([np.cos(angles), np.sin(angles)])
+    else:
+        rng = np.random.Generator(np.random.Philox(emd._DIRECTION_SEED))
+        fresh = rng.normal(size=(emd.N_DIRECTIONS, n_dim))
+        fresh = fresh / np.linalg.norm(fresh, axis=1, keepdims=True)
+    assert np.array_equal(dirs, fresh)
+
+
 def assert_pass_matches_loop(x, directions):
     got = emd._mean_envelope_mv(x, directions)
     want = mean_envelope_mv_oracle(x, directions)

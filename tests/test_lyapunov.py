@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stvs.embed import augment_rocov, delay_embed
-from stvs.errors import TrivialRecovery, ValidationError
+from stvs.errors import ComputationError, TrivialRecovery, ValidationError
 from stvs.lyapunov import (
+    ExponentSeries,
     fsle_oscillation_series,
     fsle_residual_series,
     ftle_window,
@@ -34,6 +35,41 @@ def test_ftle_window_rejects_degenerate_inputs():
         ftle_window(0.0, 0.1, 1.0)
     with pytest.raises(ValidationError):
         ftle_window(0.1, 0.1, 0.0)
+
+
+# -- exponent series ---------------------------------------------------------------
+
+INCONSISTENT = "^divergence factors inconsistent with lambdas$"
+
+
+def _series(lambdas, factors):
+    k = np.arange(1, len(lambdas) + 1)
+    return ExponentSeries(
+        lambdas=np.asarray(lambdas, dtype=float),
+        divergence_factors=np.asarray(factors, dtype=float),
+        k_offsets=k,
+        dt=DT,
+    )
+
+
+def test_series_accepts_factors_within_the_tolerance():
+    lambdas = np.array([-1.5, 0.0, 0.3])
+    _series(lambdas, np.exp(lambdas))
+    _series(lambdas, np.exp(lambdas) * (1 + 1e-14))  # not equal, but close
+
+
+@pytest.mark.parametrize(
+    "lambdas, factors",
+    [
+        ([-1.5, np.nan, 0.3], [np.exp(-1.5), np.nan, np.exp(0.3)]),  # NaN both
+        ([-1.5, np.nan, 0.3], [np.exp(-1.5), 1.0, np.exp(0.3)]),  # NaN lambda
+        ([-1.5, 0.0, 0.3], [np.exp(-1.5), np.nan, np.exp(0.3)]),  # NaN factor
+        ([-1.5, 0.0, 0.3], [np.exp(-1.5), 1.0 + 1e-9, np.exp(0.3)]),  # hand-built
+    ],
+)
+def test_series_rejects_nan_and_inconsistent_factors(lambdas, factors):
+    with pytest.raises(ComputationError, match=INCONSISTENT):
+        _series(lambdas, factors)
 
 
 # -- residual FSLE ----------------------------------------------------------------

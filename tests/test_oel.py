@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from stvs.oel import (
     tune_gamma,
     voltage_cap,
 )
-from stvs.synth import synth_scenario
+from stvs.synth import ScenarioParams, synth_scenario
 
 DT = 0.02
 
@@ -128,6 +130,54 @@ def test_cap_seeded_parameter_sets_match_oracle():
         assert np.min(np.abs(roots - got)) < 1e-4
 
 
+def polyval_cap_oracle(e_i, xd, p, k1, k2, v_current):
+    """``voltage_cap`` as written with np.polyder, np.polyval and a loop filter."""
+    a = xd / k1
+    coeffs = np.array([
+        1.0,
+        2.0 * a,
+        a * a - 2.0 * a * k2 - e_i**2,
+        -2.0 * a * a * k2,
+        a * a * k2 * k2 + (xd * p) ** 2,
+    ])
+    roots = np.roots(coeffs)
+    deriv = np.polyder(coeffs)
+    for _ in range(3):
+        denom = np.polyval(deriv, roots)
+        roots = roots - np.where(denom != 0, np.polyval(coeffs, roots) / denom, 0.0)
+    real = roots[np.abs(roots.imag) < 1e-9].real
+    admissible = np.unique(real[(real > 0.0) & (real < 2.0)])
+    admissible = np.array(
+        [v for v in admissible if abs(_ev_residual(v, e_i, xd, p, k1, k2)) < 1e-9]
+    )
+    if admissible.size == 0:
+        return None
+    return float(admissible[np.lexsort((admissible, np.abs(admissible - v_current)))[0]])
+
+
+def test_cap_equals_the_polyval_polish_bit_for_bit():
+    # caps that exist, pickups with no admissible cap, and several roots
+    # in range with the measured voltage choosing between them
+    rng = np.random.default_rng(11)
+    found = missing = 0
+    for _ in range(300):
+        xd = rng.uniform(0.05, 0.6)
+        p = rng.uniform(0.0, 1.2)
+        k1 = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 1.5)
+        k2 = rng.uniform(0.5, 1.2)
+        e_i = rng.uniform(0.2, 2.0)
+        v_current = rng.uniform(0.3, 1.7)
+        want = polyval_cap_oracle(e_i, xd, p, k1, k2, v_current)
+        if want is None:
+            missing += 1
+            with pytest.raises(ComputationError):
+                voltage_cap(e_i, xd, p, k1, k2, v_current=v_current)
+        else:
+            found += 1
+            assert voltage_cap(e_i, xd, p, k1, k2, v_current=v_current) == want
+    assert found > 50 and missing > 50
+
+
 def test_build_characteristic_recovers_line_and_cap(generator_specs):
     v = np.linspace(0.7, 0.9, 60)
     q = (v - QV_K2) / QV_K1
@@ -191,6 +241,58 @@ def test_trivially_tripping_recovery_detected():
     series = fsle_residual_series(residual, eq0=1.0, dt=DT)
     with pytest.raises(TriviallyTripping):
         construct_critical_signals(residual, DT, 1.0, [(0.9, 20.0)], series)
+
+
+def test_overflowing_extrapolation_is_one_computation_error():
+    residual = np.array([0.95, 0.93, 0.92])
+    series = fsle_residual_series(residual, eq0=1.0, dt=DT)
+    steep = type(series)(
+        lambdas=np.array([80.0, 2.0]),
+        divergence_factors=np.exp([80.0, 2.0]),
+        k_offsets=np.array([1, 2]),
+        dt=DT,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ComputationError) as err:
+            construct_critical_signals(residual, DT, 1.0, [(0.9, 20.0)], steep)
+    assert str(err.value) == (
+        "recovery exponent 80/s extrapolates the residual past float range "
+        "within the 21 s horizon"
+    )
+
+
+@pytest.mark.parametrize("kind", ["stable-osc", "growing-osc"])
+def test_steep_critical_signal_is_a_staged_error_without_warnings(
+    kind, generator_specs
+):
+    # a 0.6 s noisy one-channel window whose residual barely dips: its
+    # slowest exponent is tens per second, and exp overflows before the
+    # 21 s horizon
+    traj = synth_scenario(
+        kind, ScenarioParams(n_channels=1, fs=25, noise_sigma=0.003, seed=7)
+    )
+    config = AssessmentConfig(window_s=0.6, generators={"G1": generator_specs["G1"]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ComputationError) as err:
+            assess(traj, config)
+    assert re.fullmatch(
+        r"\[recovery:G1\] recovery exponent \d+(\.\d+)?/s extrapolates the "
+        r"residual past float range within the 21 s horizon",
+        str(err.value),
+    )
+
+
+@pytest.mark.parametrize("grid", [0, 1])
+def test_default_tuning_grids_are_cached_read_only(grid):
+    want = (np.geomspace(*oel.GAMMA1_RANGE), np.linspace(*oel.X_STAR_RANGE))[grid]
+    got = oel._default_grids()[grid]
+    assert oel._default_grids()[grid] is got
+    assert not got.flags.writeable
+    with pytest.raises(ValueError):
+        got[0] = 0.5
+    assert np.array_equal(got, want)
 
 
 # -- tuning -----------------------------------------------------------------------------
