@@ -1,10 +1,11 @@
 """Command-line front end for batch and streaming assessment.
 
 Subcommands: assess, decompose, exponents, thresholds, tune, synth.
-Results go to stdout (or --out); diagnostics go to stderr.  Exit codes:
-0 success, 1 invalid input, 2 computation failure.  A reader that closes
-stdout early (``stvs assess --stream ... | head``) ends the run quietly
-with 0.
+The CLI parses arguments and prints what the library computed: results
+go to stdout (or --out), each error is one ``stvs:`` line on stderr.
+Exit codes: 0 success, 1 invalid input (a file that cannot be read or
+written included), 2 computation failure.  A reader that closes stdout
+early (``stvs assess --stream ... | head``) ends the run quietly with 0.
 """
 
 from __future__ import annotations
@@ -14,14 +15,15 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from contextlib import nullcontext
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import oel, synth
 from .distribution import reference_table
 from .emd import decompose
-from .errors import ComputationError, StvsError, ValidationError, stage
+from .errors import StvsError, ValidationError, stage
 from .indices import (
     OSC_X_STAR,
     AssessmentConfig,
@@ -133,22 +135,11 @@ def _build_parser() -> _Parser:
 
 
 def _emit(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-
-
-def _read_input(path: str, t0: float | None) -> VoltageTrajectory:
-    traj = load_trajectory(path)
-    if t0 is not None:
-        return traj.with_fault_clear_time(t0)
-    return replace(traj, fault_clear_index=detect_fault_clear_index(traj))
+    if not text.endswith("\n"):
+        text += "\n"
+    target = open(output, "w", encoding="utf-8") if output else nullcontext(sys.stdout)
+    with target as fh:
+        fh.write(text)
 
 
 def _load_input(args) -> VoltageTrajectory:
@@ -156,7 +147,11 @@ def _load_input(args) -> VoltageTrajectory:
     an ``[ingest]`` error, as inside ``assess``."""
     if not args.input:
         raise ValidationError("--in is required for this subcommand")
-    return stage("ingest", _read_input, args.input, args.t0)
+    traj = stage("ingest", load_trajectory, args.input)
+    if args.t0 is not None:
+        return stage("ingest", traj.with_fault_clear_time, args.t0)
+    index = stage("ingest", detect_fault_clear_index, traj)
+    return replace(traj, fault_clear_index=index)
 
 
 def _assessment_config(args) -> AssessmentConfig:
@@ -172,6 +167,9 @@ def _assessment_config(args) -> AssessmentConfig:
 
 
 def _cmd_assess(args) -> int:
+    if args.stream and (args.input or args.output):
+        flag = "--in" if args.input else "--out"
+        raise ValidationError(f"argument {flag}: not allowed with argument --stream")
     config = _assessment_config(args)
     if args.stream:
         return _cmd_stream(args, config)
@@ -182,31 +180,26 @@ def _cmd_assess(args) -> int:
 
 
 def _cmd_stream(args, config: AssessmentConfig) -> int:
-    """Assess a growing window fed row-by-row on stdin.
+    """Assess a growing window fed row-by-row on stdin; reports go to
+    stdout, so ``--in`` and ``--out`` are rejected.
 
-    Emits one JSON line per report interval once 0.5 s of post-fault
-    data has accumulated.  Each row is parsed once into one buffer and
-    checked once, on its own, so the work per row does not grow with
-    the history; a trajectory is built from the buffer only for a row
-    that is due a report.  With ``--t0`` no row is checked before a row
-    at or past t0 has arrived, and those waiting rows are then checked
-    together; a t0 before the first row can never be reported, so it is
-    reported once and the stream stops with exit 1.  Without it, the
-    rows are checked from the second on, the fault signature is tracked
-    row by row, and a history with no fault signature yet is reported
-    once on stderr, and once more at the end if none ever showed, so
-    that no report was written.  A stream that ends before the first
-    report (less than 0.5 s after fault clearing, or before ``--t0``)
-    says so on stderr and exits 0.
-    Out-of-order rows are reported on stderr and skipped; the stream
-    continues.  Rows whose column count differs from the header's are
-    dropped too: the first one is reported on stderr, and the number
-    dropped when the stream ends.
-    A kept row that makes the history invalid (a NaN or non-positive
-    voltage, a gap in the sampling) stays in every later report, so
-    it is reported once and the stream stops with exit 1; the reports
-    already written stay.  A failing report (a computation failure) is
-    reported and the stream goes on.
+    One JSON line per report interval once 0.5 s of post-fault data has
+    accumulated.  Each row is parsed once into one buffer and checked
+    once, on its own; a trajectory is built only for a row due a report.
+    With ``--t0``, rows wait until one at or past t0 arrives, are then
+    checked together, and t0 is placed once.  Without it, the fault
+    clear sample is tracked row by row; a history with no fault
+    signature yet is reported once, and once more at the end if none
+    ever showed.
+    Out-of-order rows are reported and skipped; the first row with the
+    wrong column count is reported, and the number dropped at the end.
+    The stream stops with exit 1, after one line, on what no later row
+    can mend: a kept row that makes the history invalid (a NaN or
+    non-positive voltage, a gap in the sampling), a ``--t0`` before the
+    first row and, with ``--t0``, an ``[ingest]`` failure of a report
+    (no pre-fault samples, a window under 2 samples).  Any other failing
+    report is reported and the stream goes on; the reports written stay.
+    A stream that ends before its first report says so and exits 0.
     """
     header = sys.stdin.readline().removeprefix("\ufeff")  # a UTF-8 BOM
     if not header.strip():
@@ -219,14 +212,11 @@ def _cmd_stream(args, config: AssessmentConfig) -> int:
     last_t = -np.inf
     checker = RowChecker(names, origin="<stdin>")
     tracker = FaultClearTracker()
-    # t0_index is the sample nearest the fault clear time `resolved`,
-    # resolved again only when the clear time moves
-    resolved: float | None = None
-    t0_index = 0
+    t0_index: int | None = None
     data_time: float | None = None
     next_report: float | None = None
     bad_width = 0
-    status = 0
+    stop: str | None = None  # why the stream stopped early, if it did
     # the history has had no fault signature so far; once one is found
     # it stays in every longer history
     no_signature = False
@@ -263,24 +253,13 @@ def _cmd_stream(args, config: AssessmentConfig) -> int:
             continue
         data = buf[:, :n].T
         try:
-            if checker.rows:
-                checker.check(data)
-            else:
-                # the backlog is built once, so the trajectory's own checks
-                # (dt > 0) run on it too; dt and t_start never change after
-                trajectory_from_columns(names, data, "<stdin>", checker)
+            checker.check(data)
         except ValidationError as exc:
-            sys.stderr.write(
-                f"stvs: [ingest] {exc}; every later report would contain it, "
-                f"so the stream stops\n"
-            )
-            status = 1
+            stop = f"[ingest] {exc}; every later report would contain it"
             break
-        if args.t0 is not None:
-            clear_time = args.t0
-        else:
-            clear_index = tracker.update(data, checker.voltage_index)
-            if clear_index is None:
+        if args.t0 is None:
+            t0_index = tracker.update(data, checker.voltage_index)
+            if t0_index is None:
                 if not no_signature:
                     sys.stderr.write(
                         f"stvs: {NO_FAULT_SIGNATURE}; reports start once a "
@@ -289,35 +268,41 @@ def _cmd_stream(args, config: AssessmentConfig) -> int:
                 no_signature = True
                 continue
             no_signature = False
-            clear_time = checker.t_start + clear_index * checker.dt
-        try:
-            if clear_time != resolved:
+        elif t0_index is None:
+            try:
+                # t_start and dt are fixed and a row at or past t0 is in, so a
+                # failure means t0 is before the first row
                 t0_index = stage(
-                    "ingest", fault_clear_index, clear_time, checker.t_start, checker.dt, n
+                    "ingest", fault_clear_index, args.t0, checker.t_start, checker.dt, n
                 )
-                resolved = clear_time
-            data_time = last_t - (checker.t_start + t0_index * checker.dt)
-            if data_time < 0.5:
-                continue
-            if next_report is None:
-                next_report = data_time
-            if data_time + 1e-9 < next_report:
-                continue
+            except ValidationError as exc:
+                stop = f"{exc}; it is before the first row"
+                break
+        data_time = last_t - (checker.t_start + t0_index * checker.dt)
+        if data_time < 0.5:
+            continue
+        if next_report is None:
+            next_report = data_time
+        if data_time + 1e-9 < next_report:
+            continue
+        try:
             traj = trajectory_from_columns(names, data, "<stdin>", checker)
             doc = assess(replace(traj, fault_clear_index=t0_index), config).to_dict()
-            doc["latency_s"] = data_time
-            sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
-            sys.stdout.flush()
-            next_report = data_time + args.report_interval
         except StvsError as exc:
-            if resolved is None and clear_time < checker.t_start:
-                # t_start is fixed, so no later row can bring t0 inside
-                sys.stderr.write(
-                    f"stvs: {exc}; it is before the first row, so the stream stops\n"
-                )
-                status = 1
+            # with --t0 the rows before t0 and the window are fixed, save a
+            # one-sample window (n - t0_index == 2) that the next row lengthens
+            fixed = args.t0 is not None and n - t0_index > 2
+            if fixed and str(exc).startswith("[ingest]"):
+                stop = f"{exc}; no later row can change it"
                 break
             sys.stderr.write(f"stvs: {exc}\n")
+            continue
+        doc["latency_s"] = data_time
+        sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
+        sys.stdout.flush()
+        next_report = data_time + args.report_interval
+    if stop:
+        sys.stderr.write(f"stvs: {stop}, so the stream stops\n")
     if bad_width:
         sys.stderr.write(
             f"stvs: dropped {bad_width} row(s) with the wrong number of columns\n"
@@ -327,7 +312,7 @@ def _cmd_stream(args, config: AssessmentConfig) -> int:
             "stvs: the stream ended without a fault signature, so no report "
             "was written; pass --t0\n"
         )
-    elif status == 0 and next_report is None:
+    elif stop is None and next_report is None:
         if data_time is not None:
             sys.stderr.write(
                 f"stvs: the stream ended {data_time:.3g} s after fault clearing, "
@@ -338,7 +323,7 @@ def _cmd_stream(args, config: AssessmentConfig) -> int:
                 f"stvs: the stream ended at {last_t} s, before the fault clear "
                 f"time {args.t0} s, so no report was written\n"
             )
-    return status
+    return 1 if stop else 0
 
 
 def _cmd_decompose(args) -> int:
@@ -420,26 +405,12 @@ def _cmd_tune(args) -> int:
         if g.id not in config.generators:
             continue
         entry = {"id": g.id}
-        charac = g.characteristic
-        if charac is not None:
-            entry.update(
-                k1=charac.k1,
-                k2=charac.k2,
-                vcaps=[list(vt) for vt in charac.vcaps],
-            )
-        tuning = g.tuning
-        if tuning is None:
+        if g.characteristic is not None:
+            entry.update(asdict(g.characteristic))
+        if g.tuning is None:
             entry["trivial"] = g.classification
         else:
-            entry.update(
-                gamma1=tuning.gamma1,
-                x_star=tuning.x_star,
-                d_s1=tuning.d_s1,
-                d_s2=tuning.d_s2,
-                f_star=tuning.f_star,
-                epsilon=tuning.epsilon,
-                d_critical_r=tuning.d_critical_r,
-            )
+            entry.update(asdict(g.tuning))
         out.append(entry)
     if not out:
         raise ValidationError("no generator in --gen-config matches a channel")
@@ -483,21 +454,15 @@ def run(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except ValidationError as exc:
-        sys.stderr.write(f"stvs: {exc}\n")
-        return 1
-    except (ComputationError, StvsError) as exc:
-        sys.stderr.write(f"stvs: {exc}\n")
-        return 2
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"stvs: {exc}\n")
-        return 1
     except BrokenPipeError:
         # The reader closed stdout early (`stvs ... | head`).  Point stdout
         # at devnull so the flush at interpreter exit cannot fail again.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 0
+    except (StvsError, OSError) as exc:
+        sys.stderr.write(f"stvs: {exc}\n")
+        return 1 if isinstance(exc, (ValidationError, OSError)) else 2
 
 
 def main() -> None:

@@ -123,20 +123,26 @@ def load_trajectory(path) -> VoltageTrajectory:
     dt is inferred from the time column and must be uniform within
     ``DT_REL_TOL`` relative tolerance.  NaN, infinite or non-positive
     voltages are rejected with the offending row index (0-based data
-    rows).  A UTF-8 byte-order mark before the header is dropped.
+    rows).  A UTF-8 byte-order mark before the header is dropped; a file
+    that is not UTF-8 text is rejected.
     """
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        header = fh.readline().strip()
-        if not header:
-            raise ValidationError(f"{path}: empty file")
-        names = [c.strip() for c in header.split(",")]
-        try:
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            header = fh.readline().strip()
+            if not header:
+                raise ValidationError(f"{path}: empty file")
+            names = [c.strip() for c in header.split(",")]
             # a header with no rows is reported by the row check below
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)
                 data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise ValidationError(f"{path}: malformed numeric data: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise ValidationError(
+            f"{path}: not UTF-8 text (byte {byte:#04x}: {exc.reason})"
+        ) from exc
+    except ValueError as exc:
+        raise ValidationError(f"{path}: malformed numeric data: {exc}") from exc
     return trajectory_from_columns(names, data, origin=str(path))
 
 

@@ -428,10 +428,16 @@ def load_generator_config(path) -> dict[str, GeneratorSpec]:
     """Read per-generator machine data from an INI-style config.
 
     One section per generator id with ``xd_prime``, ``p_active`` and
-    comma-separated ``pickup = E@t`` / ``lvrt = V@t`` lists.
+    comma-separated ``pickup = E@t`` / ``lvrt = V@t`` lists, read as
+    UTF-8.  A file the INI reader rejects is a validation error that
+    names it.
     """
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        # a parsing error quotes the offending line on a line of its own
+        raise ValidationError(f"{path}: {' '.join(str(exc).split())}") from exc
     if not read:
         raise ValidationError(f"cannot read generator config {path}")
 
@@ -460,7 +466,7 @@ def load_generator_config(path) -> dict[str, GeneratorSpec]:
                 pickups=parse_pairs(sec.get("pickup", ""), "pickup", section),
                 lvrt=parse_pairs(sec.get("lvrt", ""), "lvrt", section),
             )
-        except ValueError as exc:
+        except (ValueError, configparser.Error) as exc:  # an interpolation error
             raise ValidationError(f"{path} [{section}]: {exc}") from exc
         specs[section] = spec
     if not specs:

@@ -237,6 +237,74 @@ def test_a_header_without_rows_prints_one_line_and_no_warning(tmp_path):
     assert proc.stderr == f"stvs: [ingest] {path}: need at least 2 data rows\n"
 
 
+def bad_input_files(tmp_path):
+    """The files the one-line-exit cases below read, written into ``tmp_path``."""
+    write_trajectory(synth_scenario("mixed"), tmp_path / "m.csv")
+    rows = (tmp_path / "m.csv").read_bytes().splitlines(keepends=True)
+    (tmp_path / "d").mkdir()
+    (tmp_path / "ff-header.csv").write_bytes(b"time,V:\xff\n" + b"".join(rows[1:]))
+    # far past the first block the reader decodes, so the row parser meets it
+    rows[150] = rows[150].replace(b",", b"\xff,", 1)
+    (tmp_path / "ff-row.csv").write_bytes(b"".join(rows))
+    machine = "xd_prime = 0.3\np_active = 0.9\npickup = 0.95@20\n"
+    (tmp_path / "dup.ini").write_text(f"[G1]\n{machine}[G1]\n{machine}")
+    (tmp_path / "nohdr.ini").write_text(machine)
+    (tmp_path / "interp.ini").write_text("[G1]\nxd_prime = %(x)s\n")
+    (tmp_path / "ff.ini").write_bytes(b"[G1]\nxd_prime = 0.3\xff\n")
+
+
+IS_A_DIRECTORY = "[Errno 21] Is a directory: 'd'"
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, named",
+    [
+        (["assess", "--in", "d", "--t0", "1.1"], None, IS_A_DIRECTORY),
+        (["assess", "--in", "m.csv", "--t0", "1.1", "--out", "d"], None, IS_A_DIRECTORY),
+        (["decompose", "--in", "m.csv", "--t0", "1.1", "--out", "d"], None, IS_A_DIRECTORY),
+        (["synth", "mixed", "--out", "d"], None, IS_A_DIRECTORY),
+        (["assess", "--in", "ff-header.csv", "--t0", "1.1"], None,
+         "[ingest] ff-header.csv: not UTF-8 text (byte 0xff"),
+        (["assess", "--in", "ff-row.csv", "--t0", "1.1"], None,
+         "[ingest] ff-row.csv: not UTF-8 text (byte 0xff"),
+        (["assess", "--in", "m.csv", "--t0", "1.1", "--gen-config", "dup.ini"], None,
+         "dup.ini: While reading from 'dup.ini' [line 5]: section 'G1' already exists"),
+        (["assess", "--in", "m.csv", "--t0", "1.1", "--gen-config", "nohdr.ini"], None,
+         "nohdr.ini: File contains no section headers."),
+        (["tune", "--in", "m.csv", "--t0", "1.1", "--gen-config", "interp.ini"], None,
+         "interp.ini [G1]: Bad value substitution: option 'xd_prime'"),
+        (["assess", "--in", "m.csv", "--t0", "1.1", "--gen-config", "ff.ini"], None,
+         "ff.ini: 'utf-8' codec can't decode byte 0xff"),
+        (["assess", "--stream", "--in", "m.csv"], None,
+         "argument --in: not allowed with argument --stream"),
+        (["assess", "--stream", "--out", "s.jsonl"], "m.csv",
+         "argument --out: not allowed with argument --stream"),
+        (["assess", "--stream", "--t0", "0"], "m.csv",
+         "[ingest] cannot estimate the pre-fault voltage"),
+    ],
+    ids=[
+        "in-directory", "assess-out-directory", "decompose-out-directory",
+        "synth-out-directory", "not-utf8-header", "not-utf8-row",
+        "duplicate-section", "no-section-header", "interpolation", "not-utf8-ini",
+        "stream-with-in", "stream-with-out", "stream-t0-without-pre-fault-rows",
+    ],
+)
+def test_a_bad_input_or_output_is_one_line_and_exit_1(tmp_path, argv, stdin, named):
+    bad_input_files(tmp_path)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stvs.__file__)))
+    with open(tmp_path / stdin if stdin else os.devnull) as fh:
+        proc = subprocess.run(
+            [sys.executable, "-m", "stvs.cli", *argv],
+            stdin=fh, capture_output=True, text=True, timeout=120, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.count("\n") == 1  # the one stvs: line
+    assert proc.stderr.startswith(f"stvs: {named}")
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert not (tmp_path / "s.jsonl").exists()  # --out with --stream writes nothing
+
+
 @pytest.mark.parametrize(
     "argv, named",
     [

@@ -540,6 +540,46 @@ def test_stream_stops_once_on_a_t0_before_the_first_row(capsys, tmp_path):
     assert "fault clear time 1.1 s outside the record [1.18," in batch.err
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--t0", "0"], "cannot estimate the pre-fault voltage: no samples before the "
+         "fault and no explicit value supplied"),
+        (["--t0", "1.1", "--window", "0.01"], "window duration 0.01 s yields 0 samples"),
+    ],
+    ids=["no-pre-fault-rows", "window-under-2-samples"],
+)
+def test_an_ingest_failure_stops_a_t0_stream_once(flags, named):
+    lines = record_lines("mixed", seed=1)
+    code, out, err, _ = stream(["assess", "--stream", *flags], lines)
+    assert (code, out) == (1, "")  # was one line per row and exit 0
+    assert err.startswith(f"stvs: [ingest] {named}")
+    assert err.endswith("; no later row can change it, so the stream stops\n")
+    assert err.count("\n") == 1
+
+
+def test_an_ingest_failure_that_a_later_row_can_mend_lets_the_stream_go_on():
+    lines = record_lines("mixed", seed=1)
+    _, clean, _, _ = stream(stream_argv(False), lines)
+    # without --t0: a dip in the first rows puts t0 where no row precedes
+    # the fault, until the real fault's dip moves it on
+    early = list(lines)
+    for row, v in enumerate((0.5, 0.55, 0.6, 0.65), start=1):
+        cells = early[row].split(",")
+        cells[1] = repr(v)
+        early[row] = ",".join(cells)
+    code, out, err, _ = stream(stream_argv(False), early)
+    assert code == 0
+    assert err.count("stvs: [ingest] lookback") > 1 and "stops" not in err
+    assert out.splitlines()[-1] == clean.splitlines()[-1]
+    # with --t0 at 2 rows/s: the first report's window holds one sample,
+    # and the next row makes it two
+    coarse = record_lines("mixed", fs=2.0, prefault_s=2.0, fault_s=0.5, post_s=4.0)
+    code, out, err, _ = stream(["assess", "--stream", "--t0", "2.5"], coarse)
+    assert code == 0 and len(out.splitlines()) == 7
+    assert err == "stvs: [ingest] window duration 0.5 s yields 1 samples (need >= 2)\n"
+
+
 def test_stream_says_why_a_short_record_got_no_report(capsys, tmp_path):
     assert run(["synth", "mixed", "post_s=0.3"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
