@@ -74,6 +74,7 @@ from .oel import (
     tune_gamma,
     voltage_cap,
 )
+from .stream import Monitor
 from .synth import (
     ScenarioParams,
     TwoTimescaleParams,

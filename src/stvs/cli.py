@@ -3,6 +3,8 @@
 Subcommands: assess, decompose, exponents, thresholds, tune, synth.
 The CLI parses arguments and prints what the library computed: results
 go to stdout (or --out), each error is one ``stvs:`` line on stderr.
+``assess --stream`` prints the reports of a ``stvs.stream.Monitor``
+fed the rows on stdin, one JSON line each, and its notes on stderr.
 Exit codes: 0 success, 1 invalid input (a file that cannot be read or
 written included), 2 computation failure.  A reader that closes stdout
 early (``stvs assess --stream ... | head``) ends the run quietly with 0.
@@ -32,20 +34,15 @@ from .indices import (
     imf_threshold,
 )
 from .ingest import (
-    TIME_COLUMN,
     VOLTAGE_PREFIX,
-    NO_FAULT_SIGNATURE,
-    FaultClearTracker,
-    RowChecker,
     VoltageTrajectory,
     detect_fault_clear_index,
     extract_post_fault_window,
-    fault_clear_index,
     load_trajectory,
-    trajectory_from_columns,
     write_columns,
     write_trajectory,
 )
+from .stream import Monitor
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse usage errors are validation errors
@@ -179,151 +176,31 @@ def _cmd_assess(args) -> int:
     return 0
 
 
-def _cmd_stream(args, config: AssessmentConfig) -> int:
-    """Assess a growing window fed row-by-row on stdin; reports go to
-    stdout, so ``--in`` and ``--out`` are rejected.
+def _note(text: str) -> None:
+    sys.stderr.write(f"stvs: {text}\n")
 
-    One JSON line per report interval once 0.5 s of post-fault data has
-    accumulated.  Each row is parsed once into one buffer and checked
-    once, on its own; a trajectory is built only for a row due a report.
-    With ``--t0``, rows wait until one at or past t0 arrives, are then
-    checked together, and t0 is placed once.  Without it, the fault
-    clear sample is tracked row by row; a history with no fault
-    signature yet is reported once, and once more at the end if none
-    ever showed.
-    Out-of-order rows are reported and skipped; the first row with the
-    wrong column count is reported, and the number dropped at the end.
-    The stream stops with exit 1, after one line, on what no later row
-    can mend: a kept row that makes the history invalid (a NaN or
-    non-positive voltage, a gap in the sampling), a ``--t0`` before the
-    first row and, with ``--t0``, an ``[ingest]`` failure of a report
-    (no pre-fault samples, a window under 2 samples).  Any other failing
-    report is reported and the stream goes on; the reports written stay.
-    A stream that ends before its first report says so and exits 0.
-    """
+
+def _cmd_stream(args, config: AssessmentConfig) -> int:
+    """Print the reports of a ``Monitor`` fed the rows on stdin, one
+    JSON line each, and its notes as ``stvs:`` lines; ``stvs.stream``
+    holds the policy.  A stop is one line and exit 1."""
     header = sys.stdin.readline().removeprefix("\ufeff")  # a UTF-8 BOM
     if not header.strip():
         return 0
     names = [c.strip() for c in header.split(",")]
-    t_index = names.index(TIME_COLUMN) if TIME_COLUMN in names else 0
-    # column-major, so that a column of the history is contiguous
-    buf = np.empty((len(names), 256))
-    n = 0
-    last_t = -np.inf
-    checker = RowChecker(names, origin="<stdin>")
-    tracker = FaultClearTracker()
-    t0_index: int | None = None
-    data_time: float | None = None
-    next_report: float | None = None
-    bad_width = 0
-    stop: str | None = None  # why the stream stopped early, if it did
-    # the history has had no fault signature so far; once one is found
-    # it stays in every longer history
-    no_signature = False
-
-    for raw in sys.stdin:
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            vals = [float(v) for v in line.split(",")]
-        except ValueError:
-            sys.stderr.write(f"stvs: skipping malformed row: {line}\n")
-            continue
-        if len(vals) != len(names):
-            if not bad_width:
-                sys.stderr.write(
-                    f"stvs: dropping row with {len(vals)} columns (header has "
-                    f"{len(names)}): {line}; such rows are dropped and counted\n"
-                )
-            bad_width += 1
-            continue
-        if vals[t_index] <= last_t:
-            sys.stderr.write(
-                f"stvs: out-of-order timestamp {vals[t_index]} (last {last_t}); "
-                f"row skipped\n"
-            )
-            continue
-        last_t = vals[t_index]
-        if n == buf.shape[1]:
-            buf = np.concatenate([buf, np.empty_like(buf)], axis=1)
-        buf[:, n] = vals
-        n += 1
-        if n < 2 or (args.t0 is not None and last_t < args.t0):
-            continue
-        data = buf[:, :n].T
-        try:
-            checker.check(data)
-        except ValidationError as exc:
-            stop = f"[ingest] {exc}; every later report would contain it"
-            break
-        if args.t0 is None:
-            t0_index = tracker.update(data, checker.voltage_index)
-            if t0_index is None:
-                if not no_signature:
-                    sys.stderr.write(
-                        f"stvs: {NO_FAULT_SIGNATURE}; reports start once a "
-                        f"later row shows one\n"
-                    )
-                no_signature = True
-                continue
-            no_signature = False
-        elif t0_index is None:
-            try:
-                # t_start and dt are fixed and a row at or past t0 is in, so a
-                # failure means t0 is before the first row
-                t0_index = stage(
-                    "ingest", fault_clear_index, args.t0, checker.t_start, checker.dt, n
-                )
-            except ValidationError as exc:
-                stop = f"{exc}; it is before the first row"
-                break
-        data_time = last_t - (checker.t_start + t0_index * checker.dt)
-        if data_time < 0.5:
-            continue
-        if next_report is None:
-            next_report = data_time
-        if data_time + 1e-9 < next_report:
-            continue
-        try:
-            traj = trajectory_from_columns(names, data, "<stdin>", checker)
-            doc = assess(replace(traj, fault_clear_index=t0_index), config).to_dict()
-        except StvsError as exc:
-            # with --t0 the rows before t0 and the window are fixed, save a
-            # one-sample window (n - t0_index == 2) that the next row lengthens
-            fixed = args.t0 is not None and n - t0_index > 2
-            if fixed and str(exc).startswith("[ingest]"):
-                stop = f"{exc}; no later row can change it"
-                break
-            sys.stderr.write(f"stvs: {exc}\n")
-            continue
-        doc["latency_s"] = data_time
-        sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
-        sys.stdout.flush()
-        next_report = data_time + args.report_interval
-    if stop:
-        sys.stderr.write(f"stvs: {stop}, so the stream stops\n")
-    if bad_width:
-        sys.stderr.write(
-            f"stvs: dropped {bad_width} row(s) with the wrong number of columns\n"
-        )
-    if no_signature:
-        sys.stderr.write(
-            "stvs: the stream ended without a fault signature, so no report "
-            "was written; pass --t0\n"
-        )
-    elif stop is None and next_report is None:
-        if data_time is not None:
-            sys.stderr.write(
-                f"stvs: the stream ended {data_time:.3g} s after fault clearing, "
-                f"so no report was written; the first report needs 0.5 s\n"
-            )
-        elif args.t0 is not None and n:
-            sys.stderr.write(
-                f"stvs: the stream ended at {last_t} s, before the fault clear "
-                f"time {args.t0} s, so no report was written\n"
-            )
-    return 1 if stop else 0
+    monitor = Monitor(names, config, args.t0, args.report_interval, _note)
+    stopped = False
+    try:
+        for line in sys.stdin:
+            doc = monitor.push(line)
+            if doc is not None:
+                sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
+                sys.stdout.flush()
+    except ValidationError as exc:
+        _note(f"{exc}, so the stream stops")
+        stopped = True
+    monitor.finish(stopped)
+    return 1 if stopped else 0
 
 
 def _cmd_decompose(args) -> int:
@@ -461,7 +338,7 @@ def run(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         return 0
     except (StvsError, OSError) as exc:
-        sys.stderr.write(f"stvs: {exc}\n")
+        _note(str(exc))
         return 1 if isinstance(exc, (ValidationError, OSError)) else 2
 
 

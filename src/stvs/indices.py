@@ -72,6 +72,10 @@ GAMMA1_DEFAULT = 10.0
 X_STAR_DEFAULT = 1.05
 LOOKBACK_S = 0.5
 
+# Why a generator with machine data needs its Q: column; a stream
+# rejects the header that lacks it with the same line.
+NO_REACTIVE_POWER = "trip prediction needs reactive power measurements for the Q-V fit"
+
 
 @dataclass(frozen=True)
 class AssessmentConfig:
@@ -408,10 +412,7 @@ def _assess_generator(
     if spec is not None:
         channel = window.channels[window.channel_ids.index(gen_id)]
         if channel.reactive_power is None:
-            raise ValidationError(
-                f"generator {gen_id}: trip prediction needs reactive power "
-                f"measurements for the Q-V fit"
-            )
+            raise ValidationError(f"generator {gen_id}: {NO_REACTIVE_POWER}")
     dt = window.dt
     series = oel.recovery_exponents(residual, eq0, dt)
     gamma1, x_star = GAMMA1_DEFAULT, X_STAR_DEFAULT

@@ -124,7 +124,7 @@ def load_trajectory(path) -> VoltageTrajectory:
     ``DT_REL_TOL`` relative tolerance.  NaN, infinite or non-positive
     voltages are rejected with the offending row index (0-based data
     rows).  A UTF-8 byte-order mark before the header is dropped; a file
-    that is not UTF-8 text is rejected.
+    that cannot be opened or is not UTF-8 text is rejected.
     """
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
@@ -143,6 +143,8 @@ def load_trajectory(path) -> VoltageTrajectory:
         ) from exc
     except ValueError as exc:
         raise ValidationError(f"{path}: malformed numeric data: {exc}") from exc
+    except OSError as exc:  # a missing path, a directory
+        raise ValidationError(f"{path}: {exc.strerror}") from exc
     return trajectory_from_columns(names, data, origin=str(path))
 
 

@@ -1,0 +1,191 @@
+"""Assessment of a record that arrives one CSV row at a time.
+
+``Monitor`` is what ``stvs assess --stream`` runs.  Each row is parsed
+once into one buffer and checked once, on its own; a trajectory is
+built only for a row due a report: the first once ``FIRST_REPORT_S`` of
+post-fault data is in, then one per report interval of data.  With a
+fault clear time ``t0``, rows wait until one at or past t0 arrives, are
+then checked together, and t0 is placed once.  Without it, the fault
+clear sample is tracked row by row; a history with no fault signature
+yet is noted once, and once more at the end if none ever showed.
+
+Malformed and out-of-order rows are noted and skipped; the first row
+with the wrong column count is noted, and the number dropped at the
+end.  ``push`` raises a ``ValidationError`` on what no later row can
+mend: a kept row that makes the history invalid (a NaN or non-positive
+voltage, a gap in the sampling), a ``t0`` before the first row and,
+with ``t0``, an ``[ingest]`` failure of a report (no pre-fault samples,
+a window under 2 samples).  Any other failing report is noted and the
+stream goes on.  A stream that ends before its first report says so.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Callable
+from dataclasses import replace
+
+import numpy as np
+
+from .errors import StvsError, ValidationError, stage
+from .indices import NO_REACTIVE_POWER, AssessmentConfig, assess
+from .ingest import (
+    NO_FAULT_SIGNATURE,
+    REACTIVE_PREFIX,
+    TIME_COLUMN,
+    VOLTAGE_PREFIX,
+    FaultClearTracker,
+    RowChecker,
+    fault_clear_index,
+    trajectory_from_columns,
+)
+
+# Post-fault data, in seconds, before the first report.
+FIRST_REPORT_S = 0.5
+
+
+class Monitor:
+    """The reports of a record whose CSV header is ``names``, fed one
+    row at a time; every other message goes to ``note`` as one line.
+
+    A ``config`` generator whose ``Q:`` column the header lacks is
+    rejected here, before any row.
+    """
+
+    def __init__(
+        self,
+        names: list[str],
+        config: AssessmentConfig,
+        t0: float | None = None,
+        report_interval: float = 0.1,
+        note: Callable[[str], None] = lambda text: None,
+    ) -> None:
+        for col in names:
+            cid = col[len(VOLTAGE_PREFIX):]
+            spec = col.startswith(VOLTAGE_PREFIX) and cid in (config.generators or {})
+            if spec and REACTIVE_PREFIX + cid not in names:
+                why = f"generator {cid}: {NO_REACTIVE_POWER}"
+                raise ValidationError(f"[recovery:{cid}] {why}")  # batch's line
+        self.names = names
+        self.config = config
+        self.t0 = t0
+        self.report_interval = report_interval
+        self.note = note
+        self.dropped = 0  # rows with the wrong column count
+        self._t_index = names.index(TIME_COLUMN) if TIME_COLUMN in names else 0
+        # column-major, so that a column of the history is contiguous
+        self._buf = np.empty((len(names), 256))
+        self._n = 0
+        self._last_t = -np.inf
+        self._checker = RowChecker(names, origin="<stdin>")
+        self._tracker = FaultClearTracker()
+        self._t0_index: int | None = None
+        self._data_time: float | None = None
+        self._next_report: float | None = None
+        # the history has had no fault signature so far; once one is
+        # found it stays in every longer history
+        self._no_signature = False
+
+    def push(self, line: str) -> dict | None:
+        """The report the CSV row ``line`` makes due, or None; a stop
+        raises ``ValidationError`` and ends the stream."""
+        line = line.strip()
+        if not line:
+            return None
+        try:
+            vals = [float(v) for v in line.split(",")]
+        except ValueError:
+            self.note(f"skipping malformed row: {line}")
+            return None
+        if len(vals) != len(self.names):
+            if not self.dropped:
+                self.note(
+                    f"dropping row with {len(vals)} columns (header has "
+                    f"{len(self.names)}): {line}; such rows are dropped and counted"
+                )
+            self.dropped += 1
+            return None
+        t = vals[self._t_index]
+        if t <= self._last_t:
+            self.note(f"out-of-order timestamp {t} (last {self._last_t}); row skipped")
+            return None
+        self._last_t = t
+        n = self._n
+        if n == self._buf.shape[1]:
+            self._buf = np.concatenate([self._buf, np.empty_like(self._buf)], axis=1)
+        self._buf[:, n] = vals
+        self._n = n = n + 1
+        if n < 2 or (self.t0 is not None and t < self.t0):
+            return None
+        data = self._buf[:, :n].T
+        checker = self._checker
+        try:
+            checker.check(data)
+        except ValidationError as exc:
+            raise ValidationError(
+                f"[ingest] {exc}; every later report would contain it"
+            ) from exc
+        if self.t0 is None:
+            self._t0_index = self._tracker.update(data, checker.voltage_index)
+            if self._t0_index is None:
+                if not self._no_signature:
+                    self.note(
+                        f"{NO_FAULT_SIGNATURE}; reports start once a later row "
+                        f"shows one"
+                    )
+                self._no_signature = True
+                return None
+            self._no_signature = False
+        elif self._t0_index is None:
+            try:
+                # t_start and dt are fixed and a row at or past t0 is in, so
+                # a failure means t0 is before the first row
+                self._t0_index = stage(
+                    "ingest", fault_clear_index, self.t0, checker.t_start, checker.dt, n
+                )
+            except ValidationError as exc:
+                raise ValidationError(f"{exc}; it is before the first row") from exc
+        t0_index = self._t0_index
+        data_time = self._data_time = t - (checker.t_start + t0_index * checker.dt)
+        if data_time < FIRST_REPORT_S:
+            return None
+        if self._next_report is None:
+            self._next_report = data_time
+        if data_time + 1e-9 < self._next_report:
+            return None
+        try:
+            traj = trajectory_from_columns(self.names, data, checker.origin, checker)
+            traj = replace(traj, fault_clear_index=t0_index)
+            doc = assess(traj, self.config).to_dict()
+        except StvsError as exc:
+            # with t0 the rows before t0 and the window are fixed, save a
+            # one-sample window (n - t0_index == 2) that the next row lengthens
+            fixed = self.t0 is not None and n - t0_index > 2
+            if fixed and str(exc).startswith("[ingest]"):
+                raise ValidationError(f"{exc}; no later row can change it") from exc
+            self.note(str(exc))
+            return None
+        doc["latency_s"] = data_time
+        self._next_report = data_time + self.report_interval
+        return doc
+
+    def finish(self, stopped: bool = False) -> None:
+        """Note how the stream ended; ``stopped``: ``push`` raised."""
+        if self.dropped:
+            self.note(f"dropped {self.dropped} row(s) with the wrong number of columns")
+        if self._no_signature:
+            self.note(
+                "the stream ended without a fault signature, so no report was "
+                "written; pass --t0"
+            )
+        elif not stopped and self._next_report is None:
+            if self._data_time is not None:
+                self.note(
+                    f"the stream ended {self._data_time:.3g} s after fault "
+                    f"clearing, so no report was written; the first report "
+                    f"needs {FIRST_REPORT_S} s"
+                )
+            elif self.t0 is not None and self._n:
+                self.note(
+                    f"the stream ended at {self._last_t} s, before the fault clear "
+                    f"time {self.t0} s, so no report was written"
+                )

@@ -259,7 +259,9 @@ IS_A_DIRECTORY = "[Errno 21] Is a directory: 'd'"
 @pytest.mark.parametrize(
     "argv, stdin, named",
     [
-        (["assess", "--in", "d", "--t0", "1.1"], None, IS_A_DIRECTORY),
+        (["assess", "--in", "d", "--t0", "1.1"], None, "[ingest] d: Is a directory"),
+        (["assess", "--in", "missing.csv", "--t0", "1.1"], None,
+         "[ingest] missing.csv: No such file or directory"),
         (["assess", "--in", "m.csv", "--t0", "1.1", "--out", "d"], None, IS_A_DIRECTORY),
         (["decompose", "--in", "m.csv", "--t0", "1.1", "--out", "d"], None, IS_A_DIRECTORY),
         (["synth", "mixed", "--out", "d"], None, IS_A_DIRECTORY),
@@ -283,8 +285,8 @@ IS_A_DIRECTORY = "[Errno 21] Is a directory: 'd'"
          "[ingest] cannot estimate the pre-fault voltage"),
     ],
     ids=[
-        "in-directory", "assess-out-directory", "decompose-out-directory",
-        "synth-out-directory", "not-utf8-header", "not-utf8-row",
+        "in-directory", "missing-in", "assess-out-directory",
+        "decompose-out-directory", "synth-out-directory", "not-utf8-header", "not-utf8-row",
         "duplicate-section", "no-section-header", "interpolation", "not-utf8-ini",
         "stream-with-in", "stream-with-out", "stream-t0-without-pre-fault-rows",
     ],

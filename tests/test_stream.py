@@ -16,9 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stvs.cli as cli
+import stvs.stream
 from stvs.cli import run
 from stvs.errors import StvsError, ValidationError
-from stvs.indices import assess
+from stvs.indices import AssessmentConfig, assess
 from stvs.ingest import (
     DT_REL_TOL,
     FAULT_LEVEL_PU,
@@ -32,6 +33,7 @@ from stvs.ingest import (
     detect_fault_clear_index,
     write_trajectory,
 )
+from stvs.stream import Monitor
 from stvs.synth import SCENARIO_KINDS, ScenarioParams, synth_scenario
 
 # -- the loop the stream replaced, kept as the oracle ------------------------------
@@ -344,6 +346,22 @@ def test_stream_follows_a_second_fault_like_the_per_row_rebuild():
     assert code == 0 and gaps.max() > 20 * gaps.min()
 
 
+@pytest.mark.parametrize("t0", [1.1, None])
+def test_a_monitor_fed_rows_directly_writes_what_the_cli_and_the_oracle_wrote(t0):
+    lines = record_lines("mixed", post_s=1.5, noise_sigma=0.001, seed=4)
+    notes = []
+    monitor = Monitor(lines[0].split(","), AssessmentConfig(), t0, 0.1, notes.append)
+    docs = [doc for doc in map(monitor.push, lines[1:]) if doc is not None]
+    monitor.finish()
+    assert len(docs) >= 5
+    argv = stream_argv(t0 is not None)
+    _, out, err, _ = stream(argv, lines)
+    _, want, want_err, _ = stream(argv, lines, oracle_stream)
+    written = [json.dumps(doc, sort_keys=True) for doc in docs]
+    assert written == out.splitlines() == want.splitlines()
+    assert [f"stvs: {text}" for text in notes] == err.splitlines() == want_err.splitlines()
+
+
 # -- batch equality --------------------------------------------------------------------
 
 
@@ -505,13 +523,13 @@ def test_tracker_catches_up_on_a_backlog():
 def test_stream_builds_one_trajectory_per_report_not_per_row(with_t0):
     lines = record_lines("mixed", post_s=3.0, noise_sigma=0.001)
     built = []
-    real = cli.trajectory_from_columns
+    real = stvs.stream.trajectory_from_columns
 
     def counting(*args, **kwargs):
         built.append(1)
         return real(*args, **kwargs)
 
-    with mock.patch.object(cli, "trajectory_from_columns", counting):
+    with mock.patch.object(stvs.stream, "trajectory_from_columns", counting):
         code, out, err, _ = stream(stream_argv(with_t0), lines)
     reports = len(out.splitlines())
     assert code == 0 and "stops" not in err
@@ -659,3 +677,24 @@ def test_a_utf8_bom_before_the_header_changes_no_report(tmp_path):
     final.pop("latency_s")
     docs[1].pop("latency_s")
     assert final == docs[1]
+
+
+@pytest.mark.parametrize("rows", [False, True], ids=["header-only", "rows"])
+@pytest.mark.parametrize("with_t0", [True, False])
+def test_a_generator_without_q_stops_the_stream_before_any_row(tmp_path, rows, with_t0):
+    (tmp_path / "gens.ini").write_text(
+        "[G1]\nxd_prime = 0.3\np_active = 0.9\npickup = 0.95@20\n"
+    )
+    lines = [",".join(line.split(",")[:4]) for line in record_lines("mixed")]
+    assert lines[0] == "time,V:G1,V:G2,V:G3"
+    path = tmp_path / "no_q.csv"
+    path.write_text("\n".join(lines) + "\n")
+    flags = ["--gen-config", str(tmp_path / "gens.ini")] + (["--t0", "1.1"] if with_t0 else [])
+    batch = stream(["assess", "--in", str(path), *flags], [])
+    code, out, err, _ = stream(["assess", "--stream", *flags], lines if rows else lines[:1])
+    assert (code, out) == (1, "")
+    assert batch[:3] == (1, "", err)
+    assert err == (
+        "stvs: [recovery:G1] generator G1: trip prediction needs reactive power "
+        "measurements for the Q-V fit\n"
+    )
