@@ -34,7 +34,6 @@ from .emd import (
 from .errors import (
     ComputationError,
     StvsError,
-    TrivialRecovery,
     TriviallySafe,
     TriviallyTripping,
     ValidationError,

@@ -69,7 +69,7 @@ def _positive_float(text: str) -> float:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="stvs", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    defaults = AssessmentConfig()
+    defaults = AssessmentConfig  # the class: its defaults, nothing scored
 
     def add_common(p, *, io=True, grid=True):
         if io:

@@ -18,13 +18,6 @@ class ComputationError(StvsError):
     """A pipeline stage failed on otherwise valid input."""
 
 
-class TrivialRecovery(StvsError):
-    """The residual never left the equilibrium: no dip to analyse.
-
-    Callers treat the affected generator as trivially safe (index 0).
-    """
-
-
 class TriviallySafe(StvsError):
     """Residual stays above every protection cap: no trip possible."""
 

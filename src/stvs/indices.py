@@ -13,9 +13,9 @@ Both increase toward instability; each is compared against a critical
 value, yielding a classification and a signed percentage margin.  Every
 KL here, the critical oscillation value's included, reads its reference
 from the one cached table of ``distribution``; both indices are scored
-by ``distribution.kl_index``, and a residual becomes its exponent series
-through ``oel.recovery_exponents``, as each critical signal does in the
-tuner.
+by ``distribution.kl_index``, and each residual, as each critical
+signal in the tuner, through ``fsle_residual_series`` (None when it
+never dipped) and ``oel.recovery_scores``.
 
 ``AssessmentConfig`` carries what a run may set; the method's fixed
 choices (the frequency band, the embedding dimension, the recovery grid,
@@ -26,6 +26,7 @@ the sifting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -51,7 +52,7 @@ from .ingest import (
     estimate_prefault_voltage,
     extract_post_fault_window,
 )
-from .lyapunov import ExponentSeries, fsle_oscillation_series
+from .lyapunov import ExponentSeries, fsle_oscillation_series, fsle_residual_series
 
 OSC_X_STAR = 1.0  # oscillation reference shift sits at the unit factor
 
@@ -86,6 +87,9 @@ class AssessmentConfig:
     the per-channel pre-fault mean) and the machine data of the
     generators whose recovery threshold is tuned.  Everything else the
     pipeline uses is a module constant next to the code that reads it.
+    A non-finite window or equilibrium, or an IMF grid the critical
+    oscillation value cannot be scored on, is rejected here, before any
+    data is read.
     """
 
     window_s: float = 3.0
@@ -95,6 +99,15 @@ class AssessmentConfig:
     gamma2: float = 10.0
     eq0: float | None = None
     generators: dict[str, oel.GeneratorSpec] | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("window_s", "eq0"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
+        # cached, so assess reads the value back
+        grid_range = (self.imf_lo, self.imf_hi)
+        stage("oscillation", imf_threshold, self.imf_bins, grid_range, self.gamma2)
 
     def echo(self) -> dict:
         rec_bins, rec_lo, rec_hi = REC_GRID
@@ -133,7 +146,6 @@ class RecoveryResult:
 
     value: float
     delta_r0: float
-    kl: float
     note: str | None = None
     series: ExponentSeries | None = None
 
@@ -253,8 +265,12 @@ def imf_threshold(
 
 @lru_cache(maxsize=16)
 def _imf_threshold(bins: int, lo: float, hi: float, gamma2: float) -> float:
+    if not isinstance(bins, (int, np.integer)):
+        raise ValidationError(f"bins must be an integer, got {bins!r}")
     if bins < 3:
         raise ValidationError("need at least 3 bins for the threshold")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValidationError(f"grid range [{lo}, {hi}] must be finite")
     if not lo < hi:
         raise ValidationError(f"invalid range [{lo}, {hi}]")
     edges = np.linspace(lo, hi, bins + 1)
@@ -337,14 +353,9 @@ def _score_recovery(
     x_star: float,
     grid: tuple[int, float, float],
 ) -> RecoveryResult:
-    if series is None:
-        return RecoveryResult(
-            value=0.0, delta_r0=delta_r0, kl=0.0, note="no dip"
-        )
-    kl = float(kl_index(series.divergence_factors, grid, [gamma1], [x_star])[0, 0])
-    return RecoveryResult(
-        value=delta_r0 * kl, delta_r0=delta_r0, kl=kl, series=series
-    )
+    value = oel.recovery_scores(series, delta_r0, grid, [gamma1], [x_star])[0, 0]
+    note = "no dip" if series is None else None
+    return RecoveryResult(float(value), delta_r0, note, series)
 
 
 def recovery_index(
@@ -363,7 +374,7 @@ def recovery_index(
     """
     r = np.asarray(residual, dtype=float)
     return _score_recovery(
-        oel.recovery_exponents(r, eq0, dt),
+        fsle_residual_series(r, eq0=eq0, dt=dt),
         abs(v_pre - float(r[0])),
         gamma1,
         x_star,
@@ -414,7 +425,7 @@ def _assess_generator(
         if channel.reactive_power is None:
             raise ValidationError(f"generator {gen_id}: {NO_REACTIVE_POWER}")
     dt = window.dt
-    series = oel.recovery_exponents(residual, eq0, dt)
+    series = fsle_residual_series(residual, eq0=eq0, dt=dt)
     gamma1, x_star = GAMMA1_DEFAULT, X_STAR_DEFAULT
     charac = tuning = None
     if series is None:

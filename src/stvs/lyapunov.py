@@ -11,8 +11,9 @@ equilibrium itself as the reference trajectory:
 
 Both are time-resolved: one exponent per offset from the anchor, never
 collapsed to a single average.  Divergence factors are exp(lambda);
-below 1 means convergence.  ``ftle_window`` and ``noise_bias_variance``
-give the single-window exponent and its small-noise bias and variance.
+below 1 means convergence.  A residual that never dipped has no series.
+``ftle_window`` and ``noise_bias_variance`` give the single-window
+exponent and its small-noise bias and variance.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embed import EmbeddedTrajectory
-from .errors import ComputationError, TrivialRecovery, ValidationError
+from .errors import ComputationError, ValidationError
 
 # Initial residual deviations below this per-unit floor carry no dip
 # worth analysing; the generator is trivially safe.
@@ -31,27 +32,22 @@ EPS_FLOOR = 1e-4
 
 @dataclass(frozen=True)
 class ExponentSeries:
-    """Time-resolved exponent estimates lambda(k) and exp(lambda(k)).
-
-    The factors must equal exp(lambdas) to a relative 1e-12; NaN on
-    either side is inconsistent.  The exact comparison runs first, as
-    the estimators pass exp(lambdas) itself.
-    """
+    """Non-empty, NaN-free exponent estimates lambda(k) at offsets k dt."""
 
     lambdas: np.ndarray
-    divergence_factors: np.ndarray
     k_offsets: np.ndarray
     dt: float
 
     def __post_init__(self) -> None:
         if len(self.lambdas) == 0:
             raise ComputationError("empty exponent series")
-        factors, expected = self.divergence_factors, np.exp(self.lambdas)
-        if not (
-            np.array_equal(factors, expected)
-            or np.allclose(factors, expected, rtol=1e-12, atol=0.0)
-        ):
-            raise ComputationError("divergence factors inconsistent with lambdas")
+        if np.isnan(self.lambdas).any():
+            raise ComputationError("NaN exponent in the series")
+
+    @property
+    def divergence_factors(self) -> np.ndarray:
+        """exp(lambda(k)): below 1 where the deviation shrank."""
+        return np.exp(self.lambdas)
 
 
 def ftle_window(delta0: float, delta_t: float, t_window: float) -> float:
@@ -67,14 +63,14 @@ def fsle_residual_series(
     residual: np.ndarray,
     eq0: float,
     dt: float,
-) -> ExponentSeries:
+) -> ExponentSeries | None:
     """Recovery-rate exponents of a residual trend toward equilibrium.
 
     The residual starts at t0.  lambda(k) = ln(|R(t0 + k dt) - eq0| /
     |R(t0) - eq0|) / (k dt) for k = 1..K.  Offsets where the deviation
-    is exactly zero are skipped (their logarithm is unbounded); raises
-    :class:`TrivialRecovery` when the initial deviation is below the
-    per-unit floor.
+    is exactly zero are skipped (their logarithm is unbounded).  None
+    when the initial deviation is below the per-unit floor: the
+    residual never dipped.
     """
     r = np.asarray(residual, dtype=float)
     if len(r) < 2:
@@ -84,22 +80,14 @@ def fsle_residual_series(
     dev = np.abs(r - eq0)
     d0 = float(dev[0])
     if d0 < EPS_FLOOR:
-        raise TrivialRecovery(
-            f"initial residual deviation {d0:.2e} pu is below the "
-            f"{EPS_FLOOR:.0e} pu floor"
-        )
+        return None
     k = np.arange(1, len(dev))
     keep = dev[1:] > 0.0
     if not keep.any():
         raise ComputationError("all residual deviations past t0 are zero")
     k = k[keep]
     lambdas = np.log(dev[1:][keep] / d0) / (k * dt)
-    return ExponentSeries(
-        lambdas=lambdas,
-        divergence_factors=np.exp(lambdas),
-        k_offsets=k,
-        dt=dt,
-    )
+    return ExponentSeries(lambdas=lambdas, k_offsets=k, dt=dt)
 
 
 def fsle_oscillation_series(
@@ -135,12 +123,7 @@ def fsle_oscillation_series(
     if not keep.any():
         raise ComputationError("all embedded norms past the anchor are zero")
     lambdas = np.log(tail[keep] / ref) / (k[keep] * emb.dt)
-    return ExponentSeries(
-        lambdas=lambdas,
-        divergence_factors=np.exp(lambdas),
-        k_offsets=k[keep],
-        dt=emb.dt,
-    )
+    return ExponentSeries(lambdas=lambdas, k_offsets=k[keep], dt=emb.dt)
 
 
 def noise_bias_variance(

@@ -29,7 +29,6 @@ import numpy as np
 from .distribution import kl_index
 from .errors import (
     ComputationError,
-    TrivialRecovery,
     TriviallySafe,
     TriviallyTripping,
     ValidationError,
@@ -340,18 +339,21 @@ def construct_critical_signals(
     )
 
 
-def recovery_exponents(
-    residual: np.ndarray, eq0: float, dt: float
-) -> ExponentSeries | None:
-    """Recovery exponents of a residual; None when it never dipped.
+def recovery_scores(
+    series: ExponentSeries | None,
+    delta_r0: float,
+    grid: tuple[int, float, float],
+    gammas: np.ndarray,
+    x_stars: np.ndarray,
+) -> np.ndarray:
+    """Recovery index D = delta_r0 * KL over a (gamma1, x*) grid.
 
-    The one step from a residual to the series its recovery index
-    scores, for the measured residual and for both critical signals.
+    ``delta_r0`` is the dip weight |V_pre - R(t0)| and ``series`` the
+    residual's recovery exponents; None (no dip) scores 0 everywhere.
     """
-    try:
-        return fsle_residual_series(residual, eq0=eq0, dt=dt)
-    except TrivialRecovery:
-        return None
+    if series is None:
+        return np.zeros((len(gammas), len(x_stars)))
+    return delta_r0 * kl_index(series.divergence_factors, grid, gammas, x_stars)
 
 
 @lru_cache(maxsize=1)
@@ -380,11 +382,9 @@ def tune_gamma(
     points within f* + f*.  The grids default to ``GAMMA1_RANGE`` and
     ``X_STAR_RANGE``, built once and kept read-only.  The recovery
     threshold is the s1/s2 index midpoint at the selected point.  Each
-    critical signal's index is its dip weight |V_pre - s(t0)| times
-    ``distribution.kl_index`` over the whole grid, in one pass; a signal
-    that never dipped scores 0.
-    The grid's reference table comes from the cache ``kl_index`` reads,
-    so it is built once per grid and shared by every generator.
+    critical signal is scored over the whole grid by ``recovery_scores``,
+    the measured residual's rule, against the reference table cached per
+    grid and shared by every generator.
     """
     default_gammas, default_x_stars = _default_grids()
     if gamma1_grid is None:
@@ -397,14 +397,11 @@ def tune_gamma(
         raise ValidationError("empty tuning search grid")
 
     def scores(signal: np.ndarray) -> np.ndarray:
-        series = recovery_exponents(signal, eq0, dt)
-        if series is None:
-            return np.zeros((gamma1_grid.size, x_star_grid.size))
-        kl = kl_index(series.divergence_factors, grid, gamma1_grid, x_star_grid)
-        return abs(v_pre - float(signal[0])) * kl
+        series = fsle_residual_series(signal, eq0=eq0, dt=dt)
+        delta_r0 = abs(v_pre - float(signal[0]))
+        return recovery_scores(series, delta_r0, grid, gamma1_grid, x_star_grid)
 
-    d1 = scores(s1)
-    d2 = scores(s2)
+    d1, d2 = scores(s1), scores(s2)
     diff = np.abs(d1 - d2)
     f_star = float(diff.min())
     admissible = diff <= f_star + f_star + 1e-15

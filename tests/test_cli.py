@@ -614,6 +614,27 @@ def test_stream_rejects_nonpositive_report_interval(monkeypatch, capsys, interva
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "grid", [["--bins", "2"], ["--bins", "1"], ["--lo", "1.2"], ["--hi", "0.9"]]
+)
+def test_a_bad_oscillation_grid_stops_batch_and_stream_before_any_row(
+    monkeypatch, capsys, tmp_path, grid
+):
+    traj = synth_scenario("mixed", osc_params())
+    path = tmp_path / "m.csv"
+    write_trajectory(traj, path)
+    code = run(["assess", "--in", str(path), "--t0", "1.1", *grid])
+    batch = capsys.readouterr()
+    assert (code, batch.out) == (1, "")
+    assert batch.err.count("\n") == 1 and batch.err.startswith("stvs: [oscillation] ")
+    if grid[0] == "--bins":
+        assert batch.err == "stvs: [oscillation] need at least 3 bins for the threshold\n"
+    lines = stream_rows(traj)
+    for rows in (lines[:1], lines):  # the header only, and every row
+        assert run_stream(monkeypatch, capsys, rows, grid) == (1, [], batch.err)
+        assert sys.stdin.tell() == 0  # not even the header was read
+
+
 def test_stream_empty_input_is_success(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO(""))
     assert run(["assess", "--stream", "--t0", "1.1"]) == 0

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -353,6 +355,41 @@ def test_assess_echoes_the_settings_it_was_given():
         "gamma2": 7.0,
         "eq0": 0.98,
     }
+
+
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        (dict(window_s=np.nan), "window_s must be finite, got nan"),
+        (dict(window_s=-np.inf), "window_s must be finite, got -inf"),
+        (dict(eq0=np.nan), "eq0 must be finite, got nan"),
+        (dict(imf_bins=2.5), "[oscillation] bins must be an integer, got 2.5"),
+        (dict(imf_bins=2), "[oscillation] need at least 3 bins for the threshold"),
+        (dict(imf_hi=np.inf), "[oscillation] grid range [0.0, inf] must be finite"),
+        (dict(imf_lo=np.nan), "[oscillation] grid range [nan, 1.5] must be finite"),
+        (dict(imf_lo=1.2), "[oscillation] grid must contain the unit divergence factor"),
+    ],
+    ids=[
+        "nan-window", "infinite-window", "nan-eq0", "fractional-bins", "two-bins",
+        "infinite-hi", "nan-lo", "unit-factor-outside",
+    ],
+)
+def test_config_rejects_a_bad_setting_with_one_validation_error(settings, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError) as err:
+            AssessmentConfig(**settings)
+    assert str(err.value) == message
+
+
+def test_config_scores_the_critical_value_that_assess_reads_back():
+    traj = synth_scenario("mixed", osc_params(recovery=0.5, dip=0.3, decay=0.4))
+    indices._imf_threshold.cache_clear()
+    config = AssessmentConfig(imf_bins=24)
+    assert indices._imf_threshold.cache_info().misses == 1
+    result = assess(traj, config)
+    assert indices._imf_threshold.cache_info().misses == 1
+    assert result.oscillation_threshold == imf_threshold(24, (0.0, 1.5), 10.0)
 
 
 def test_assess_json_contract(generator_specs):

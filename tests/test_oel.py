@@ -10,12 +10,11 @@ from stvs import distribution, oel
 from stvs.distribution import gompertz_reference_table, histogram
 from stvs.errors import (
     ComputationError,
-    TrivialRecovery,
     TriviallySafe,
     TriviallyTripping,
     ValidationError,
 )
-from stvs.indices import AssessmentConfig, assess, classify
+from stvs.indices import AssessmentConfig, assess, classify, recovery_index
 from stvs.lyapunov import fsle_residual_series
 from stvs.oel import (
     GeneratorSpec,
@@ -247,10 +246,7 @@ def test_overflowing_extrapolation_is_one_computation_error():
     residual = np.array([0.95, 0.93, 0.92])
     series = fsle_residual_series(residual, eq0=1.0, dt=DT)
     steep = type(series)(
-        lambdas=np.array([80.0, 2.0]),
-        divergence_factors=np.exp([80.0, 2.0]),
-        k_offsets=np.array([1, 2]),
-        dt=DT,
+        lambdas=np.array([80.0, 2.0]), k_offsets=np.array([1, 2]), dt=DT
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -370,6 +366,26 @@ def test_tuned_signals_sit_in_the_critical_band():
         assert label == "critical"
 
 
+@pytest.mark.parametrize(
+    "pair",
+    [
+        _critical_pair(),
+        _critical_pair(rate_slow=0.05, rate_fast=0.9, dip=0.35),
+        (_critical_pair()[0], np.full(151, 1.0 + 1e-6)),  # s2 never dipped
+    ],
+    ids=["default", "wide", "no-dip"],
+)
+def test_tuned_indices_are_the_recovery_index_at_the_tuned_shape(pair):
+    # the tuner scores each critical signal by the rule the measured
+    # residual is scored by, so the two agree bit for bit
+    s1, s2 = pair
+    grid = (40, 0.0, 1.5)
+    result = tune_gamma(s1, s2, 1.0, 1.0, DT, grid)
+    for signal, d in ((s1, result.d_s1), (s2, result.d_s2)):
+        rec = recovery_index(signal, 1.0, 1.0, result.gamma1, result.x_star, grid, DT)
+        assert rec.value == d
+
+
 def loop_tune(s1, s2, eq0, v_pre, dt, grid, gamma1_grid=None, x_star_grid=None):
     """Point-by-point search over the grid, one reference per point."""
     gammas = np.geomspace(1.0, 200.0, 40) if gamma1_grid is None else gamma1_grid
@@ -377,9 +393,8 @@ def loop_tune(s1, s2, eq0, v_pre, dt, grid, gamma1_grid=None, x_star_grid=None):
 
     def score(signal):
         weight = abs(v_pre - float(signal[0]))
-        try:
-            series = fsle_residual_series(signal, eq0=eq0, dt=dt)
-        except TrivialRecovery:
+        series = fsle_residual_series(signal, eq0=eq0, dt=dt)
+        if series is None:
             return weight, None
         return weight, histogram(series.divergence_factors, *grid)
 
