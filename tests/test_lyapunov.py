@@ -49,17 +49,28 @@ def test_series_factors_are_the_exponential_of_the_exponents():
     assert np.array_equal(_series(lambdas).divergence_factors, np.exp(lambdas))
 
 
+def test_series_rejects_an_empty_series():
+    with pytest.raises(ComputationError, match="^empty exponent series$"):
+        _series([])
+
+
 @pytest.mark.parametrize(
-    "lambdas, message",
+    "lambdas, factors",
     [
-        ([], "^empty exponent series$"),
-        ([-1.5, np.nan, 0.3], "^NaN exponent in the series$"),
+        ([-1.5, np.nan, 0.3], [np.exp(-1.5), np.nan, np.exp(0.3)]),  # NaN both
+        ([-1.5, np.nan, 0.3], [np.exp(-1.5), 1.0, np.exp(0.3)]),  # NaN lambda
     ],
-    ids=["empty", "nan"],
 )
-def test_series_rejects_empty_and_nan_exponents(lambdas, message):
-    with pytest.raises(ComputationError, match=message):
+def test_series_rejects_nan_and_inconsistent_factors(lambdas, factors):
+    # A NaN exponent is rejected whatever factor stood beside it; the
+    # factors are derived, so the finite exponents carry theirs exactly.
+    lambdas, factors = np.array(lambdas), np.array(factors)
+    with pytest.raises(ComputationError, match="^NaN exponent in the series$"):
         _series(lambdas)
+    finite = ~np.isnan(lambdas)
+    assert np.array_equal(
+        _series(lambdas[finite]).divergence_factors, factors[finite]
+    )
 
 
 # -- residual FSLE ----------------------------------------------------------------
