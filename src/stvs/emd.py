@@ -10,11 +10,11 @@ channel count; a single channel has the one direction 1, where the pass
 is plain EMD.
 
 Sifting follows the classic recipe: cubic-spline envelopes through
-mirrored extrema, mean-envelope subtraction, and a Cauchy-style SD
-stopping rule (``SD_THRESHOLD``, at most ``MAX_SIFTS`` passes per IMF).
-Sifting stops once every projection of the iterate has fewer than 3
-extrema, and decomposition stops after ``MAX_IMFS`` IMFs or once the
-remainder has reached that state.
+mirrored extrema, mean-envelope subtraction, and a Cauchy-style
+stop: SD below ``SD_THRESHOLD`` with every channel an IMF (:func:`is_imf`),
+or ``MAX_SIFTS`` passes.  It also stops once every projection of the
+iterate has fewer than 3 extrema, and decomposition stops after
+``MAX_IMFS`` IMFs or once the remainder has reached that state.
 
 Envelopes are not-a-knot interpolating splines of degree
 ``min(3, n_knots - 1)``, fitted by calling the kernels behind scipy's
@@ -173,23 +173,20 @@ def _extrema_scan(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return pos, row, s[change] > 0
 
 
-def local_extrema(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Interior minima and maxima indices, plateaus collapsed to midpoints."""
-    pos, _, is_max = _extrema_scan(np.asarray(x, dtype=float).reshape(1, -1))
-    return pos[~is_max], pos[is_max]
-
-
 def count_extrema(x: np.ndarray) -> int:
-    mins, maxs = local_extrema(x)
-    return len(mins) + len(maxs)
+    """Sign changes of the non-zero sample differences whose first sign is
+    not NaN: the extrema :func:`_extrema_scan` finds, without positions."""
+    x = np.asarray(x, dtype=float)
+    d = np.sign(x[1:] - x[:-1])
+    d = d[d != 0]
+    first = d[:-1]
+    return int(np.count_nonzero((first != d[1:]) & (first == first)))
 
 
 def count_zero_crossings(x: np.ndarray) -> int:
-    """Sign changes, with runs of exact zeros counted as one crossing."""
+    """Sign changes between consecutive non-zero samples (zeros are skipped)."""
     s = np.sign(np.asarray(x, dtype=float))
     s = s[s != 0]
-    if s.size < 2:
-        return 0
     return int(np.count_nonzero(s[:-1] != s[1:]))
 
 
@@ -251,13 +248,6 @@ def _mirrored_knots(
     return knots, rows[samples[order[keep]]], counts
 
 
-@lru_cache(maxsize=4)
-def _sample_grid(n: int) -> np.ndarray:
-    grid = np.arange(n, dtype=float)
-    grid.flags.writeable = False
-    return grid
-
-
 def _interpolate(x: np.ndarray, y: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Not-a-knot interpolating spline of degree min(3, len(x) - 1) at ``grid``.
 
@@ -311,7 +301,7 @@ def _envelopes(
     knots, vals, counts = _mirrored_knots(idx, lens, rows, n)
     if not np.isfinite(vals).all():
         raise ValueError("Array must not contain infs or nans.")
-    grid = _sample_grid(n)
+    grid = np.arange(n, dtype=float)
     cubic = counts >= 4
     if cubic.any():
         # every cubic's not-a-knot vector from one repeat: each end knot
@@ -430,27 +420,6 @@ def _mean_envelope_mv(
     return total
 
 
-def _mode_condition_all(x: np.ndarray) -> bool:
-    """``is_imf`` of every column of ``x``, stopping at the first failure.
-
-    Counts what ``is_imf`` counts without building the extrema
-    positions: an extremum is a sign change between neighbouring
-    non-zero sample differences whose first sign is not NaN (plateaus
-    collapse, a NaN difference never opens an extremum), a zero crossing
-    a sign change between neighbouring non-zero samples.
-    """
-    for col in x.T:
-        d = np.sign(col[1:] - col[:-1])
-        d = d[d != 0]
-        first = d[:-1]
-        n_extrema = np.count_nonzero((first != d[1:]) & (first == first))
-        s = np.sign(col)
-        s = s[s != 0]
-        if abs(n_extrema - np.count_nonzero(s[:-1] != s[1:])) > 1:
-            return False
-    return True
-
-
 def decompose_signals(signals: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """Decompose an (n_samples, n_channels) array into IMF matrices.
 
@@ -483,7 +452,7 @@ def decompose_signals(signals: np.ndarray) -> tuple[list[np.ndarray], np.ndarray
             denom = float((m * m).sum())
             sd = float((env * env).sum()) / denom if denom > 0 else 0.0
             m = m_new
-            if sd < SD_THRESHOLD and _mode_condition_all(m):
+            if sd < SD_THRESHOLD and all(is_imf(col) for col in m.T):
                 break
         if np.abs(m).max() < _AMPLITUDE_FLOOR * scale:
             break

@@ -150,9 +150,10 @@ def load_trajectory(path) -> VoltageTrajectory:
 
 def fault_clear_index(t0: float, t_start: float, dt: float, n_samples: int) -> int:
     """Index of the sample nearest time ``t0`` in a record of ``n_samples``
-    samples taken every ``dt`` from ``t_start``; outside it is an error."""
-    idx = int(round((t0 - t_start) / dt))
-    if not (0 <= idx < n_samples):
+    samples taken every ``dt`` from ``t_start``; outside it, or at no
+    finite position (a NaN ``t0``, an overflow), is an error."""
+    pos = (t0 - t_start) / dt
+    if not (math.isfinite(pos) and 0 <= (idx := int(round(pos))) < n_samples):
         raise ValidationError(
             f"fault clear time {t0} s outside the record "
             f"[{t_start}, {t_start + (n_samples - 1) * dt}] s"
@@ -169,10 +170,17 @@ class RowChecker:
     dt = t[1] - t[0]: its time step first (a NaN or infinite time is
     named as such), then each ``V:`` column's finiteness check and sign
     check.  Rows are numbered from 0, and the relative jitter a message
-    quotes is the largest over all rows checked.
+    quotes is the largest over all rows checked.  The header ``names`` is
+    checked when the checker is built: a repeated column name or a
+    ``V:``/``Q:`` column with an empty channel id is an error.
     """
 
     def __init__(self, names: list[str], origin: str = "<data>") -> None:
+        for j, col in enumerate(names):
+            if col in names[:j]:
+                raise ValidationError(f"{origin}: repeated column {col!r} in the header")
+            if col in (VOLTAGE_PREFIX, REACTIVE_PREFIX):
+                raise ValidationError(f"{origin}: column {col!r} has no channel id")
         self.origin = origin
         self.rows = 0  # rows checked so far
         self.dt = math.nan

@@ -21,6 +21,7 @@ stream goes on.  A stream that ends before its first report says so.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import replace
 
@@ -47,7 +48,8 @@ class Monitor:
     """The reports of a record whose CSV header is ``names``, fed one
     row at a time; every other message goes to ``note`` as one line.
 
-    A ``config`` generator whose ``Q:`` column the header lacks is
+    A header that ``RowChecker`` rejects, a non-finite ``t0`` and a
+    ``config`` generator whose ``Q:`` column the header lacks are
     rejected here, before any row.
     """
 
@@ -59,6 +61,9 @@ class Monitor:
         report_interval: float = 0.1,
         note: Callable[[str], None] = lambda text: None,
     ) -> None:
+        self._checker = stage("ingest", RowChecker, names, origin="<stdin>")
+        if t0 is not None and not math.isfinite(t0):
+            raise ValidationError(f"[ingest] t0 must be a finite time in seconds, got {t0}")
         for col in names:
             cid = col[len(VOLTAGE_PREFIX):]
             spec = col.startswith(VOLTAGE_PREFIX) and cid in (config.generators or {})
@@ -76,7 +81,6 @@ class Monitor:
         self._buf = np.empty((len(names), 256))
         self._n = 0
         self._last_t = -np.inf
-        self._checker = RowChecker(names, origin="<stdin>")
         self._tracker = FaultClearTracker()
         self._t0_index: int | None = None
         self._data_time: float | None = None

@@ -166,6 +166,16 @@ def synth_scenario(kind: str, params: ScenarioParams | None = None) -> VoltageTr
         raise ValidationError("fault level must sit below nominal")
     if p.n_channels < 1 or p.fs <= 0 or p.post_s <= 0:
         raise ValidationError("bad scenario geometry")
+    for name in ("prefault_s", "fault_s", "seed"):
+        if getattr(p, name) < 0:
+            raise ValidationError(f"{name} must not be negative, got {getattr(p, name)}")
+    # checked before anything is allocated; NaN fails the comparison too
+    n_samples = (p.prefault_s + p.fault_s + p.post_s) * p.fs
+    if not n_samples <= np.iinfo(np.intp).max:
+        raise ValidationError(
+            f"fs x (prefault_s + fault_s + post_s) is {n_samples:.3g} samples, "
+            f"not a finite count an array can hold"
+        )
 
     dt = 1.0 / p.fs
     n_pre = int(round(p.prefault_s * p.fs))

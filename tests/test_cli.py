@@ -307,6 +307,82 @@ def test_a_bad_input_or_output_is_one_line_and_exit_1(tmp_path, argv, stdin, nam
     assert not (tmp_path / "s.jsonl").exists()  # --out with --stream writes nothing
 
 
+def repro_files(tmp_path):
+    """The files the one-line-exit repros below read, written into ``tmp_path``."""
+    write_trajectory(synth_scenario("mixed"), tmp_path / "m.csv")
+    (tmp_path / "gens.ini").write_text(
+        "[G1]\nxd_prime = 0.3\np_active = 0.9\npickup = 0.95@20\n"
+    )
+    buf = io.StringIO()
+    write_trajectory(synth_scenario("mixed", ScenarioParams(n_channels=1)), buf)
+    header, *rows = buf.getvalue().splitlines()
+    assert header == "time,V:G1,Q:G1"
+    for name, header, pick in (
+        ("dup.csv", "time,V:G1,V:G1,Q:G1", (0, 1, 1, 2)),
+        ("no-id.csv", "time,V:,Q:G1", (0, 1, 2)),
+        ("two-times.csv", "time,V:G1,time", (0, 1, 0)),
+    ):
+        cells = [row.split(",") for row in rows]
+        body = [",".join(c[j] for j in pick) for c in cells]
+        (tmp_path / name).write_text("\n".join([header, *body]) + "\n")
+
+
+OUTSIDE = "[ingest] fault clear time 1e+308 s outside the record [0.0, 4.1] s"
+REPEATED = "repeated column 'V:G1' in the header"
+TOO_MANY = "fs x (prefault_s + fault_s + post_s) is"
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, named",
+    [
+        (["assess", "--in", "m.csv", "--t0", "1e308"], None, OUTSIDE),
+        (["decompose", "--in", "m.csv", "--t0", "1e308"], None, OUTSIDE),
+        (["exponents", "--in", "m.csv", "--t0", "1e308"], None, OUTSIDE),
+        (["tune", "--in", "m.csv", "--t0", "1e308", "--gen-config", "gens.ini"], None,
+         OUTSIDE),
+        (["synth", "mixed", "seed=-1"], None, "seed must not be negative, got -1"),
+        (["synth", "mixed", "--seed", "-1"], None, "seed must not be negative, got -1"),
+        (["synth", "mixed", "prefault_s=-1"], None,
+         "prefault_s must not be negative, got -1.0"),
+        (["synth", "mixed", "fault_s=-1"], None, "fault_s must not be negative, got -1.0"),
+        (["synth", "mixed", "fs=1e308"], None, f"{TOO_MANY} inf samples"),
+        (["synth", "mixed", "fs=1e300"], None, f"{TOO_MANY} 4.1e+300 samples"),
+        (["assess", "--in", "dup.csv", "--t0", "1.1"], None,
+         f"[ingest] dup.csv: {REPEATED}"),
+        (["assess", "--stream", "--t0", "1.1"], "dup.csv", f"[ingest] <stdin>: {REPEATED}"),
+        (["assess", "--stream"], "dup.csv", f"[ingest] <stdin>: {REPEATED}"),
+        (["assess", "--in", "no-id.csv", "--t0", "1.1"], None,
+         "[ingest] no-id.csv: column 'V:' has no channel id"),
+        (["assess", "--stream", "--t0", "1.1"], "no-id.csv",
+         "[ingest] <stdin>: column 'V:' has no channel id"),
+        (["assess", "--in", "two-times.csv", "--t0", "1.1"], None,
+         "[ingest] two-times.csv: repeated column 'time' in the header"),
+        (["assess", "--stream", "--t0", "1.1"], "two-times.csv",
+         "[ingest] <stdin>: repeated column 'time' in the header"),
+    ],
+    ids=[
+        "assess-t0-overflow", "decompose-t0-overflow", "exponents-t0-overflow",
+        "tune-t0-overflow", "synth-seed-param", "synth-seed-flag", "synth-prefault",
+        "synth-fault", "synth-fs-overflow", "synth-fs-too-many-samples",
+        "duplicate-column", "duplicate-column-stream", "duplicate-column-stream-no-t0",
+        "empty-id", "empty-id-stream", "second-time", "second-time-stream",
+    ],
+)
+def test_a_bad_t0_synth_parameter_or_header_is_one_line_and_exit_1(
+    monkeypatch, capsys, tmp_path, argv, stdin, named
+):
+    repro_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    text = (tmp_path / stdin).read_text() if stdin else ""
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.count("\n") == 1  # the one stvs: line
+    assert captured.err.startswith(f"stvs: {named}")
+    assert "Traceback" not in captured.err and "Warning" not in captured.err
+
+
 @pytest.mark.parametrize(
     "argv, named",
     [

@@ -20,7 +20,6 @@ from stvs.emd import (
     dominant_imf_frequency,
     filter_imfs_by_frequency,
     is_imf,
-    local_extrema,
     zero_crossing_frequency,
 )
 from stvs.ingest import (
@@ -77,8 +76,9 @@ def test_one_column_with_two_extrema_ends_sifting():
     # one period of a sine: one maximum and one minimum, too few to sift,
     # like a projection of several channels with fewer than 3 extrema
     x = np.sin(2 * np.pi * np.arange(50) / 50)
-    mins, maxs = local_extrema(x)
+    mins, maxs = local_extrema_oracle(x)
     assert (len(mins), len(maxs)) == (1, 1)
+    assert count_extrema(x) == 2
     directions = emd._direction_vectors(8, 1)
     assert np.array_equal(directions, [[1.0]])
     assert emd._mean_envelope_mv(x[:, None], directions) is None
@@ -328,6 +328,22 @@ def mean_envelope_mv_oracle(x, directions):
     return total / used
 
 
+def zero_crossings_oracle(x):
+    signs = [np.sign(v) for v in x if np.sign(v) != 0]  # a NaN sign is kept
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def is_imf_oracle(x):
+    mins, maxs = local_extrema_oracle(x)
+    return abs(len(mins) + len(maxs) - zero_crossings_oracle(x)) <= 1
+
+
+def scan_extrema(x):
+    """Minima and maxima of one signal, from the sifting pass's row scan."""
+    pos, _, is_max = emd._extrema_scan(np.asarray(x, dtype=float).reshape(1, -1))
+    return pos[~is_max], pos[is_max]
+
+
 def projections_exhausted_oracle(x, directions):
     return all(
         sum(len(e) for e in local_extrema_oracle(x @ d)) < 3 for d in directions
@@ -395,7 +411,7 @@ def test_envelope_equals_public_spline_on_drawn_extrema(n, n_ch, picks, seed):
 
 def test_envelope_rejects_an_infinite_extremum_like_the_public_spline():
     x = np.array([0.0, 1.0, np.inf, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
-    mins, maxs = local_extrema(x)
+    mins, maxs = scan_extrema(x)
     assert 2 in maxs
     with pytest.raises(ValueError) as want:
         envelope_oracle(maxs, x, len(x))
@@ -411,7 +427,7 @@ def test_nan_sample_never_reaches_the_envelope_fit(monkeypatch):
     t = np.arange(0, 3, 0.02)
     x = np.sin(2 * np.pi * 1.5 * t)
     x[40] = np.nan
-    mins, maxs = local_extrema(x)
+    mins, maxs = scan_extrema(x)
     assert not np.isnan(x[np.concatenate((mins, maxs))]).any()
     imfs, residual = decompose_signals(x[:, None])
     assert imfs
@@ -477,14 +493,15 @@ def _integer_signal(spec):
 
 @given(x=signals_with_plateaus(), nan_at=st.integers(min_value=-1, max_value=40))
 @settings(max_examples=200, deadline=None)
-def test_local_extrema_equals_one_signal_scan(x, nan_at):
+def test_extrema_scan_and_count_of_one_signal_equal_one_signal_scan(x, nan_at):
     x = x[:, 0].copy()
     if 0 <= nan_at < len(x):
         x[nan_at] = np.nan
-    got, want = local_extrema(x), local_extrema_oracle(x)
+    got, want = scan_extrema(x), local_extrema_oracle(x)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype
         assert np.array_equal(g, w)
+    assert count_extrema(x) == len(want[0]) + len(want[1])
     if 0 <= nan_at < len(x):
         assert nan_at not in np.concatenate(got)
 
@@ -542,28 +559,33 @@ def test_batched_envelopes_equal_public_spline_one_by_one(n, n_ch, picks, seed):
 )
 @settings(max_examples=300, deadline=None)
 def test_mode_condition_equals_is_imf_of_each_column(x, nan_at):
-    # plateaus, equal neighbours, exact zeros and NaN samples, one column
-    # at a time and all together
+    # plateaus, equal neighbours, exact zeros and NaN samples: the counters
+    # and the mode condition the sifting loop checks on every column
+    # against the positional scan
     for at in nan_at:
         if at < x.size:
             x.flat[at] = np.nan
-    want = [is_imf(x[:, j]) for j in range(x.shape[1])]
-    for j, ok in enumerate(want):
-        assert emd._mode_condition_all(x[:, [j]]) == ok
-    assert emd._mode_condition_all(x) == all(want)
+    want = [is_imf_oracle(col) for col in x.T]
+    for col in x.T:
+        mins, maxs = local_extrema_oracle(col)
+        assert count_extrema(col) == len(mins) + len(maxs)
+        assert count_zero_crossings(col) == zero_crossings_oracle(col)
+    assert [is_imf(col) for col in x.T] == want
 
 
 def test_mode_condition_counts_plateaus_and_a_nan_like_is_imf():
     # extrema on plateaus; a NaN difference ends a sign run but never
     # starts one, while every NaN sample counts as a zero-crossing sign
-    for col, ok in (
-        ([0.0, 1.0, 1.0, 1.0, -1.0, -1.0, 2.0], True),  # 2 extrema, 2 crossings
-        ([0.0, 1.0, np.nan, 2.0, 1.0, 0.5, 0.2], True),  # 1 extremum, 2 crossings
-        ([np.nan, np.nan, 1.0, 2.0, 3.0], False),  # 0 extrema, 2 crossings
+    for col, n_extrema, n_crossings, ok in (
+        ([0.0, 1.0, 1.0, 1.0, -1.0, -1.0, 2.0], 2, 2, True),
+        ([0.0, 1.0, np.nan, 2.0, 1.0, 0.5, 0.2], 1, 2, True),
+        ([np.nan, np.nan, 1.0, 2.0, 3.0], 0, 2, False),
     ):
-        x = np.array(col)[:, None]
-        assert is_imf(x[:, 0]) == ok
-        assert emd._mode_condition_all(x) == ok
+        x = np.array(col)
+        mins, maxs = local_extrema_oracle(x)
+        assert count_extrema(x) == len(mins) + len(maxs) == n_extrema
+        assert count_zero_crossings(x) == zero_crossings_oracle(x) == n_crossings
+        assert is_imf(x) == is_imf_oracle(x) == ok
 
 
 @pytest.mark.parametrize("n_dim", [1, 2, 3, 10])

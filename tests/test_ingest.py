@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -8,10 +9,12 @@ from hypothesis import strategies as st
 from stvs.errors import ValidationError
 from stvs.ingest import (
     Channel,
+    RowChecker,
     VoltageTrajectory,
     detect_fault_clear_index,
     estimate_prefault_voltage,
     extract_post_fault_window,
+    fault_clear_index,
     load_trajectory,
     write_columns,
     write_trajectory,
@@ -129,6 +132,38 @@ def test_load_requires_time_and_voltage_columns(tmp_path):
     write_csv(path2, "time,voltage", [(0.0, 1.0), (0.02, 1.0)])
     with pytest.raises(ValidationError, match="voltage"):
         load_trajectory(path2)
+
+
+@pytest.mark.parametrize(
+    "header, named",
+    [
+        ("time,V:A,V:A", "repeated column 'V:A' in the header"),
+        ("time,V:A,Q:A,Q:A", "repeated column 'Q:A' in the header"),
+        ("time,V:A,time", "repeated column 'time' in the header"),
+        ("time,V:,V:A", "column 'V:' has no channel id"),
+        ("time,V:A,Q:", "column 'Q:' has no channel id"),
+    ],
+)
+def test_a_repeated_column_or_an_empty_channel_id_is_rejected(tmp_path, header, named):
+    names = header.split(",")
+    with pytest.raises(ValidationError) as exc:
+        RowChecker(names, "<stdin>")
+    assert str(exc.value) == f"<stdin>: {named}"
+    path = tmp_path / "hdr.csv"
+    write_csv(path, header, [(0.02 * i, *[1.0] * (len(names) - 1)) for i in range(5)])
+    with pytest.raises(ValidationError) as exc:
+        load_trajectory(path)
+    assert str(exc.value) == f"{path}: {named}"
+
+
+@pytest.mark.parametrize("t0", [np.nan, np.inf, -np.inf, 1e308, -1e308])
+def test_a_t0_with_no_finite_sample_position_is_outside_the_record(t0):
+    outside = re.escape(f"fault clear time {t0} s outside the record [0.0, 1.98] s")
+    with pytest.raises(ValidationError, match=outside):
+        fault_clear_index(t0, 0.0, 0.02, 100)
+    traj = VoltageTrajectory(channels=(Channel(id="A", voltage=np.ones(100)),), dt=0.02)
+    with pytest.raises(ValidationError, match=outside):
+        traj.with_fault_clear_time(t0)
 
 
 def test_roundtrip_bit_for_bit(tmp_path):

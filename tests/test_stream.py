@@ -679,6 +679,13 @@ def test_a_utf8_bom_before_the_header_changes_no_report(tmp_path):
     assert final == docs[1]
 
 
+@pytest.mark.parametrize("t0", [np.nan, np.inf, -np.inf])
+def test_a_monitor_rejects_a_non_finite_t0_when_it_is_built(t0):
+    with pytest.raises(ValidationError) as exc:
+        Monitor(record_lines("mixed")[0].split(","), AssessmentConfig(), t0=t0)
+    assert str(exc.value) == f"[ingest] t0 must be a finite time in seconds, got {t0}"
+
+
 @pytest.mark.parametrize("rows", [False, True], ids=["header-only", "rows"])
 @pytest.mark.parametrize("with_t0", [True, False])
 def test_a_generator_without_q_stops_the_stream_before_any_row(tmp_path, rows, with_t0):

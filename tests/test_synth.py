@@ -154,6 +154,25 @@ def test_unknown_kind_rejected():
         synth_scenario("implausible-kind", ScenarioParams())
 
 
+@pytest.mark.parametrize(
+    "params, named",
+    [
+        (dict(seed=-1), "seed must not be negative, got -1"),
+        (dict(prefault_s=-1.0), "prefault_s must not be negative, got -1.0"),
+        (dict(fault_s=-1.0), "fault_s must not be negative, got -1.0"),
+        (dict(fs=1e308), "fs x (prefault_s + fault_s + post_s) is inf samples"),
+        (dict(fs=1e300), "fs x (prefault_s + fault_s + post_s) is 4.1e+300 samples"),
+        (dict(fs=float("nan")), "fs x (prefault_s + fault_s + post_s) is nan samples"),
+        (dict(post_s=1e308), "fs x (prefault_s + fault_s + post_s) is inf samples"),
+    ],
+)
+def test_a_parameter_numpy_cannot_sample_is_one_validation_error(params, named):
+    # every case is rejected before an array is allocated
+    with pytest.raises(ValidationError) as exc:
+        synth_scenario("mixed", ScenarioParams(**params))
+    assert str(exc.value).startswith(named)
+
+
 def test_scenario_is_seed_deterministic():
     p = ScenarioParams(noise_sigma=0.01, seed=3)
     a = synth_scenario("stable-osc", p)
