@@ -44,7 +44,28 @@ from .ingest import (
 )
 from .stream import Monitor
 
+
+class _NegativeNumber:
+    """The negative-number test of :class:`_Parser`: a token that starts
+    with '-' and that ``float`` reads (-1e308, -.5, -inf) is a value."""
+
+    @staticmethod
+    def match(token: str) -> bool:
+        try:
+            float(token)
+        except ValueError:
+            return False
+        return token.startswith("-")
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own private pattern differs between Python releases
+        # and, on some, reads -1e308 as an option: `--t0 -1e308` then
+        # failed where `--t0=-1e308` did not
+        self._negative_number_matcher = _NegativeNumber
+
     def error(self, message):  # argparse usage errors are validation errors
         raise ValidationError(message)
 
@@ -205,8 +226,9 @@ def _cmd_stream(args, config: AssessmentConfig) -> int:
 
 def _cmd_decompose(args) -> int:
     traj = _load_input(args)
-    window = extract_post_fault_window(traj, analysis_window_s(traj, args.window))
-    decomp = decompose(window)
+    window_s = analysis_window_s(traj, args.window)
+    window = stage("ingest", extract_post_fault_window, traj, window_s)
+    decomp = stage("emd", decompose, window)
     ids = decomp.channel_ids
     n_imfs = max((decomp.n_imfs(c) for c in range(decomp.n_channels)), default=0)
     zeros = np.zeros(window.n_samples)
@@ -251,7 +273,8 @@ def _cmd_exponents(args) -> int:
 def _cmd_thresholds(args) -> int:
     """Print the critical oscillation index and the reference row it
     was scored against, read from the cache ``imf_threshold`` read."""
-    value = imf_threshold(args.bins, (args.lo, args.hi), args.gamma2)
+    grid = (args.lo, args.hi)
+    value = stage("oscillation", imf_threshold, args.bins, grid, args.gamma2)
     edges = np.linspace(args.lo, args.hi, args.bins + 1)
     ref = reference_table([args.gamma2], [OSC_X_STAR], edges)[0, 0]
     doc = {

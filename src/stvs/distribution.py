@@ -150,13 +150,16 @@ def gompertz_reference_table(
     edges = np.asarray(bin_edges, dtype=float)
     if len(edges) < 3 or np.any(np.diff(edges) <= 0):
         raise ValidationError("need strictly ascending edges for >= 2 bins")
-    centers = 0.5 * (edges[:-1] + edges[1:])
+    # halved before the sum, which can overflow on a very wide grid; the
+    # same bits as 0.5 * (a + b) wherever that sum is finite
+    centers = 0.5 * edges[:-1] + 0.5 * edges[1:]
     # The steps keep the single-point order (log sigma, shift by the row
     # maximum, exp, normalize, floor, normalize) so every row is bit for
     # bit the single-point result; the tuner's ties are decided on exact
-    # values.  One buffer goes through all of them in place.
-    p = gammas[:, None, None] * (centers - x_stars[:, None])
+    # values.  One buffer goes through all of them in place.  Where the
+    # product overflows, exp saturates just as it would on the exact value.
     with np.errstate(over="ignore"):
+        p = gammas[:, None, None] * (centers - x_stars[:, None])
         np.exp(p, out=p)
     np.negative(p, out=p)
     p -= p.max(axis=-1, keepdims=True)

@@ -24,11 +24,12 @@ and the B-spline evaluator), which skips that constructor's per-call
 validation and array-API overhead.  A sifting pass fits its envelopes
 in one batch: one extrema scan over every direction projection, one
 vectorised pass for every envelope's mirrored knots, and one banded
-solve for all cubic envelopes, whose collocation bands sit side by side
-in a block-diagonal band matrix.  Every envelope is still bit for bit
-the one the public constructor gives (the tests use it, and a
-one-direction-at-a-time loop, as the oracle).  The kernels are private
-scipy names, verified on scipy 1.17.1, the floor this package requires.
+solve for all envelopes, linear, quadratic and cubic, whose collocation
+bands sit side by side in a block-diagonal band matrix.  Every envelope
+is still bit for bit the one the public constructor gives (the tests
+use it, and a one-direction-at-a-time loop, as the oracle).  The kernels
+are private scipy names, verified on scipy 1.17.1, the floor this
+package requires.
 
 At PMU sizes (a few channels, a few hundred samples) a pass costs more
 in per-call NumPy overhead than in arithmetic, so the glue is kept
@@ -248,103 +249,73 @@ def _mirrored_knots(
     return knots, rows[samples[order[keep]]], counts
 
 
-def _interpolate(x: np.ndarray, y: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Not-a-knot interpolating spline of degree min(3, len(x) - 1) at ``grid``.
-
-    Bit for bit what scipy's public constructor gives for the same
-    arguments, from the same kernels on the same inputs: the not-a-knot
-    knot vector (for k = 1 scipy's ``[x0, x, x_last]``; k = 2 only
-    arises with 3 knots, where the interior is empty), the collocation
-    band solved with ``dgbsv`` for k > 1, and the evaluator.  ``x``
-    holds at least 2 strictly increasing float knots and ``y`` one
-    finite value (or row) per knot; the checks scipy makes of these on
-    every call are left to the caller.
-    """
-    nt = len(x)
-    k = min(3, nt - 1)
-    inner = k // 2 + 1
-    t = np.concatenate(([x[0]] * (k + 1), x[inner:nt - inner], [x[-1]] * (k + 1)))
-    c = y.reshape(nt, -1)
-    if k > 1:
-        ab = np.zeros((3 * k + 1, nt), order="F")
-        _dierckx._coloc(x, t, k, ab.T, 0)
-        _, _, c, info = dgbsv(k, k, ab, c, overwrite_ab=True, overwrite_b=True)
-        if info > 0:
-            raise LinAlgError("Colocation matrix is singular.")
-        c = np.ascontiguousarray(c)
-    out = _dierckx.evaluate_spline(t, c, k, grid, 0, True)
-    return out.reshape(grid.shape + y.shape[1:])
-
-
 def _envelopes(
     idx: np.ndarray, lens: np.ndarray, rows: np.ndarray, n: int
-) -> Iterator[np.ndarray | None]:
+) -> Iterator[np.ndarray]:
     """Splines through ``rows`` at every envelope's mirrored extrema.
 
-    Takes the extrema as :func:`_mirrored_knots` does and yields one
-    envelope per entry of ``lens``, in order, on the sample grid 0..n-1
-    (``None`` for an envelope with fewer than 2 knots).  Every envelope
-    of 4 or more knots is a cubic: their collocation bands go into the
-    column blocks of one band matrix and one ``dgbsv`` solves the
-    block-diagonal system, with all their knot values as the right-hand
-    side.  Rows outside a block are exact zeros there, so pivoting and
-    elimination give each block what its own solve gives; envelopes of
-    2 or 3 knots go through :func:`_interpolate`.  Either way each
-    envelope is bit for bit the public constructor's.  The envelopes
-    are evaluated one at a time as the caller asks for them.
+    Takes the extrema as :func:`_mirrored_knots` does, at least one per
+    envelope on ``n >= 2`` samples, so every envelope has at least 2
+    knots, and yields one envelope per entry of ``lens``, in order, on
+    the sample grid 0..n-1.  An envelope of m knots is a not-a-knot
+    spline of degree k = min(3, m - 1).  Every envelope's collocation
+    band goes into its own column block of one band matrix with three
+    sub- and superdiagonals, and one ``dgbsv`` solves the block-diagonal
+    system, with all the knot values as the right-hand side.  Rows
+    outside a block are exact zeros there, so pivoting and elimination
+    give each block what its own solve gives, and each envelope is bit
+    for bit the public constructor's.  The envelopes are evaluated one
+    at a time as the caller asks for them.
 
     Knots are strictly increasing by construction.  A trajectory holds
     only finite voltages (ingest rejects the rest) and a NaN sample is
     never an extremum, but an infinite one can be when raw arrays are
     sifted, so it is rejected with the error scipy raises.
     """
-    knots, vals, counts = _mirrored_knots(idx, lens, rows, n)
+    x, vals, m = _mirrored_knots(idx, lens, rows, n)
     if not np.isfinite(vals).all():
         raise ValueError("Array must not contain infs or nans.")
-    grid = np.arange(n, dtype=float)
-    cubic = counts >= 4
-    if cubic.any():
-        # every cubic's not-a-knot vector from one repeat: each end knot
-        # four times, its neighbour dropped
-        in_cubic = cubic.repeat(counts)
-        x = knots[in_cubic]
-        m = counts[cubic]
-        x_end = m.cumsum()
-        x_start = x_end - m
-        reps = np.ones(len(x), dtype=np.intp)
-        reps[x_start] = reps[x_end - 1] = 4
-        reps[x_start + 1] = reps[x_end - 2] = 0
-        t = x.repeat(reps)
-        t_start = x_start + 4 * np.arange(len(m))
-        # (first, end) column and (first, end) knot of each cubic
-        t_end = t_start + m + 4
-        blocks = list(
-            zip(x_start.tolist(), x_end.tolist(), t_start.tolist(), t_end.tolist())
+    k = np.minimum(m - 1, 3)
+    x_end = m.cumsum()
+    x_start = x_end - m
+    # every not-a-knot vector from one repeat: each end knot k + 1
+    # times, its neighbour dropped when k > 1
+    reps = np.ones(len(x), dtype=np.intp)
+    reps[x_start] = reps[x_end - 1] = k + 1
+    curved = k > 1
+    reps[x_start[curved] + 1] = reps[x_end[curved] - 2] = 0
+    t = x.repeat(reps)
+    t_end = (m + k + 1).cumsum()
+    # (degree, first and end column, first and end knot) of each envelope
+    blocks = list(
+        zip(
+            k.tolist(),
+            x_start.tolist(),
+            x_end.tolist(),
+            (t_end - m - k - 1).tolist(),
+            t_end.tolist(),
         )
-        ab = np.zeros((10, len(x)), order="F")
-        columns = ab.T  # row j is the band's column j
-        for lo, hi, t_lo, t_hi in blocks:  # each cubic's band in its own columns
-            _dierckx._coloc(x[lo:hi], t[t_lo:t_hi], 3, columns[lo:hi], 0)
-        rhs = (vals if in_cubic.all() else vals[in_cubic]).reshape(len(x), -1)
-        _, _, c, info = dgbsv(3, 3, ab, rhs, overwrite_ab=True, overwrite_b=True)
-        del ab, columns, rhs  # not held through the copy below or the evaluations
-        if info > 0:
-            raise LinAlgError("Colocation matrix is singular.")
-        c = np.ascontiguousarray(c)
-        blocks = iter(blocks)
+    )
+    ab = np.zeros((10, len(x)), order="F")
+    columns = ab.T  # row j is the band's column j; row 6 its diagonal
+    for deg, lo, hi, t_lo, t_hi in blocks:
+        if deg == 1:
+            # scipy takes a linear spline's values as its coefficients;
+            # a collocated diagonal could round to 1 - 1 ulp
+            columns[lo:hi, 6] = 1.0
+        else:  # the offset moves a quadratic's diagonal onto row 6
+            _dierckx._coloc(x[lo:hi], t[t_lo:t_hi], deg, columns[lo:hi], 6 - 2 * deg)
+    rhs = vals.reshape(len(x), -1)
+    _, _, c, info = dgbsv(3, 3, ab, rhs, overwrite_ab=True, overwrite_b=True)
+    del ab, columns, rhs  # not held through the copy below or the evaluations
+    if info > 0:
+        raise LinAlgError("Colocation matrix is singular.")
+    c = np.ascontiguousarray(c)
+    grid = np.arange(n, dtype=float)
     flat = rows.ndim == 1  # the evaluator returns one column per value
-    start = 0
-    for count in counts.tolist():
-        if count >= 4:
-            lo, hi, t_lo, t_hi = next(blocks)
-            env = _dierckx.evaluate_spline(t[t_lo:t_hi], c[lo:hi], 3, grid, 0, True)
-            yield env.reshape(n) if flat else env
-        elif count >= 2:
-            end = start + count
-            yield _interpolate(knots[start:end], vals[start:end], grid)
-        else:
-            yield None
-        start += count
+    for deg, lo, hi, t_lo, t_hi in blocks:
+        env = _dierckx.evaluate_spline(t[t_lo:t_hi], c[lo:hi], deg, grid, 0, True)
+        yield env.reshape(n) if flat else env
 
 
 @lru_cache(maxsize=16)
@@ -402,20 +373,15 @@ def _mean_envelope_mv(
     sel = used[d_of]
     env = 2 * (used.cumsum() - 1)[d_of[sel]] + ~is_max[sel]
     order = env.argsort(kind="stable")
-    lens = np.bincount(env, minlength=2 * int(used.sum()))
+    n_used = int(used.sum())
+    lens = np.bincount(env, minlength=2 * n_used)
     envelopes = _envelopes(pos[sel][order], lens, x, n)
     total = np.zeros(x.shape)
-    n_used = 0
     for upper, lower in zip(envelopes, envelopes):  # consecutive pairs
-        if upper is None or lower is None:
-            continue
         # 0.5 * (upper + lower), formed in the fresh upper envelope
         upper += lower
         upper *= 0.5
         total += upper
-        n_used += 1
-    if n_used == 0:
-        return None
     total /= n_used
     return total
 

@@ -328,8 +328,9 @@ def extract_post_fault_window(
     The slice is a copy; the parent trajectory is never mutated.
     prefault_voltage carries over from the parent.
     """
-    n = int(round(duration / traj.dt))
-    if n < 2:
+    steps = duration / traj.dt
+    n = int(round(steps)) if math.isfinite(steps) else steps  # no int holds inf
+    if not n >= 2:
         raise ValidationError(
             f"window duration {duration} s yields {n} samples (need >= 2)"
         )

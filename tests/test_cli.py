@@ -1,11 +1,17 @@
+import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stvs
 from conftest import QV_K1, QV_K2, P_ACTIVE, XD_PRIME, osc_params, pickup_level
@@ -854,3 +860,182 @@ def test_stream_without_t0_says_once_that_no_fault_signature_was_found(
     ended = "the stream ended without a fault signature, so no report was written"
     assert (ended in err) is not reports
     assert len(err.strip().splitlines()) == 1 + (not reports)
+
+
+# -- numeric flag values ------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def short_record(tmp_path_factory):
+    """A short one-channel mixed record, and machine data for its channel."""
+    folder = tmp_path_factory.mktemp("short")
+    params = ScenarioParams(n_channels=1, post_s=1.5)
+    write_trajectory(synth_scenario("mixed", params), folder / "m.csv")
+    (folder / "gens.ini").write_text(
+        "[G1]\nxd_prime = 0.3\np_active = 0.9\npickup = 0.95@20\n"
+    )
+    return folder
+
+
+def run_in_process(argv, stdin=""):
+    """Exit code, stdout, stderr and the warnings raised of one ``run``."""
+    out, err = io.StringIO(), io.StringIO()
+    with (
+        warnings.catch_warnings(record=True) as caught,
+        mock.patch("sys.stdin", io.StringIO(stdin)),
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+    ):
+        warnings.simplefilter("always")
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue(), [str(w.message) for w in caught]
+
+
+def command_argv(command, folder):
+    """The argv of ``command`` on the short record, without numeric flags."""
+    record = ["--in", str(folder / "m.csv")]
+    return {
+        "assess": ["assess", *record],
+        "stream": ["assess", "--stream"],
+        "decompose": ["decompose", *record],
+        "exponents": ["exponents", *record],
+        "tune": ["tune", *record, "--gen-config", str(folder / "gens.ini")],
+        "thresholds": ["thresholds"],
+    }[command]
+
+
+def spaced_and_joined(argv, flags):
+    """``argv`` with every (flag, value) as two tokens, and as one ``flag=value``."""
+    spaced = argv + [token for pair in flags for token in pair]
+    return spaced, argv + [f"{flag}={value}" for flag, value in flags]
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("assess", [("--t0", "-1e308")]),
+        ("assess", [("--t0", "1.1"), ("--eq0", "-1e-3")]),
+        ("assess", [("--t0", "1.1"), ("--lo", "-1E+2")]),
+        ("assess", [("--t0", "-inf")]),
+        ("decompose", [("--t0", "1.1"), ("--window", "-2.5e-1")]),
+        ("exponents", [("--t0", "-.5e1")]),
+        ("tune", [("--t0", "1.1"), ("--eq0", "-1e0")]),
+        ("thresholds", [("--lo", "-1e-300")]),
+        ("stream", [("--t0", "1.1"), ("--report-interval", "-1e-3")]),
+        ("stream", [("--t0", "-1e1")]),
+    ],
+    ids=[
+        "assess-t0", "assess-eq0", "assess-lo", "assess-t0-inf", "decompose-window",
+        "exponents-t0", "tune-eq0", "thresholds-lo", "stream-report-interval",
+        "stream-t0",
+    ],
+)
+def test_a_negative_number_with_an_exponent_is_a_value_as_after_equals(
+    short_record, command, flags
+):
+    stdin = (short_record / "m.csv").read_text() if command == "stream" else ""
+    spaced, joined = spaced_and_joined(command_argv(command, short_record), flags)
+    got = run_in_process(spaced, stdin)
+    assert got == run_in_process(joined, stdin)
+    assert "expected one argument" not in got[2]
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("decompose", ["--t0", "1.1", "--window", "0"]),
+        ("thresholds", ["--bins", "2"]),
+        ("thresholds", ["--bins", "3", "--lo", "0.9", "--hi", "1.1"]),
+    ],
+    ids=["decompose-window", "thresholds-bins", "thresholds-grid"],
+)
+def test_decompose_and_thresholds_print_the_staged_line_of_assess(
+    short_record, command, flags
+):
+    got = run_in_process(command_argv(command, short_record) + flags)
+    want = run_in_process(command_argv("assess", short_record) + flags)
+    assert got == want
+    code, out, err, _ = got
+    assert (code, out) == (1, "")
+    assert re.fullmatch(r"stvs: \[(ingest|oscillation)\] [^\n]*\n", err)
+
+
+NUMERIC_FLAGS = {
+    "assess": ("--t0", "--window", "--eq0", "--lo", "--hi", "--gamma2"),
+    "decompose": ("--t0", "--window"),
+    "exponents": ("--t0", "--window", "--eq0"),
+    "tune": ("--t0", "--window", "--eq0"),
+    "thresholds": ("--lo", "--hi", "--gamma2"),
+}
+
+
+def numeric_literals():
+    """Float literals as a user types them: signed, with and without an
+    exponent, and the values at the edges of the float range."""
+    mantissa = st.one_of(
+        st.integers(min_value=0, max_value=10**6).map(str),
+        st.floats(min_value=0, max_value=1e6).map("{:.3f}".format),
+        st.sampled_from([".5", "5.", "0.0"]),
+    )
+    exponent = st.builds(
+        "{}{}".format,
+        st.sampled_from(["e", "E", "e+", "e-"]),
+        st.integers(min_value=0, max_value=400),
+    )
+    signed = st.builds(
+        "{}{}{}".format,
+        st.sampled_from(["", "-", "+"]),
+        mantissa,
+        st.one_of(st.just(""), exponent),
+    )
+    edges = st.sampled_from(
+        ["0", "-0", "nan", "-nan", "inf", "-inf", "1e308", "-1e308", "1e309", "-1e309",
+         "1e-300", "-1e-300"]
+    )
+    return st.one_of(edges, signed)
+
+
+@given(command=st.sampled_from(sorted(NUMERIC_FLAGS)), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_a_numeric_flag_value_ends_in_a_result_or_one_named_line(
+    short_record, command, data
+):
+    names = data.draw(
+        st.lists(st.sampled_from(NUMERIC_FLAGS[command]), min_size=1, max_size=2, unique=True)
+    )
+    flags = [(name, data.draw(numeric_literals(), label=name)) for name in names]
+    spaced, joined = spaced_and_joined(command_argv(command, short_record), flags)
+    code, out, err, caught = run_in_process(spaced)
+    assert (code, out, err, caught) == run_in_process(joined)
+    assert code in (0, 1, 2)
+    assert caught == []
+    assert "Traceback" not in err and "Warning" not in err
+    if code:
+        assert out == ""
+        assert re.fullmatch(r"stvs: (argument --|\[)[^\n]*\n", err)
+
+
+@pytest.mark.parametrize("command", ["assess", "decompose", "exponents", "tune"])
+def test_a_window_whose_sample_count_overflows_is_one_ingest_line(short_record, command):
+    argv = command_argv(command, short_record) + ["--t0", "1.1", "--window", "-1e308"]
+    assert run_in_process(argv) == (
+        1, "", "stvs: [ingest] window duration -1e+308 s yields -inf samples (need >= 2)\n", []
+    )
+
+
+@pytest.mark.parametrize(
+    "command, flags, critical",
+    [
+        ("assess", ["--t0", "1.1"], lambda doc: doc["oscillation"]["threshold"]),
+        ("thresholds", [], lambda doc: doc["imf_critical"]),
+    ],
+    ids=["assess", "thresholds"],
+)
+def test_a_grid_whose_bin_centres_overflow_scores_without_a_warning(
+    short_record, command, flags, critical
+):
+    argv = command_argv(command, short_record) + flags + ["--lo", "-1e308"]
+    code, out, err, caught = run_in_process(argv)
+    assert (code, err, caught) == (0, "", [])
+    value = critical(json.loads(out))
+    assert np.isfinite(value)
+    assert value == indices.imf_threshold(20, (-1e308, 1.5), 10.0)

@@ -553,6 +553,32 @@ def test_batched_envelopes_equal_public_spline_one_by_one(n, n_ch, picks, seed):
             assert np.array_equal(env, want)
 
 
+@pytest.mark.parametrize("n_ch", [None, 3])
+def test_envelopes_of_every_degree_share_one_banded_solve(monkeypatch, n_ch):
+    n = 20
+    # 2 knots (k = 1), 3 knots (k = 2) and 4 or more (k = 3), interleaved
+    extrema = [[0], [7], [3, 11], [19], [2, 6, 11, 15, 18], [12], [0, 19]]
+    knot_counts = [2, 3, 6, 2, 9, 3, 4]
+    rows = np.random.default_rng(5).normal(size=(n,) if n_ch is None else (n, n_ch))
+    calls = []
+    dgbsv = emd.dgbsv
+
+    def counting_dgbsv(*args, **kwargs):
+        calls.append(args[:2])  # (kl, ku)
+        return dgbsv(*args, **kwargs)
+
+    monkeypatch.setattr(emd, "dgbsv", counting_dgbsv)
+    idx = np.concatenate([np.asarray(e, dtype=np.intp) for e in extrema])
+    got = list(emd._envelopes(idx, np.array([len(e) for e in extrema]), rows, n))
+    assert calls == [(3, 3)]
+    assert len(got) == len(extrema)
+    for env, e, count in zip(got, extrema, knot_counts):
+        assert len(mirrored_knots_oracle(e, rows[e], n)[0]) == count
+        want = envelope_oracle(np.asarray(e), rows, n)
+        assert env.shape == want.shape
+        assert np.array_equal(env, want)
+
+
 @given(
     x=signals_with_plateaus(n_min=4, n_max=40, n_ch_max=10),
     nan_at=st.lists(st.integers(min_value=0, max_value=400), max_size=3),
