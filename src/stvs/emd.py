@@ -49,8 +49,12 @@ installation by :func:`_scipy_extension`, without running the
 ``__init__`` of ``scipy.interpolate`` or ``scipy.linalg``: those pull in
 ``scipy.optimize``, ``scipy.special``, the array-API layer and
 ``numpy.f2py``, which sifting never calls and which made up about three
-quarters of a fresh process's start-up.  A module already imported (say,
-by the caller importing ``scipy.interpolate`` first) is used as it is.
+quarters of a fresh process's start-up.  The scipy package itself is
+located with ``importlib.util.find_spec`` and never imported, since its
+``__init__`` loads test and version helpers (10-17 ms of a cold start);
+the installed version is read from the package metadata only for the
+not-found message.  A module already imported (say, by the caller
+importing ``scipy.interpolate`` first) is used as it is.
 """
 
 from __future__ import annotations
@@ -62,11 +66,10 @@ from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
-from importlib.util import module_from_spec
+from importlib.util import find_spec, module_from_spec
 from types import ModuleType
 
 import numpy as np
-import scipy
 from numpy.linalg import LinAlgError
 
 from .errors import ValidationError
@@ -77,15 +80,19 @@ def _scipy_extension(name: str) -> ModuleType:
     """The compiled scipy module ``name``, without its package's ``__init__``.
 
     Returns ``sys.modules[name]`` when it is already imported; otherwise
-    finds the extension file under the ``scipy.__path__`` entries and
-    executes it.  Raises :class:`ImportError` naming the module and the
-    scipy version when no such file exists.
+    finds the extension file under the directories of the scipy package,
+    located without importing it, and executes it.  Raises
+    :class:`ImportError` naming scipy when it is not installed, and one
+    naming the module and the scipy version when no such file exists.
     """
     module = sys.modules.get(name)
     if module is not None:
         return module
+    scipy_spec = find_spec("scipy")
+    if scipy_spec is None:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
     subdir = name.split(".")[1:-1]
-    for root in scipy.__path__:
+    for root in scipy_spec.submodule_search_locations:
         finder = FileFinder(
             os.path.join(root, *subdir), (ExtensionFileLoader, EXTENSION_SUFFIXES)
         )
@@ -94,9 +101,9 @@ def _scipy_extension(name: str) -> ModuleType:
             module = module_from_spec(spec)
             spec.loader.exec_module(module)
             return module
-    raise ImportError(
-        f"{name} not found in scipy {scipy.__version__}", name=name
-    )
+    from importlib.metadata import version  # only on this path: its import is slow
+
+    raise ImportError(f"{name} not found in scipy {version('scipy')}", name=name)
 
 
 _dierckx = _scipy_extension("scipy.interpolate._dierckx")

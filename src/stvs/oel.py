@@ -19,7 +19,6 @@ recovery threshold.
 
 from __future__ import annotations
 
-import configparser
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -204,7 +203,7 @@ def voltage_cap(
         roots = roots - step
     real = roots[np.abs(roots.imag) < 1e-9].real
     lo, hi = V_CAP_RANGE
-    admissible = np.unique(real[(real > lo) & (real < hi)])
+    admissible = real[(real > lo) & (real < hi)]
     residual = _ev_residual(admissible, e_i, xd_prime, p_active, k1, k2)
     admissible = admissible[np.abs(residual) < _RESIDUAL_TOL]
     if admissible.size == 0:
@@ -212,6 +211,7 @@ def voltage_cap(
             f"pickup level E={e_i} has no admissible voltage cap in "
             f"({lo}, {hi}) pu under the fitted Q-V line"
         )
+    # picked by value, so neither the roots' order nor repeats matter
     order = np.lexsort((admissible, np.abs(admissible - v_current)))
     return float(admissible[order[0]])
 
@@ -426,9 +426,14 @@ def load_generator_config(path) -> dict[str, GeneratorSpec]:
 
     One section per generator id with ``xd_prime``, ``p_active`` and
     comma-separated ``pickup = E@t`` / ``lvrt = V@t`` lists, read as
-    UTF-8.  A file the INI reader rejects is a validation error that
-    names it.
+    UTF-8.  A section with pickups must give both ``xd_prime`` and
+    ``p_active``, which the quartic behind each voltage cap reads; an
+    LVRT-only section may leave them out (they default to 0).  A file
+    the INI reader rejects, or a pickup section missing either key, is a
+    validation error that names the file and the section.
     """
+    import configparser  # only a config file needs it
+
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path, encoding="utf-8")
@@ -465,6 +470,12 @@ def load_generator_config(path) -> dict[str, GeneratorSpec]:
             )
         except (ValueError, configparser.Error) as exc:  # an interpolation error
             raise ValidationError(f"{path} [{section}]: {exc}") from exc
+        missing = [key for key in ("xd_prime", "p_active") if key not in sec]
+        if spec.pickups and missing:
+            raise ValidationError(
+                f"{path} [{section}]: missing {' and '.join(missing)}, "
+                "which pickup entries need"
+            )
         specs[section] = spec
     if not specs:
         raise ValidationError(f"{path}: no generator sections found")

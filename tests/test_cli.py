@@ -203,6 +203,33 @@ def test_non_finite_machine_data_is_validation_error(capsys, tmp_path, stable_ca
     assert captured.err.startswith("stvs: G1: ")
 
 
+@pytest.mark.parametrize("key", ["xd_prime", "p_active"])
+def test_a_pickup_section_missing_machine_data_is_one_line_exit(
+    capsys, tmp_path, stable_case_csv, key
+):
+    # left out, the key used to read as 0 and could flip G1's verdict
+    entries = {"xd_prime": "0.25", "p_active": "0.85", "pickup": "0.9977830363632773@20"}
+    del entries[key]
+    path = tmp_path / "gens.ini"
+    path.write_text("[G1]\n" + "".join(f"{k} = {v}\n" for k, v in entries.items()))
+    code = run(["assess", "--in", stable_case_csv, "--t0", "1.1", "--gen-config", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"stvs: {path} [G1]: ") and key in line
+
+
+def test_an_lvrt_section_needs_no_machine_data(capsys, tmp_path, stable_case_csv):
+    docs = []
+    for machine in ("", "xd_prime = 0\np_active = 0\n"):
+        path = tmp_path / "lvrt.ini"
+        path.write_text(f"[G1]\n{machine}lvrt = 0.9@1.5\n")
+        argv = ["assess", "--in", stable_case_csv, "--t0", "1.1", "--gen-config", str(path)]
+        docs.append(run_json(capsys, argv))
+    assert docs[0] == docs[1] and docs[0][0] == 0
+    assert docs[0][1]["generators"][0]["class"] in ("trip", "non-trip")
+
+
 def test_python_dash_m_runs_the_cli(capsys):
     argv = ["synth", "mixed", "post_s=0.5"]
     assert run(argv) == 0

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import make_interp_spline
 
 import stvs
+from conftest import P_ACTIVE, QV_K1, QV_K2, XD_PRIME, pickup_level
 from stvs import emd
 from stvs.emd import (
     DecompositionResult,
@@ -754,3 +755,58 @@ def test_missing_kernel_is_an_import_error_naming_it():
         emd._scipy_extension(name)
     assert str(exc.value) == f"{name} not found in scipy {scipy.__version__}"
     assert exc.value.name == name
+
+
+def test_a_missing_scipy_is_an_import_error_naming_it(monkeypatch):
+    monkeypatch.setattr(emd, "find_spec", lambda name: None)
+    with pytest.raises(ImportError) as exc:
+        emd._scipy_extension("scipy.interpolate._no_such_kernel")
+    assert exc.value.name == "scipy"
+
+
+# Modules the assessment never calls, which a cold start must not load.
+UNUSED_MODULES = ("scipy", "scipy.interpolate", "scipy.linalg", "numpy.ma", "configparser")
+
+
+def test_assess_imports_neither_scipy_nor_numpy_ma_nor_configparser(tmp_path):
+    e_i = pickup_level()
+    ini = tmp_path / "gens.ini"
+    ini.write_text("".join(
+        f"[G{i}]\nxd_prime = {XD_PRIME!r}\np_active = {P_ACTIVE!r}\npickup = {e_i!r}@20\n"
+        for i in (1, 2, 3)
+    ))
+    code = f"""if True:
+        import sys
+        import stvs.indices
+        from stvs.indices import AssessmentConfig, assess
+        from stvs.oel import GeneratorSpec
+        from stvs.synth import ScenarioParams, synth_scenario
+        specs = {{
+            f"G{{i}}": GeneratorSpec(f"G{{i}}", {XD_PRIME!r}, {P_ACTIVE!r}, (({e_i!r}, 20.0),))
+            for i in (1, 2, 3)
+        }}
+        traj = synth_scenario("mixed", ScenarioParams(k1={QV_K1!r}, k2={QV_K2!r}))
+        result = assess(traj, AssessmentConfig(generators=specs))
+        print(all(g.characteristic is not None for g in result.per_generator))
+        print([m for m in {UNUSED_MODULES!r} if m in sys.modules])
+        from stvs.oel import load_generator_config
+        print(load_generator_config(sys.argv[1]) == specs)
+    """
+    assert run_python(code, str(ini)).splitlines()[-3:] == ["True", "[]", "True"]
+
+
+def test_stream_with_a_config_loads_configparser_but_not_numpy_ma_or_scipy(tmp_path):
+    record = tmp_path / "m.csv"
+    write_trajectory(synth_scenario("mixed", ScenarioParams(post_s=1.0)), record)
+    ini = tmp_path / "gens.ini"
+    ini.write_text("[G1]\nxd_prime = 0.3\np_active = 0.9\npickup = 0.95@20\n")
+    code = """if True:
+        import sys
+        import stvs.cli
+        sys.stdin = open(sys.argv[1])
+        argv = ["assess", "--stream", "--t0", "1.1", "--gen-config", sys.argv[2]]
+        assert stvs.cli.run(argv) == 0
+        print([m for m in ("configparser", "numpy.ma", "scipy") if m in sys.modules])
+    """
+    lines = run_python(code, str(record), str(ini)).splitlines()
+    assert lines[0].startswith("{") and lines[-1] == "['configparser']"

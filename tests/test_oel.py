@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,6 +176,34 @@ def test_cap_equals_the_polyval_polish_bit_for_bit():
             found += 1
             assert voltage_cap(e_i, xd, p, k1, k2, v_current=v_current) == want
     assert found > 50 and missing > 50
+
+
+def test_cap_ignores_the_order_and_repeats_of_the_roots(monkeypatch):
+    # the cap is picked by value, so roots that arrive twice, in any
+    # order, give the cap the distinct roots give
+    rng = np.random.default_rng(12)
+    cases = [
+        (rng.uniform(0.2, 2.0), rng.uniform(0.05, 0.6), rng.uniform(0.0, 1.2),
+         rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 1.5), rng.uniform(0.5, 1.2),
+         rng.uniform(0.3, 1.7))
+        for _ in range(300)
+    ]
+    wants = [polyval_cap_oracle(*case) for case in cases]
+    roots = np.roots
+
+    def repeated_and_shuffled(coeffs):
+        return rng.permutation(np.concatenate([roots(coeffs), roots(coeffs)]))
+
+    monkeypatch.setattr(np, "roots", repeated_and_shuffled)
+    found = 0
+    for (e_i, xd, p, k1, k2, v_current), want in zip(cases, wants):
+        if want is None:
+            with pytest.raises(ComputationError):
+                voltage_cap(e_i, xd, p, k1, k2, v_current=v_current)
+        else:
+            found += 1
+            assert voltage_cap(e_i, xd, p, k1, k2, v_current=v_current) == want
+    assert found > 50
 
 
 def test_build_characteristic_recovers_line_and_cap(generator_specs):
@@ -544,6 +573,16 @@ def test_generator_config_roundtrip(tmp_path):
     assert specs["G7"].pickups == ((1.8, 20.0), (2.0, 10.0))
     assert specs["G7"].xd_prime == 0.3
     assert specs["W1"].lvrt == ((0.9, 1.5),)
+
+
+def test_the_readme_generator_config_loads(tmp_path):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    (block,) = re.findall(r"```ini\n(.*?)```", readme.read_text(), re.S)
+    path = tmp_path / "readme.ini"
+    path.write_text(block)
+    specs = load_generator_config(path)
+    assert specs["G7"] == GeneratorSpec("G7", 0.3, 0.9, ((1.8, 20.0), (2.0, 10.0)))
+    assert specs["W1"] == GeneratorSpec("W1", 0.0, 0.0, lvrt=((0.9, 1.5),))
 
 
 def test_generator_config_rejects_malformed_pairs(tmp_path):
