@@ -10,12 +10,7 @@ each with a critical value, a classification and a signed margin.
 """
 
 from .distribution import (
-    DivergenceHistogram,
-    GompertzReference,
-    gompertz_reference,
     gompertz_reference_table,
-    histogram,
-    kl_divergence,
     kl_divergence_table,
 )
 from .embed import (
@@ -45,7 +40,6 @@ from .indices import (
     classify,
     imf_threshold,
     oscillation_index,
-    recovery_index,
 )
 from .ingest import (
     Channel,

@@ -12,20 +12,18 @@ Every index is scored through ``kl_index``: it bins the factors and
 scores them against the rows of a (gamma, x*, bin) reference table
 that ``reference_table`` builds once per grid and keeps read-only, so
 a single shape, the default shape and the tuner's whole grid take the
-same path.  ``gompertz_reference`` and ``kl_divergence`` are the
-single-point forms of the same computation.
+same path.  One (gamma, x*) pair is a 1 x 1 grid.
 
 Binning is one ``searchsorted`` of the grid's cached, read-only edges
 and one ``bincount``, with exactly the counts of ``np.histogram`` on
 the clamped factors but without its sort.  ``kl_index`` skips the
-checks ``histogram`` and ``kl_divergence_table`` make of values it has
-just built itself (a ``DivergenceHistogram``, a positive cached
-table); those public functions keep every check.
+checks ``kl_divergence_table`` makes of values it has just built itself
+(a histogram, a positive cached table); the public table functions keep
+every check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -37,40 +35,6 @@ from .errors import ValidationError
 # zero (the continuous Gompertz curve never reaches zero on a finite
 # grid, but float64 does).
 _PROB_FLOOR = np.finfo(float).tiny
-
-
-@dataclass(frozen=True)
-class DivergenceHistogram:
-    """Binned probabilities of observed divergence factors."""
-
-    bin_edges: np.ndarray
-    probabilities: np.ndarray
-
-    def __post_init__(self) -> None:
-        if len(self.bin_edges) != len(self.probabilities) + 1:
-            raise ValidationError("edges/probabilities length mismatch")
-        if np.any(np.diff(self.bin_edges) <= 0):
-            raise ValidationError("bin edges must be strictly ascending")
-        if abs(float(self.probabilities.sum()) - 1.0) > 1e-12:
-            raise ValidationError("probabilities must sum to 1")
-        if np.any(self.probabilities < 0):
-            raise ValidationError("probabilities must be non-negative")
-
-
-@dataclass(frozen=True)
-class GompertzReference:
-    """Normalized shifted-reversed Gompertz reference on a bin grid."""
-
-    gamma: float
-    x_star: float
-    bin_edges: np.ndarray
-    probabilities: np.ndarray
-
-    def __post_init__(self) -> None:
-        if np.any(self.probabilities <= 0):
-            raise ValidationError("reference probabilities must be positive")
-        if abs(float(self.probabilities.sum()) - 1.0) > 1e-12:
-            raise ValidationError("reference probabilities must sum to 1")
 
 
 @lru_cache(maxsize=8)
@@ -118,20 +82,6 @@ def _bin_counts(
     return counts, edges
 
 
-def histogram(
-    factors: np.ndarray, bins: int, lo: float, hi: float
-) -> DivergenceHistogram:
-    """Bin divergence factors on [lo, hi], clamping outliers to edge bins.
-
-    NaN factors are dropped; the edges are the grid's cached, read-only
-    array.
-    """
-    counts, edges = _bin_counts(factors, bins, lo, hi)
-    return DivergenceHistogram(
-        bin_edges=edges, probabilities=counts / counts.sum()
-    )
-
-
 def gompertz_reference_table(
     gammas: np.ndarray, x_stars: np.ndarray, bin_edges: np.ndarray
 ) -> np.ndarray:
@@ -153,9 +103,9 @@ def gompertz_reference_table(
     # halved before the sum, which can overflow on a very wide grid; the
     # same bits as 0.5 * (a + b) wherever that sum is finite
     centers = 0.5 * edges[:-1] + 0.5 * edges[1:]
-    # The steps keep the single-point order (log sigma, shift by the row
+    # The steps keep the point-by-point order (log sigma, shift by the row
     # maximum, exp, normalize, floor, normalize) so every row is bit for
-    # bit the single-point result; the tuner's ties are decided on exact
+    # bit what its pair gives alone; the tuner's ties are decided on exact
     # values.  One buffer goes through all of them in place.  Where the
     # product overflows, exp saturates just as it would on the exact value.
     with np.errstate(over="ignore"):
@@ -172,17 +122,6 @@ def gompertz_reference_table(
     if np.any(np.abs(p.sum(axis=-1) - 1.0) > 1e-12):
         raise ValidationError("reference probabilities must sum to 1")
     return p
-
-
-def gompertz_reference(
-    gamma: float, x_star: float, bin_edges: np.ndarray
-) -> GompertzReference:
-    """Evaluate sigma at bin centers and normalize to a distribution."""
-    edges = np.asarray(bin_edges, dtype=float)
-    p = gompertz_reference_table([gamma], [x_star], edges)[0, 0]
-    return GompertzReference(
-        gamma=gamma, x_star=x_star, bin_edges=edges, probabilities=p
-    )
 
 
 def kl_divergence_table(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -247,8 +186,8 @@ def kl_index(
     The factors are binned on ``grid`` = (bins, lo, hi); the result has
     shape (len(gammas), len(x_stars)), entry [i, j] scored against the
     reference of (gammas[i], x_stars[j]).  It computes what
-    ``kl_divergence_table(histogram(...).probabilities, table)`` gives,
-    without the checks those make of values built here: the counts sum
+    ``kl_divergence_table`` gives on the histogram's probabilities,
+    without the checks it makes of values built here: the counts sum
     to at least 1, and the cached table was checked positive when it
     was built.
     """
@@ -256,17 +195,3 @@ def kl_index(
     table = reference_table(gammas, x_stars, edges)
     return _kl_rows(counts / counts.sum(), table)
 
-
-def kl_divergence(
-    p: DivergenceHistogram, q: GompertzReference | DivergenceHistogram
-) -> float:
-    """Relative entropy sum p ln(p/q), with 0 ln 0 taken as 0.
-
-    Requires identical bin grids and a strictly positive q wherever it
-    is compared (absolute continuity).
-    """
-    if len(p.bin_edges) != len(q.bin_edges) or not np.array_equal(
-        p.bin_edges, q.bin_edges
-    ):
-        raise ValidationError("histogram and reference grids differ")
-    return float(kl_divergence_table(p.probabilities, q.probabilities))

@@ -13,9 +13,10 @@ Both increase toward instability; each is compared against a critical
 value, yielding a classification and a signed percentage margin.  Every
 KL here, the critical oscillation value's included, reads its reference
 from the one cached table of ``distribution``; both indices are scored
-by ``distribution.kl_index``, and each residual, as each critical
-signal in the tuner, through ``fsle_residual_series`` (None when it
-never dipped) and ``oel.recovery_scores``.
+by ``distribution.kl_index``.  A generator's recovery index is scored
+inside ``assess``, as each critical signal is in the tuner, through
+``fsle_residual_series`` (None when it never dipped) and
+``oel.recovery_scores``.
 
 ``AssessmentConfig`` carries what a run may set; the method's fixed
 choices (the frequency band, the embedding dimension, the recovery grid,
@@ -273,7 +274,10 @@ def _imf_threshold(bins: int, lo: float, hi: float, gamma2: float) -> float:
         raise ValidationError(f"grid range [{lo}, {hi}] must be finite")
     if not lo < hi:
         raise ValidationError(f"invalid range [{lo}, {hi}]")
-    edges = np.linspace(lo, hi, bins + 1)
+    try:
+        edges = np.linspace(lo, hi, bins + 1)
+    except (MemoryError, ValueError) as exc:  # NumPy refuses the size at once
+        raise ValidationError(f"{bins} bins: not a count an array can hold") from exc
     if not (edges[0] < 1.0 < edges[-1]):
         raise ValidationError("grid must contain the unit divergence factor")
     ic = int(np.searchsorted(edges, 1.0, side="right") - 1)
@@ -346,42 +350,6 @@ def oscillation_index(
     return OscillationResult(value=float(kl[0, 0]), series=series)
 
 
-def _score_recovery(
-    series: ExponentSeries | None,
-    delta_r0: float,
-    gamma1: float,
-    x_star: float,
-    grid: tuple[int, float, float],
-) -> RecoveryResult:
-    value = oel.recovery_scores(series, delta_r0, grid, [gamma1], [x_star])[0, 0]
-    note = "no dip" if series is None else None
-    return RecoveryResult(float(value), delta_r0, note, series)
-
-
-def recovery_index(
-    residual: np.ndarray,
-    v_pre: float,
-    eq0: float,
-    gamma1: float,
-    x_star: float,
-    grid: tuple[int, float, float],
-    dt: float,
-) -> RecoveryResult:
-    """Per-generator recovery index: dip depth times the KL distance.
-
-    The dip weight is |V_pre - R(t0)|; residuals that never left the
-    equilibrium floor score 0 (no dip, trivially safe).
-    """
-    r = np.asarray(residual, dtype=float)
-    return _score_recovery(
-        fsle_residual_series(r, eq0=eq0, dt=dt),
-        abs(v_pre - float(r[0])),
-        gamma1,
-        x_star,
-        grid,
-    )
-
-
 def analysis_window_s(traj: VoltageTrajectory, window_s: float) -> float:
     """The post-fault window ``assess`` analyses, in seconds.
 
@@ -414,8 +382,10 @@ def _assess_generator(
 ) -> GeneratorAssessment:
     """Recovery verdict for one generator channel.
 
-    A residual that never dipped is non-trip.  Without machine data the
-    index is scored on the default Gompertz shape and left unassessed.
+    The index is D = |V_pre - R(t0)| x KL on the residual's recovery
+    exponents; a residual that never dipped scores 0 and is non-trip.
+    Without machine data the index is scored on the default Gompertz
+    shape and left unassessed.
     With it, the voltage caps either settle the verdict (trivially safe
     or tripping, scored on the default shape) or yield the critical
     signals from which (gamma1, x*) and the threshold are tuned.
@@ -451,9 +421,10 @@ def _assess_generator(
             )
             gamma1, x_star = tuning.gamma1, tuning.x_star
 
-    result = _score_recovery(
-        series, abs(v_pre - float(residual[0])), gamma1, x_star, REC_GRID
-    )
+    delta_r0 = abs(v_pre - float(residual[0]))
+    value = oel.recovery_scores(series, delta_r0, REC_GRID, [gamma1], [x_star])[0, 0]
+    note = "no dip" if series is None else None
+    result = RecoveryResult(float(value), delta_r0, note, series)
     margin = None
     if tuning is not None:
         verdict, margin = classify(

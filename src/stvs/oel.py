@@ -258,8 +258,9 @@ def construct_critical_signals(
     never dips below any cap, TriviallyTripping when even the fastest
     admissible recovery can never reach the lowest cap.  The signals
     are sampled up to ``PICKUP_PAD_S`` past the latest cap time; raises
-    ComputationError, naming the exponent and that horizon, when an
-    extrapolated member leaves float range before it.
+    ValidationError, naming that time, when no array can hold the
+    samples up to it, and ComputationError, naming the exponent and the
+    horizon, when an extrapolated member leaves float range before it.
     """
     r = np.asarray(residual, dtype=float)
     if r.size < 2:
@@ -313,7 +314,14 @@ def construct_critical_signals(
         )
 
     horizon = float(times.max()) + PICKUP_PAD_S
-    t = np.arange(0.0, horizon + 0.5 * dt, dt)
+    try:
+        t = np.arange(0.0, horizon + 0.5 * dt, dt)
+    except (MemoryError, ValueError) as exc:  # NumPy refuses the size at once
+        raise ValidationError(
+            f"pickup or LVRT time {times.max():g} s is too late: the critical "
+            f"signals up to {horizon:g} s at dt = {dt:g} s are more samples than "
+            f"an array can hold"
+        ) from exc
     # a steep exponent can carry the tail past float range before the
     # horizon; that is reported below, not warned about here
     with np.errstate(over="ignore", invalid="ignore"):

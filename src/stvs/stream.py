@@ -48,7 +48,8 @@ class Monitor:
     """The reports of a record whose CSV header is ``names``, fed one
     row at a time; every other message goes to ``note`` as one line.
 
-    A header that ``RowChecker`` rejects, a non-finite ``t0`` and a
+    A header that ``RowChecker`` rejects, a non-finite ``t0``, a
+    ``report_interval`` that is not positive and finite, and a
     ``config`` generator whose ``Q:`` column the header lacks are
     rejected here, before any row.
     """
@@ -64,6 +65,11 @@ class Monitor:
         self._checker = stage("ingest", RowChecker, names, origin="<stdin>")
         if t0 is not None and not math.isfinite(t0):
             raise ValidationError(f"[ingest] t0 must be a finite time in seconds, got {t0}")
+        if not 0 < report_interval < math.inf:  # NaN fails the comparison too
+            raise ValidationError(
+                f"report_interval must be a positive, finite time in seconds, "
+                f"got {report_interval}"
+            )
         for col in names:
             cid = col[len(VOLTAGE_PREFIX):]
             spec = col.startswith(VOLTAGE_PREFIX) and cid in (config.generators or {})

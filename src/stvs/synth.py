@@ -169,14 +169,22 @@ def synth_scenario(kind: str, params: ScenarioParams | None = None) -> VoltageTr
     for name in ("prefault_s", "fault_s", "seed"):
         if getattr(p, name) < 0:
             raise ValidationError(f"{name} must not be negative, got {getattr(p, name)}")
-    # checked before anything is allocated; NaN fails the comparison too
     n_samples = (p.prefault_s + p.fault_s + p.post_s) * p.fs
+    too_many = (
+        f"fs x (prefault_s + fault_s + post_s) is {n_samples:.3g} samples, "
+        f"not a count an array can hold"
+    )
+    # checked before anything is allocated; NaN fails the comparison too
     if not n_samples <= np.iinfo(np.intp).max:
-        raise ValidationError(
-            f"fs x (prefault_s + fault_s + post_s) is {n_samples:.3g} samples, "
-            f"not a finite count an array can hold"
-        )
+        raise ValidationError(too_many)
+    try:
+        return _scenario(kind, p)
+    except MemoryError as exc:  # NumPy refuses a size it cannot allocate at once
+        raise ValidationError(too_many) from exc
 
+
+def _scenario(kind: str, p: ScenarioParams) -> VoltageTrajectory:
+    """``synth_scenario`` on parameters it has checked."""
     dt = 1.0 / p.fs
     n_pre = int(round(p.prefault_s * p.fs))
     n_fault = int(round(p.fault_s * p.fs))

@@ -70,3 +70,17 @@ def reference_oracle(gamma, x_star, edges):
 def kl_oracle(p, q):
     nz = p > 0
     return float(np.sum(p[nz] * np.log(p[nz] / q[nz])))
+
+
+def histogram_oracle(f, bins, lo, hi):
+    """The counts np.histogram gives on the clamped factors, and the edges."""
+    edges = np.linspace(lo, hi, bins + 1)
+    counts, _ = np.histogram(np.clip(f, lo, hi), bins=edges)
+    return counts, edges
+
+
+def kl_index_oracle(factors, grid, gamma, x_star):
+    """The KL index of the factors binned on grid = (bins, lo, hi) against
+    the (gamma, x*) reference, built from the oracles above."""
+    counts, edges = histogram_oracle(factors, *grid)
+    return kl_oracle(counts / counts.sum(), reference_oracle(gamma, x_star, edges))

@@ -11,24 +11,25 @@ import time
 import numpy as np
 import pytest
 
-from conftest import osc_params
+from conftest import kl_index_oracle, osc_params
 from stvs.cli import run
-from stvs.distribution import (
-    DivergenceHistogram,
-    gompertz_reference,
-    histogram,
-    kl_divergence,
-)
+from stvs.distribution import kl_divergence_table
 from stvs.emd import (
     count_extrema,
     count_zero_crossings,
     decompose,
     filter_imfs_by_frequency,
 )
-from stvs.indices import AssessmentConfig, assess, oscillation_index, recovery_index
+from stvs.indices import (
+    GAMMA1_DEFAULT,
+    X_STAR_DEFAULT,
+    AssessmentConfig,
+    assess,
+    oscillation_index,
+)
 from stvs.ingest import extract_post_fault_window
-from stvs.lyapunov import ftle_window, noise_bias_variance
-from stvs.oel import _ev_residual, tune_gamma, voltage_cap
+from stvs.lyapunov import fsle_residual_series, ftle_window, noise_bias_variance
+from stvs.oel import _ev_residual, recovery_scores, tune_gamma, voltage_cap
 from stvs.synth import (
     ScenarioParams,
     TwoTimescaleParams,
@@ -157,20 +158,16 @@ def test_criterion_4_emd_correctness(capsys):
 def test_criterion_5_kl_properties(capsys):
     watch = Stopwatch(5.0)
     rng = np.random.default_rng(77)
-    edges = np.linspace(0.0, 1.5, 21)
     for _ in range(1000):
         p_raw = rng.uniform(0.0, 1.0, 20)
         q_raw = rng.uniform(0.05, 1.0, 20)
-        p = DivergenceHistogram(bin_edges=edges, probabilities=p_raw / p_raw.sum())
-        q = DivergenceHistogram(bin_edges=edges, probabilities=q_raw / q_raw.sum())
-        d = kl_divergence(p, q)
+        p, q = p_raw / p_raw.sum(), q_raw / q_raw.sum()
+        d = kl_divergence_table(p, q)
         assert d >= 0.0
         assert d > 0.0  # distinct by construction (continuous draws)
-        assert kl_divergence(p, p) == 0.0
-    two_edges = np.array([0.0, 0.5, 1.0])
-    p2 = DivergenceHistogram(bin_edges=two_edges, probabilities=np.array([1.0, 0.0]))
-    q2 = DivergenceHistogram(bin_edges=two_edges, probabilities=np.array([0.5, 0.5]))
-    assert kl_divergence(p2, q2) == pytest.approx(np.log(2.0), abs=1e-12)
+        assert kl_divergence_table(p, p) == 0.0
+    d2 = kl_divergence_table(np.array([1.0, 0.0]), np.array([0.5, 0.5]))
+    assert d2 == pytest.approx(np.log(2.0), abs=1e-12)
     elapsed = watch.check()
     with capsys.disabled():
         report(5, "Gibbs inequality on 1000 seeded pairs; ln 2 to 1e-12", elapsed)
@@ -188,15 +185,15 @@ def test_criterion_6_index_monotonicity(capsys):
     assert all(a > b for a, b in zip(osc_values, osc_values[1:]))
 
     rec_values = []
+    shape = [GAMMA1_DEFAULT], [X_STAR_DEFAULT]
     for rate in (0.05, 0.1, 0.5, 1.0, 2.0):
         traj = synth_scenario("fast-recovery", ScenarioParams(recovery=rate, dip=0.3))
         window = extract_post_fault_window(traj, 3.0)
         decomp = filter_imfs_by_frequency(decompose(window), (0.0, 10.0))
-        rec_values.append(
-            recovery_index(
-                decomp.residuals[0], 1.0, 1.0, 10.0, 1.05, (40, 0.0, 1.5), window.dt
-            ).value
-        )
+        residual = decomp.residuals[0]
+        series = fsle_residual_series(residual, eq0=1.0, dt=window.dt)
+        weight = abs(1.0 - residual[0])
+        rec_values.append(recovery_scores(series, weight, (40, 0.0, 1.5), *shape)[0, 0])
     assert all(a > b for a, b in zip(rec_values, rec_values[1:]))
     elapsed = watch.check()
     with capsys.disabled():
@@ -313,7 +310,6 @@ def test_criterion_9_voltage_cap_oracle(capsys):
 def test_criterion_10_tuner_oracle(capsys):
     watch = Stopwatch(30.0)
     from stvs.indices import classify
-    from stvs.lyapunov import fsle_residual_series
 
     dt = 0.02
     t = dt * np.arange(151)
@@ -326,9 +322,8 @@ def test_criterion_10_tuner_oracle(capsys):
 
     def index_of(signal, gamma, x_star):
         series = fsle_residual_series(signal, eq0=1.0, dt=dt)
-        h = histogram(series.divergence_factors, *grid)
-        ref = gompertz_reference(gamma, x_star, h.bin_edges)
-        return abs(1.0 - signal[0]) * kl_divergence(h, ref)
+        kl = kl_index_oracle(series.divergence_factors, grid, gamma, x_star)
+        return abs(1.0 - signal[0]) * kl
 
     diffs = {
         (g, x): abs(index_of(s1, g, x) - index_of(s2, g, x))

@@ -14,10 +14,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stvs
-from conftest import QV_K1, QV_K2, P_ACTIVE, XD_PRIME, osc_params, pickup_level
+from conftest import (
+    P_ACTIVE,
+    QV_K1,
+    QV_K2,
+    XD_PRIME,
+    kl_index_oracle,
+    osc_params,
+    pickup_level,
+)
 from stvs import indices
 from stvs.cli import run
-from stvs.distribution import gompertz_reference, histogram, kl_divergence
 from stvs.indices import AssessmentConfig, assess
 from stvs.ingest import load_trajectory, write_trajectory
 from stvs.oel import load_generator_config
@@ -530,9 +537,8 @@ def test_exponents_print_the_series_assess_scored(capsys, tmp_path):
 
     code, doc = run_json(capsys, ["assess", "--in", path, "--t0", "1.1"])
     assert code == 0
-    hist = histogram([float(r[3]) for r in rows["imf"]], 20, 0.0, 1.5)
-    ref = gompertz_reference(10.0, 1.0, hist.bin_edges)
-    assert kl_divergence(hist, ref) == doc["oscillation"]["index"]
+    factors = [float(r[3]) for r in rows["imf"]]
+    assert kl_index_oracle(factors, (20, 0.0, 1.5), 10.0, 1.0) == doc["oscillation"]["index"]
 
 
 @pytest.mark.parametrize(
@@ -987,12 +993,25 @@ def test_decompose_and_thresholds_print_the_staged_line_of_assess(
 
 
 NUMERIC_FLAGS = {
-    "assess": ("--t0", "--window", "--eq0", "--lo", "--hi", "--gamma2"),
+    "assess": ("--t0", "--window", "--eq0", "--lo", "--hi", "--gamma2", "--bins"),
     "decompose": ("--t0", "--window"),
     "exponents": ("--t0", "--window", "--eq0"),
     "tune": ("--t0", "--window", "--eq0"),
-    "thresholds": ("--lo", "--hi", "--gamma2"),
+    "thresholds": ("--lo", "--hi", "--gamma2", "--bins"),
 }
+
+# Counts NumPy refuses before it allocates anything: 8 PB of edges, more
+# than an index can address, and far more than a float can hold.
+REFUSED_BIN_COUNTS = (10**15, 10**20, 10**400)
+
+
+def bin_count_literals():
+    """Integer literals for --bins: small counts, and counts NumPy refuses
+    at once; never one that would really allocate gigabytes."""
+    return st.one_of(
+        st.integers(min_value=-3, max_value=10**4),
+        st.sampled_from(REFUSED_BIN_COUNTS),
+    ).map(str)
 
 
 def numeric_literals():
@@ -1029,7 +1048,11 @@ def test_a_numeric_flag_value_ends_in_a_result_or_one_named_line(
     names = data.draw(
         st.lists(st.sampled_from(NUMERIC_FLAGS[command]), min_size=1, max_size=2, unique=True)
     )
-    flags = [(name, data.draw(numeric_literals(), label=name)) for name in names]
+    literals = {"--bins": bin_count_literals}
+    flags = [
+        (name, data.draw(literals.get(name, numeric_literals)(), label=name))
+        for name in names
+    ]
     spaced, joined = spaced_and_joined(command_argv(command, short_record), flags)
     code, out, err, caught = run_in_process(spaced)
     assert (code, out, err, caught) == run_in_process(joined)
@@ -1039,6 +1062,56 @@ def test_a_numeric_flag_value_ends_in_a_result_or_one_named_line(
     if code:
         assert out == ""
         assert re.fullmatch(r"stvs: (argument --|\[)[^\n]*\n", err)
+
+
+@pytest.mark.parametrize("count", REFUSED_BIN_COUNTS, ids=["1e15", "1e20", "1e400"])
+@pytest.mark.parametrize("command", ["assess", "stream", "thresholds"])
+def test_a_bin_count_no_array_can_hold_is_one_oscillation_line(short_record, command, count):
+    stdin = (short_record / "m.csv").read_text() if command == "stream" else ""
+    t0 = [] if command == "thresholds" else ["--t0", "1.1"]
+    argv = command_argv(command, short_record) + t0 + ["--bins", str(count)]
+    assert run_in_process(argv, stdin) == (
+        1, "", f"stvs: [oscillation] {count} bins: not a count an array can hold\n", []
+    )
+
+
+@pytest.mark.parametrize(
+    "entry, time",
+    [("pickup = 0.95@1e308", "1e+308"), ("lvrt = 0.95@1e308", "1e+308"),
+     ("pickup = 0.95@1e15", "1e+15")],
+    ids=["pickup-1e308", "lvrt-1e308", "pickup-1e15"],
+)
+@pytest.mark.parametrize("command", ["assess", "tune"])
+def test_a_pickup_time_whose_horizon_no_array_can_hold_is_one_recovery_line(
+    tmp_path, command, entry, time
+):
+    record, gens = tmp_path / "m.csv", tmp_path / "gens.ini"
+    write_trajectory(synth_scenario("mixed"), record)
+    gens.write_text(f"[G1]\nxd_prime = 0.3\np_active = 0.9\n{entry}\n")
+    argv = [command, "--in", str(record), "--t0", "1.1", "--gen-config", str(gens)]
+    assert run_in_process(argv) == (
+        1,
+        "",
+        f"stvs: [recovery:G1] pickup or LVRT time {time} s is too late: the critical "
+        f"signals up to {time} s at dt = 0.02 s are more samples than an array can "
+        f"hold\n",
+        [],
+    )
+
+
+@pytest.mark.parametrize(
+    "param, samples",
+    [("fs=1e15", "4.1e+15"), ("post_s=1e15", "5e+16")],
+    ids=["fs", "post_s"],
+)
+def test_a_synth_sample_count_numpy_refuses_is_one_line(param, samples):
+    assert run_in_process(["synth", "mixed", param]) == (
+        1,
+        "",
+        f"stvs: fs x (prefault_s + fault_s + post_s) is {samples} samples, not a "
+        f"count an array can hold\n",
+        [],
+    )
 
 
 @pytest.mark.parametrize("command", ["assess", "decompose", "exponents", "tune"])

@@ -3,14 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import kl_oracle, reference_oracle
+from conftest import histogram_oracle, kl_oracle, reference_oracle
 from stvs import distribution
 from stvs.distribution import (
-    DivergenceHistogram,
-    gompertz_reference,
     gompertz_reference_table,
-    histogram,
-    kl_divergence,
     kl_divergence_table,
     kl_index,
     reference_table,
@@ -18,43 +14,54 @@ from stvs.distribution import (
 from stvs.errors import ValidationError
 
 
+def probabilities(factors, bins, lo, hi):
+    """The histogram ``kl_index`` scores: the binned factors' shares."""
+    counts, _ = distribution._bin_counts(factors, bins, lo, hi)
+    return counts / counts.sum()
+
+
 # -- histogram -------------------------------------------------------------------
 
 def test_point_mass_at_unity():
-    h = histogram(np.full(25, 1.0), 20, 0.0, 1.5)
-    nz = np.flatnonzero(h.probabilities)
+    edges = np.linspace(0.0, 1.5, 21)
+    p = probabilities(np.full(25, 1.0), 20, 0.0, 1.5)
+    nz = np.flatnonzero(p)
     assert len(nz) == 1
-    assert h.bin_edges[nz[0]] <= 1.0 < h.bin_edges[nz[0] + 1]
-    assert h.probabilities[nz[0]] == 1.0
+    assert edges[nz[0]] <= 1.0 < edges[nz[0] + 1]
+    assert p[nz[0]] == 1.0
+    # scored, the whole mass in that one bin gives 1 ln(1 / q)
+    q = reference_table([10.0], [1.0], edges)[0, 0]
+    kl = kl_index(np.full(25, 1.0), (20, 0.0, 1.5), [10.0], [1.0])
+    assert kl[0, 0] == np.log(1.0 / q[nz[0]])
 
 
 def test_three_factors_three_equal_bins():
-    h = histogram(np.array([0.9, 1.0, 1.1]), 20, 0.0, 1.5)
-    nz = np.flatnonzero(h.probabilities)
+    p = probabilities(np.array([0.9, 1.0, 1.1]), 20, 0.0, 1.5)
+    nz = np.flatnonzero(p)
     assert len(nz) == 3
-    assert np.allclose(h.probabilities[nz], 1.0 / 3.0)
+    assert np.allclose(p[nz], 1.0 / 3.0)
 
 
 def test_uniform_law_of_large_numbers():
     rng = np.random.default_rng(100)
     factors = rng.uniform(0.0, 1.5, 1000)
-    h = histogram(factors, 20, 0.0, 1.5)
-    assert np.max(np.abs(h.probabilities - 0.05)) < 0.02
+    p = probabilities(factors, 20, 0.0, 1.5)
+    assert np.max(np.abs(p - 0.05)) < 0.02
 
 
 def test_out_of_range_factors_clamp_to_edge_bins():
-    h = histogram(np.array([-3.0, 0.2, 9.9]), 10, 0.0, 1.5)
-    assert h.probabilities[0] > 0  # clamped low outlier
-    assert h.probabilities[-1] > 0  # clamped explosive factor
+    p = probabilities(np.array([-3.0, 0.2, 9.9]), 10, 0.0, 1.5)
+    assert p[0] > 0  # clamped low outlier
+    assert p[-1] > 0  # clamped explosive factor
 
 
 def test_histogram_rejects_empty_and_bad_grid():
     with pytest.raises(ValidationError):
-        histogram(np.array([]), 20, 0.0, 1.5)
+        kl_index(np.array([]), (20, 0.0, 1.5), [10.0], [1.0])
     with pytest.raises(ValidationError):
-        histogram(np.array([1.0]), 1, 0.0, 1.5)
+        kl_index(np.array([1.0]), (1, 0.0, 1.5), [10.0], [1.0])
     with pytest.raises(ValidationError):
-        histogram(np.array([1.0]), 20, 1.5, 0.0)
+        kl_index(np.array([1.0]), (20, 1.5, 0.0), [10.0], [1.0])
 
 
 @given(seed=st.integers(min_value=0, max_value=2**16))
@@ -62,9 +69,10 @@ def test_histogram_rejects_empty_and_bad_grid():
 def test_histogram_invariant_under_permutation(seed):
     rng = np.random.default_rng(seed)
     factors = rng.uniform(0.0, 1.5, 60)
-    a = histogram(factors, 20, 0.0, 1.5)
-    b = histogram(rng.permutation(factors), 20, 0.0, 1.5)
-    assert np.array_equal(a.probabilities, b.probabilities)
+    gammas, x_stars = np.array([1.0, 10.0, 80.0]), np.array([0.9, 1.0])
+    a = kl_index(factors, (20, 0.0, 1.5), gammas, x_stars)
+    b = kl_index(rng.permutation(factors), (20, 0.0, 1.5), gammas, x_stars)
+    assert np.array_equal(a, b)
 
 
 # The grids the binning is checked on: the assess defaults (oscillation and
@@ -94,34 +102,20 @@ def factors_on_a_grid(draw):
     return (bins, lo, hi), np.array(values, dtype=float)
 
 
-def histogram_oracle(f, bins, lo, hi):
-    """The counts np.histogram gives on the clamped factors."""
-    edges = np.linspace(lo, hi, bins + 1)
-    counts, _ = np.histogram(np.clip(f, lo, hi), bins=edges)
-    return counts, edges
-
-
 @given(drawn=factors_on_a_grid())
 @settings(max_examples=400, deadline=None)
 def test_binning_equals_numpy_histogram_of_clamped_factors(drawn):
     (bins, lo, hi), f = drawn
     want, edges = histogram_oracle(f, bins, lo, hi)
     if want.sum() == 0:  # nothing but NaN, or nothing at all
-        for bin_it in (
-            lambda: histogram(f, bins, lo, hi),
-            lambda: kl_index(f, (bins, lo, hi), [10.0], [1.0]),
-        ):
-            with pytest.raises(ValidationError, match="^no divergence factors to bin$"):
-                bin_it()
+        with pytest.raises(ValidationError, match="^no divergence factors to bin$"):
+            kl_index(f, (bins, lo, hi), [10.0], [1.0])
         return
     counts, got_edges = distribution._bin_counts(f, bins, lo, hi)
     assert counts.dtype == want.dtype
     assert np.array_equal(counts, want)
     assert np.array_equal(got_edges, edges)
-    h = histogram(f, bins, lo, hi)
-    assert np.array_equal(h.probabilities, want / want.sum())
-    assert np.array_equal(h.bin_edges, edges)
-    # the scorer equals the checked public pair on the same values
+    # the scorer equals the checked public table function on the same values
     gammas, x_stars = np.array([1.0, 10.0, 80.0]), np.array([0.9, 1.0])
     table = reference_table(gammas, x_stars, edges)
     assert np.array_equal(
@@ -132,8 +126,6 @@ def test_binning_equals_numpy_histogram_of_clamped_factors(drawn):
 
 def test_all_nan_factors_raise_the_empty_input_error():
     for f in (np.array([]), np.full(5, np.nan)):
-        with pytest.raises(ValidationError, match="^no divergence factors to bin$"):
-            histogram(f, 20, 0.0, 1.5)
         with pytest.raises(ValidationError, match="^no divergence factors to bin$"):
             kl_index(f, (20, 0.0, 1.5), [10.0], [1.0])
 
@@ -148,43 +140,43 @@ def test_bin_edges_are_cached_read_only_and_equal_a_fresh_grid():
             array[0] = 0.5
     assert np.array_equal(edges, np.linspace(0.0, 1.5, 21))
     assert np.array_equal(keys, np.append(np.linspace(0.0, 1.5, 21), np.nan), equal_nan=True)
-    assert histogram(np.array([1.0]), 20, 0.0, 1.5).bin_edges is edges
+    assert distribution._bin_counts(np.array([1.0]), 20, 0.0, 1.5)[1] is edges
 
 
 # -- Gompertz reference -------------------------------------------------------------
 
 def test_large_gamma_becomes_a_step():
     edges = np.linspace(0.0, 1.5, 21)
-    ref = gompertz_reference(1e3, 1.0, edges)
+    ref = gompertz_reference_table([1e3], [1.0], edges)[0, 0]
     centers = 0.5 * (edges[:-1] + edges[1:])
     below = centers < 1.0
-    assert ref.probabilities[below].sum() > 0.999
+    assert ref[below].sum() > 0.999
 
 
 def test_reference_normalized_and_decreasing():
     edges = np.linspace(0.0, 1.5, 21)
-    ref = gompertz_reference(10.0, 1.0, edges)
-    assert ref.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
-    assert np.all(np.diff(ref.probabilities) <= 0)
-    assert np.all(ref.probabilities > 0)
+    ref = gompertz_reference_table([10.0], [1.0], edges)[0, 0]
+    assert ref.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.all(np.diff(ref) <= 0)
+    assert np.all(ref > 0)
     # strictly decreasing across the shift point
     ic = np.searchsorted(edges, 1.0) - 1
-    assert ref.probabilities[ic - 1] > ref.probabilities[ic] > ref.probabilities[ic + 1]
+    assert ref[ic - 1] > ref[ic] > ref[ic + 1]
 
 
 def test_reference_survives_extreme_gamma_without_zeros():
     edges = np.linspace(0.0, 1.5, 41)
-    ref = gompertz_reference(200.0, 0.8, edges)
-    assert np.all(ref.probabilities > 0)
-    assert ref.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
+    ref = gompertz_reference_table([200.0], [0.8], edges)[0, 0]
+    assert np.all(ref > 0)
+    assert ref.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_reference_rejects_nonpositive_gamma():
     edges = np.linspace(0.0, 1.5, 21)
     with pytest.raises(ValidationError):
-        gompertz_reference(0.0, 1.0, edges)
+        gompertz_reference_table([0.0], [1.0], edges)
     with pytest.raises(ValidationError):
-        gompertz_reference(-3.0, 1.0, edges)
+        gompertz_reference_table([-3.0], [1.0], edges)
 
 
 @pytest.mark.parametrize(
@@ -200,9 +192,7 @@ def test_reference_table_rows_match_single_point_bit_for_bit(n_gamma, n_x, gamma
     assert table.shape == (n_gamma, n_x, 40)
     for gi, gamma in enumerate(gammas):
         for xi, x_star in enumerate(x_stars):
-            row = table[gi, xi]
-            assert np.array_equal(row, gompertz_reference(gamma, x_star, edges).probabilities)
-            assert np.array_equal(row, reference_oracle(gamma, x_star, edges))
+            assert np.array_equal(table[gi, xi], reference_oracle(gamma, x_star, edges))
     if gamma_hi >= 1e3:
         assert np.any(table <= 2 * np.finfo(float).tiny)  # the floor applied
 
@@ -221,50 +211,32 @@ def test_reference_table_rejects_bad_grid():
 # -- KL divergence -------------------------------------------------------------------
 
 def test_kl_identical_distributions_is_exactly_zero():
-    edges = np.linspace(0.0, 1.5, 21)
-    ref = gompertz_reference(10.0, 1.0, edges)
-    p = DivergenceHistogram(bin_edges=edges, probabilities=ref.probabilities)
-    assert kl_divergence(p, ref) == 0.0
+    ref = gompertz_reference_table([10.0], [1.0], np.linspace(0.0, 1.5, 21))[0, 0]
+    assert kl_divergence_table(ref, ref) == 0.0
 
 
 def test_kl_two_bin_hand_computation():
-    edges = np.array([0.0, 0.5, 1.0])
-    p = DivergenceHistogram(bin_edges=edges, probabilities=np.array([1.0, 0.0]))
-    q = DivergenceHistogram(bin_edges=edges, probabilities=np.array([0.5, 0.5]))
-    assert kl_divergence(p, q) == pytest.approx(np.log(2.0), abs=1e-12)
+    d = kl_divergence_table(np.array([1.0, 0.0]), np.array([0.5, 0.5]))
+    assert d == pytest.approx(np.log(2.0), abs=1e-12)
 
 
 def test_kl_rejects_zero_reference_bin():
-    edges = np.array([0.0, 0.5, 1.0])
-    p = DivergenceHistogram(bin_edges=edges, probabilities=np.array([0.5, 0.5]))
-    q = DivergenceHistogram(bin_edges=edges, probabilities=np.array([1.0, 0.0]))
     with pytest.raises(ValidationError):
-        kl_divergence(p, q)
-
-
-def test_kl_rejects_grid_mismatch():
-    p = DivergenceHistogram(
-        bin_edges=np.linspace(0, 1.5, 21), probabilities=np.full(20, 0.05)
-    )
-    q = gompertz_reference(10.0, 1.0, np.linspace(0, 2.0, 21))
-    with pytest.raises(ValidationError):
-        kl_divergence(p, q)
+        kl_divergence_table(np.array([0.5, 0.5]), np.array([1.0, 0.0]))
 
 
 @given(seed=st.integers(min_value=0, max_value=2**16))
 @settings(max_examples=60, deadline=None)
 def test_kl_gibbs_inequality(seed):
     rng = np.random.default_rng(seed)
-    edges = np.linspace(0.0, 1.5, 13)
     p_raw = rng.uniform(0, 1, 12)
     q_raw = rng.uniform(0.05, 1, 12)
-    p = DivergenceHistogram(bin_edges=edges, probabilities=p_raw / p_raw.sum())
-    q = DivergenceHistogram(bin_edges=edges, probabilities=q_raw / q_raw.sum())
-    d = kl_divergence(p, q)
+    p, q = p_raw / p_raw.sum(), q_raw / q_raw.sum()
+    d = kl_divergence_table(p, q)
     assert d >= 0.0
-    if not np.allclose(p.probabilities, q.probabilities):
+    if not np.allclose(p, q):
         assert d > 0.0
-    assert kl_divergence(p, p) == 0.0
+    assert kl_divergence_table(p, p) == 0.0
 
 
 def test_kl_table_matches_single_point_bit_for_bit():
@@ -273,15 +245,14 @@ def test_kl_table_matches_single_point_bit_for_bit():
     gammas = np.geomspace(1.0, 200.0, 40)
     x_stars = np.linspace(0.8, 1.3, 26)
     table = gompertz_reference_table(gammas, x_stars, edges)
-    h = histogram(rng.uniform(0.3, 1.2, 90), 40, 0.0, 1.5)
-    assert np.any(h.probabilities == 0)  # the zero bins are skipped
-    scores = kl_divergence_table(h.probabilities, table)
+    p = probabilities(rng.uniform(0.3, 1.2, 90), 40, 0.0, 1.5)
+    assert np.any(p == 0)  # the zero bins are skipped
+    scores = kl_divergence_table(p, table)
     assert scores.shape == (40, 26)
     for gi, gamma in enumerate(gammas):
         for xi, x_star in enumerate(x_stars):
-            ref = gompertz_reference(gamma, x_star, edges)
-            assert scores[gi, xi] == kl_divergence(h, ref)
-            assert scores[gi, xi] == kl_oracle(h.probabilities, table[gi, xi])
+            assert scores[gi, xi] == kl_oracle(p, table[gi, xi])
+            assert scores[gi, xi] == kl_oracle(p, reference_oracle(gamma, x_star, edges))
 
 
 def test_kl_table_rejects_zero_reference_bin_and_bin_mismatch():

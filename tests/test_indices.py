@@ -21,9 +21,9 @@ from stvs.indices import (
     classify,
     imf_threshold,
     oscillation_index,
-    recovery_index,
 )
 from stvs.ingest import Channel, VoltageTrajectory, extract_post_fault_window
+from stvs.lyapunov import fsle_residual_series
 from stvs.synth import ScenarioParams, synth_scenario
 
 IMF_GRID = (20, 0.0, 1.5)
@@ -44,6 +44,14 @@ def residual_for(kind, **overrides):
     return decomp.residuals[0], w.dt
 
 
+def recovery_value(residual, dt):
+    """The recovery index assess gives a residual with V_pre = eq0 = 1 on
+    the default Gompertz shape."""
+    series = fsle_residual_series(residual, eq0=1.0, dt=dt)
+    shape = [indices.GAMMA1_DEFAULT], [indices.X_STAR_DEFAULT]
+    return oel.recovery_scores(series, abs(1.0 - residual[0]), REC_GRID, *shape)[0, 0]
+
+
 # -- critical oscillation value ---------------------------------------------------
 
 def test_imf_threshold_matches_reported_value():
@@ -62,6 +70,14 @@ def test_imf_threshold_depends_on_bin_count():
     a = imf_threshold(20, (0.0, 1.5), 10.0)
     b = imf_threshold(40, (0.0, 1.5), 10.0)
     assert a != pytest.approx(b, abs=1e-3)
+
+
+@pytest.mark.parametrize("bins", [10**15, 10**20, 10**400], ids=["1e15", "1e20", "1e400"])
+def test_a_bin_count_no_array_can_hold_is_a_validation_error(bins):
+    # NumPy refuses each of these sizes before it allocates anything
+    with pytest.raises(ValidationError) as exc:
+        AssessmentConfig(imf_bins=bins)
+    assert str(exc.value) == f"[oscillation] {bins} bins: not a count an array can hold"
 
 
 def test_imf_threshold_is_computed_once_per_grid():
@@ -186,18 +202,16 @@ def test_every_kl_of_an_assess_runs_through_the_one_scorer(
         scored.append((grid, np.size(gammas), np.size(x_stars)))
         return kl_index(factors, grid, gammas, x_stars)
 
-    def forbidden(name):
-        def call(*args, **kwargs):
-            raise AssertionError(f"{name} called")
+    def forbidden(*args, **kwargs):
+        raise AssertionError("kl_divergence_table called")
 
-        return call
-
+    # the config scores the critical oscillation value, which assess reads back
+    config = AssessmentConfig(generators=generator_specs)
     for module in (indices, oel):
         monkeypatch.setattr(module, "kl_index", counting)
-    for name in ("gompertz_reference", "kl_divergence", "GompertzReference"):
-        monkeypatch.setattr(distribution, name, forbidden(name))
+    monkeypatch.setattr(indices, "kl_divergence_table", forbidden)
     traj = synth_scenario("mixed", osc_params(noise_sigma=0.003, seed=4))
-    result = assess(traj, AssessmentConfig(generators=generator_specs))
+    result = assess(traj, config)
     assert all(g.tuning is not None for g in result.per_generator)
     assert result.oscillation.note is None
     tuning = [(REC_GRID, oel.GAMMA1_RANGE[2], oel.X_STAR_RANGE[2])] * 2
@@ -233,19 +247,20 @@ def test_growing_oscillation_scores_far_above_threshold():
 
 def test_recovery_index_zero_without_dip():
     residual, dt = residual_for("fast-recovery", dip=0.0)
-    result = recovery_index(residual, 1.0, 1.0, 10.0, 1.05, REC_GRID, dt)
-    assert result.value == 0.0
-    assert result.note == "no dip"
+    assert fsle_residual_series(residual, eq0=1.0, dt=dt) is None
+    assert recovery_value(residual, dt) == 0.0
+    result = assess(synth_scenario("fast-recovery", ScenarioParams(dip=0.0)))
+    for g in result.per_generator:
+        assert (g.index, g.recovery.note, g.classification) == (0.0, "no dip", "non-trip")
 
 
 def test_recovery_index_orders_fast_slow_stalled():
     fast, dt = residual_for("fast-recovery", recovery=2.0, dip=0.3)
     slow, _ = residual_for("fast-recovery", recovery=0.05, dip=0.3)
     stalled, _ = residual_for("stalled-recovery", level=0.7)
-    args = (1.0, 1.0, 10.0, 1.05, REC_GRID, dt)
-    v_fast = recovery_index(fast, *args).value
-    v_slow = recovery_index(slow, *args).value
-    v_stall = recovery_index(stalled, *args).value
+    v_fast = recovery_value(fast, dt)
+    v_slow = recovery_value(slow, dt)
+    v_stall = recovery_value(stalled, dt)
     assert v_fast < v_slow < v_stall
 
 
@@ -253,9 +268,7 @@ def test_recovery_index_strictly_decreasing_in_rate():
     values = []
     for rate in (0.05, 0.1, 0.5, 1.0, 2.0):
         residual, dt = residual_for("fast-recovery", recovery=rate, dip=0.3)
-        values.append(
-            recovery_index(residual, 1.0, 1.0, 10.0, 1.05, REC_GRID, dt).value
-        )
+        values.append(recovery_value(residual, dt))
     assert all(a > b for a, b in zip(values, values[1:]))
 
 

@@ -6,16 +6,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import QV_K1, QV_K2, kl_oracle, osc_params, reference_oracle
+from conftest import (
+    QV_K1,
+    QV_K2,
+    histogram_oracle,
+    kl_index_oracle,
+    kl_oracle,
+    osc_params,
+    reference_oracle,
+)
 from stvs import distribution, oel
-from stvs.distribution import gompertz_reference_table, histogram
+from stvs.distribution import gompertz_reference_table
 from stvs.errors import (
     ComputationError,
     TriviallySafe,
     TriviallyTripping,
     ValidationError,
 )
-from stvs.indices import AssessmentConfig, assess, classify, recovery_index
+from stvs.indices import AssessmentConfig, assess, classify
 from stvs.lyapunov import fsle_residual_series
 from stvs.oel import (
     GeneratorSpec,
@@ -345,13 +353,10 @@ def test_tune_matches_exhaustive_oracle():
                         gamma1_grid=gammas, x_star_grid=x_stars)
 
     # independent exhaustive search over the same grid
-    from stvs.distribution import gompertz_reference, histogram, kl_divergence
-
     def index_of(signal, gamma, x_star):
         series = fsle_residual_series(signal, eq0=1.0, dt=DT)
-        h = histogram(series.divergence_factors, grid[0], grid[1], grid[2])
-        ref = gompertz_reference(gamma, x_star, h.bin_edges)
-        return abs(1.0 - signal[0]) * kl_divergence(h, ref)
+        kl = kl_index_oracle(series.divergence_factors, grid, gamma, x_star)
+        return abs(1.0 - signal[0]) * kl
 
     table = {}
     for g in gammas:
@@ -405,14 +410,16 @@ def test_tuned_signals_sit_in_the_critical_band():
     ids=["default", "wide", "no-dip"],
 )
 def test_tuned_indices_are_the_recovery_index_at_the_tuned_shape(pair):
-    # the tuner scores each critical signal by the rule the measured
-    # residual is scored by, so the two agree bit for bit
+    # the tuner scores each critical signal by the rule assess scores the
+    # measured residual by, at one shape, so the two agree bit for bit
     s1, s2 = pair
     grid = (40, 0.0, 1.5)
     result = tune_gamma(s1, s2, 1.0, 1.0, DT, grid)
+    shape = [result.gamma1], [result.x_star]
     for signal, d in ((s1, result.d_s1), (s2, result.d_s2)):
-        rec = recovery_index(signal, 1.0, 1.0, result.gamma1, result.x_star, grid, DT)
-        assert rec.value == d
+        series = fsle_residual_series(signal, eq0=1.0, dt=DT)
+        weight = abs(1.0 - float(signal[0]))
+        assert oel.recovery_scores(series, weight, grid, *shape)[0, 0] == d
 
 
 def loop_tune(s1, s2, eq0, v_pre, dt, grid, gamma1_grid=None, x_star_grid=None):
@@ -425,9 +432,10 @@ def loop_tune(s1, s2, eq0, v_pre, dt, grid, gamma1_grid=None, x_star_grid=None):
         series = fsle_residual_series(signal, eq0=eq0, dt=dt)
         if series is None:
             return weight, None
-        return weight, histogram(series.divergence_factors, *grid)
+        counts, _ = histogram_oracle(series.divergence_factors, *grid)
+        return weight, counts / counts.sum()
 
-    (w1, h1), (w2, h2) = score(s1), score(s2)
+    (w1, p1), (w2, p2) = score(s1), score(s2)
     bins, lo, hi = grid
     edges = np.linspace(lo, hi, bins + 1)
     d1 = np.zeros((gammas.size, x_stars.size))
@@ -435,10 +443,10 @@ def loop_tune(s1, s2, eq0, v_pre, dt, grid, gamma1_grid=None, x_star_grid=None):
     for gi, gamma in enumerate(gammas):
         for xi, x_star in enumerate(x_stars):
             q = reference_oracle(gamma, x_star, edges)
-            if h1 is not None:
-                d1[gi, xi] = w1 * kl_oracle(h1.probabilities, q)
-            if h2 is not None:
-                d2[gi, xi] = w2 * kl_oracle(h2.probabilities, q)
+            if p1 is not None:
+                d1[gi, xi] = w1 * kl_oracle(p1, q)
+            if p2 is not None:
+                d2[gi, xi] = w2 * kl_oracle(p2, q)
     diff = np.abs(d1 - d2)
     f_star = float(diff.min())
     gi, xi = np.nonzero(diff <= f_star + f_star + 1e-15)

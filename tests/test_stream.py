@@ -686,6 +686,16 @@ def test_a_monitor_rejects_a_non_finite_t0_when_it_is_built(t0):
     assert str(exc.value) == f"[ingest] t0 must be a finite time in seconds, got {t0}"
 
 
+@pytest.mark.parametrize("interval", [0, -1, np.nan, np.inf])
+def test_a_monitor_rejects_a_report_interval_that_is_not_positive_and_finite(interval):
+    # the CLI's --report-interval rejects the same values
+    with pytest.raises(ValidationError) as exc:
+        Monitor(record_lines("mixed")[0].split(","), AssessmentConfig(), 1.1, interval)
+    assert str(exc.value) == (
+        f"report_interval must be a positive, finite time in seconds, got {interval}"
+    )
+
+
 @pytest.mark.parametrize("rows", [False, True], ids=["header-only", "rows"])
 @pytest.mark.parametrize("with_t0", [True, False])
 def test_a_generator_without_q_stops_the_stream_before_any_row(tmp_path, rows, with_t0):

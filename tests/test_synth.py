@@ -173,6 +173,25 @@ def test_a_parameter_numpy_cannot_sample_is_one_validation_error(params, named):
     assert str(exc.value).startswith(named)
 
 
+@pytest.mark.parametrize(
+    "params, samples",
+    [
+        (dict(fs=1e15), "4.1e+15"),
+        (dict(post_s=1e15), "5e+16"),
+        (dict(prefault_s=1e15), "5e+16"),
+        (dict(fault_s=1e15), "5e+16"),
+    ],
+)
+def test_a_sample_count_numpy_refuses_to_allocate_is_one_validation_error(params, samples):
+    # below the largest index, but no array of that many samples fits in memory
+    with pytest.raises(ValidationError) as exc:
+        synth_scenario("mixed", ScenarioParams(**params))
+    assert str(exc.value) == (
+        f"fs x (prefault_s + fault_s + post_s) is {samples} samples, "
+        f"not a count an array can hold"
+    )
+
+
 def test_scenario_is_seed_deterministic():
     p = ScenarioParams(noise_sigma=0.01, seed=3)
     a = synth_scenario("stable-osc", p)
