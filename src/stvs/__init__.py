@@ -28,6 +28,7 @@ from .emd import (
 )
 from .errors import (
     ComputationError,
+    FixedInputError,
     StvsError,
     TriviallySafe,
     TriviallyTripping,

@@ -39,6 +39,8 @@ from .ingest import (
     detect_fault_clear_index,
     extract_post_fault_window,
     load_trajectory,
+    not_utf8,
+    parse_header,
     write_columns,
     write_trajectory,
 )
@@ -162,14 +164,16 @@ def _emit(text: str, output: str | None) -> None:
 
 def _load_input(args) -> VoltageTrajectory:
     """The --in record with its fault clear sample placed; a failure is
-    an ``[ingest]`` error, as inside ``assess``."""
+    an ``[ingest]`` error, as inside ``assess``, that names the file."""
     if not args.input:
         raise ValidationError("--in is required for this subcommand")
     traj = stage("ingest", load_trajectory, args.input)
-    if args.t0 is not None:
-        return stage("ingest", traj.with_fault_clear_time, args.t0)
-    index = stage("ingest", detect_fault_clear_index, traj)
-    return replace(traj, fault_clear_index=index)
+    try:
+        if args.t0 is not None:
+            return traj.with_fault_clear_time(args.t0)
+        return replace(traj, fault_clear_index=detect_fault_clear_index(traj))
+    except ValidationError as exc:
+        raise ValidationError(f"[ingest] {args.input}: {exc}") from exc
 
 
 def _assessment_config(args) -> AssessmentConfig:
@@ -201,27 +205,40 @@ def _note(text: str) -> None:
     sys.stderr.write(f"stvs: {text}\n")
 
 
+def _stdin_lines():
+    """The lines of stdin, read as UTF-8 like a file; a byte that is
+    not UTF-8 is an ``[ingest]`` error."""
+    if hasattr(sys.stdin, "reconfigure"):  # the console's stream, unread
+        sys.stdin.reconfigure(encoding="utf-8", errors="strict")
+    try:
+        yield sys.stdin.readline()
+        yield from sys.stdin
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"[ingest] {not_utf8('<stdin>', exc)}") from exc
+
+
 def _cmd_stream(args, config: AssessmentConfig) -> int:
     """Print the reports of a ``Monitor`` fed the rows on stdin, one
     JSON line each, and its notes as ``stvs:`` lines; ``stvs.stream``
-    holds the policy.  A stop is one line and exit 1."""
-    header = sys.stdin.readline().removeprefix("\ufeff")  # a UTF-8 BOM
-    if not header.strip():
+    holds the policy.  A stop is one line, the last, and exit 1."""
+    lines = _stdin_lines()
+    names = parse_header(next(lines))
+    if names is None:  # nothing to assess, as batch says of an empty file
+        _note("the stream's first line holds no header, so no report was written")
         return 0
-    names = [c.strip() for c in header.split(",")]
     monitor = Monitor(names, config, args.t0, args.report_interval, _note)
-    stopped = False
     try:
-        for line in sys.stdin:
+        for line in lines:
             doc = monitor.push(line)
             if doc is not None:
                 sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
                 sys.stdout.flush()
     except ValidationError as exc:
-        _note(f"{exc}, so the stream stops")
-        stopped = True
-    monitor.finish(stopped)
-    return 1 if stopped else 0
+        monitor.finish(stopped=True)
+        _note(f"{exc}, so the stream stops")  # the last line: why it stopped
+        return 1
+    monitor.finish()
+    return 0
 
 
 def _cmd_decompose(args) -> int:

@@ -14,6 +14,11 @@ class ValidationError(StvsError):
     """Input data, schema or configuration is invalid."""
 
 
+class FixedInputError(ValidationError):
+    """Invalid input that rests on the settings and the sample step
+    alone, so no later row of a stream can mend it."""
+
+
 class ComputationError(StvsError):
     """A pipeline stage failed on otherwise valid input."""
 

@@ -4,9 +4,15 @@ CSV layout: a header row with a ``time`` column in seconds, per-unit
 voltage columns named ``V:<id>`` and optional reactive-power columns
 ``Q:<id>`` in MVAr: ``TIME_COLUMN``, ``VOLTAGE_PREFIX`` and
 ``REACTIVE_PREFIX``, which the reader, the writer and the CLI share.
-A file and a stream of rows go through the same rules: ``RowChecker``
-checks rows, ``_bad_voltage`` finds a bad voltage sample,
-``trajectory_from_columns`` builds the trajectory and
+A file and a stream of rows go through the same rules.  Text is UTF-8.
+``parse_header`` reads the header: a UTF-8 byte-order mark is dropped,
+the line is split on commas and each name stripped.  ``split_row``
+reads a data line: the text before any ``#`` is split on commas, and a
+line blank after that cut is no row; each field is read with Python's
+``float``, by ``parse_row`` for one row and ``_rows_array`` for many.
+Data rows are numbered from 0, skipped lines not counted, in every
+message.  ``RowChecker`` checks rows, ``_bad_voltage`` finds a bad
+voltage sample, ``trajectory_from_columns`` builds the trajectory and
 ``FaultClearTracker`` finds the fault clear sample when no time is
 given; ``write_columns`` writes every CSV the package emits.
 """
@@ -14,7 +20,6 @@ given; ``write_columns`` writes every CSV the package emits.
 from __future__ import annotations
 
 import math
-import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
@@ -117,35 +122,89 @@ class VoltageTrajectory:
         return replace(self, fault_clear_index=idx)
 
 
+def parse_header(line: str) -> list[str] | None:
+    """The column names of CSV header ``line``: a UTF-8 byte-order mark
+    dropped, split on commas, each name stripped; None for a blank line."""
+    line = line.removeprefix("\ufeff")
+    return [name.strip() for name in line.split(",")] if line.strip() else None
+
+
+def split_row(line: str) -> list[str] | None:
+    """The fields of CSV data ``line``: the text before any ``#``, split
+    on commas; None for a line that is blank after that cut."""
+    line = line.partition("#")[0]
+    return line.split(",") if line.strip() else None
+
+
+def parse_row(line: str) -> list[float] | None:
+    """The values of CSV data ``line``, its ``split_row`` fields read
+    with ``float``; None for a blank line.  A field ``float`` cannot
+    read raises ``ValueError``."""
+    fields = split_row(line)
+    return None if fields is None else [float(field) for field in fields]
+
+
+def _rows_array(names: list[str], rows: list[list[str]], origin: str) -> np.ndarray:
+    """The (rows, columns) float array of the ``split_row`` fields
+    ``rows`` under the header ``names``.
+
+    NumPy reads each field with ``float``, as ``parse_row`` does; the
+    rows are read one by one only to name a bad one.  A row with another
+    column count than the header, or a field ``float`` cannot read, is
+    an error naming its row and, for a field, its column.
+    """
+    width = len(names)
+    try:
+        return np.array(rows, dtype=float).reshape(len(rows), width)
+    except ValueError:  # a ragged row, a field that is not a number, another width
+        for row, fields in enumerate(rows):
+            if len(fields) != width:
+                raise ValidationError(
+                    f"{origin}: row {row} has {len(fields)} columns (header has {width})"
+                ) from None
+            for name, field in zip(names, fields):
+                try:
+                    float(field)
+                except ValueError:
+                    raise ValidationError(
+                        f"{origin}: {field.strip()!r} in column {name!r} at row {row} "
+                        f"is not a number"
+                    ) from None
+        raise
+
+
+def not_utf8(origin: str, exc: UnicodeDecodeError) -> ValidationError:
+    """The error for text ``origin`` that ``exc`` found not UTF-8."""
+    byte = exc.object[exc.start]
+    return ValidationError(f"{origin}: not UTF-8 text (byte {byte:#04x}: {exc.reason})")
+
+
 def load_trajectory(path) -> VoltageTrajectory:
     """Load and validate a trajectory from CSV.
 
-    dt is inferred from the time column and must be uniform within
-    ``DT_REL_TOL`` relative tolerance.  NaN, infinite or non-positive
-    voltages are rejected with the offending row index (0-based data
-    rows).  A UTF-8 byte-order mark before the header is dropped; a file
-    that cannot be opened or is not UTF-8 text is rejected.
+    The header and the rows are read by the rules in the module
+    docstring.  dt is inferred from the time column and must be uniform
+    within ``DT_REL_TOL`` relative tolerance.  A row with another column
+    count than the header, a field that is not a number, and a NaN,
+    infinite or non-positive voltage are rejected with the offending row
+    index.  A file that cannot be opened or is not UTF-8 text is
+    rejected.
     """
+    origin = str(path)
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            header = fh.readline().strip()
-            if not header:
-                raise ValidationError(f"{path}: empty file")
-            names = [c.strip() for c in header.split(",")]
-            # a header with no rows is reported by the row check below
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        with open(path, "r", encoding="utf-8") as fh:
+            names = parse_header(fh.readline())
+            if names is None:
+                raise ValidationError(f"{origin}: empty file")
+            checker = RowChecker(names, origin)
+            rows = [fields for fields in map(split_row, fh) if fields is not None]
     except UnicodeDecodeError as exc:
-        byte = exc.object[exc.start]
-        raise ValidationError(
-            f"{path}: not UTF-8 text (byte {byte:#04x}: {exc.reason})"
-        ) from exc
-    except ValueError as exc:
-        raise ValidationError(f"{path}: malformed numeric data: {exc}") from exc
+        raise not_utf8(origin, exc) from exc
     except OSError as exc:  # a missing path, a directory
-        raise ValidationError(f"{path}: {exc.strerror}") from exc
-    return trajectory_from_columns(names, data, origin=str(path))
+        raise ValidationError(f"{origin}: {exc.strerror}") from exc
+    # a header with no rows is reported by the row check
+    data = _rows_array(names, rows, origin)
+    return trajectory_from_columns(names, data, origin, checker)
 
 
 def fault_clear_index(t0: float, t_start: float, dt: float, n_samples: int) -> int:

@@ -28,6 +28,7 @@ import numpy as np
 from .distribution import kl_index
 from .errors import (
     ComputationError,
+    FixedInputError,
     TriviallySafe,
     TriviallyTripping,
     ValidationError,
@@ -134,15 +135,22 @@ def fit_qv(v_samples: np.ndarray, q_samples: np.ndarray) -> tuple[float, float]:
     if v.size != q.size or v.size < 2:
         raise ValidationError("need >= 2 paired (V, Q) samples")
     n = float(v.size)
-    sq = float(q.sum())
-    sv = float(v.sum())
-    sqq = float(np.dot(q, q))
-    sqv = float(np.dot(q, v))
+    # a NaN or an overflow makes the fit non-finite, which is reported
+    # below, not warned about here
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = float(q.sum())
+        sv = float(v.sum())
+        sqq = float(np.dot(q, q))
+        sqv = float(np.dot(q, v))
     denom = n * sqq - sq * sq
     if abs(denom) < 1e-14 * max(1.0, sqq):
         raise ValidationError("reactive power has no variance: Q-V fit singular")
     k1 = (n * sqv - sq * sv) / denom
     k2 = (sqq * sv - sq * sqv) / denom
+    if not (math.isfinite(k1) and math.isfinite(k2)):  # np.roots would raise
+        raise ValidationError(
+            "Q-V fit is not finite: a V or Q sample is not finite or too large"
+        )
     return k1, k2
 
 
@@ -258,7 +266,7 @@ def construct_critical_signals(
     never dips below any cap, TriviallyTripping when even the fastest
     admissible recovery can never reach the lowest cap.  The signals
     are sampled up to ``PICKUP_PAD_S`` past the latest cap time; raises
-    ValidationError, naming that time, when no array can hold the
+    FixedInputError, naming that time, when no array can hold the
     samples up to it, and ComputationError, naming the exponent and the
     horizon, when an extrapolated member leaves float range before it.
     """
@@ -317,7 +325,7 @@ def construct_critical_signals(
     try:
         t = np.arange(0.0, horizon + 0.5 * dt, dt)
     except (MemoryError, ValueError) as exc:  # NumPy refuses the size at once
-        raise ValidationError(
+        raise FixedInputError(
             f"pickup or LVRT time {times.max():g} s is too late: the critical "
             f"signals up to {horizon:g} s at dt = {dt:g} s are more samples than "
             f"an array can hold"

@@ -9,11 +9,16 @@ then checked together, and t0 is placed once.  Without it, the fault
 clear sample is tracked row by row; a history with no fault signature
 yet is noted once, and once more at the end if none ever showed.
 
-Malformed and out-of-order rows are noted and skipped; the first row
-with the wrong column count is noted, and the number dropped at the
-end.  ``push`` raises a ``ValidationError`` on what no later row can
-mend: a kept row that makes the history invalid (a NaN or non-positive
-voltage, a gap in the sampling), a ``t0`` before the first row and,
+A row is read by ``ingest``'s row rule, as a file's rows are: the text
+before any ``#`` is split on commas, a line blank after that cut is
+skipped, each field is read with Python's ``float``, and rows are
+numbered from 0.  Malformed and out-of-order rows are noted and
+skipped; the first row with the wrong column count is noted, and the
+number dropped at the end.  ``push`` raises a ``ValidationError`` on
+what no later row can mend: a kept row that makes the history invalid
+(a NaN or non-positive voltage, a gap in the sampling), a ``t0`` before
+the first row, a report failure that rests on the settings and dt alone
+(a ``FixedInputError``, such as a pickup time too late to sample) and,
 with ``t0``, an ``[ingest]`` failure of a report (no pre-fault samples,
 a window under 2 samples).  Any other failing report is noted and the
 stream goes on.  A stream that ends before its first report says so.
@@ -27,7 +32,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import StvsError, ValidationError, stage
+from .errors import FixedInputError, StvsError, ValidationError, stage
 from .indices import NO_REACTIVE_POWER, AssessmentConfig, assess
 from .ingest import (
     NO_FAULT_SIGNATURE,
@@ -37,6 +42,7 @@ from .ingest import (
     FaultClearTracker,
     RowChecker,
     fault_clear_index,
+    parse_row,
     trajectory_from_columns,
 )
 
@@ -98,19 +104,19 @@ class Monitor:
     def push(self, line: str) -> dict | None:
         """The report the CSV row ``line`` makes due, or None; a stop
         raises ``ValidationError`` and ends the stream."""
-        line = line.strip()
-        if not line:
-            return None
         try:
-            vals = [float(v) for v in line.split(",")]
+            vals = parse_row(line)
         except ValueError:
-            self.note(f"skipping malformed row: {line}")
+            self.note(f"skipping malformed row: {line.strip()}")
+            return None
+        if vals is None:
             return None
         if len(vals) != len(self.names):
             if not self.dropped:
                 self.note(
                     f"dropping row with {len(vals)} columns (header has "
-                    f"{len(self.names)}): {line}; such rows are dropped and counted"
+                    f"{len(self.names)}): {line.strip()}; such rows are dropped and "
+                    f"counted"
                 )
             self.dropped += 1
             return None
@@ -149,11 +155,13 @@ class Monitor:
             try:
                 # t_start and dt are fixed and a row at or past t0 is in, so
                 # a failure means t0 is before the first row
-                self._t0_index = stage(
-                    "ingest", fault_clear_index, self.t0, checker.t_start, checker.dt, n
+                self._t0_index = fault_clear_index(
+                    self.t0, checker.t_start, checker.dt, n
                 )
             except ValidationError as exc:
-                raise ValidationError(f"{exc}; it is before the first row") from exc
+                raise ValidationError(
+                    f"[ingest] {checker.origin}: {exc}; it is before the first row"
+                ) from exc
         t0_index = self._t0_index
         data_time = self._data_time = t - (checker.t_start + t0_index * checker.dt)
         if data_time < FIRST_REPORT_S:
@@ -170,7 +178,9 @@ class Monitor:
             # with t0 the rows before t0 and the window are fixed, save a
             # one-sample window (n - t0_index == 2) that the next row lengthens
             fixed = self.t0 is not None and n - t0_index > 2
-            if fixed and str(exc).startswith("[ingest]"):
+            if isinstance(exc, FixedInputError) or (
+                fixed and str(exc).startswith("[ingest]")
+            ):
                 raise ValidationError(f"{exc}; no later row can change it") from exc
             self.note(str(exc))
             return None
@@ -179,15 +189,18 @@ class Monitor:
         return doc
 
     def finish(self, stopped: bool = False) -> None:
-        """Note how the stream ended; ``stopped``: ``push`` raised."""
+        """Note how the stream ended; ``stopped``: ``push`` raised, and
+        the stop says why no more reports came."""
         if self.dropped:
             self.note(f"dropped {self.dropped} row(s) with the wrong number of columns")
+        if stopped:
+            return
         if self._no_signature:
             self.note(
                 "the stream ended without a fault signature, so no report was "
                 "written; pass --t0"
             )
-        elif not stopped and self._next_report is None:
+        elif self._next_report is None:
             if self._data_time is not None:
                 self.note(
                     f"the stream ended {self._data_time:.3g} s after fault "
@@ -198,4 +211,9 @@ class Monitor:
                 self.note(
                     f"the stream ended at {self._last_t} s, before the fault clear "
                     f"time {self.t0} s, so no report was written"
+                )
+            else:  # fewer than 2 rows were kept
+                self.note(
+                    f"the stream ended with {self._n} data row(s), so no report "
+                    f"was written; a record needs at least 2"
                 )

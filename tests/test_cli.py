@@ -309,6 +309,9 @@ IS_A_DIRECTORY = "[Errno 21] Is a directory: 'd'"
          "[ingest] ff-header.csv: not UTF-8 text (byte 0xff"),
         (["assess", "--in", "ff-row.csv", "--t0", "1.1"], None,
          "[ingest] ff-row.csv: not UTF-8 text (byte 0xff"),
+        # stdin is read as strict UTF-8 in any locale, as a file is
+        (["assess", "--stream", "--t0", "1.1"], "ff-header.csv",
+         "[ingest] <stdin>: not UTF-8 text (byte 0xff"),
         (["assess", "--in", "m.csv", "--t0", "1.1", "--gen-config", "dup.ini"], None,
          "dup.ini: While reading from 'dup.ini' [line 5]: section 'G1' already exists"),
         (["assess", "--in", "m.csv", "--t0", "1.1", "--gen-config", "nohdr.ini"], None,
@@ -327,6 +330,7 @@ IS_A_DIRECTORY = "[Errno 21] Is a directory: 'd'"
     ids=[
         "in-directory", "missing-in", "assess-out-directory",
         "decompose-out-directory", "synth-out-directory", "not-utf8-header", "not-utf8-row",
+        "not-utf8-header-stream",
         "duplicate-section", "no-section-header", "interpolation", "not-utf8-ini",
         "stream-with-in", "stream-with-out", "stream-t0-without-pre-fault-rows",
     ],
@@ -367,7 +371,7 @@ def repro_files(tmp_path):
         (tmp_path / name).write_text("\n".join([header, *body]) + "\n")
 
 
-OUTSIDE = "[ingest] fault clear time 1e+308 s outside the record [0.0, 4.1] s"
+OUTSIDE = "[ingest] m.csv: fault clear time 1e+308 s outside the record [0.0, 4.1] s"
 REPEATED = "repeated column 'V:G1' in the header"
 TOO_MANY = "fs x (prefault_s + fault_s + post_s) is"
 
@@ -426,8 +430,8 @@ def test_a_bad_t0_synth_parameter_or_header_is_one_line_and_exit_1(
 @pytest.mark.parametrize(
     "argv, named",
     [
-        (["--t0", "9.5"], "[ingest] fault clear time 9.5 s outside the record"),
-        ([], "[ingest] no fault signature found"),
+        (["--t0", "9.5"], "fault clear time 9.5 s outside the record"),
+        ([], "no fault signature found"),
     ],
     ids=["t0", "detection"],
 )
@@ -437,7 +441,7 @@ def test_placing_the_fault_clear_time_is_an_ingest_error(capsys, tmp_path, argv,
     code = run(["assess", "--in", str(path), *argv])
     captured = capsys.readouterr()
     assert (code, captured.out) == (1, "")
-    assert captured.err.startswith(f"stvs: {named}")
+    assert captured.err.startswith(f"stvs: [ingest] {path}: {named}")
     assert captured.err.count("\n") == 1
 
 
@@ -1096,6 +1100,34 @@ def test_a_pickup_time_whose_horizon_no_array_can_hold_is_one_recovery_line(
         f"signals up to {time} s at dt = 0.02 s are more samples than an array can "
         f"hold\n",
         [],
+    )
+
+
+def test_a_one_channel_record_assesses(tmp_path):
+    # a single channel takes the sifting loop of several
+    path = tmp_path / "one.csv"
+    write_trajectory(synth_scenario("mixed", ScenarioParams(n_channels=1)), path)
+    code, out, err, caught = run_in_process(["assess", "--in", str(path), "--t0", "1.1"])
+    assert (code, err, caught) == (0, "", [])
+    assert [g["id"] for g in json.loads(out)["generators"]] == ["G1"]
+
+
+def test_a_critical_signal_that_overflows_is_one_recovery_line_and_exit_2(tmp_path):
+    # the record and machine data of the library case in test_oel.py, through the CLI
+    params = ScenarioParams(n_channels=1, fs=25.0, noise_sigma=0.003, seed=7)
+    write_trajectory(synth_scenario("stable-osc", params), tmp_path / "ovf.csv")
+    (tmp_path / "ovf.ini").write_text(
+        "[G1]\nxd_prime = 0.25\np_active = 0.85\npickup = 0.9977830363632773@20.0\n"
+    )
+    code, out, err, caught = run_in_process([
+        "assess", "--in", str(tmp_path / "ovf.csv"), "--t0", "1.08", "--window", "0.6",
+        "--gen-config", str(tmp_path / "ovf.ini"),
+    ])
+    assert (code, out, caught) == (2, "", [])
+    assert re.fullmatch(
+        r"stvs: \[recovery:G1\] recovery exponent [\d.]+/s extrapolates the residual "
+        r"past float range within the 21 s horizon\n",
+        err,
     )
 
 

@@ -74,6 +74,17 @@ def test_fit_rejects_constant_reactive_power():
         fit_qv(np.linspace(0.9, 1.0, 10), np.full(10, 0.3))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300], ids=["nan", "inf", "1e300"])
+def test_fit_rejects_a_non_finite_fit_without_a_warning(bad):
+    # was a LinAlgError traceback from np.roots in voltage_cap, through the CLI
+    q = np.linspace(0.1, 0.5, 10)
+    q[4] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="Q-V fit is not finite"):
+            fit_qv(np.linspace(0.9, 1.0, 10), q)
+
+
 # -- voltage cap -----------------------------------------------------------------------
 
 def test_cap_zero_reactance_collapses_to_pickup():

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import stvs.cli as cli
 import stvs.stream
+from conftest import P_ACTIVE, QV_K1, QV_K2, XD_PRIME, pickup_level
 from stvs.cli import run
 from stvs.errors import StvsError, ValidationError
 from stvs.indices import AssessmentConfig, assess
@@ -88,7 +89,7 @@ def oracle_from_columns(names, data, origin="<data>"):
 
 def oracle_stream(args, config):
     """Rebuild and re-check the whole history on every row."""
-    header = sys.stdin.readline()
+    header = sys.stdin.readline().removeprefix("\ufeff")
     if not header.strip():
         return 0
     names = [c.strip() for c in header.split(",")]
@@ -132,10 +133,11 @@ def oracle_stream(args, config):
 
     for raw in sys.stdin:
         line = raw.strip()
-        if not line:
+        text = line.split("#")[0]  # a comment runs to the end of the line
+        if not text.strip():
             continue
         try:
-            vals = [float(v) for v in line.split(",")]
+            vals = [float(v) for v in text.split(",")]
         except ValueError:
             sys.stderr.write(f"stvs: skipping malformed row: {line}\n")
             continue
@@ -160,7 +162,7 @@ def oracle_stream(args, config):
         try:
             traj = oracle_from_columns(names, np.array(rows), origin="<stdin>")
         except ValidationError as exc:
-            sys.stderr.write(
+            stop = (
                 f"stvs: [ingest] {exc}; every later report would contain it, "
                 f"so the stream stops\n"
             )
@@ -174,7 +176,9 @@ def oracle_stream(args, config):
         sys.stderr.write(
             f"stvs: dropped {bad_width} row(s) with the wrong number of columns\n"
         )
-    if no_signature:
+    if status:
+        sys.stderr.write(stop)  # the last line says why the stream stopped
+    elif no_signature:
         sys.stderr.write(
             "stvs: the stream ended without a fault signature, so no report "
             "was written; pass --t0\n"
@@ -186,10 +190,15 @@ def oracle_stream(args, config):
 
 
 class Feeder:
-    """stdin that counts the data rows it has handed out."""
+    """stdin that counts the data rows it has handed out: ``lines`` is a
+    list of lines, or the bytes of an input, which are read as strict
+    UTF-8 with universal newlines, as the CLI reads stdin."""
 
     def __init__(self, lines):
-        self._lines = iter(line + "\n" for line in lines)
+        if isinstance(lines, bytes):
+            self._lines = io.TextIOWrapper(io.BytesIO(lines), encoding="utf-8")
+        else:
+            self._lines = iter(line + "\n" for line in lines)
         self.handed = 0
 
     def readline(self):
@@ -253,7 +262,10 @@ def ended_early(err):
 
 # -- the oracle ------------------------------------------------------------------------
 
-FAULTS = ("nan", "inf", "nonpositive", "short", "order", "jitter", "nan-time")
+FAULTS = (
+    "nan", "inf", "nonpositive", "short", "order", "jitter", "nan-time", "text",
+    "comment", "comment-line", "blank-line", "underscore",
+)
 
 
 def inject(lines, fault, where, pick):
@@ -274,11 +286,24 @@ def inject(lines, fault, where, pick):
         lines.insert(r + 1, lines[max(r - pick % 4, 1)])  # a duplicate or an earlier row
     elif fault == "nan-time":
         cells[0] = "nan"  # passes the order check, since NaN compares false
+    elif fault == "text":
+        cells[pick % len(cells)] = ("x", "")[pick % 2]
+    elif fault == "comment":
+        cells[-1] += (" # note", "#")[pick % 2]
+    elif fault == "comment-line":
+        lines.insert(r, "# exported by tool X")
+    elif fault == "blank-line":
+        lines.insert(r, ("", "  ")[pick % 2])
+    elif fault == "underscore":  # between two digits, so the value is unchanged
+        cell = cells[pick % len(cells)]
+        at = next((k for k in range(1, len(cell)) if cell[k - 1:k + 1].isdigit()), None)
+        if at is not None:
+            cells[pick % len(cells)] = cell[:at] + "_" + cell[at:]
     else:
         dt = float(lines[2].split(",")[0]) - float(lines[1].split(",")[0])
         step = (5e-7, 2e-6, 1e-3, 0.3)[pick % 4]  # under and over the tolerance
         cells[0] = repr(float(cells[0]) + step * dt)
-    if fault != "order":
+    if fault not in ("order", "comment-line", "blank-line"):
         lines[r] = ",".join(cells)
 
 
@@ -394,6 +419,202 @@ def test_final_stream_report_equals_batch_assess(
         final.pop("latency_s")
         batch.pop("latency_s")
         assert final == batch
+
+
+# -- one input contract for a file and a stream ------------------------------------
+
+TOKENS = ("", "nan", "inf", "-0", "1e309", "n/a")  # each written into a field
+MUTATIONS = ("cut", "duplicate", "swap", "comment", "comment-line", "underscore", *TOKENS)
+STAGED = re.compile(r"stvs: \[(ingest|emd|oscillation|recovery:[^\]]+)\] ")
+
+
+def mutate(lines, mutation, where, pick):
+    """Apply ``mutation`` at the data row at fraction ``where`` of ``lines``."""
+    r = 1 + int(where * (len(lines) - 2))
+    if mutation == "cut":
+        del lines[r]
+    elif mutation == "duplicate":
+        lines.insert(r, lines[r])
+    elif mutation == "swap":
+        lines[r], lines[r + 1] = lines[r + 1], lines[r]
+    elif mutation in TOKENS:
+        cells = lines[r].split(",")
+        cells[pick % len(cells)] = mutation
+        lines[r] = ",".join(cells)
+    else:  # a comment, or "_" inside a number
+        inject(lines, mutation, where, pick)
+
+
+def encode(lines, bom, crlf, bad_byte, blank_tail):
+    """The bytes of ``lines``, with the byte-level mutations drawn."""
+    data = (("\r\n" if crlf else "\n").join(lines) + "\n").encode("utf-8")
+    if bad_byte is not None:
+        at = int(bad_byte * len(data))
+        data = data[:at] + b"\xff" + data[at:]
+    return (b"\xef\xbb\xbf" if bom else b"") + data + b"\n" * blank_tail
+
+
+def run_checked(argv, data, origin):
+    """One run of ``argv`` on stdin ``data``, checked against the contract
+    every run keeps; (exit code, stdout, stderr, rows read at each report)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err, rows_at_write = stream(argv, data)
+    assert caught == []
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err and "Warning" not in err
+    if code:
+        last = err.splitlines()[-1]
+        assert STAGED.match(last), last
+        named = rf"\brow \d+|'[^']+'|{re.escape(origin)}|^stvs: \[recovery:"
+        assert re.search(named, last), last
+        if "--stream" not in argv:
+            assert err.count("\n") == 1
+    else:
+        assert out or err  # never silent
+    return code, out, err, rows_at_write
+
+
+@given(
+    kind=st.sampled_from(SCENARIO_KINDS),
+    n_channels=st.integers(1, 3),
+    post_s=st.floats(0.6, 1.6),
+    seed=st.integers(0, 2**16),
+    mutations=st.lists(
+        st.tuples(st.sampled_from(MUTATIONS), st.floats(0, 0.99), st.integers(0, 11)),
+        max_size=3,
+    ),
+    bom=st.booleans(),
+    crlf=st.booleans(),
+    bad_byte=st.none() | st.floats(0, 1),
+    blank_tail=st.integers(0, 2),
+    generators=st.sampled_from(["none", "all", "one-without-q"]),
+)
+@settings(max_examples=80, deadline=None)
+def test_a_file_and_a_stream_keep_one_input_contract(
+    tmp_path_factory, kind, n_channels, post_s, seed, mutations, bom, crlf, bad_byte,
+    blank_tail, generators,
+):
+    folder = tmp_path_factory.mktemp("fuzz")
+    lines = record_lines(
+        kind, n_channels=n_channels, fs=25.0, post_s=post_s, noise_sigma=0.001,
+        seed=seed, k1=QV_K1, k2=QV_K2,
+    )
+    flags = []
+    if generators != "none":
+        ids = [c[2:] for c in lines[0].split(",") if c.startswith(VOLTAGE_PREFIX)]
+        (folder / "gens.ini").write_text("".join(
+            f"[{cid}]\nxd_prime = {XD_PRIME}\np_active = {P_ACTIVE}\n"
+            f"pickup = {pickup_level()}@20\n"
+            for cid in ids
+        ))
+        flags = ["--gen-config", str(folder / "gens.ini")]
+        if generators == "one-without-q":
+            drop = lines[0].split(",").index(REACTIVE_PREFIX + ids[seed % len(ids)])
+            lines = [",".join(c for j, c in enumerate(line.split(",")) if j != drop)
+                     for line in lines]
+    for mutation, where, pick in mutations:
+        mutate(lines, mutation, where, pick)
+    data = encode(lines, bom, crlf, bad_byte, blank_tail)
+    path = folder / "rec.csv"
+    path.write_bytes(data)
+    for t0 in (["--t0", "1.1"], []):
+        batch_argv = ["assess", "--in", str(path), *t0, *flags]
+        batch_code, batch_out, _, _ = run_checked(batch_argv, [], str(path))
+        argv = ["assess", "--stream", "--report-interval", "0.5", *t0, *flags]
+        code, out, err, rows_at_write = run_checked(argv, data, "<stdin>")
+        if batch_code:
+            continue
+        assert code == 0
+        if not out:  # no fault signature, or one too late for a report
+            assert not t0 and ("no fault signature" in err or ended_early(err))
+            continue
+        # batch on the lines the last report had read
+        read = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").readlines()
+        (folder / "read.csv").write_text("".join(read[: 1 + rows_at_write[-1]]))
+        _, prefix_out, _, _ = run_checked(
+            ["assess", "--in", str(folder / "read.csv"), *t0, *flags], [], "read.csv"
+        )
+        final, batch = json.loads(out.splitlines()[-1]), json.loads(prefix_out)
+        final.pop("latency_s")
+        batch.pop("latency_s")
+        assert final == batch
+
+
+def with_data_row(lines, row, edit):
+    """``lines`` with data row ``row`` replaced by ``edit(row's line)``."""
+    return lines[: row + 1] + [edit(lines[row + 1])] + lines[row + 2:]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda lines: with_data_row(lines, 29, lambda line: "0.5_8" + line[4:]),
+        lambda lines: with_data_row(lines, 29, lambda line: line + " # note"),
+        lambda lines: lines[:1] + ["# exported by tool X"] + lines[1:],
+    ],
+    ids=["underscore-in-time", "comment-after-a-row", "comment-line"],
+)
+def test_a_file_and_a_stream_read_comments_and_underscores_alike(tmp_path, edit):
+    lines = record_lines("mixed")
+    assert lines[30].startswith("0.58,")  # data row 29
+    edited = edit(lines)
+    code, out, err, rows_at_write = stream(stream_argv(True), edited)
+    # the stream skipped no row, so it wrote what it writes for the record
+    assert (code, out, err) == (0, *stream(stream_argv(True), lines)[1:3])
+    # batch on the rows the last report had read, with and without the edit
+    docs = []
+    for name, rows in (("plain", lines), ("edited", edited)):
+        path = tmp_path / f"{name}.csv"
+        path.write_text("\n".join(rows[: 1 + rows_at_write[-1]]) + "\n")
+        code, batch_out, batch_err, _ = stream(["assess", "--in", str(path), "--t0", "1.1"], [])
+        assert (code, batch_err) == (0, "")
+        docs.append(batch_out)
+    assert docs[1] == docs[0]
+    final, batch = json.loads(out.splitlines()[-1]), json.loads(docs[1])
+    final.pop("latency_s")
+    batch.pop("latency_s")
+    assert final == batch
+
+
+def test_a_row_with_a_column_missing_is_named_by_its_row_and_both_counts(tmp_path):
+    lines = with_data_row(record_lines("mixed"), 11, lambda line: line.rsplit(",", 1)[0])
+    path = tmp_path / "ragged.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert stream(["assess", "--in", str(path), "--t0", "1.1"], []) == (
+        1, "", f"stvs: [ingest] {path}: row 11 has 6 columns (header has 7)\n", []
+    )
+
+
+@pytest.mark.parametrize("lines", [[], [""], ["", *record_lines("mixed")]],
+                         ids=["empty", "blank", "blank-then-rows"])
+def test_a_stream_without_a_header_says_so(lines):
+    # was exit 0 with nothing on stdout or stderr
+    assert stream(stream_argv(True), lines) == (
+        0, "", "stvs: the stream's first line holds no header, so no report was written\n", []
+    )
+
+
+@pytest.mark.parametrize("with_t0", [True, False])
+def test_a_pickup_time_too_late_to_sample_stops_the_stream_once(tmp_path, with_t0):
+    gens = tmp_path / "gens.ini"
+    gens.write_text("[G1]\nxd_prime = 0.3\np_active = 0.9\npickup = 0.95@1e15\n")
+    flags = ["--gen-config", str(gens)] + (["--t0", "1.1"] if with_t0 else [])
+    lines = record_lines("mixed")
+    path = tmp_path / "m.csv"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err, _ = stream(["assess", "--in", str(path), *flags], [])
+    line = (
+        "stvs: [recovery:G1] pickup or LVRT time 1e+15 s is too late: the critical "
+        "signals up to 1e+15 s at dt = 0.02 s are more samples than an array can hold"
+    )
+    assert (code, out, err) == (1, "", line + "\n")
+    code, out, err, _ = stream(["assess", "--stream", *flags], lines)
+    # was the same line on every report-due row, and exit 0
+    assert (code, out) == (1, "")
+    assert err.endswith(f"{line[6:]}; no later row can change it, so the stream stops\n")
+    assert err.count("too late") == 1
+    assert err.count("\n") == 1 + (not with_t0)  # and "no fault signature" once
 
 
 # -- fault-signature tracking -------------------------------------------------------
