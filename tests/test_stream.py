@@ -268,9 +268,30 @@ FAULTS = (
 )
 
 
+def intact_rows(lines):
+    """Indices of the lines that are whole data rows of finite numbers."""
+    width = len(lines[0].split(","))
+    rows = []
+    for r, line in enumerate(lines[1:], start=1):
+        cells = line.split(",")
+        if "#" in line or len(cells) != width:
+            continue
+        try:
+            if all(np.isfinite([float(c) for c in cells])):
+                rows.append(r)
+        except ValueError:
+            continue
+    return rows
+
+
 def inject(lines, fault, where, pick):
-    """Damage the data row at fraction ``where`` of the record in place."""
-    r = 1 + int(where * (len(lines) - 2))
+    """Damage the intact data row at fraction ``where`` of the record in place.
+
+    Only an intact row is picked, so a second fault never lands on a row or
+    a line that the first one made."""
+    rows = intact_rows(lines)
+    i = int(where * (len(rows) - 1))
+    r = rows[i]
     cells = lines[r].split(",")
     names = lines[0].split(",")
     v_cols = [j for j, c in enumerate(names) if c.startswith(VOLTAGE_PREFIX)]
@@ -283,7 +304,7 @@ def inject(lines, fault, where, pick):
     elif fault == "short":
         cells = cells[:-1]
     elif fault == "order":
-        lines.insert(r + 1, lines[max(r - pick % 4, 1)])  # a duplicate or an earlier row
+        lines.insert(r + 1, lines[rows[max(i - pick % 4, 0)]])  # a duplicate or an earlier row
     elif fault == "nan-time":
         cells[0] = "nan"  # passes the order check, since NaN compares false
     elif fault == "text":
@@ -300,7 +321,7 @@ def inject(lines, fault, where, pick):
         if at is not None:
             cells[pick % len(cells)] = cell[:at] + "_" + cell[at:]
     else:
-        dt = float(lines[2].split(",")[0]) - float(lines[1].split(",")[0])
+        dt = float(np.median(np.diff([float(lines[k].split(",")[0]) for k in rows])))
         step = (5e-7, 2e-6, 1e-3, 0.3)[pick % 4]  # under and over the tolerance
         cells[0] = repr(float(cells[0]) + step * dt)
     if fault not in ("order", "comment-line", "blank-line"):
