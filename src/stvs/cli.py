@@ -1,8 +1,12 @@
 """Command-line front end for batch and streaming assessment.
 
 Subcommands: assess, decompose, exponents, thresholds, tune, synth.
-The CLI parses arguments and prints what the library computed: results
-go to stdout (or --out), each error is one ``stvs:`` line on stderr.
+An assessment takes a record, its fault clear time and window, and
+generator machine data; it scores on the paper's IMF grid and gamma2,
+and ``thresholds``, the one command that takes a grid, prints the
+critical value of any grid.  The CLI parses arguments and prints what
+the library computed: results go to stdout (or --out), each error is
+one ``stvs:`` line on stderr.
 ``assess --stream`` prints the reports of a ``stvs.stream.Monitor``
 fed the rows on stdin, one JSON line each, and its notes on stderr.
 Exit codes: 0 success, 1 invalid input (a file that cannot be read or
@@ -19,6 +23,7 @@ import os
 import sys
 from contextlib import nullcontext
 from dataclasses import asdict, replace
+from itertools import chain
 
 import numpy as np
 
@@ -27,6 +32,8 @@ from .distribution import reference_table
 from .emd import decompose
 from .errors import StvsError, ValidationError, stage
 from .indices import (
+    GAMMA2,
+    IMF_GRID,
     OSC_X_STAR,
     AssessmentConfig,
     analysis_window_s,
@@ -92,21 +99,14 @@ def _positive_float(text: str) -> float:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="stvs", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    defaults = AssessmentConfig  # the class: its defaults, nothing scored
 
-    def add_common(p, *, io=True, grid=True):
-        if io:
-            p.add_argument("--in", dest="input", help="input CSV path")
-            p.add_argument("--out", dest="output", help="output path (default stdout)")
-            p.add_argument("--t0", type=_finite_float, default=None,
-                           help="fault clear time in seconds (auto-detected if omitted)")
-            p.add_argument("--window", type=_finite_float, default=defaults.window_s,
-                           help="post-fault analysis window in seconds")
-        if grid:
-            p.add_argument("--bins", type=int, default=defaults.imf_bins)
-            p.add_argument("--lo", type=_finite_float, default=defaults.imf_lo)
-            p.add_argument("--hi", type=_finite_float, default=defaults.imf_hi)
-            p.add_argument("--gamma2", type=_positive_float, default=defaults.gamma2)
+    def add_common(p):
+        p.add_argument("--in", dest="input", help="input CSV path")
+        p.add_argument("--out", dest="output", help="output path (default stdout)")
+        p.add_argument("--t0", type=_finite_float, default=None,
+                       help="fault clear time in seconds (auto-detected if omitted)")
+        p.add_argument("--window", type=_finite_float, default=AssessmentConfig.window_s,
+                       help="post-fault analysis window in seconds")
 
     p_assess = sub.add_parser("assess", help="full stability assessment")
     add_common(p_assess)
@@ -116,8 +116,6 @@ def _build_parser() -> _Parser:
                           help="read rows from stdin, emit JSON lines")
     p_assess.add_argument("--report-interval", dest="report_interval",
                           type=_positive_float, default=0.1)
-    p_assess.add_argument("--eq0", type=_finite_float, default=None,
-                          help="explicit post-fault equilibrium voltage")
 
     p_dec = sub.add_parser(
         "decompose",
@@ -130,20 +128,24 @@ def _build_parser() -> _Parser:
             "channel's V equals the sum of its IMFs and R."
         ),
     )
-    add_common(p_dec, grid=False)
+    add_common(p_dec)
 
     p_exp = sub.add_parser("exponents", help="emit exponent series as CSV")
-    add_common(p_exp, grid=False)
-    p_exp.add_argument("--eq0", type=_finite_float, default=None)
+    add_common(p_exp)
 
+    # the one command that takes a grid; its defaults are the one assess uses
     p_thr = sub.add_parser("thresholds", help="print the critical oscillation index")
-    add_common(p_thr, io=False)
+    bins, lo, hi = IMF_GRID
+    p_thr.add_argument("--bins", type=int, default=bins)
+    p_thr.add_argument("--lo", type=_finite_float, default=lo)
+    p_thr.add_argument("--hi", type=_finite_float, default=hi)
+    p_thr.add_argument("--gamma2", dest="shape", type=_positive_float, default=GAMMA2,
+                       help="shape of the Gompertz reference")
     p_thr.add_argument("--out", dest="output")
 
     p_tune = sub.add_parser("tune", help="derive per-generator recovery thresholds")
-    add_common(p_tune, grid=False)
+    add_common(p_tune)
     p_tune.add_argument("--gen-config", dest="gen_config", required=True)
-    p_tune.add_argument("--eq0", type=_finite_float, default=None)
 
     p_syn = sub.add_parser("synth", help="write a synthetic scenario CSV")
     p_syn.add_argument("kind", choices=synth.SCENARIO_KINDS)
@@ -178,14 +180,9 @@ def _load_input(args) -> VoltageTrajectory:
 
 def _assessment_config(args) -> AssessmentConfig:
     """Assessment settings from the flags the subcommand has."""
-    settings = {"window_s": args.window, "eq0": args.eq0}
-    if "bins" in args:
-        settings.update(
-            imf_bins=args.bins, imf_lo=args.lo, imf_hi=args.hi, gamma2=args.gamma2
-        )
-    if getattr(args, "gen_config", None):
-        settings["generators"] = oel.load_generator_config(args.gen_config)
-    return AssessmentConfig(**settings)
+    gen_config = getattr(args, "gen_config", None)
+    generators = oel.load_generator_config(gen_config) if gen_config else None
+    return AssessmentConfig(args.window, generators)
 
 
 def _cmd_assess(args) -> int:
@@ -207,14 +204,19 @@ def _note(text: str) -> None:
 
 def _stdin_lines():
     """The lines of stdin, read as UTF-8 like a file; a byte that is
-    not UTF-8 is an ``[ingest]`` error."""
+    not UTF-8 is an ``[ingest]`` error once every line before it is
+    read."""
     if hasattr(sys.stdin, "reconfigure"):  # the console's stream, unread
-        sys.stdin.reconfigure(encoding="utf-8", errors="strict")
-    try:
-        yield sys.stdin.readline()
-        yield from sys.stdin
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"[ingest] {not_utf8('<stdin>', exc)}") from exc
+        # the text layer decodes blocks of lines at once; a bad byte is
+        # kept as an escape, so that it stops the stream at its own line
+        sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
+    for line in chain([sys.stdin.readline()], sys.stdin):
+        if not line.isascii():
+            try:  # an escaped byte fails the strict decode
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValidationError(f"[ingest] {not_utf8('<stdin>', exc)}") from exc
+        yield line
 
 
 def _cmd_stream(args, config: AssessmentConfig) -> int:
@@ -291,15 +293,15 @@ def _cmd_thresholds(args) -> int:
     """Print the critical oscillation index and the reference row it
     was scored against, read from the cache ``imf_threshold`` read."""
     grid = (args.lo, args.hi)
-    value = stage("oscillation", imf_threshold, args.bins, grid, args.gamma2)
+    value = stage("oscillation", imf_threshold, args.bins, grid, args.shape)
     edges = np.linspace(args.lo, args.hi, args.bins + 1)
-    ref = reference_table([args.gamma2], [OSC_X_STAR], edges)[0, 0]
+    ref = reference_table([args.shape], [OSC_X_STAR], edges)[0, 0]
     doc = {
         "imf_critical": value,
         "bins": args.bins,
         "lo": args.lo,
         "hi": args.hi,
-        "gamma2": args.gamma2,
+        "gamma2": args.shape,
         "reference": {
             "bin_edges": edges.tolist(),
             "probabilities": ref.tolist(),

@@ -19,6 +19,11 @@ class FixedInputError(ValidationError):
     alone, so no later row of a stream can mend it."""
 
 
+class WindowSampleError(ValidationError):
+    """Invalid input that rests on a sample of the analysis window, so no
+    later row of a stream whose window start is fixed can mend it."""
+
+
 class ComputationError(StvsError):
     """A pipeline stage failed on otherwise valid input."""
 

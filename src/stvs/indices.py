@@ -18,11 +18,13 @@ inside ``assess``, as each critical signal is in the tuner, through
 ``fsle_residual_series`` (None when it never dipped) and
 ``oel.recovery_scores``.
 
-``AssessmentConfig`` carries what a run may set; the method's fixed
-choices (the frequency band, the embedding dimension, the recovery grid,
-the untuned Gompertz shape and the pre-fault lookback) are the module
-constants below, and ``oel`` and ``emd`` hold those of the tuner and of
-the sifting.
+``AssessmentConfig`` carries what a run may set: the analysis window
+and the generators' machine data.  The method's fixed choices (the
+frequency band, the embedding dimension, the IMF and recovery grids,
+the oscillation reference shape gamma2, the untuned Gompertz shape and
+the pre-fault lookback) are the module constants below, and ``oel`` and
+``emd`` hold those of the tuner and of the sifting.  Each channel
+recovers toward its own pre-fault voltage V_pre.
 """
 
 from __future__ import annotations
@@ -61,14 +63,17 @@ NO_OSC_TAG = "no oscillatory content"
 
 # Fixed choices of the method.  IMFs whose zero-crossing frequency lies
 # in BAND_HZ feed the oscillation index, embedded in EMBED_M dimensions
-# at most.  The recovery histogram grid (bins, lo, hi) has twice the
-# resolution of the default IMF grid on the same range, so nearby
-# recovery rates land in distinct bins.  A generator without a tuned
-# threshold is scored on the default Gompertz shape (gamma1, x*).  With
-# no explicit pre-fault voltage, V_pre is the mean over LOOKBACK_S
-# before fault onset.
+# at most, and scored on the IMF histogram grid (bins, lo, hi) against
+# the Gompertz reference of shape GAMMA2: the paper's grid, whose
+# critical value is 2.07.  The recovery grid has twice its resolution on
+# the same range, so nearby recovery rates land in distinct bins.  A
+# generator without a tuned threshold is scored on the default Gompertz
+# shape (gamma1, x*).  With no explicit pre-fault voltage, V_pre is the
+# mean over LOOKBACK_S before fault onset.
 BAND_HZ = (0.0, 10.0)
 EMBED_M = 4
+IMF_GRID = (20, 0.0, 1.5)
+GAMMA2 = 10.0
 REC_GRID = (40, 0.0, 1.5)
 GAMMA1_DEFAULT = 10.0
 X_STAR_DEFAULT = 1.05
@@ -81,50 +86,30 @@ NO_REACTIVE_POWER = "trip prediction needs reactive power measurements for the Q
 
 @dataclass(frozen=True)
 class AssessmentConfig:
-    """The settings of one assessment.
-
-    The analysis window, the IMF threshold grid (20 bins on [0, 1.5],
-    gamma2 = 10 by default), an explicit post-fault equilibrium (None:
-    the per-channel pre-fault mean) and the machine data of the
-    generators whose recovery threshold is tuned.  Everything else the
-    pipeline uses is a module constant next to the code that reads it.
-    A non-finite window or equilibrium, or an IMF grid the critical
-    oscillation value cannot be scored on, is rejected here, before any
-    data is read.
+    """The settings of one assessment: the analysis window and the
+    machine data of the generators whose recovery threshold is tuned.
+    Everything else the pipeline uses is a module constant next to the
+    code that reads it.  A non-finite window is rejected here, before
+    any data is read.
     """
 
     window_s: float = 3.0
-    imf_bins: int = 20
-    imf_lo: float = 0.0
-    imf_hi: float = 1.5
-    gamma2: float = 10.0
-    eq0: float | None = None
     generators: dict[str, oel.GeneratorSpec] | None = None
 
     def __post_init__(self) -> None:
-        for name in ("window_s", "eq0"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value}")
-        # cached, so assess reads the value back
-        grid_range = (self.imf_lo, self.imf_hi)
-        stage("oscillation", imf_threshold, self.imf_bins, grid_range, self.gamma2)
+        if not math.isfinite(self.window_s):
+            raise ValidationError(f"window_s must be finite, got {self.window_s}")
 
     def echo(self) -> dict:
-        rec_bins, rec_lo, rec_hi = REC_GRID
         return {
             "window_s": self.window_s,
-            "gamma2": self.gamma2,
-            "imf_grid": {
-                "bins": self.imf_bins,
-                "lo": self.imf_lo,
-                "hi": self.imf_hi,
-            },
-            "rec_grid": {"bins": rec_bins, "lo": rec_lo, "hi": rec_hi},
+            "gamma2": GAMMA2,
+            "imf_grid": dict(zip(("bins", "lo", "hi"), IMF_GRID)),
+            "rec_grid": dict(zip(("bins", "lo", "hi"), REC_GRID)),
             "band_hz": list(BAND_HZ),
             "gamma1_default": GAMMA1_DEFAULT,
             "x_star_default": X_STAR_DEFAULT,
-            "eq0": self.eq0,
+            "eq0": None,  # each channel recovers toward its V_pre
             "epsilon_osc": 0.0,  # classify's tolerance, always 0
             "embed_m": EMBED_M,
             "gamma1_range": list(oel.GAMMA1_RANGE),
@@ -377,13 +362,13 @@ def _assess_generator(
     residual: np.ndarray,
     window: VoltageTrajectory,
     v_pre: float,
-    eq0: float,
     spec: oel.GeneratorSpec | None,
 ) -> GeneratorAssessment:
     """Recovery verdict for one generator channel.
 
     The index is D = |V_pre - R(t0)| x KL on the residual's recovery
-    exponents; a residual that never dipped scores 0 and is non-trip.
+    exponents toward V_pre; a residual that never dipped scores 0 and is
+    non-trip.
     Without machine data the index is scored on the default Gompertz
     shape and left unassessed.
     With it, the voltage caps either settle the verdict (trivially safe
@@ -395,7 +380,7 @@ def _assess_generator(
         if channel.reactive_power is None:
             raise ValidationError(f"generator {gen_id}: {NO_REACTIVE_POWER}")
     dt = window.dt
-    series = fsle_residual_series(residual, eq0=eq0, dt=dt)
+    series = fsle_residual_series(residual, eq0=v_pre, dt=dt)
     gamma1, x_star = GAMMA1_DEFAULT, X_STAR_DEFAULT
     charac = tuning = None
     if series is None:
@@ -408,7 +393,7 @@ def _assess_generator(
         )
         try:
             critical = oel.construct_critical_signals(
-                residual, dt, eq0, list(charac.vcaps), series
+                residual, dt, v_pre, list(charac.vcaps), series
             )
         except TriviallySafe:
             label = "non-trip"
@@ -417,7 +402,7 @@ def _assess_generator(
         else:
             n = critical.window_samples
             tuning = oel.tune_gamma(
-                critical.s1[:n], critical.s2[:n], eq0, v_pre, dt, REC_GRID
+                critical.s1[:n], critical.s2[:n], v_pre, v_pre, dt, REC_GRID
             )
             gamma1, x_star = tuning.gamma1, tuning.x_star
 
@@ -460,37 +445,23 @@ def assess(
     decomp = stage("emd", decompose, window)
     retained = stage("emd", filter_imfs_by_frequency, decomp, BAND_HZ)
 
-    osc = stage(
-        "oscillation",
-        oscillation_index,
-        retained,
-        config.gamma2,
-        (config.imf_bins, config.imf_lo, config.imf_hi),
-    )
-    threshold = stage(
-        "oscillation",
-        imf_threshold,
-        config.imf_bins,
-        (config.imf_lo, config.imf_hi),
-        config.gamma2,
-    )
+    osc = stage("oscillation", oscillation_index, retained, GAMMA2, IMF_GRID)
+    bins, lo, hi = IMF_GRID
+    threshold = stage("oscillation", imf_threshold, bins, (lo, hi), GAMMA2)
     osc_label, osc_margin = classify(osc.value, threshold)
 
-    per_gen = []
-    for ch_index, gen_id in enumerate(window.channel_ids):
-        eq0 = config.eq0 if config.eq0 is not None else v_pre[gen_id]
-        per_gen.append(
-            stage(
-                f"recovery:{gen_id}",
-                _assess_generator,
-                gen_id,
-                retained.residuals[ch_index],
-                window,
-                v_pre[gen_id],
-                eq0,
-                (config.generators or {}).get(gen_id),
-            )
+    per_gen = [
+        stage(
+            f"recovery:{gen_id}",
+            _assess_generator,
+            gen_id,
+            retained.residuals[ch_index],
+            window,
+            v_pre[gen_id],
+            (config.generators or {}).get(gen_id),
         )
+        for ch_index, gen_id in enumerate(window.channel_ids)
+    ]
 
     return StabilityAssessment(
         oscillation=osc,

@@ -32,6 +32,7 @@ from .errors import (
     TriviallySafe,
     TriviallyTripping,
     ValidationError,
+    WindowSampleError,
 )
 from .lyapunov import ExponentSeries, fsle_residual_series
 
@@ -148,7 +149,7 @@ def fit_qv(v_samples: np.ndarray, q_samples: np.ndarray) -> tuple[float, float]:
     k1 = (n * sqv - sq * sv) / denom
     k2 = (sqq * sv - sq * sqv) / denom
     if not (math.isfinite(k1) and math.isfinite(k2)):  # np.roots would raise
-        raise ValidationError(
+        raise WindowSampleError(
             "Q-V fit is not finite: a V or Q sample is not finite or too large"
         )
     return k1, k2

@@ -19,8 +19,11 @@ what no later row can mend: a kept row that makes the history invalid
 (a NaN or non-positive voltage, a gap in the sampling), a ``t0`` before
 the first row, a report failure that rests on the settings and dt alone
 (a ``FixedInputError``, such as a pickup time too late to sample) and,
-with ``t0``, an ``[ingest]`` failure of a report (no pre-fault samples,
-a window under 2 samples).  Any other failing report is noted and the
+with ``t0``, a report failure that rests on the rows before t0 or on a
+sample of the window, which starts at t0: an ``[ingest]`` failure (no
+pre-fault samples, a window under 2 samples) or a ``WindowSampleError``
+(a Q sample that makes the Q-V fit non-finite).  Without ``t0`` the
+window may still move, so any other failing report is noted and the
 stream goes on.  A stream that ends before its first report says so.
 """
 
@@ -32,7 +35,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import FixedInputError, StvsError, ValidationError, stage
+from .errors import FixedInputError, StvsError, ValidationError, WindowSampleError, stage
 from .indices import NO_REACTIVE_POWER, AssessmentConfig, assess
 from .ingest import (
     NO_FAULT_SIGNATURE,
@@ -175,11 +178,13 @@ class Monitor:
             traj = replace(traj, fault_clear_index=t0_index)
             doc = assess(traj, self.config).to_dict()
         except StvsError as exc:
-            # with t0 the rows before t0 and the window are fixed, save a
-            # one-sample window (n - t0_index == 2) that the next row lengthens
+            # with t0 the rows before t0 and the window's start are fixed,
+            # and rows only append to the window; save a one-sample window
+            # (n - t0_index == 2) that the next row lengthens
             fixed = self.t0 is not None and n - t0_index > 2
             if isinstance(exc, FixedInputError) or (
-                fixed and str(exc).startswith("[ingest]")
+                fixed
+                and (str(exc).startswith("[ingest]") or isinstance(exc, WindowSampleError))
             ):
                 raise ValidationError(f"{exc}; no later row can change it") from exc
             self.note(str(exc))

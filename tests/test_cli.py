@@ -165,10 +165,12 @@ def test_assess_rejects_a_nan_timestamp(tmp_path, capsys):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("flag", ["--t0", "--window", "--eq0", "--lo", "--hi", "--gamma2"])
+@pytest.mark.parametrize("flag", ["--t0", "--window", "--lo", "--hi", "--gamma2"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_float_flag_is_validation_error(capsys, stable_case_csv, flag, value):
-    code = run(["assess", "--in", stable_case_csv, f"{flag}={value}"])
+    grid = flag not in ("--t0", "--window")  # only thresholds takes a grid
+    command = ["thresholds"] if grid else ["assess", "--in", stable_case_csv]
+    code = run([*command, f"{flag}={value}"])
     captured = capsys.readouterr()
     assert code == 1
     assert f"argument {flag}: must be a finite number, got {value}" in captured.err
@@ -309,7 +311,7 @@ IS_A_DIRECTORY = "[Errno 21] Is a directory: 'd'"
          "[ingest] ff-header.csv: not UTF-8 text (byte 0xff"),
         (["assess", "--in", "ff-row.csv", "--t0", "1.1"], None,
          "[ingest] ff-row.csv: not UTF-8 text (byte 0xff"),
-        # stdin is read as strict UTF-8 in any locale, as a file is
+        # stdin is read as UTF-8 in any locale, as a file is
         (["assess", "--stream", "--t0", "1.1"], "ff-header.csv",
          "[ingest] <stdin>: not UTF-8 text (byte 0xff"),
         (["assess", "--in", "m.csv", "--t0", "1.1", "--gen-config", "dup.ini"], None,
@@ -349,6 +351,34 @@ def test_a_bad_input_or_output_is_one_line_and_exit_1(tmp_path, argv, stdin, nam
     assert proc.stderr.startswith(f"stvs: {named}")
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
     assert not (tmp_path / "s.jsonl").exists()  # --out with --stream writes nothing
+
+
+def stream_subprocess(stdin_bytes, *flags):
+    """Exit code, stdout and stderr of ``stvs assess --stream`` in its own
+    process, so that stdin is the console's byte stream."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stvs.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "stvs.cli", "assess", "--stream", *flags],
+        input=stdin_bytes, capture_output=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
+
+
+def test_a_bad_byte_in_the_stream_loses_no_earlier_row(tmp_path):
+    write_trajectory(synth_scenario("mixed"), tmp_path / "m.csv")
+    rows = (tmp_path / "m.csv").read_bytes().splitlines(keepends=True)
+    flags = ["--t0", "1.1", "--report-interval", "0.1"]
+    code, before, err = stream_subprocess(b"".join(rows[:100]), *flags)  # rows 0-98
+    assert (code, err, len(before.splitlines())) == (0, "", 4)
+    rows[100] = b"\xff" + rows[100]  # data row 99
+    code, out, err = stream_subprocess(b"".join(rows), *flags)
+    # the 8 KB block that held the byte was lost: 2 reports
+    assert (code, out) == (1, before)
+    assert err == (
+        "stvs: [ingest] <stdin>: not UTF-8 text (byte 0xff: invalid start byte), "
+        "so the stream stops\n"
+    )
 
 
 def repro_files(tmp_path):
@@ -739,15 +769,14 @@ def test_stream_rejects_nonpositive_report_interval(monkeypatch, capsys, interva
 def test_a_bad_oscillation_grid_stops_batch_and_stream_before_any_row(
     monkeypatch, capsys, tmp_path, grid
 ):
+    # assess scores on the paper's grid and takes none
     traj = synth_scenario("mixed", osc_params())
     path = tmp_path / "m.csv"
     write_trajectory(traj, path)
     code = run(["assess", "--in", str(path), "--t0", "1.1", *grid])
     batch = capsys.readouterr()
     assert (code, batch.out) == (1, "")
-    assert batch.err.count("\n") == 1 and batch.err.startswith("stvs: [oscillation] ")
-    if grid[0] == "--bins":
-        assert batch.err == "stvs: [oscillation] need at least 3 bins for the threshold\n"
+    assert batch.err == f"stvs: unrecognized arguments: {' '.join(grid)}\n"
     lines = stream_rows(traj)
     for rows in (lines[:1], lines):  # the header only, and every row
         assert run_stream(monkeypatch, capsys, rows, grid) == (1, [], batch.err)
@@ -858,12 +887,11 @@ def test_stream_into_a_closed_pipe_exits_quietly(tmp_path):
     path.write_text("\n".join(stream_rows(traj)) + "\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(stvs.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
-    with open(path) as stdin:
-        proc = subprocess.Popen(
-            [sys.executable, "-c", "from stvs.cli import main; main()",
-             "assess", "--stream", "--t0", "1.1", "--report-interval", "0.1"],
-            stdin=stdin, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-        )
+    argv = [sys.executable, "-c", "from stvs.cli import main; main()",
+            "assess", "--stream", "--t0", "1.1", "--report-interval", "0.1"]
+    pipes = dict(stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    # leaving the block closes both pipes
+    with open(path) as stdin, subprocess.Popen(argv, stdin=stdin, **pipes) as proc:
         first = proc.stdout.readline()
         proc.stdout.close()
         err = proc.stderr.read().decode()
@@ -950,20 +978,17 @@ def spaced_and_joined(argv, flags):
     "command, flags",
     [
         ("assess", [("--t0", "-1e308")]),
-        ("assess", [("--t0", "1.1"), ("--eq0", "-1e-3")]),
-        ("assess", [("--t0", "1.1"), ("--lo", "-1E+2")]),
         ("assess", [("--t0", "-inf")]),
         ("decompose", [("--t0", "1.1"), ("--window", "-2.5e-1")]),
         ("exponents", [("--t0", "-.5e1")]),
-        ("tune", [("--t0", "1.1"), ("--eq0", "-1e0")]),
+        ("tune", [("--t0", "1.1"), ("--window", "-1e0")]),
         ("thresholds", [("--lo", "-1e-300")]),
         ("stream", [("--t0", "1.1"), ("--report-interval", "-1e-3")]),
         ("stream", [("--t0", "-1e1")]),
     ],
     ids=[
-        "assess-t0", "assess-eq0", "assess-lo", "assess-t0-inf", "decompose-window",
-        "exponents-t0", "tune-eq0", "thresholds-lo", "stream-report-interval",
-        "stream-t0",
+        "assess-t0", "assess-t0-inf", "decompose-window", "exponents-t0", "tune-window",
+        "thresholds-lo", "stream-report-interval", "stream-t0",
     ],
 )
 def test_a_negative_number_with_an_exponent_is_a_value_as_after_equals(
@@ -977,30 +1002,46 @@ def test_a_negative_number_with_an_exponent_is_a_value_as_after_equals(
 
 
 @pytest.mark.parametrize(
-    "command, flags",
+    "command, flags, want",
     [
-        ("decompose", ["--t0", "1.1", "--window", "0"]),
-        ("thresholds", ["--bins", "2"]),
-        ("thresholds", ["--bins", "3", "--lo", "0.9", "--hi", "1.1"]),
+        ("decompose", ["--t0", "1.1", "--window", "0"], None),
+        # assess scores its one grid through the same [oscillation] stage
+        ("thresholds", ["--bins", "2"], "need at least 3 bins for the threshold"),
+        ("thresholds", ["--bins", "3", "--lo", "0.9", "--hi", "1.1"],
+         "grid leaves no room below the unit factor"),
     ],
     ids=["decompose-window", "thresholds-bins", "thresholds-grid"],
 )
 def test_decompose_and_thresholds_print_the_staged_line_of_assess(
-    short_record, command, flags
+    short_record, command, flags, want
 ):
     got = run_in_process(command_argv(command, short_record) + flags)
-    want = run_in_process(command_argv("assess", short_record) + flags)
-    assert got == want
+    if want is None:
+        assert got == run_in_process(command_argv("assess", short_record) + flags)
+    else:
+        assert got[2] == f"stvs: [oscillation] {want}\n"
     code, out, err, _ = got
     assert (code, out) == (1, "")
     assert re.fullmatch(r"stvs: \[(ingest|oscillation)\] [^\n]*\n", err)
 
 
+@pytest.mark.parametrize("flag", [["--bins", "20"], ["--gamma2", "10"], ["--eq0", "1"]])
+@pytest.mark.parametrize("command", ["assess", "stream", "decompose", "exponents", "tune"])
+def test_only_thresholds_takes_a_grid_and_no_command_an_equilibrium(
+    short_record, command, flag
+):
+    stdin = (short_record / "m.csv").read_text() if command == "stream" else ""
+    argv = command_argv(command, short_record) + ["--t0", "1.1", *flag]
+    assert run_in_process(argv, stdin) == (
+        1, "", f"stvs: unrecognized arguments: {' '.join(flag)}\n", []
+    )
+
+
 NUMERIC_FLAGS = {
-    "assess": ("--t0", "--window", "--eq0", "--lo", "--hi", "--gamma2", "--bins"),
+    "assess": ("--t0", "--window"),
     "decompose": ("--t0", "--window"),
-    "exponents": ("--t0", "--window", "--eq0"),
-    "tune": ("--t0", "--window", "--eq0"),
+    "exponents": ("--t0", "--window"),
+    "tune": ("--t0", "--window"),
     "thresholds": ("--lo", "--hi", "--gamma2", "--bins"),
 }
 
@@ -1069,12 +1110,10 @@ def test_a_numeric_flag_value_ends_in_a_result_or_one_named_line(
 
 
 @pytest.mark.parametrize("count", REFUSED_BIN_COUNTS, ids=["1e15", "1e20", "1e400"])
-@pytest.mark.parametrize("command", ["assess", "stream", "thresholds"])
+@pytest.mark.parametrize("command", ["thresholds"])  # the one command with --bins
 def test_a_bin_count_no_array_can_hold_is_one_oscillation_line(short_record, command, count):
-    stdin = (short_record / "m.csv").read_text() if command == "stream" else ""
-    t0 = [] if command == "thresholds" else ["--t0", "1.1"]
-    argv = command_argv(command, short_record) + t0 + ["--bins", str(count)]
-    assert run_in_process(argv, stdin) == (
+    argv = command_argv(command, short_record) + ["--bins", str(count)]
+    assert run_in_process(argv) == (
         1, "", f"stvs: [oscillation] {count} bins: not a count an array can hold\n", []
     )
 
@@ -1156,11 +1195,8 @@ def test_a_window_whose_sample_count_overflows_is_one_ingest_line(short_record, 
 
 @pytest.mark.parametrize(
     "command, flags, critical",
-    [
-        ("assess", ["--t0", "1.1"], lambda doc: doc["oscillation"]["threshold"]),
-        ("thresholds", [], lambda doc: doc["imf_critical"]),
-    ],
-    ids=["assess", "thresholds"],
+    [("thresholds", [], lambda doc: doc["imf_critical"])],  # the one command with --lo
+    ids=["thresholds"],
 )
 def test_a_grid_whose_bin_centres_overflow_scores_without_a_warning(
     short_record, command, flags, critical

@@ -76,8 +76,8 @@ def test_imf_threshold_depends_on_bin_count():
 def test_a_bin_count_no_array_can_hold_is_a_validation_error(bins):
     # NumPy refuses each of these sizes before it allocates anything
     with pytest.raises(ValidationError) as exc:
-        AssessmentConfig(imf_bins=bins)
-    assert str(exc.value) == f"[oscillation] {bins} bins: not a count an array can hold"
+        imf_threshold(bins, (0.0, 1.5), 10.0)
+    assert str(exc.value) == f"{bins} bins: not a count an array can hold"
 
 
 def test_imf_threshold_is_computed_once_per_grid():
@@ -358,16 +358,8 @@ def test_assess_echoes_the_default_settings(generator_specs):
 
 def test_assess_echoes_the_settings_it_was_given():
     traj = synth_scenario("mixed", osc_params(recovery=0.5, dip=0.3, decay=0.4))
-    config = AssessmentConfig(
-        window_s=2.0, imf_bins=30, imf_lo=0.2, imf_hi=2.0, gamma2=7.0, eq0=0.98
-    )
-    assert assess(traj, config).to_dict()["config"] == {
-        **DEFAULT_ECHO,
-        "window_s": 2.0,
-        "imf_grid": {"bins": 30, "hi": 2.0, "lo": 0.2},
-        "gamma2": 7.0,
-        "eq0": 0.98,
-    }
+    config = AssessmentConfig(window_s=2.0)
+    assert assess(traj, config).to_dict()["config"] == {**DEFAULT_ECHO, "window_s": 2.0}
 
 
 @pytest.mark.parametrize(
@@ -375,17 +367,8 @@ def test_assess_echoes_the_settings_it_was_given():
     [
         (dict(window_s=np.nan), "window_s must be finite, got nan"),
         (dict(window_s=-np.inf), "window_s must be finite, got -inf"),
-        (dict(eq0=np.nan), "eq0 must be finite, got nan"),
-        (dict(imf_bins=2.5), "[oscillation] bins must be an integer, got 2.5"),
-        (dict(imf_bins=2), "[oscillation] need at least 3 bins for the threshold"),
-        (dict(imf_hi=np.inf), "[oscillation] grid range [0.0, inf] must be finite"),
-        (dict(imf_lo=np.nan), "[oscillation] grid range [nan, 1.5] must be finite"),
-        (dict(imf_lo=1.2), "[oscillation] grid must contain the unit divergence factor"),
     ],
-    ids=[
-        "nan-window", "infinite-window", "nan-eq0", "fractional-bins", "two-bins",
-        "infinite-hi", "nan-lo", "unit-factor-outside",
-    ],
+    ids=["nan-window", "infinite-window"],
 )
 def test_config_rejects_a_bad_setting_with_one_validation_error(settings, message):
     with warnings.catch_warnings():
@@ -395,14 +378,32 @@ def test_config_rejects_a_bad_setting_with_one_validation_error(settings, messag
     assert str(err.value) == message
 
 
-def test_config_scores_the_critical_value_that_assess_reads_back():
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ((2.5, (0.0, 1.5)), "bins must be an integer, got 2.5"),
+        ((2, (0.0, 1.5)), "need at least 3 bins for the threshold"),
+        ((20, (0.0, np.inf)), "grid range [0.0, inf] must be finite"),
+        ((20, (np.nan, 1.5)), "grid range [nan, 1.5] must be finite"),
+        ((20, (1.2, 1.5)), "grid must contain the unit divergence factor"),
+    ],
+    ids=["fractional-bins", "two-bins", "infinite-hi", "nan-lo", "unit-factor-outside"],
+)
+def test_imf_threshold_rejects_a_bad_grid_with_one_validation_error(grid, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError) as err:
+            imf_threshold(*grid, 10.0)
+    assert str(err.value) == message
+
+
+def test_assess_scores_the_paper_critical_value_once():
     traj = synth_scenario("mixed", osc_params(recovery=0.5, dip=0.3, decay=0.4))
     indices._imf_threshold.cache_clear()
-    config = AssessmentConfig(imf_bins=24)
-    assert indices._imf_threshold.cache_info().misses == 1
-    result = assess(traj, config)
-    assert indices._imf_threshold.cache_info().misses == 1
-    assert result.oscillation_threshold == imf_threshold(24, (0.0, 1.5), 10.0)
+    for _ in range(2):
+        result = assess(traj, AssessmentConfig())
+        assert indices._imf_threshold.cache_info().misses == 1
+    assert result.oscillation_threshold == imf_threshold(20, (0.0, 1.5), 10.0)
 
 
 def test_assess_json_contract(generator_specs):

@@ -191,12 +191,15 @@ def oracle_stream(args, config):
 
 class Feeder:
     """stdin that counts the data rows it has handed out: ``lines`` is a
-    list of lines, or the bytes of an input, which are read as strict
-    UTF-8 with universal newlines, as the CLI reads stdin."""
+    list of lines, or the bytes of an input, which are read as UTF-8 with
+    each bad byte escaped and with universal newlines, as the CLI reads
+    stdin."""
 
     def __init__(self, lines):
         if isinstance(lines, bytes):
-            self._lines = io.TextIOWrapper(io.BytesIO(lines), encoding="utf-8")
+            self._lines = io.TextIOWrapper(
+                io.BytesIO(lines), encoding="utf-8", errors="surrogateescape"
+            )
         else:
             self._lines = iter(line + "\n" for line in lines)
         self.handed = 0
@@ -636,6 +639,42 @@ def test_a_pickup_time_too_late_to_sample_stops_the_stream_once(tmp_path, with_t
     assert err.endswith(f"{line[6:]}; no later row can change it, so the stream stops\n")
     assert err.count("too late") == 1
     assert err.count("\n") == 1 + (not with_t0)  # and "no fault signature" once
+
+
+def with_column(lines, name, rows, value):
+    """``lines`` with ``name`` set to ``value`` in the data rows ``rows``."""
+    col = lines[0].split(",").index(name)
+    edited = list(lines)
+    for row in rows:
+        cells = edited[row + 1].split(",")
+        cells[col] = value
+        edited[row + 1] = ",".join(cells)
+    return edited
+
+
+def test_a_bad_q_sample_in_a_fixed_window_stops_the_stream_once(tmp_path):
+    gens = tmp_path / "gens.ini"
+    gens.write_text(
+        "[G1]\nxd_prime = 0.25\np_active = 0.85\npickup = 0.9977830363632773@20.0\n"
+    )
+    lines = with_column(record_lines("mixed"), "Q:G1", range(59, 199), "nan")
+    path = tmp_path / "m.csv"
+    path.write_text("\n".join(lines) + "\n")
+    flags = ["--gen-config", str(gens), "--t0", "1.1"]
+    code, out, err, _ = stream(["assess", "--in", str(path), *flags], [])
+    line = (
+        "stvs: [recovery:G1] Q-V fit is not finite: a V or Q sample is not finite "
+        "or too large"
+    )
+    assert (code, out, err) == (1, "", line + "\n")
+    # was the same line on every report-due row, and exit 0
+    code, out, err, _ = stream(["assess", "--stream", *flags], lines)
+    assert (code, out) == (1, "")
+    assert err == f"{line}; no later row can change it, so the stream stops\n"
+    # without --t0 the window may still move past the bad samples
+    code, out, err, _ = stream(["assess", "--stream", *flags[:2]], lines)
+    assert (code, out) == (0, "")
+    assert err.count(line) > 1 and "stops" not in err
 
 
 # -- fault-signature tracking -------------------------------------------------------
