@@ -152,7 +152,6 @@ def _build_parser() -> _Parser:
     p_syn.add_argument("params", nargs="*", metavar="key=value",
                        help="scenario parameter overrides")
     p_syn.add_argument("--out", dest="output")
-    p_syn.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -283,8 +282,8 @@ def _cmd_exponents(args) -> int:
     if result.oscillation.series is not None:
         lines += _exponent_rows("imf", result.oscillation.series)
     for g in result.per_generator:
-        if g.recovery.series is not None:
-            lines += _exponent_rows(f"R:{g.id}", g.recovery.series)
+        if g.series is not None:
+            lines += _exponent_rows(f"R:{g.id}", g.series)
     _emit("\n".join(lines), args.output)
     return 0
 
@@ -338,7 +337,7 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    overrides: dict = {"seed": args.seed}
+    overrides: dict = {}
     for item in args.params:
         if "=" not in item:
             raise ValidationError(f"scenario parameter must be key=value: {item!r}")

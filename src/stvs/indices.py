@@ -20,11 +20,13 @@ inside ``assess``, as each critical signal is in the tuner, through
 
 ``AssessmentConfig`` carries what a run may set: the analysis window
 and the generators' machine data.  The method's fixed choices (the
-frequency band, the embedding dimension, the IMF and recovery grids,
-the oscillation reference shape gamma2, the untuned Gompertz shape and
-the pre-fault lookback) are the module constants below, and ``oel`` and
-``emd`` hold those of the tuner and of the sifting.  Each channel
-recovers toward its own pre-fault voltage V_pre.
+frequency band, the embedding dimension, the IMF grid, the oscillation
+reference shape gamma2, the untuned Gompertz shape and the pre-fault
+lookback) are the module constants below, read where they are used and
+never passed in; ``oel`` holds those of the recovery grid and the tuner,
+and ``emd`` those of the sifting.  Each channel recovers toward its own
+pre-fault voltage V_pre, and each generator's ``GeneratorAssessment``
+holds its index, dip weight and exponent series.
 """
 
 from __future__ import annotations
@@ -65,16 +67,14 @@ NO_OSC_TAG = "no oscillatory content"
 # in BAND_HZ feed the oscillation index, embedded in EMBED_M dimensions
 # at most, and scored on the IMF histogram grid (bins, lo, hi) against
 # the Gompertz reference of shape GAMMA2: the paper's grid, whose
-# critical value is 2.07.  The recovery grid has twice its resolution on
-# the same range, so nearby recovery rates land in distinct bins.  A
-# generator without a tuned threshold is scored on the default Gompertz
-# shape (gamma1, x*).  With no explicit pre-fault voltage, V_pre is the
-# mean over LOOKBACK_S before fault onset.
+# critical value is 2.07.  A generator without a tuned threshold is
+# scored on ``oel.REC_GRID`` with the default Gompertz shape (gamma1, x*).
+# With no explicit pre-fault voltage, V_pre is the mean over LOOKBACK_S
+# before fault onset.
 BAND_HZ = (0.0, 10.0)
 EMBED_M = 4
 IMF_GRID = (20, 0.0, 1.5)
 GAMMA2 = 10.0
-REC_GRID = (40, 0.0, 1.5)
 GAMMA1_DEFAULT = 10.0
 X_STAR_DEFAULT = 1.05
 LOOKBACK_S = 0.5
@@ -105,7 +105,7 @@ class AssessmentConfig:
             "window_s": self.window_s,
             "gamma2": GAMMA2,
             "imf_grid": dict(zip(("bins", "lo", "hi"), IMF_GRID)),
-            "rec_grid": dict(zip(("bins", "lo", "hi"), REC_GRID)),
+            "rec_grid": dict(zip(("bins", "lo", "hi"), oel.REC_GRID)),
             "band_hz": list(BAND_HZ),
             "gamma1_default": GAMMA1_DEFAULT,
             "x_star_default": X_STAR_DEFAULT,
@@ -127,37 +127,24 @@ class OscillationResult:
 
 
 @dataclass(frozen=True)
-class RecoveryResult:
-    """Per-generator recovery index D = dip_depth * KL."""
-
-    value: float
-    delta_r0: float
-    note: str | None = None
-    series: ExponentSeries | None = None
-
-
-@dataclass(frozen=True)
 class GeneratorAssessment:
     """One generator's verdict with the intermediates that drove it.
 
+    ``index`` is the recovery index D = delta_r0 x KL, ``delta_r0`` the
+    dip depth |V_pre - R(t0)| and ``series`` the residual's recovery
+    exponents, None when it never dipped (which scores 0).
     ``characteristic`` is None without machine data or without a dip;
     ``tuning`` is None unless the recovery threshold was tuned.
     """
 
     id: str
-    recovery: RecoveryResult
+    index: float
+    delta_r0: float
+    series: ExponentSeries | None
     margin: float | None
     classification: str
     characteristic: oel.OELCharacteristic | None = None
     tuning: oel.TuningResult | None = None
-
-    @property
-    def index(self) -> float:
-        return self.recovery.value
-
-    @property
-    def delta_r0(self) -> float:
-        return self.recovery.delta_r0
 
     @property
     def threshold(self) -> float | None:
@@ -259,6 +246,8 @@ def _imf_threshold(bins: int, lo: float, hi: float, gamma2: float) -> float:
         raise ValidationError(f"grid range [{lo}, {hi}] must be finite")
     if not lo < hi:
         raise ValidationError(f"invalid range [{lo}, {hi}]")
+    if not math.isfinite(hi - lo):  # np.linspace would overflow on the width
+        raise ValidationError(f"grid range [{lo}, {hi}] is wider than a float can hold")
     try:
         edges = np.linspace(lo, hi, bins + 1)
     except (MemoryError, ValueError) as exc:  # NumPy refuses the size at once
@@ -295,18 +284,14 @@ def _embedding_parameters(
     return m, tau
 
 
-def oscillation_index(
-    decomp: DecompositionResult,
-    gamma2: float,
-    grid: tuple[int, float, float],
-) -> OscillationResult:
+def oscillation_index(decomp: DecompositionResult) -> OscillationResult:
     """System-level oscillation index from the retained IMFs.
 
     Pipeline: per-channel IMF sums -> unit-RMS normalization -> ROCOV
     augmentation -> delay embedding -> amplitude-ratio divergence
-    exponents of the embedded state -> divergence-factor histogram ->
-    KL distance to the Gompertz reference with shift 1, through
-    ``distribution.kl_index``.
+    exponents of the embedded state -> divergence-factor histogram on
+    ``IMF_GRID`` -> KL distance to the Gompertz reference of shape
+    ``GAMMA2`` with shift 1, through ``distribution.kl_index``.
 
     The exponent series measures the embedded oscillation state against
     the oscillation-free equilibrium (the origin), mirroring the
@@ -331,7 +316,7 @@ def oscillation_index(
     m_use, tau = _embedding_parameters(len(states), period)
     emb = delay_embed(states, m=m_use, tau=tau, dt=decomp.dt)
     series = fsle_oscillation_series(emb, anchor_window=period)
-    kl = kl_index(series.divergence_factors, grid, [gamma2], [OSC_X_STAR])
+    kl = kl_index(series.divergence_factors, IMF_GRID, [GAMMA2], [OSC_X_STAR])
     return OscillationResult(value=float(kl[0, 0]), series=series)
 
 
@@ -401,24 +386,20 @@ def _assess_generator(
             label = "trip"
         else:
             n = critical.window_samples
-            tuning = oel.tune_gamma(
-                critical.s1[:n], critical.s2[:n], v_pre, v_pre, dt, REC_GRID
-            )
+            tuning = oel.tune_gamma(critical.s1[:n], critical.s2[:n], v_pre, dt)
             gamma1, x_star = tuning.gamma1, tuning.x_star
 
     delta_r0 = abs(v_pre - float(residual[0]))
-    value = oel.recovery_scores(series, delta_r0, REC_GRID, [gamma1], [x_star])[0, 0]
-    note = "no dip" if series is None else None
-    result = RecoveryResult(float(value), delta_r0, note, series)
+    index = float(oel.recovery_scores(series, delta_r0, [gamma1], [x_star])[0, 0])
     margin = None
     if tuning is not None:
-        verdict, margin = classify(
-            result.value, tuning.d_critical_r, tuning.epsilon
-        )
+        verdict, margin = classify(index, tuning.d_critical_r, tuning.epsilon)
         label = _RECOVERY_LABEL[verdict]
     return GeneratorAssessment(
         id=gen_id,
-        recovery=result,
+        index=index,
+        delta_r0=delta_r0,
+        series=series,
         margin=margin,
         classification=label,
         characteristic=charac,
@@ -445,7 +426,7 @@ def assess(
     decomp = stage("emd", decompose, window)
     retained = stage("emd", filter_imfs_by_frequency, decomp, BAND_HZ)
 
-    osc = stage("oscillation", oscillation_index, retained, GAMMA2, IMF_GRID)
+    osc = stage("oscillation", oscillation_index, retained)
     bins, lo, hi = IMF_GRID
     threshold = stage("oscillation", imf_threshold, bins, (lo, hi), GAMMA2)
     osc_label, osc_margin = classify(osc.value, threshold)

@@ -14,7 +14,8 @@ measured residual with the extreme observed recovery exponents and
 shifting the curves into tangency with the (V_cap, t) characteristic.
 The Gompertz shape parameters (gamma1, x*) are then tuned so both
 critical signals score the same recovery index; their midpoint is the
-recovery threshold.
+recovery threshold.  Every recovery index, the measured residual's and
+both critical signals', is scored on the fixed ``REC_GRID``.
 """
 
 from __future__ import annotations
@@ -39,8 +40,11 @@ from .lyapunov import ExponentSeries, fsle_residual_series
 V_CAP_RANGE = (0.0, 2.0)  # physically admissible per-unit root window
 _RESIDUAL_TOL = 1e-9
 
-# The (gamma1, x*) tuning grid: geometric in gamma1, linear in x*, each
-# as (lo, hi, points).
+# The recovery histogram grid (bins, lo, hi) has twice the oscillation
+# grid's resolution, so nearby recovery rates land in distinct bins.  The
+# (gamma1, x*) tuning grid is geometric in gamma1, linear in x*, each as
+# (lo, hi, points).
+REC_GRID = (40, 0.0, 1.5)
 GAMMA1_RANGE = (1.0, 200.0, 40)
 X_STAR_RANGE = (0.8, 1.3, 26)
 # The critical signals run this far past the latest pickup delay.
@@ -359,18 +363,18 @@ def construct_critical_signals(
 def recovery_scores(
     series: ExponentSeries | None,
     delta_r0: float,
-    grid: tuple[int, float, float],
     gammas: np.ndarray,
     x_stars: np.ndarray,
 ) -> np.ndarray:
     """Recovery index D = delta_r0 * KL over a (gamma1, x*) grid.
 
     ``delta_r0`` is the dip weight |V_pre - R(t0)| and ``series`` the
-    residual's recovery exponents; None (no dip) scores 0 everywhere.
+    residual's recovery exponents, histogrammed on ``REC_GRID``; None
+    (no dip) scores 0 everywhere.
     """
     if series is None:
         return np.zeros((len(gammas), len(x_stars)))
-    return delta_r0 * kl_index(series.divergence_factors, grid, gammas, x_stars)
+    return delta_r0 * kl_index(series.divergence_factors, REC_GRID, gammas, x_stars)
 
 
 @lru_cache(maxsize=1)
@@ -385,10 +389,8 @@ def _default_grids() -> tuple[np.ndarray, np.ndarray]:
 def tune_gamma(
     s1: np.ndarray,
     s2: np.ndarray,
-    eq0: float,
     v_pre: float,
     dt: float,
-    grid: tuple[int, float, float],
     gamma1_grid: np.ndarray | None = None,
     x_star_grid: np.ndarray | None = None,
 ) -> TuningResult:
@@ -399,9 +401,10 @@ def tune_gamma(
     points within f* + f*.  The grids default to ``GAMMA1_RANGE`` and
     ``X_STAR_RANGE``, built once and kept read-only.  The recovery
     threshold is the s1/s2 index midpoint at the selected point.  Each
-    critical signal is scored over the whole grid by ``recovery_scores``,
-    the measured residual's rule, against the reference table cached per
-    grid and shared by every generator.
+    critical signal recovers toward ``v_pre`` and is scored over the
+    whole grid by ``recovery_scores``, the measured residual's rule,
+    against the reference table cached per grid and shared by every
+    generator.
     """
     default_gammas, default_x_stars = _default_grids()
     if gamma1_grid is None:
@@ -414,9 +417,9 @@ def tune_gamma(
         raise ValidationError("empty tuning search grid")
 
     def scores(signal: np.ndarray) -> np.ndarray:
-        series = fsle_residual_series(signal, eq0=eq0, dt=dt)
+        series = fsle_residual_series(signal, eq0=v_pre, dt=dt)
         delta_r0 = abs(v_pre - float(signal[0]))
-        return recovery_scores(series, delta_r0, grid, gamma1_grid, x_star_grid)
+        return recovery_scores(series, delta_r0, gamma1_grid, x_star_grid)
 
     d1, d2 = scores(s1), scores(s2)
     diff = np.abs(d1 - d2)

@@ -155,7 +155,8 @@ def synth_scenario(kind: str, params: ScenarioParams | None = None) -> VoltageTr
     post-fault records; disabled by default so the base formulas above
     hold exactly).  Reactive power channels follow Q = (V - k2) / k1 so
     the Q-V relation used by threshold derivation is identifiable from
-    the output.
+    the output.  A voltage or a Q that is not finite (k1 = 0, say) is a
+    ``ValidationError``, and so is a negative ``noise_sigma``.
     """
     p = params or ScenarioParams()
     if kind not in SCENARIO_KINDS:
@@ -166,7 +167,7 @@ def synth_scenario(kind: str, params: ScenarioParams | None = None) -> VoltageTr
         raise ValidationError("fault level must sit below nominal")
     if p.n_channels < 1 or p.fs <= 0 or p.post_s <= 0:
         raise ValidationError("bad scenario geometry")
-    for name in ("prefault_s", "fault_s", "seed"):
+    for name in ("prefault_s", "fault_s", "noise_sigma", "seed"):
         if getattr(p, name) < 0:
             raise ValidationError(f"{name} must not be negative, got {getattr(p, name)}")
     n_samples = (p.prefault_s + p.fault_s + p.post_s) * p.fs
@@ -178,7 +179,9 @@ def synth_scenario(kind: str, params: ScenarioParams | None = None) -> VoltageTr
     if not n_samples <= np.iinfo(np.intp).max:
         raise ValidationError(too_many)
     try:
-        return _scenario(kind, p)
+        # a voltage or Q past float range is reported by _scenario, not warned about
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return _scenario(kind, p)
     except MemoryError as exc:  # NumPy refuses a size it cannot allocate at once
         raise ValidationError(too_many) from exc
 
@@ -235,7 +238,16 @@ def _scenario(kind: str, p: ScenarioParams) -> VoltageTrajectory:
         )
         if p.noise_sigma > 0:
             v = v + rng.normal(0.0, p.noise_sigma, size=v.size)
+        if not np.isfinite(v).all():
+            raise ValidationError(
+                f"the {kind} voltage is not finite: a parameter takes it past float range"
+            )
         q = (v - p.k2) / p.k1
+        if not np.isfinite(q).all():
+            raise ValidationError(
+                f"k1 = {p.k1!r} and k2 = {p.k2!r} give a Q = (V - k2)/k1 "
+                "that is not finite"
+            )
         channels.append(Channel(id=f"G{m + 1}", voltage=v, reactive_power=q))
 
     traj = VoltageTrajectory(

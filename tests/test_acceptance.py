@@ -175,13 +175,12 @@ def test_criterion_5_kl_properties(capsys):
 
 def test_criterion_6_index_monotonicity(capsys):
     watch = Stopwatch(20.0)
-    grid = (20, 0.0, 1.5)
     osc_values = []
     for decay in (0.05, 0.1, 0.2, 0.4, 0.8):
         traj = synth_scenario("stable-osc", osc_params(decay=decay))
         window = extract_post_fault_window(traj, 3.0)
         decomp = filter_imfs_by_frequency(decompose(window), (0.0, 10.0))
-        osc_values.append(oscillation_index(decomp, 10.0, grid).value)
+        osc_values.append(oscillation_index(decomp).value)
     assert all(a > b for a, b in zip(osc_values, osc_values[1:]))
 
     rec_values = []
@@ -193,7 +192,7 @@ def test_criterion_6_index_monotonicity(capsys):
         residual = decomp.residuals[0]
         series = fsle_residual_series(residual, eq0=1.0, dt=window.dt)
         weight = abs(1.0 - residual[0])
-        rec_values.append(recovery_scores(series, weight, (40, 0.0, 1.5), *shape)[0, 0])
+        rec_values.append(recovery_scores(series, weight, *shape)[0, 0])
     assert all(a > b for a, b in zip(rec_values, rec_values[1:]))
     elapsed = watch.check()
     with capsys.disabled():
@@ -318,7 +317,7 @@ def test_criterion_10_tuner_oracle(capsys):
     grid = (40, 0.0, 1.5)
     gammas = np.geomspace(1.0, 200.0, 40)
     x_stars = np.linspace(0.8, 1.3, 26)
-    result = tune_gamma(s1, s2, 1.0, 1.0, dt, grid, gamma1_grid=gammas, x_star_grid=x_stars)
+    result = tune_gamma(s1, s2, 1.0, dt, gamma1_grid=gammas, x_star_grid=x_stars)
 
     def index_of(signal, gamma, x_star):
         series = fsle_residual_series(signal, eq0=1.0, dt=dt)
@@ -339,7 +338,7 @@ def test_criterion_10_tuner_oracle(capsys):
     assert result.gamma1 == pytest.approx(best[0], rel=1e-12)
 
     fine = tune_gamma(
-        s1, s2, 1.0, 1.0, dt, grid,
+        s1, s2, 1.0, dt,
         gamma1_grid=np.geomspace(1.0, 200.0, 118),
         x_star_grid=np.linspace(0.8, 1.3, 76),
     )

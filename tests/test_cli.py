@@ -404,6 +404,7 @@ def repro_files(tmp_path):
 OUTSIDE = "[ingest] m.csv: fault clear time 1e+308 s outside the record [0.0, 4.1] s"
 REPEATED = "repeated column 'V:G1' in the header"
 TOO_MANY = "fs x (prefault_s + fault_s + post_s) is"
+QV_BROKEN = "give a Q = (V - k2)/k1 that is not finite"
 
 
 @pytest.mark.parametrize(
@@ -415,12 +416,17 @@ TOO_MANY = "fs x (prefault_s + fault_s + post_s) is"
         (["tune", "--in", "m.csv", "--t0", "1e308", "--gen-config", "gens.ini"], None,
          OUTSIDE),
         (["synth", "mixed", "seed=-1"], None, "seed must not be negative, got -1"),
-        (["synth", "mixed", "--seed", "-1"], None, "seed must not be negative, got -1"),
         (["synth", "mixed", "prefault_s=-1"], None,
          "prefault_s must not be negative, got -1.0"),
         (["synth", "mixed", "fault_s=-1"], None, "fault_s must not be negative, got -1.0"),
         (["synth", "mixed", "fs=1e308"], None, f"{TOO_MANY} inf samples"),
         (["synth", "mixed", "fs=1e300"], None, f"{TOO_MANY} 4.1e+300 samples"),
+        (["synth", "mixed", "k1=0"], None, f"k1 = 0.0 and k2 = 0.9 {QV_BROKEN}"),
+        (["synth", "mixed", "k1=1e-320"], None, f"k1 = 1e-320 and k2 = 0.9 {QV_BROKEN}"),
+        (["synth", "mixed", "k2=1e308"], None, f"k1 = 0.5 and k2 = 1e+308 {QV_BROKEN}"),
+        (["synth", "mixed", "noise_sigma=-0.1"], None,
+         "noise_sigma must not be negative, got -0.1"),
+        (["synth", "growing-osc", "growth=1e3"], None, "the growing-osc voltage is not finite"),
         (["assess", "--in", "dup.csv", "--t0", "1.1"], None,
          f"[ingest] dup.csv: {REPEATED}"),
         (["assess", "--stream", "--t0", "1.1"], "dup.csv", f"[ingest] <stdin>: {REPEATED}"),
@@ -436,12 +442,15 @@ TOO_MANY = "fs x (prefault_s + fault_s + post_s) is"
     ],
     ids=[
         "assess-t0-overflow", "decompose-t0-overflow", "exponents-t0-overflow",
-        "tune-t0-overflow", "synth-seed-param", "synth-seed-flag", "synth-prefault",
+        "tune-t0-overflow", "synth-seed-param", "synth-prefault",
         "synth-fault", "synth-fs-overflow", "synth-fs-too-many-samples",
+        "synth-k1-zero", "synth-k1-subnormal", "synth-k2-huge", "synth-negative-noise",
+        "synth-growth-overflow",
         "duplicate-column", "duplicate-column-stream", "duplicate-column-stream-no-t0",
         "empty-id", "empty-id-stream", "second-time", "second-time-stream",
     ],
 )
+@pytest.mark.filterwarnings("error")  # a NumPy warning is not the one line
 def test_a_bad_t0_synth_parameter_or_header_is_one_line_and_exit_1(
     monkeypatch, capsys, tmp_path, argv, stdin, named
 ):
@@ -561,7 +570,7 @@ def test_exponents_print_the_series_assess_scored(capsys, tmp_path):
         f"R:{g.id}" for g in result.per_generator
     }
     for g in result.per_generator:
-        series = g.recovery.series
+        series = g.series
         assert rows[f"R:{g.id}"] == [
             [str(k), repr(float(k * series.dt)), repr(float(lam)), repr(float(f))]
             for k, lam, f in zip(
@@ -683,8 +692,8 @@ def test_synth_writes_loadable_scenario(tmp_path, capsys):
     code = run(
         [
             "synth", "stable-osc",
-            "decay=0.4", "freq_hz=4.8", "ambient_amp=0.005", "tr_amp=0.01",
-            "--out", str(out), "--seed", "1",
+            "decay=0.4", "freq_hz=4.8", "ambient_amp=0.005", "tr_amp=0.01", "seed=1",
+            "--out", str(out),
         ]
     )
     assert code == 0
@@ -694,7 +703,7 @@ def test_synth_writes_loadable_scenario(tmp_path, capsys):
 
 
 def test_synth_stdout_equals_the_out_file(tmp_path, capsys):
-    argv = ["synth", "mixed", "n_channels=2", "noise_sigma=0.001", "--seed", "3"]
+    argv = ["synth", "mixed", "n_channels=2", "noise_sigma=0.001", "seed=3"]
     assert run(argv) == 0
     printed = capsys.readouterr().out
     out = tmp_path / "case.csv"
@@ -821,8 +830,8 @@ def test_stream_drops_a_row_with_missing_columns(monkeypatch, capsys):
 
 
 def synth_cli_rows(capsys, kind="mixed", seed=1):
-    """Rows as `stvs synth KIND --seed SEED` prints them."""
-    assert run(["synth", kind, "--seed", str(seed)]) == 0
+    """Rows as `stvs synth KIND seed=SEED` prints them."""
+    assert run(["synth", kind, f"seed={seed}"]) == 0
     return capsys.readouterr().out.strip().splitlines()
 
 
@@ -1009,8 +1018,10 @@ def test_a_negative_number_with_an_exponent_is_a_value_as_after_equals(
         ("thresholds", ["--bins", "2"], "need at least 3 bins for the threshold"),
         ("thresholds", ["--bins", "3", "--lo", "0.9", "--hi", "1.1"],
          "grid leaves no room below the unit factor"),
+        ("thresholds", ["--lo", "-1e308", "--hi", "1e308"],
+         "grid range [-1e+308, 1e+308] is wider than a float can hold"),
     ],
-    ids=["decompose-window", "thresholds-bins", "thresholds-grid"],
+    ids=["decompose-window", "thresholds-bins", "thresholds-grid", "thresholds-width"],
 )
 def test_decompose_and_thresholds_print_the_staged_line_of_assess(
     short_record, command, flags, want
@@ -1020,8 +1031,8 @@ def test_decompose_and_thresholds_print_the_staged_line_of_assess(
         assert got == run_in_process(command_argv("assess", short_record) + flags)
     else:
         assert got[2] == f"stvs: [oscillation] {want}\n"
-    code, out, err, _ = got
-    assert (code, out) == (1, "")
+    code, out, err, caught = got
+    assert (code, out, caught) == (1, "", [])
     assert re.fullmatch(r"stvs: \[(ingest|oscillation)\] [^\n]*\n", err)
 
 
@@ -1183,6 +1194,15 @@ def test_a_synth_sample_count_numpy_refuses_is_one_line(param, samples):
         f"count an array can hold\n",
         [],
     )
+
+
+def test_a_synth_seed_is_one_key_value_setting(capsys):
+    want = io.StringIO()
+    write_trajectory(synth_scenario("mixed", ScenarioParams(noise_sigma=0.001, seed=5)), want)
+    assert run(["synth", "mixed", "noise_sigma=0.001", "seed=5"]) == 0
+    assert capsys.readouterr().out == want.getvalue()
+    argv = ["synth", "mixed", "noise_sigma=0.001", "seed=5", "--seed", "1"]
+    assert run_in_process(argv) == (1, "", "stvs: unrecognized arguments: --seed 1\n", [])
 
 
 @pytest.mark.parametrize("command", ["assess", "decompose", "exponents", "tune"])

@@ -15,6 +15,7 @@ from stvs.emd import (
 )
 from stvs.errors import ValidationError
 from stvs.indices import (
+    IMF_GRID,
     NO_OSC_TAG,
     AssessmentConfig,
     assess,
@@ -24,17 +25,15 @@ from stvs.indices import (
 )
 from stvs.ingest import Channel, VoltageTrajectory, extract_post_fault_window
 from stvs.lyapunov import fsle_residual_series
+from stvs.oel import REC_GRID
 from stvs.synth import ScenarioParams, synth_scenario
-
-IMF_GRID = (20, 0.0, 1.5)
-REC_GRID = (40, 0.0, 1.5)
 
 
 def osc_index_for(kind, window=3.0, **overrides):
     traj = synth_scenario(kind, osc_params(**overrides))
     w = extract_post_fault_window(traj, window)
     decomp = filter_imfs_by_frequency(decompose(w), (0.0, 10.0))
-    return oscillation_index(decomp, 10.0, IMF_GRID)
+    return oscillation_index(decomp)
 
 
 def residual_for(kind, **overrides):
@@ -49,7 +48,7 @@ def recovery_value(residual, dt):
     the default Gompertz shape."""
     series = fsle_residual_series(residual, eq0=1.0, dt=dt)
     shape = [indices.GAMMA1_DEFAULT], [indices.X_STAR_DEFAULT]
-    return oel.recovery_scores(series, abs(1.0 - residual[0]), REC_GRID, *shape)[0, 0]
+    return oel.recovery_scores(series, abs(1.0 - residual[0]), *shape)[0, 0]
 
 
 # -- critical oscillation value ---------------------------------------------------
@@ -136,7 +135,7 @@ def test_oscillation_index_no_imfs_is_tagged_zero():
         channels=(Channel(id="A", voltage=np.full(150, 1.0)),), dt=0.02
     )
     decomp = decompose(traj)
-    result = oscillation_index(decomp, 10.0, IMF_GRID)
+    result = oscillation_index(decomp)
     assert result.value == 0.0
     assert result.note == NO_OSC_TAG
 
@@ -162,7 +161,7 @@ def test_imf_without_zero_crossing_embeds_with_unit_delay(monkeypatch):
         return embed(states, m=m, tau=tau, dt=dt)
 
     monkeypatch.setattr(indices, "delay_embed", recording)
-    result = oscillation_index(decomp, 10.0, IMF_GRID)
+    result = oscillation_index(decomp)
     assert taus == [1]
     assert result.note is None and np.isfinite(result.value)
 
@@ -251,7 +250,7 @@ def test_recovery_index_zero_without_dip():
     assert recovery_value(residual, dt) == 0.0
     result = assess(synth_scenario("fast-recovery", ScenarioParams(dip=0.0)))
     for g in result.per_generator:
-        assert (g.index, g.recovery.note, g.classification) == (0.0, "no dip", "non-trip")
+        assert (g.index, g.series, g.classification) == (0.0, None, "non-trip")
 
 
 def test_recovery_index_orders_fast_slow_stalled():

@@ -32,6 +32,7 @@ from stvs.oel import (
     build_characteristic,
     construct_critical_signals,
     fit_qv,
+    REC_GRID,
     load_generator_config,
     tune_gamma,
     voltage_cap,
@@ -349,7 +350,7 @@ def _critical_pair(rate_slow=0.12, rate_fast=0.5, dip=0.25):
 
 def test_tune_identical_signals():
     s1, _ = _critical_pair()
-    result = tune_gamma(s1, s1.copy(), 1.0, 1.0, DT, (40, 0.0, 1.5))
+    result = tune_gamma(s1, s1.copy(), 1.0, DT)
     assert result.f_star == 0.0
     assert result.gamma1 == 1.0  # smallest gamma in the default range
     assert result.d_critical_r == pytest.approx(result.d_s1)
@@ -357,16 +358,14 @@ def test_tune_identical_signals():
 
 def test_tune_matches_exhaustive_oracle():
     s1, s2 = _critical_pair()
-    grid = (40, 0.0, 1.5)
     gammas = np.geomspace(1.0, 200.0, 40)
     x_stars = np.linspace(0.8, 1.3, 26)
-    result = tune_gamma(s1, s2, 1.0, 1.0, DT, grid,
-                        gamma1_grid=gammas, x_star_grid=x_stars)
+    result = tune_gamma(s1, s2, 1.0, DT, gamma1_grid=gammas, x_star_grid=x_stars)
 
     # independent exhaustive search over the same grid
     def index_of(signal, gamma, x_star):
         series = fsle_residual_series(signal, eq0=1.0, dt=DT)
-        kl = kl_index_oracle(series.divergence_factors, grid, gamma, x_star)
+        kl = kl_index_oracle(series.divergence_factors, REC_GRID, gamma, x_star)
         return abs(1.0 - signal[0]) * kl
 
     table = {}
@@ -383,10 +382,9 @@ def test_tune_matches_exhaustive_oracle():
 
 def test_tune_fine_grid_confirms_selection():
     s1, s2 = _critical_pair()
-    grid = (40, 0.0, 1.5)
-    coarse = tune_gamma(s1, s2, 1.0, 1.0, DT, grid)
+    coarse = tune_gamma(s1, s2, 1.0, DT)
     fine = tune_gamma(
-        s1, s2, 1.0, 1.0, DT, grid,
+        s1, s2, 1.0, DT,
         gamma1_grid=np.geomspace(1.0, 200.0, 118),
         x_star_grid=np.linspace(0.8, 1.3, 76),
     )
@@ -398,14 +396,14 @@ def test_tune_fine_grid_confirms_selection():
 
 def test_tune_midpoint_brackets_threshold():
     s1, s2 = _critical_pair()
-    result = tune_gamma(s1, s2, 1.0, 1.0, DT, (40, 0.0, 1.5))
+    result = tune_gamma(s1, s2, 1.0, DT)
     lo, hi = sorted([result.d_s1, result.d_s2])
     assert lo <= result.d_critical_r <= hi
 
 
 def test_tuned_signals_sit_in_the_critical_band():
     s1, s2 = _critical_pair()
-    result = tune_gamma(s1, s2, 1.0, 1.0, DT, (40, 0.0, 1.5))
+    result = tune_gamma(s1, s2, 1.0, DT)
     for d in (result.d_s1, result.d_s2):
         label, _ = classify(d, result.d_critical_r, result.epsilon)
         assert label == "critical"
@@ -424,30 +422,29 @@ def test_tuned_indices_are_the_recovery_index_at_the_tuned_shape(pair):
     # the tuner scores each critical signal by the rule assess scores the
     # measured residual by, at one shape, so the two agree bit for bit
     s1, s2 = pair
-    grid = (40, 0.0, 1.5)
-    result = tune_gamma(s1, s2, 1.0, 1.0, DT, grid)
+    result = tune_gamma(s1, s2, 1.0, DT)
     shape = [result.gamma1], [result.x_star]
     for signal, d in ((s1, result.d_s1), (s2, result.d_s2)):
         series = fsle_residual_series(signal, eq0=1.0, dt=DT)
         weight = abs(1.0 - float(signal[0]))
-        assert oel.recovery_scores(series, weight, grid, *shape)[0, 0] == d
+        assert oel.recovery_scores(series, weight, *shape)[0, 0] == d
 
 
-def loop_tune(s1, s2, eq0, v_pre, dt, grid, gamma1_grid=None, x_star_grid=None):
+def loop_tune(s1, s2, v_pre, dt, gamma1_grid=None, x_star_grid=None):
     """Point-by-point search over the grid, one reference per point."""
     gammas = np.geomspace(1.0, 200.0, 40) if gamma1_grid is None else gamma1_grid
     x_stars = np.linspace(0.8, 1.3, 26) if x_star_grid is None else x_star_grid
 
     def score(signal):
         weight = abs(v_pre - float(signal[0]))
-        series = fsle_residual_series(signal, eq0=eq0, dt=dt)
+        series = fsle_residual_series(signal, eq0=v_pre, dt=dt)
         if series is None:
             return weight, None
-        counts, _ = histogram_oracle(series.divergence_factors, *grid)
+        counts, _ = histogram_oracle(series.divergence_factors, *REC_GRID)
         return weight, counts / counts.sum()
 
     (w1, p1), (w2, p2) = score(s1), score(s2)
-    bins, lo, hi = grid
+    bins, lo, hi = REC_GRID
     edges = np.linspace(lo, hi, bins + 1)
     d1 = np.zeros((gammas.size, x_stars.size))
     d2 = np.zeros_like(d1)
@@ -487,20 +484,16 @@ def loop_tune(s1, s2, eq0, v_pre, dt, grid, gamma1_grid=None, x_star_grid=None):
 )
 def test_tune_equals_loop_oracle(pair):
     s1, s2 = pair
-    grid = (40, 0.0, 1.5)
-    assert tune_gamma(s1, s2, 1.0, 1.0, DT, grid) == loop_tune(s1, s2, 1.0, 1.0, DT, grid)
+    assert tune_gamma(s1, s2, 1.0, DT) == loop_tune(s1, s2, 1.0, DT)
 
 
 def test_tune_equals_loop_oracle_on_fine_grid():
     s1, s2 = _critical_pair()
-    grid = (40, 0.0, 1.5)
     fine = dict(
         gamma1_grid=np.geomspace(1.0, 200.0, 118),
         x_star_grid=np.linspace(0.8, 1.3, 76),
     )
-    assert tune_gamma(s1, s2, 1.0, 1.0, DT, grid, **fine) == loop_tune(
-        s1, s2, 1.0, 1.0, DT, grid, **fine
-    )
+    assert tune_gamma(s1, s2, 1.0, DT, **fine) == loop_tune(s1, s2, 1.0, DT, **fine)
 
 
 def test_tune_equals_loop_oracle_on_recorded_pairs(monkeypatch, generator_specs):
@@ -534,15 +527,14 @@ def test_tune_equals_loop_oracle_on_recorded_pairs(monkeypatch, generator_specs)
 
 
 def test_tuner_reference_table_is_built_once_per_grid_and_read_only():
-    grid = (40, 0.0, 1.5)
     gammas = np.geomspace(1.0, 200.0, 40)
     x_stars = np.linspace(0.8, 1.3, 26)
     edges = np.linspace(0.0, 1.5, 41)
     cache = distribution._reference_table
     s1, s2 = _critical_pair()
-    tune_gamma(s1, s2, 1.0, 1.0, DT, grid)
+    tune_gamma(s1, s2, 1.0, DT)
     before = cache.cache_info()
-    tune_gamma(*_critical_pair(rate_slow=0.05, rate_fast=0.9), 1.0, 1.0, DT, grid)
+    tune_gamma(*_critical_pair(rate_slow=0.05, rate_fast=0.9), 1.0, DT)
     after = cache.cache_info()
     # one lookup per critical signal, both served from the one table
     assert (after.hits, after.misses) == (before.hits + 2, before.misses)
@@ -570,7 +562,7 @@ def test_tune_rejects_nonpositive_gamma_grid():
     s1, s2 = _critical_pair()
     for bad in ([0.0, 1.0, 2.0], [5.0, -1.0]):
         with pytest.raises(ValidationError):
-            tune_gamma(s1, s2, 1.0, 1.0, DT, (40, 0.0, 1.5), gamma1_grid=np.array(bad))
+            tune_gamma(s1, s2, 1.0, DT, gamma1_grid=np.array(bad))
 
 
 # -- generator config -----------------------------------------------------------------

@@ -823,7 +823,7 @@ def test_stream_builds_one_trajectory_per_report_not_per_row(with_t0):
 
 
 def test_stream_stops_once_on_a_t0_before_the_first_row(capsys, tmp_path):
-    assert run(["synth", "mixed", "--seed", "1"]) == 0
+    assert run(["synth", "mixed", "seed=1"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     lines = lines[:1] + lines[60:]  # the first 59 data rows cut: t_start 1.18 s
     code, out, err, _ = stream(["assess", "--stream", "--t0", "1.1"], lines)

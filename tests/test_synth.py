@@ -164,6 +164,7 @@ def test_unknown_kind_rejected():
         (dict(fs=1e300), "fs x (prefault_s + fault_s + post_s) is 4.1e+300 samples"),
         (dict(fs=float("nan")), "fs x (prefault_s + fault_s + post_s) is nan samples"),
         (dict(post_s=1e308), "fs x (prefault_s + fault_s + post_s) is inf samples"),
+        (dict(noise_sigma=-0.1), "noise_sigma must not be negative, got -0.1"),
     ],
 )
 def test_a_parameter_numpy_cannot_sample_is_one_validation_error(params, named):
@@ -171,6 +172,27 @@ def test_a_parameter_numpy_cannot_sample_is_one_validation_error(params, named):
     with pytest.raises(ValidationError) as exc:
         synth_scenario("mixed", ScenarioParams(**params))
     assert str(exc.value).startswith(named)
+
+
+QV_BROKEN = "give a Q = (V - k2)/k1 that is not finite"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "kind, params, named",
+    [
+        ("mixed", dict(k1=0.0), f"k1 = 0.0 and k2 = 0.9 {QV_BROKEN}"),
+        ("mixed", dict(k1=1e-320), f"k1 = 1e-320 and k2 = 0.9 {QV_BROKEN}"),
+        ("mixed", dict(k2=1e308), f"k1 = 0.5 and k2 = 1e+308 {QV_BROKEN}"),
+        ("growing-osc", dict(growth=1e3),
+         "the growing-osc voltage is not finite: a parameter takes it past float range"),
+    ],
+    ids=["k1-zero", "k1-subnormal", "k2-huge", "growth-overflow"],
+)
+def test_a_voltage_or_q_past_float_range_is_one_validation_error(kind, params, named):
+    with pytest.raises(ValidationError) as exc:
+        synth_scenario(kind, ScenarioParams(**params))
+    assert str(exc.value) == named
 
 
 @pytest.mark.parametrize(
