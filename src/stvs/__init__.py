@@ -14,7 +14,6 @@ from .distribution import (
     kl_divergence_table,
 )
 from .embed import (
-    EmbeddedTrajectory,
     augment_rocov,
     delay_embed,
     normalize_channels,

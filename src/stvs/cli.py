@@ -150,7 +150,7 @@ def _build_parser() -> _Parser:
     p_syn = sub.add_parser("synth", help="write a synthetic scenario CSV")
     p_syn.add_argument("kind", choices=synth.SCENARIO_KINDS)
     p_syn.add_argument("params", nargs="*", metavar="key=value",
-                       help="scenario parameter overrides")
+                       help="scenario parameter overrides, anywhere after the kind")
     p_syn.add_argument("--out", dest="output")
     return parser
 
@@ -291,8 +291,7 @@ def _cmd_exponents(args) -> int:
 def _cmd_thresholds(args) -> int:
     """Print the critical oscillation index and the reference row it
     was scored against, read from the cache ``imf_threshold`` read."""
-    grid = (args.lo, args.hi)
-    value = stage("oscillation", imf_threshold, args.bins, grid, args.shape)
+    value = stage("oscillation", imf_threshold, args.bins, args.lo, args.hi, args.shape)
     edges = np.linspace(args.lo, args.hi, args.bins + 1)
     ref = reference_table([args.shape], [OSC_X_STAR], edges)[0, 0]
     doc = {
@@ -370,7 +369,13 @@ _COMMANDS = {
 def run(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if args.command == "synth":  # key=value overrides may follow an option too
+            override = [t for t in extra if "=" in t and not t.startswith("-")]
+            args.params += override
+            extra = [t for t in extra if t not in override]
+        if extra:  # parse_args' own message
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
         return _COMMANDS[args.command](args)
     except BrokenPipeError:
         # The reader closed stdout early (`stvs ... | head`).  Point stdout

@@ -9,28 +9,9 @@ dominant oscillation period.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ValidationError
-
-@dataclass(frozen=True)
-class EmbeddedTrajectory:
-    """Delay-embedded points with the parameters that produced them."""
-
-    points: np.ndarray  # (n_points, m * state_dim)
-    m: int
-    tau: int
-    dt: float
-
-    def __post_init__(self) -> None:
-        if self.points.ndim != 2 or len(self.points) < 2:
-            raise ValidationError("embedding needs at least 2 points")
-        if self.m < 1 or self.tau < 1:
-            raise ValidationError(
-                f"invalid embedding parameters m={self.m}, tau={self.tau}"
-            )
 
 
 def normalize_channels(signals: list[np.ndarray]) -> list[np.ndarray]:
@@ -72,14 +53,15 @@ def augment_rocov(imf_signals: list[np.ndarray]) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def delay_embed(
-    states: np.ndarray, m: int, tau: int, dt: float
-) -> EmbeddedTrajectory:
+def delay_embed(states: np.ndarray, m: int, tau: int) -> np.ndarray:
     """Stack ``m`` delayed copies of the state sequence.
 
     Point i is ``[states[i], states[i+tau], ..., states[i+(m-1)tau]]``;
-    the result has ``len(states) - (m-1)*tau`` points.
+    the result is a (``len(states) - (m-1)*tau``, m * state_dim) array
+    of at least 2 points.
     """
+    if m < 1 or tau < 1:
+        raise ValidationError(f"invalid embedding parameters m={m}, tau={tau}")
     states = np.asarray(states, dtype=float)
     if states.ndim == 1:
         states = states[:, None]
@@ -90,8 +72,4 @@ def delay_embed(
             f"{n} states cannot support m={m}, tau={tau} "
             f"(needs > {(m - 1) * tau + 1})"
         )
-    blocks = [states[j * tau: j * tau + n_points] for j in range(m)]
-    return EmbeddedTrajectory(
-        points=np.hstack(blocks), m=m, tau=tau, dt=dt
-    )
-
+    return np.hstack([states[j * tau: j * tau + n_points] for j in range(m)])

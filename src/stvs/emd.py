@@ -61,8 +61,9 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
@@ -434,15 +435,34 @@ def decompose_signals(signals: np.ndarray) -> tuple[list[np.ndarray], np.ndarray
     return imfs, r
 
 
+def _natural_order(ids: Sequence[str]) -> list[int]:
+    """Positions of the channel ``ids`` in natural order: digit runs
+    compare as numbers, so G2 comes before G10, and ties (G01, G1) fall
+    to the raw id."""
+
+    def key(j: int) -> tuple[list, str]:
+        parts: list = re.split(r"(\d+)", ids[j])
+        parts[1::2] = map(int, parts[1::2])
+        return parts, ids[j]
+
+    return sorted(range(len(ids)), key=key)
+
+
 def decompose(traj: VoltageTrajectory) -> DecompositionResult:
     """Decompose every channel of a post-fault trajectory.
 
     Constant channels yield zero IMFs with the signal as residual; they
     are excluded from the joint projections so they cannot distort the
-    envelopes of the active channels.
+    envelopes of the active channels.  The direction set is not closed
+    under a permutation of the channels, so the active channels are
+    sifted in the natural order of their ids, not in the record's
+    column order, and the IMFs are mapped back: the same record gives
+    the same result whatever order its columns come in.
     """
     v = traj.voltage_matrix()
-    active = [j for j in range(v.shape[1]) if count_extrema(v[:, j]) >= 2]
+    active = [
+        j for j in _natural_order(traj.channel_ids) if count_extrema(v[:, j]) >= 2
+    ]
     if active:
         imf_mats, resid = decompose_signals(v[:, active])
     else:
@@ -508,11 +528,12 @@ def filter_imfs_by_frequency(
 
 
 def dominant_imf_frequency(decomp: DecompositionResult) -> float | None:
-    """Frequency of the highest-RMS IMF with a frequency above 0, if any."""
+    """Frequency of the highest-RMS IMF with a frequency above 0, if any;
+    of equal RMS values, the first in the channels' natural id order."""
     best_rms = 0.0
     best_freq = None
-    for freqs, rms in zip(decomp.freqs, decomp.rms):
-        for freq, value in zip(freqs, rms):
+    for ch in _natural_order(decomp.channel_ids):
+        for freq, value in zip(decomp.freqs[ch], decomp.rms[ch]):
             if value > best_rms and freq > 0:
                 best_rms = value
                 best_freq = freq

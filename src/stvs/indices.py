@@ -42,6 +42,7 @@ from .distribution import kl_divergence_table, kl_index, reference_table
 from .embed import augment_rocov, delay_embed, normalize_channels
 from .emd import (
     DecompositionResult,
+    _natural_order,
     decompose,
     dominant_imf_frequency,
     filter_imfs_by_frequency,
@@ -220,10 +221,9 @@ def classify(
 _RECOVERY_LABEL = {"stable": "non-trip", "unstable": "trip", "critical": "critical"}
 
 
-def imf_threshold(
-    bins: int, grid_range: tuple[float, float], gamma2: float
-) -> float:
-    """Critical oscillation index for the given grid.
+@lru_cache(maxsize=16, typed=True)  # typed: 20.0 bins must not hit 20's entry
+def imf_threshold(bins: int, lo: float, hi: float, gamma2: float) -> float:
+    """Critical oscillation index for the grid of ``bins`` bins on [lo, hi].
 
     A fixed-magnitude oscillation never diverges, so its divergence
     factors concentrate at and just below 1: the construction spreads
@@ -232,12 +232,6 @@ def imf_threshold(
     with shift 1 on the same grid.  The value depends only on the grid
     and gamma2, so it is computed once per distinct set of them.
     """
-    lo, hi = grid_range
-    return _imf_threshold(bins, lo, hi, gamma2)
-
-
-@lru_cache(maxsize=16)
-def _imf_threshold(bins: int, lo: float, hi: float, gamma2: float) -> float:
     if not isinstance(bins, (int, np.integer)):
         raise ValidationError(f"bins must be an integer, got {bins!r}")
     if bins < 3:
@@ -296,10 +290,12 @@ def oscillation_index(decomp: DecompositionResult) -> OscillationResult:
     The exponent series measures the embedded oscillation state against
     the oscillation-free equilibrium (the origin), mirroring the
     residual recovery construction where the equilibrium serves as the
-    reference trajectory.
+    reference trajectory.  The channels enter the state in the natural
+    order of their ids, the order ``decompose`` sifts them in, so the
+    index does not depend on the record's column order.
     """
     signals = []
-    for ch in range(decomp.n_channels):
+    for ch in _natural_order(decomp.channel_ids):
         if decomp.n_imfs(ch) == 0:
             continue
         osc = decomp.oscillatory(ch)
@@ -313,9 +309,11 @@ def oscillation_index(decomp: DecompositionResult) -> OscillationResult:
         max(2, int(round(1.0 / (freq * decomp.dt)))) if freq else None
     )
     states = augment_rocov(normalize_channels(signals))
-    m_use, tau = _embedding_parameters(len(states), period)
-    emb = delay_embed(states, m=m_use, tau=tau, dt=decomp.dt)
-    series = fsle_oscillation_series(emb, anchor_window=period)
+    m, tau = _embedding_parameters(len(states), period)
+    points = delay_embed(states, m, tau)
+    # anchor within one period, or one embedding span without a frequency
+    anchor = (m - 1) * tau + 1 if period is None else period
+    series = fsle_oscillation_series(points, decomp.dt, anchor)
     kl = kl_index(series.divergence_factors, IMF_GRID, [GAMMA2], [OSC_X_STAR])
     return OscillationResult(value=float(kl[0, 0]), series=series)
 
@@ -427,8 +425,7 @@ def assess(
     retained = stage("emd", filter_imfs_by_frequency, decomp, BAND_HZ)
 
     osc = stage("oscillation", oscillation_index, retained)
-    bins, lo, hi = IMF_GRID
-    threshold = stage("oscillation", imf_threshold, bins, (lo, hi), GAMMA2)
+    threshold = stage("oscillation", imf_threshold, *IMF_GRID, GAMMA2)
     osc_label, osc_margin = classify(osc.value, threshold)
 
     per_gen = [

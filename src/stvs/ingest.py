@@ -204,7 +204,7 @@ def load_trajectory(path) -> VoltageTrajectory:
         raise ValidationError(f"{origin}: {exc.strerror}") from exc
     # a header with no rows is reported by the row check
     data = _rows_array(names, rows, origin)
-    return trajectory_from_columns(names, data, origin, checker)
+    return trajectory_from_columns(names, data, checker)
 
 
 def fault_clear_index(t0: float, t_start: float, dt: float, n_samples: int) -> int:
@@ -234,7 +234,7 @@ class RowChecker:
     ``V:``/``Q:`` column with an empty channel id is an error.
     """
 
-    def __init__(self, names: list[str], origin: str = "<data>") -> None:
+    def __init__(self, names: list[str], origin: str) -> None:
         for j, col in enumerate(names):
             if col in names[:j]:
                 raise ValidationError(f"{origin}: repeated column {col!r} in the header")
@@ -311,20 +311,16 @@ class RowChecker:
 
 
 def trajectory_from_columns(
-    names: list[str],
-    data: np.ndarray,
-    origin: str = "<data>",
-    checker: RowChecker | None = None,
+    names: list[str], data: np.ndarray, checker: RowChecker
 ) -> VoltageTrajectory:
     """Build a validated trajectory from already-parsed CSV columns.
 
     The channels hold read-only views of the columns of ``data``, so the
-    caller must not write to ``data`` again.  With a ``checker``, ``data``
-    is an append-only buffer whose leading rows the checker has seen in
-    earlier calls: only the rows added since are checked.
+    caller must not write to ``data`` again.  ``checker`` is the header
+    ``names``' row checker; ``data`` is an append-only buffer whose
+    leading rows it has seen in earlier calls: only the rows added since
+    are checked.
     """
-    if checker is None:
-        checker = RowChecker(names, origin)
     checker.check(data)
 
     def column(name: str) -> np.ndarray:
@@ -384,8 +380,8 @@ def extract_post_fault_window(
 ) -> VoltageTrajectory:
     """Slice ``duration`` seconds starting at the fault-clear sample.
 
-    The slice is a copy; the parent trajectory is never mutated.
-    prefault_voltage carries over from the parent.
+    The slice is a copy; the parent trajectory is never mutated.  It
+    holds no pre-fault voltage: that is read from the whole record.
     """
     steps = duration / traj.dt
     n = int(round(steps)) if math.isfinite(steps) else steps  # no int holds inf
@@ -417,9 +413,6 @@ def extract_post_fault_window(
         channels=channels,
         dt=traj.dt,
         fault_clear_index=0,
-        prefault_voltage=(
-            dict(traj.prefault_voltage) if traj.prefault_voltage else None
-        ),
         t_start=traj.t_start + start * traj.dt,
     )
 

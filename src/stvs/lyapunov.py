@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embed import EmbeddedTrajectory
 from .errors import ComputationError, ValidationError
 
 # Initial residual deviations below this per-unit floor carry no dip
@@ -91,27 +90,24 @@ def fsle_residual_series(
 
 
 def fsle_oscillation_series(
-    emb: EmbeddedTrajectory, anchor_window: int | None = None
+    points: np.ndarray, dt: float, anchor_window: int
 ) -> ExponentSeries:
-    """Amplitude-ratio exponents of the embedded oscillatory state.
+    """Amplitude-ratio exponents of the delay-embedded oscillatory state.
 
     The oscillation-free system sits at the origin of the (zero-mean)
-    embedded state space, so the norm of the embedded state is the
-    oscillation perturbation magnitude and the equilibrium itself is
-    the reference trajectory:
+    embedded state space, so the norm of an embedded point (a row of
+    ``points``, sampled every ``dt``) is the oscillation perturbation
+    magnitude and the equilibrium itself is the reference trajectory:
 
         lambda(k) = ln(||y_{a+k}|| / ||y_a||) / (k dt).
 
     The anchor a is the largest norm within the first ``anchor_window``
-    points (default: one embedding span, about one oscillation period
-    under the quarter-period delay policy).  That reads the initial
+    points (about one oscillation period).  That reads the initial
     post-fault perturbation at its peak; anchoring at a wobble trough
     would fake divergence for every later sample.
     """
-    norms = np.linalg.norm(emb.points, axis=1)
+    norms = np.linalg.norm(points, axis=1)
     n = len(norms)
-    if anchor_window is None:
-        anchor_window = (emb.m - 1) * emb.tau + 1
     a_end = int(min(n - 2, max(0, anchor_window)))
     i0 = int(np.argmax(norms[: a_end + 1]))
     ref = float(norms[i0])
@@ -122,8 +118,8 @@ def fsle_oscillation_series(
     keep = tail > 0.0
     if not keep.any():
         raise ComputationError("all embedded norms past the anchor are zero")
-    lambdas = np.log(tail[keep] / ref) / (k[keep] * emb.dt)
-    return ExponentSeries(lambdas=lambdas, k_offsets=k[keep], dt=emb.dt)
+    lambdas = np.log(tail[keep] / ref) / (k[keep] * dt)
+    return ExponentSeries(lambdas=lambdas, k_offsets=k[keep], dt=dt)
 
 
 def noise_bias_variance(

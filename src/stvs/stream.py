@@ -174,7 +174,7 @@ class Monitor:
         if data_time + 1e-9 < self._next_report:
             return None
         try:
-            traj = trajectory_from_columns(self.names, data, checker.origin, checker)
+            traj = trajectory_from_columns(self.names, data, checker)
             traj = replace(traj, fault_clear_index=t0_index)
             doc = assess(traj, self.config).to_dict()
         except StvsError as exc:

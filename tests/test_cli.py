@@ -97,10 +97,10 @@ def test_thresholds_prints_the_reference_row_imf_threshold_scored(capsys, monkey
         return scored[-1][1]
 
     monkeypatch.setattr(indices, "kl_divergence_table", keeping)
-    indices._imf_threshold.cache_clear()
+    indices.imf_threshold.cache_clear()
     argv = ["thresholds", "--bins", "30", "--lo", "0.1", "--hi", "2", "--gamma2", "4"]
     code, doc = run_json(capsys, argv)
-    indices._imf_threshold.cache_clear()  # drop the value scored through the wrapper
+    indices.imf_threshold.cache_clear()  # drop the value scored through the wrapper
     assert code == 0
     ((row, value),) = scored
     assert doc["reference"]["probabilities"] == row.tolist()
@@ -717,6 +717,41 @@ def test_synth_rejects_unknown_parameter(capsys):
     assert run(["synth", "stable-osc", "bogus=1"]) == 1
 
 
+@pytest.mark.parametrize(
+    "tail",
+    [
+        ["decay=0.4", "n_channels=2", "--out", "{out}"],
+        ["--out", "{out}", "decay=0.4", "n_channels=2"],
+        ["decay=0.4", "--out", "{out}", "n_channels=2"],
+    ],
+    ids=["before-option", "after-option", "around-option"],
+)
+def test_synth_overrides_may_come_before_or_after_an_option(tmp_path, tail):
+    out = tmp_path / "case.csv"
+    argv = ["synth", "mixed", *(str(out) if t == "{out}" else t for t in tail)]
+    assert run_in_process(argv) == (0, "", "", [])
+    want = io.StringIO()
+    write_trajectory(synth_scenario("mixed", ScenarioParams(decay=0.4, n_channels=2)), want)
+    assert out.read_text(encoding="utf-8") == want.getvalue()
+
+
+@pytest.mark.parametrize(
+    "tail, message",
+    [
+        (["--out", "{out}", "decay=0.4", "bogus"], "unrecognized arguments: bogus"),
+        (["bogus", "--out", "{out}"], "scenario parameter must be key=value: 'bogus'"),
+        (["--out", "{out}", "--bogus=1"], "unrecognized arguments: --bogus=1"),
+        (["--out", "{out}", "bogus=1"], "unknown scenario parameter 'bogus'"),
+    ],
+    ids=["stray-after-option", "stray-before-option", "unknown-option", "unknown-override"],
+)
+def test_synth_rejects_a_stray_token_anywhere_with_one_line(tmp_path, tail, message):
+    out = tmp_path / "case.csv"
+    argv = ["synth", "mixed", *(str(out) if t == "{out}" else t for t in tail)]
+    assert run_in_process(argv) == (1, "", f"stvs: {message}\n", [])
+    assert not out.exists()
+
+
 # -- streaming -----------------------------------------------------------------------
 
 def stream_rows(traj):
@@ -1226,4 +1261,4 @@ def test_a_grid_whose_bin_centres_overflow_scores_without_a_warning(
     assert (code, err, caught) == (0, "", [])
     value = critical(json.loads(out))
     assert np.isfinite(value)
-    assert value == indices.imf_threshold(20, (-1e308, 1.5), 10.0)
+    assert value == indices.imf_threshold(20, -1e308, 1.5, 10.0)

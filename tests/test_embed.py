@@ -41,30 +41,35 @@ def test_rocov_output_geometry():
 
 def test_embed_m1_is_identity():
     states = np.random.default_rng(1).standard_normal((30, 2))
-    emb = delay_embed(states, m=1, tau=1, dt=0.02)
-    assert np.array_equal(emb.points, states)
+    assert np.array_equal(delay_embed(states, m=1, tau=1), states)
 
 
 def test_embed_length_bound():
     # needs length > (m-1)*tau + 1: nine states cannot support m=3, tau=4
     states = np.random.default_rng(1).standard_normal((9, 1))
     with pytest.raises(ValidationError):
-        delay_embed(states, m=3, tau=4, dt=0.02)
+        delay_embed(states, m=3, tau=4)
     boundary = np.random.default_rng(1).standard_normal((10, 1))
-    emb = delay_embed(boundary, m=3, tau=4, dt=0.02)
-    assert len(emb.points) == 2
+    assert len(delay_embed(boundary, m=3, tau=4)) == 2
 
 
 def test_embed_point_count_and_dimension():
     states = np.random.default_rng(1).standard_normal((150, 4))
-    emb = delay_embed(states, m=2, tau=5, dt=0.02)
-    assert emb.points.shape == (145, 8)
+    assert delay_embed(states, m=2, tau=5).shape == (145, 8)
 
 
 def test_embed_recovers_state_sequence():
     states = np.random.default_rng(5).standard_normal((60, 3))
-    emb = delay_embed(states, m=3, tau=4, dt=0.02)
-    assert np.array_equal(emb.points[:, :3], states[: len(emb.points)])
+    points = delay_embed(states, m=3, tau=4)
+    assert np.array_equal(points[:, :3], states[: len(points)])
+
+
+@pytest.mark.parametrize("m, tau", [(0, 1), (3, 0), (-1, 2)])
+def test_embed_rejects_a_dimension_or_delay_below_one(m, tau):
+    states = np.random.default_rng(1).standard_normal((30, 2))
+    with pytest.raises(ValidationError) as exc:
+        delay_embed(states, m=m, tau=tau)
+    assert str(exc.value) == f"invalid embedding parameters m={m}, tau={tau}"
 
 
 # -- normalization ----------------------------------------------------------------

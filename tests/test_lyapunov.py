@@ -129,8 +129,8 @@ def test_oscillation_series_reads_envelope_decay():
     ]
     states = augment_rocov(sigs)
     period = int(round(1 / (4.8 * DT)))
-    emb = delay_embed(states, m=4, tau=max(1, period // 4), dt=DT)
-    series = fsle_oscillation_series(emb, anchor_window=period)
+    points = delay_embed(states, m=4, tau=max(1, period // 4))
+    series = fsle_oscillation_series(points, DT, anchor_window=period)
     late = series.k_offsets * DT > 1.0
     assert np.all(series.lambdas[late] > -0.55)
     assert np.all(series.lambdas[late] < -0.25)
@@ -141,8 +141,8 @@ def test_oscillation_series_flat_for_constant_amplitude():
     sigs = [np.sin(2 * np.pi * 4.8 * t + p) for p in (0.0, 2.1)]
     states = augment_rocov(sigs)
     period = int(round(1 / (4.8 * DT)))
-    emb = delay_embed(states, m=4, tau=max(1, period // 4), dt=DT)
-    series = fsle_oscillation_series(emb, anchor_window=period)
+    points = delay_embed(states, m=4, tau=max(1, period // 4))
+    series = fsle_oscillation_series(points, DT, anchor_window=period)
     late = series.k_offsets * DT > 1.0
     assert np.all(np.abs(series.lambdas[late]) < 0.1)
 
