@@ -27,7 +27,6 @@ from .emd import (
 )
 from .errors import (
     ComputationError,
-    FixedInputError,
     StvsError,
     TriviallySafe,
     TriviallyTripping,

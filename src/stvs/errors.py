@@ -14,11 +14,6 @@ class ValidationError(StvsError):
     """Input data, schema or configuration is invalid."""
 
 
-class FixedInputError(ValidationError):
-    """Invalid input that rests on the settings and the sample step
-    alone, so no later row of a stream can mend it."""
-
-
 class WindowSampleError(ValidationError):
     """Invalid input that rests on a sample of the analysis window, so no
     later row of a stream whose window start is fixed can mend it."""

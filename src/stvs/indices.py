@@ -383,8 +383,7 @@ def _assess_generator(
         except TriviallyTripping:
             label = "trip"
         else:
-            n = critical.window_samples
-            tuning = oel.tune_gamma(critical.s1[:n], critical.s2[:n], v_pre, dt)
+            tuning = oel.tune_gamma(critical.s1, critical.s2, v_pre, dt)
             gamma1, x_star = tuning.gamma1, tuning.x_star
 
     delta_r0 = abs(v_pre - float(residual[0]))

@@ -9,13 +9,14 @@ relates to terminal voltage through
 and with the early post-fault Q-V relation V = K1 Q + K2 substituted,
 each pickup level maps to a terminal-voltage cap V_cap by solving a
 quartic in V.  Critical recovery signals s1 (slowest) and s2 (fastest
-that still just reaches the caps) are built by extrapolating the
-measured residual with the extreme observed recovery exponents and
-shifting the curves into tangency with the (V_cap, t) characteristic.
-The Gompertz shape parameters (gamma1, x*) are then tuned so both
-critical signals score the same recovery index; their midpoint is the
-recovery threshold.  Every recovery index, the measured residual's and
-both critical signals', is scored on the fixed ``REC_GRID``.
+that still just reaches the caps) are the measured residual over the
+window, shifted by the amounts that bring its extrapolations with the
+extreme observed recovery exponents into tangency with the (V_cap, t)
+characteristic at the cap times.  The Gompertz shape parameters
+(gamma1, x*) are then tuned so both critical signals score the same
+recovery index; their midpoint is the recovery threshold.  Every
+recovery index, the measured residual's and both critical signals', is
+scored on the fixed ``REC_GRID``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import numpy as np
 from .distribution import kl_index
 from .errors import (
     ComputationError,
-    FixedInputError,
     TriviallySafe,
     TriviallyTripping,
     ValidationError,
@@ -47,7 +47,8 @@ _RESIDUAL_TOL = 1e-9
 REC_GRID = (40, 0.0, 1.5)
 GAMMA1_RANGE = (1.0, 200.0, 40)
 X_STAR_RANGE = (0.8, 1.3, 26)
-# The critical signals run this far past the latest pickup delay.
+# The overflow check of the critical signals reaches this far past the
+# latest pickup delay.
 PICKUP_PAD_S = 1.0
 
 
@@ -93,20 +94,16 @@ class OELCharacteristic:
 
 @dataclass(frozen=True)
 class CriticalSignals:
-    """Slowest (s1) and fastest (s2) critical recovery signals.
-
-    Both are sampled on ``t`` (seconds past fault clearing); the first
-    ``window_samples`` entries overlay the measurement window.
+    """Slowest (s1) and fastest (s2) critical recovery signals over the
+    measurement window: the residual shifted by ``shift1`` and ``shift2``.
     """
 
-    t: np.ndarray
     s1: np.ndarray
     s2: np.ndarray
     shift1: float
     shift2: float
     lam_slow: float
     lam_fast: float
-    window_samples: int
 
 
 @dataclass(frozen=True)
@@ -270,10 +267,11 @@ def construct_critical_signals(
     shifted tangent from above.  Raises TriviallySafe when the residual
     never dips below any cap, TriviallyTripping when even the fastest
     admissible recovery can never reach the lowest cap.  The signals
-    are sampled up to ``PICKUP_PAD_S`` past the latest cap time; raises
-    FixedInputError, naming that time, when no array can hold the
-    samples up to it, and ComputationError, naming the exponent and the
-    horizon, when an extrapolated member leaves float range before it.
+    are returned over the measurement window, where the tuner scores
+    them; the shifts come from the members at the cap times.  Raises
+    ComputationError, naming the exponent and the horizon, when a
+    shifted member leaves float range before ``PICKUP_PAD_S`` past the
+    latest cap time.
     """
     r = np.asarray(residual, dtype=float)
     if r.size < 2:
@@ -327,36 +325,28 @@ def construct_critical_signals(
         )
 
     horizon = float(times.max()) + PICKUP_PAD_S
-    try:
-        t = np.arange(0.0, horizon + 0.5 * dt, dt)
-    except (MemoryError, ValueError) as exc:  # NumPy refuses the size at once
-        raise FixedInputError(
-            f"pickup or LVRT time {times.max():g} s is too late: the critical "
-            f"signals up to {horizon:g} s at dt = {dt:g} s are more samples than "
-            f"an array can hold"
-        ) from exc
     # a steep exponent can carry the tail past float range before the
     # horizon; that is reported below, not warned about here
     with np.errstate(over="ignore", invalid="ignore"):
         shift1 = float(np.min(caps - member_at(lam_slow, times)))
         shift2 = float(np.max(caps - member_at(lam_fast, times)))
-        s1 = member_at(lam_slow, t) + shift1
-        s2 = member_at(lam_fast, t) + shift2
-    for lam, signal in ((lam_slow, s1), (lam_fast, s2)):
-        if not np.isfinite(signal).all():
-            raise ComputationError(
-                f"recovery exponent {lam:.6g}/s extrapolates the residual "
-                f"past float range within the {horizon:g} s horizon"
-            )
+        s1, s2 = r + shift1, r + shift2
+        for lam, shift, signal in ((lam_slow, shift1, s1), (lam_fast, shift2, s2)):
+            # the tail is monotone in t, so the member stays finite up to
+            # the horizon exactly when it is finite at the horizon
+            end = member_at(lam, [horizon]) + shift
+            if not (np.isfinite(signal).all() and np.isfinite(end).all()):
+                raise ComputationError(
+                    f"recovery exponent {lam:.6g}/s extrapolates the residual "
+                    f"past float range within the {horizon:g} s horizon"
+                )
     return CriticalSignals(
-        t=t,
         s1=s1,
         s2=s2,
         shift1=shift1,
         shift2=shift2,
         lam_slow=lam_slow,
         lam_fast=lam_fast,
-        window_samples=r.size,
     )
 
 

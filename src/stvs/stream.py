@@ -17,14 +17,13 @@ skipped; the first row with the wrong column count is noted, and the
 number dropped at the end.  ``push`` raises a ``ValidationError`` on
 what no later row can mend: a kept row that makes the history invalid
 (a NaN or non-positive voltage, a gap in the sampling), a ``t0`` before
-the first row, a report failure that rests on the settings and dt alone
-(a ``FixedInputError``, such as a pickup time too late to sample) and,
-with ``t0``, a report failure that rests on the rows before t0 or on a
-sample of the window, which starts at t0: an ``[ingest]`` failure (no
-pre-fault samples, a window under 2 samples) or a ``WindowSampleError``
-(a Q sample that makes the Q-V fit non-finite).  Without ``t0`` the
-window may still move, so any other failing report is noted and the
-stream goes on.  A stream that ends before its first report says so.
+the first row and, with ``t0``, a report failure that rests on the rows
+before t0 or on a sample of the window, which starts at t0: an
+``[ingest]`` failure (no pre-fault samples, a window under 2 samples)
+or a ``WindowSampleError`` (a Q sample that makes the Q-V fit
+non-finite).  Without ``t0`` the window may still move, so any other
+failing report is noted and the stream goes on.  A stream that ends
+before its first report says so.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import FixedInputError, StvsError, ValidationError, WindowSampleError, stage
+from .errors import StvsError, ValidationError, WindowSampleError, stage
 from .indices import NO_REACTIVE_POWER, AssessmentConfig, assess
 from .ingest import (
     NO_FAULT_SIGNATURE,
@@ -182,9 +181,8 @@ class Monitor:
             # and rows only append to the window; save a one-sample window
             # (n - t0_index == 2) that the next row lengthens
             fixed = self.t0 is not None and n - t0_index > 2
-            if isinstance(exc, FixedInputError) or (
-                fixed
-                and (str(exc).startswith("[ingest]") or isinstance(exc, WindowSampleError))
+            if fixed and (
+                str(exc).startswith("[ingest]") or isinstance(exc, WindowSampleError)
             ):
                 raise ValidationError(f"{exc}; no later row can change it") from exc
             self.note(str(exc))

@@ -1,6 +1,8 @@
 import math
 import re
+import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -258,10 +260,41 @@ def test_critical_signal_tangent_at_single_pickup():
     residual = _recovering_residual(0.5)
     series = fsle_residual_series(residual, eq0=1.0, dt=DT)
     crit = construct_critical_signals(residual, DT, 1.0, [(0.9, 20.0)], series)
-    k_pick = int(round(20.0 / DT))
-    assert crit.s1[k_pick] == pytest.approx(0.9, abs=1e-9)
-    assert crit.s2[k_pick] == pytest.approx(0.9, abs=1e-9)
+    # each shifted member, extrapolated in closed form, meets the cap at 20 s
+    t_w = (residual.size - 1) * DT
+    for lam, shift in ((crit.lam_slow, crit.shift1), (crit.lam_fast, crit.shift2)):
+        at_pickup = 1.0 + (residual[-1] - 1.0) * math.exp(lam * (20.0 - t_w)) + shift
+        assert at_pickup == pytest.approx(0.9, abs=1e-9)
     assert crit.lam_slow == pytest.approx(-0.5, abs=1e-6)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("kind", ["stalled-recovery", "mixed"])
+def test_critical_signals_are_the_residual_shifted_over_the_window(
+    kind, seed, generator_specs, monkeypatch
+):
+    # G1 and G2 pick up at 20 s; G3's LVRT time plus the pad, 2 s, ends
+    # inside the 3 s window, and its signals still span the whole window
+    specs = {
+        **generator_specs,
+        "G3": GeneratorSpec(id="G3", xd_prime=0.0, p_active=0.0, lvrt=((0.9, 1.0),)),
+    }
+    built = []
+
+    def recording(residual, *args):
+        crit = construct_critical_signals(residual, *args)
+        built.append((residual, crit))
+        return crit
+
+    monkeypatch.setattr(oel, "construct_critical_signals", recording)
+    traj = synth_scenario(kind, osc_params(n_channels=3, noise_sigma=0.001, seed=seed))
+    result = assess(traj, AssessmentConfig(generators=specs))
+    tuned = [g.id for g in result.per_generator if g.tuning is not None]
+    assert len(built) == len(tuned) and "G3" in tuned
+    for residual, crit in built:
+        assert crit.s1.shape == crit.s2.shape == residual.shape
+        assert np.array_equal(crit.s1, residual + crit.shift1)
+        assert np.array_equal(crit.s2, residual + crit.shift2)
 
 
 def test_critical_signals_collapse_when_lambda_degenerate():
@@ -305,6 +338,29 @@ def test_overflowing_extrapolation_is_one_computation_error():
         "recovery exponent 80/s extrapolates the residual past float range "
         "within the 21 s horizon"
     )
+
+
+def test_an_assessment_needs_no_more_memory_for_a_later_pickup(generator_specs):
+    # the critical signals were sampled out to the latest pickup: one
+    # three-generator assessment peaked at 0.2 MB at 20 s and 49 MB at 20,000 s
+    traj = synth_scenario("mixed", osc_params(n_channels=3, noise_sigma=0.001, seed=1))
+
+    def peak(pickup_s):
+        specs = {
+            gid: replace(spec, pickups=((spec.pickups[0][0], pickup_s),))
+            for gid, spec in generator_specs.items()
+        }
+        config = AssessmentConfig(generators=specs)
+        # every generator is tuned; the first call fills the caches
+        assert all(g.tuning for g in assess(traj, config).per_generator)
+        tracemalloc.start()
+        try:
+            assess(traj, config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(20_000.0) <= 2 * peak(20.0)
 
 
 @pytest.mark.parametrize("kind", ["stable-osc", "growing-osc"])
