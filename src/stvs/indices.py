@@ -25,8 +25,10 @@ reference shape gamma2, the untuned Gompertz shape and the pre-fault
 lookback) are the module constants below, read where they are used and
 never passed in; ``oel`` holds those of the recovery grid and the tuner,
 and ``emd`` those of the sifting.  Each channel recovers toward its own
-pre-fault voltage V_pre, and each generator's ``GeneratorAssessment``
-holds its index, dip weight and exponent series.
+pre-fault voltage V_pre.  ``OscillationResult`` holds the oscillation
+index and its exponent series, None when no retained IMF oscillates
+(which ``to_dict`` notes as ``NO_OSC_TAG``); each generator's
+``GeneratorAssessment`` holds its index, dip weight and exponent series.
 """
 
 from __future__ import annotations
@@ -120,10 +122,10 @@ class AssessmentConfig:
 
 @dataclass(frozen=True)
 class OscillationResult:
-    """System-level oscillation index and the exponent series it scored."""
+    """System-level oscillation index and the exponent series it scored,
+    None when no retained IMF oscillates (the report notes NO_OSC_TAG)."""
 
     value: float
-    note: str | None = None
     series: ExponentSeries | None = None
 
 
@@ -164,19 +166,15 @@ class StabilityAssessment:
     config_echo: dict
     latency_s: float
 
-    @property
-    def oscillation_index(self) -> float:
-        return self.oscillation.value
-
     def to_dict(self) -> dict:
         osc = {
-            "index": self.oscillation_index,
+            "index": self.oscillation.value,
             "threshold": self.oscillation_threshold,
             "margin": self.oscillation_margin,
             "class": self.oscillation_classification,
         }
-        if self.oscillation.note:
-            osc["note"] = self.oscillation.note
+        if self.oscillation.series is None:
+            osc["note"] = NO_OSC_TAG
         return {
             "oscillation": osc,
             "generators": [
@@ -302,7 +300,7 @@ def oscillation_index(decomp: DecompositionResult) -> OscillationResult:
         if float(np.sqrt(np.mean(osc**2))) > 1e-9:
             signals.append(osc)
     if not signals:
-        return OscillationResult(value=0.0, note=NO_OSC_TAG)
+        return OscillationResult(value=0.0)
 
     freq = dominant_imf_frequency(decomp)
     period = (
@@ -356,7 +354,7 @@ def _assess_generator(
     shape and left unassessed.
     With it, the voltage caps either settle the verdict (trivially safe
     or tripping, scored on the default shape) or yield the critical
-    signals from which (gamma1, x*) and the threshold are tuned.
+    signals (s1, s2) from which (gamma1, x*) and the threshold are tuned.
     """
     if spec is not None:
         channel = window.channels[window.channel_ids.index(gen_id)]
@@ -375,7 +373,7 @@ def _assess_generator(
             spec, channel.voltage, channel.reactive_power
         )
         try:
-            critical = oel.construct_critical_signals(
+            s1, s2 = oel.construct_critical_signals(
                 residual, dt, v_pre, list(charac.vcaps), series
             )
         except TriviallySafe:
@@ -383,7 +381,7 @@ def _assess_generator(
         except TriviallyTripping:
             label = "trip"
         else:
-            tuning = oel.tune_gamma(critical.s1, critical.s2, v_pre, dt)
+            tuning = oel.tune_gamma(s1, s2, v_pre, dt)
             gamma1, x_star = tuning.gamma1, tuning.x_star
 
     delta_r0 = abs(v_pre - float(residual[0]))

@@ -93,20 +93,6 @@ class OELCharacteristic:
 
 
 @dataclass(frozen=True)
-class CriticalSignals:
-    """Slowest (s1) and fastest (s2) critical recovery signals over the
-    measurement window: the residual shifted by ``shift1`` and ``shift2``.
-    """
-
-    s1: np.ndarray
-    s2: np.ndarray
-    shift1: float
-    shift2: float
-    lam_slow: float
-    lam_fast: float
-
-
-@dataclass(frozen=True)
 class TuningResult:
     """Outcome of the (gamma1, x*) search.
 
@@ -131,7 +117,11 @@ class TuningResult:
 
 
 def fit_qv(v_samples: np.ndarray, q_samples: np.ndarray) -> tuple[float, float]:
-    """Least-squares fit of V = K1 Q + K2 via the raw normal equations."""
+    """Least-squares fit of V = K1 Q + K2 via the raw normal equations.
+
+    A Q with no spread (n var(Q) at most 1e-12 of sum(Q^2)) is a
+    ``ValidationError``, a non-finite fit a ``WindowSampleError``.
+    """
     v = np.asarray(v_samples, dtype=float)
     q = np.asarray(q_samples, dtype=float)
     if v.size != q.size or v.size < 2:
@@ -145,7 +135,9 @@ def fit_qv(v_samples: np.ndarray, q_samples: np.ndarray) -> tuple[float, float]:
         sqq = float(np.dot(q, q))
         sqv = float(np.dot(q, v))
     denom = n * sqq - sq * sq
-    if abs(denom) < 1e-14 * max(1.0, sqq):
+    # denom = n^2 var(Q) keeps a few ulps of n sum(Q^2) for equal samples;
+    # an infinite bound (Q past float range) ends in the check below
+    if abs(denom) <= 1e-12 * n * sqq < math.inf:
         raise ValidationError("reactive power has no variance: Q-V fit singular")
     k1 = (n * sqv - sq * sv) / denom
     k2 = (sqq * sv - sq * sqv) / denom
@@ -257,8 +249,8 @@ def construct_critical_signals(
     eq0: float,
     vcaps: list[tuple[float, float]] | tuple[tuple[float, float], ...],
     exp_series: ExponentSeries,
-) -> CriticalSignals:
-    """Build the slowest/fastest critical recovery signals.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Build the slowest/fastest critical recovery signals ``(s1, s2)``.
 
     The admissible tube extends the measured residual forward as
     R(t) = eq0 + (R(Tw) - eq0) exp(lam (t - Tw)) with lam spanning the
@@ -266,9 +258,10 @@ def construct_critical_signals(
     tangent to the cap characteristic from below, s2 the fastest member
     shifted tangent from above.  Raises TriviallySafe when the residual
     never dips below any cap, TriviallyTripping when even the fastest
-    admissible recovery can never reach the lowest cap.  The signals
-    are returned over the measurement window, where the tuner scores
-    them; the shifts come from the members at the cap times.  Raises
+    admissible recovery can never reach the lowest cap.  Both signals
+    span the measurement window, where the tuner scores them: s1 is the
+    residual plus the least cap-minus-member gap over the cap times of
+    the slowest member, s2 plus the greatest gap of the fastest.  Raises
     ComputationError, naming the exponent and the horizon, when a
     shifted member leaves float range before ``PICKUP_PAD_S`` past the
     latest cap time.
@@ -289,9 +282,6 @@ def construct_critical_signals(
     caps = np.array([v for v, _ in vcaps], dtype=float)
     times = np.array([t for _, t in vcaps], dtype=float)
 
-    def tail(lam: float, t: np.ndarray) -> np.ndarray:
-        return eq0 + d_end * np.exp(lam * (t - t_w))
-
     def member_at(lam: float, t_query: np.ndarray) -> np.ndarray:
         t_query = np.asarray(t_query, dtype=float)
         out = np.empty_like(t_query)
@@ -300,7 +290,7 @@ def construct_critical_signals(
         np.maximum(idx, 0, out=idx)  # np.clip(idx, 0, r.size - 1)
         np.minimum(idx, r.size - 1, out=idx)
         out[inside] = r[idx]
-        out[~inside] = tail(lam, t_query[~inside])
+        out[~inside] = eq0 + d_end * np.exp(lam * (t_query[~inside] - t_w))
         return out
 
     # Eventual level of a tube member: its deviation shrinks toward eq0
@@ -340,14 +330,7 @@ def construct_critical_signals(
                     f"recovery exponent {lam:.6g}/s extrapolates the residual "
                     f"past float range within the {horizon:g} s horizon"
                 )
-    return CriticalSignals(
-        s1=s1,
-        s2=s2,
-        shift1=shift1,
-        shift2=shift2,
-        lam_slow=lam_slow,
-        lam_fast=lam_fast,
-    )
+    return s1, s2
 
 
 def recovery_scores(

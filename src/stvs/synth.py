@@ -1,9 +1,10 @@
 """Synthetic validation signals with known ground truth.
 
 Provides the linear two-time-scale benchmark (fast damped oscillation
-coupled to a slow exponential mode) together with its closed-form
-window exponent, and parameterized voltage scenarios for end-to-end
-pipeline tests.  Closed forms are evaluated
+coupled to a slow exponential mode), sampled as ``(t, xyz)``, together
+with its closed-form window exponent; parameterized voltage scenarios
+for end-to-end pipeline tests; and each generator's ground-truth trip
+on a scenario's full noise-free record.  Closed forms are evaluated
 exactly on the sample grid so validation baselines carry no solver
 error.
 """
@@ -11,12 +12,13 @@ error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ValidationError
 from .ingest import Channel, VoltageTrajectory
+from .oel import PICKUP_PAD_S, GeneratorSpec, voltage_cap
 
 SCENARIO_KINDS = (
     "stable-osc",
@@ -47,21 +49,10 @@ class TwoTimescaleParams:
             raise ValidationError("a and eps must be positive")
 
 
-@dataclass(frozen=True)
-class TwoTimescaleTrajectory:
-    """Sampled (x, y, z) states of the benchmark system."""
-
-    t: np.ndarray
-    xyz: np.ndarray  # (n, 3)
-
-    def norms(self) -> np.ndarray:
-        return np.linalg.norm(self.xyz, axis=1)
-
-
 def simulate_two_timescale(
     p: TwoTimescaleParams, t_end: float, dt: float
-) -> TwoTimescaleTrajectory:
-    """Evaluate the exact closed-form solution on a uniform grid.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample times t and (n, 3) states xyz of the exact closed form.
 
     w = x + jy obeys dw/dt = -(a + j omega) w + b z with
     z = z0 exp(-eps t), so w(t) = C exp(-eps t) + (w0 - C) exp(-(a+j omega) t)
@@ -78,7 +69,7 @@ def simulate_two_timescale(
     w0 = complex(p.x0, p.y0)
     w = c * np.exp(-p.eps * t) + (w0 - c) * np.exp(-pole * t)
     xyz = np.column_stack([w.real, w.imag, z])
-    return TwoTimescaleTrajectory(t=t, xyz=xyz)
+    return t, xyz
 
 
 def analytic_ftle(p: TwoTimescaleParams, t_window: float) -> tuple[float, float]:
@@ -257,3 +248,29 @@ def _scenario(kind: str, p: ScenarioParams) -> VoltageTrajectory:
         prefault_voltage={f"G{m + 1}": p.nominal for m in range(p.n_channels)},
     )
     return traj
+
+
+def ground_truth_trips(
+    kind: str, params: ScenarioParams, generators: dict[str, GeneratorSpec]
+) -> dict[str, bool]:
+    """Whether each generator trips on the full noise-free record.
+
+    The record is ``kind`` on ``params`` without noise, run to the latest
+    pickup or LVRT time plus ``oel.PICKUP_PAD_S``.  A generator trips
+    when its voltage at an entry's time t_i after fault clearing lies
+    below the entry's cap: for a pickup, ``oel.voltage_cap`` on the
+    record's own K1 and K2, nearest that voltage; for LVRT, the level.
+    """
+    entries = [e for spec in generators.values() for e in spec.pickups + spec.lvrt]
+    p = replace(params, noise_sigma=0.0, post_s=max(t for _, t in entries) + PICKUP_PAD_S)
+    traj = synth_scenario(kind, p)
+    truth = {}
+    for gen_id, spec in generators.items():
+        v = traj.channels[traj.channel_ids.index(gen_id)].voltage[traj.fault_clear_index:]
+        at = {t: float(v[round(t * p.fs)]) for _, t in spec.pickups + spec.lvrt}
+        caps = [
+            (voltage_cap(e, spec.xd_prime, spec.p_active, p.k1, p.k2, at[t]), t)
+            for e, t in spec.pickups
+        ]
+        truth[gen_id] = any(at[t] < cap for cap, t in caps + list(spec.lvrt))
+    return truth

@@ -139,6 +139,23 @@ def test_assess_with_generator_config(capsys, tmp_path, gen_config):
     assert any(g["class"] == "trip" for g in doc["generators"])
 
 
+def test_a_flat_reactive_power_is_one_line_and_not_a_trip(capsys, tmp_path):
+    # a noise-free stalled record repeats one (V, Q) point, which once
+    # fitted a made-up Q-V line and classed G1 a trip with no threshold
+    record, config = tmp_path / "s.csv", tmp_path / "g1.ini"
+    assert run(["synth", "stalled-recovery", "level=0.95", "--out", str(record)]) == 0
+    config.write_text("[G1]\nxd_prime = 0.25\np_active = 0.85\npickup = 1.0@20.0\n")
+    capsys.readouterr()
+    code = run(
+        ["assess", "--in", str(record), "--t0", "1.1", "--gen-config", str(config)]
+    )
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == (
+        "stvs: [recovery:G1] reactive power has no variance: Q-V fit singular\n"
+    )
+
+
 def test_assess_rejects_nan_file(tmp_path, capsys):
     path = tmp_path / "nan.csv"
     path.write_text("time,V:A\n0.0,1.0\n0.02,nan\n0.04,1.0\n")

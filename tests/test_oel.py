@@ -24,6 +24,7 @@ from stvs.errors import (
     TriviallySafe,
     TriviallyTripping,
     ValidationError,
+    WindowSampleError,
 )
 from stvs.indices import AssessmentConfig, assess, classify
 from stvs.lyapunov import fsle_residual_series
@@ -75,6 +76,24 @@ def test_fit_matches_normal_equations_bit_for_bit():
 def test_fit_rejects_constant_reactive_power():
     with pytest.raises(ValidationError):
         fit_qv(np.linspace(0.9, 1.0, 10), np.full(10, 0.3))
+
+
+# a stalled record's 3 s window at 50 Hz: 151 equal samples.  Rounding
+# left up to 4.5e-13 of n sum(Q^2) - sum(Q)^2, which an absolute 1e-14
+# bound let through as K1 = 2, 4, -2 or 0, or a trip on a made-up line.
+@pytest.mark.parametrize("level", [0.8, 0.825, 0.8250000000000001, 0.85, 0.875, 0.9, 0.95])
+@pytest.mark.parametrize("k1, k2", [(QV_K1, QV_K2), (0.5, 0.9)])
+def test_fit_rejects_equal_reactive_power_at_any_level(level, k1, k2):
+    v = np.full(151, level)
+    with pytest.raises(ValidationError, match="reactive power has no variance"):
+        fit_qv(v, (v - k2) / k1)
+
+
+def test_an_overflowing_reactive_power_is_not_read_as_no_variance():
+    q = np.linspace(0.1, 0.5, 10)
+    q[4], q[5] = 1e200, -1e200  # sum(Q^2) overflows, sum(Q) does not
+    with pytest.raises(WindowSampleError, match="Q-V fit is not finite"):
+        fit_qv(np.linspace(0.9, 1.0, 10), q)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300], ids=["nan", "inf", "1e300"])
@@ -256,16 +275,44 @@ def _recovering_residual(rate, dip=0.3, t_end=3.0):
     return 1.0 - dip * np.exp(-rate * t)
 
 
+def _extreme_exponents(series):
+    """The slowest and the fastest finite recovery exponent."""
+    lams = series.lambdas[np.isfinite(series.lambdas)]
+    return float(lams.max()), float(lams.min())
+
+
 def test_critical_signal_tangent_at_single_pickup():
     residual = _recovering_residual(0.5)
     series = fsle_residual_series(residual, eq0=1.0, dt=DT)
-    crit = construct_critical_signals(residual, DT, 1.0, [(0.9, 20.0)], series)
+    s1, s2 = construct_critical_signals(residual, DT, 1.0, [(0.9, 20.0)], series)
     # each shifted member, extrapolated in closed form, meets the cap at 20 s
     t_w = (residual.size - 1) * DT
-    for lam, shift in ((crit.lam_slow, crit.shift1), (crit.lam_fast, crit.shift2)):
+    for lam, signal in zip(_extreme_exponents(series), (s1, s2)):
+        shift = signal[-1] - residual[-1]
         at_pickup = 1.0 + (residual[-1] - 1.0) * math.exp(lam * (20.0 - t_w)) + shift
         assert at_pickup == pytest.approx(0.9, abs=1e-9)
-    assert crit.lam_slow == pytest.approx(-0.5, abs=1e-6)
+    assert _extreme_exponents(series)[0] == pytest.approx(-0.5, abs=1e-6)
+
+
+def _tangency_shifts(residual, dt, eq0, vcaps, series):
+    """(shift1, shift2) by the documented rule: the cap minus the slowest
+    member at each cap time, least over the caps, and the cap minus the
+    fastest member, greatest.  A member is the residual sample inside the
+    window and its closed-form extrapolation past it."""
+    lam_slow, lam_fast = _extreme_exponents(series)
+    t_w = (residual.size - 1) * dt
+    caps = np.array([v for v, _ in vcaps])
+    times = np.array([t for _, t in vcaps])
+
+    def member(lam):
+        inside = times <= t_w
+        out = np.empty_like(times)
+        idx = np.minimum((times[inside] / dt).round().astype(int), residual.size - 1)
+        out[inside] = residual[idx]
+        out[~inside] = eq0 + (residual[-1] - eq0) * np.exp(lam * (times[~inside] - t_w))
+        return out
+
+    return float(np.min(caps - member(lam_slow))), float(np.max(caps - member(lam_fast)))
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -282,30 +329,33 @@ def test_critical_signals_are_the_residual_shifted_over_the_window(
     built = []
 
     def recording(residual, *args):
-        crit = construct_critical_signals(residual, *args)
-        built.append((residual, crit))
-        return crit
+        signals = construct_critical_signals(residual, *args)
+        built.append((residual, args, signals))
+        return signals
 
     monkeypatch.setattr(oel, "construct_critical_signals", recording)
     traj = synth_scenario(kind, osc_params(n_channels=3, noise_sigma=0.001, seed=seed))
     result = assess(traj, AssessmentConfig(generators=specs))
     tuned = [g.id for g in result.per_generator if g.tuning is not None]
     assert len(built) == len(tuned) and "G3" in tuned
-    for residual, crit in built:
-        assert crit.s1.shape == crit.s2.shape == residual.shape
-        assert np.array_equal(crit.s1, residual + crit.shift1)
-        assert np.array_equal(crit.s2, residual + crit.shift2)
+    for residual, args, (s1, s2) in built:
+        shift1, shift2 = _tangency_shifts(residual, *args)
+        assert s1.shape == s2.shape == residual.shape
+        assert np.array_equal(s1, residual + shift1)
+        assert np.array_equal(s2, residual + shift2)
 
 
 def test_critical_signals_collapse_when_lambda_degenerate():
     residual = _recovering_residual(0.5)
     series = fsle_residual_series(residual, eq0=1.0, dt=DT)
     caps = [(0.85, 15.0), (0.9, 20.0)]
-    crit = construct_critical_signals(residual, DT, 1.0, caps, series)
+    s1, s2 = construct_critical_signals(residual, DT, 1.0, caps, series)
     # pure exponential: lam_slow == lam_fast, so the underlying curves
     # coincide and s1/s2 differ only by their tangency shifts
-    assert crit.lam_slow == pytest.approx(crit.lam_fast, abs=1e-9)
-    assert np.allclose(crit.s1 - crit.shift1, crit.s2 - crit.shift2, atol=1e-12)
+    lam_slow, lam_fast = _extreme_exponents(series)
+    assert lam_slow == pytest.approx(lam_fast, abs=1e-9)
+    shift1, shift2 = _tangency_shifts(residual, DT, 1.0, caps, series)
+    assert np.allclose(s1 - shift1, s2 - shift2, atol=1e-12)
 
 
 def test_trivially_safe_recovery_detected():

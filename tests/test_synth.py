@@ -1,13 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
+from conftest import QV_K1, QV_K2
 from stvs.emd import decompose, filter_imfs_by_frequency
 from stvs.errors import ValidationError
 from stvs.ingest import extract_post_fault_window
+from stvs.oel import GeneratorSpec
 from stvs.synth import (
     ScenarioParams,
     TwoTimescaleParams,
     analytic_ftle,
+    ground_truth_trips,
     simulate_two_timescale,
     synth_scenario,
 )
@@ -15,25 +20,25 @@ from stvs.synth import (
 BENCH = TwoTimescaleParams(a=1.0, omega=10.0, b=5.0, eps=0.01, z0=1.0)
 
 
-def numeric_ftle(traj, t_window):
-    norms = traj.norms()
-    k = int(round(t_window / (traj.t[1] - traj.t[0])))
-    return float(np.log(norms[k] / norms[0]) / traj.t[k])
+def numeric_ftle(t, xyz, t_window):
+    norms = np.linalg.norm(xyz, axis=1)
+    k = int(round(t_window / (t[1] - t[0])))
+    return float(np.log(norms[k] / norms[0]) / t[k])
 
 
 # -- closed-form solution ----------------------------------------------------------
 
 def test_slow_mode_is_exact():
     p = TwoTimescaleParams(a=5.0, omega=60.0, b=1.0, eps=0.05, z0=2.0)
-    traj = simulate_two_timescale(p, 2.0, 0.001)
-    assert np.allclose(traj.xyz[:, 2], 2.0 * np.exp(-0.05 * traj.t), atol=1e-15)
+    t, xyz = simulate_two_timescale(p, 2.0, 0.001)
+    assert np.allclose(xyz[:, 2], 2.0 * np.exp(-0.05 * t), atol=1e-15)
 
 
 def test_decoupled_zero_forcing_stays_at_origin():
     p = TwoTimescaleParams(a=5.0, omega=60.0, b=0.0, eps=0.05)
-    traj = simulate_two_timescale(p, 1.0, 0.001)
-    assert np.all(traj.xyz[:, 0] == 0.0)
-    assert np.all(traj.xyz[:, 1] == 0.0)
+    _, xyz = simulate_two_timescale(p, 1.0, 0.001)
+    assert np.all(xyz[:, 0] == 0.0)
+    assert np.all(xyz[:, 1] == 0.0)
 
 
 def rk4_oracle(p, t_end, dt):
@@ -60,9 +65,9 @@ def rk4_oracle(p, t_end, dt):
 def test_closed_form_matches_integrator_oracle():
     p = TwoTimescaleParams(a=5.0, omega=60.0, b=1.0, eps=0.05, z0=1.0)
     dt = 0.001
-    traj = simulate_two_timescale(p, 2.0, dt)
+    _, xyz = simulate_two_timescale(p, 2.0, dt)
     fine = rk4_oracle(p, 2.0, dt / 100.0)
-    assert np.max(np.abs(traj.xyz - fine[::100])) < 1e-8
+    assert np.max(np.abs(xyz - fine[::100])) < 1e-8
 
 
 def test_resonant_denominator_rejected():
@@ -87,23 +92,23 @@ def test_analytic_ftle_asymptote():
 
 
 def test_numeric_ftle_matches_closed_form_within_5_percent():
-    traj = simulate_two_timescale(BENCH, 32.0, 0.01)
+    t, xyz = simulate_two_timescale(BENCH, 32.0, 0.01)
     for t_window in range(3, 31):
         lam, _ = analytic_ftle(BENCH, float(t_window))
-        num = numeric_ftle(traj, float(t_window))
+        num = numeric_ftle(t, xyz, float(t_window))
         assert num == pytest.approx(lam, rel=0.05)
 
 
 def test_positivity_window_bound_within_one_sample():
     dt = 0.01
-    traj = simulate_two_timescale(BENCH, 32.0, dt)
+    t, xyz = simulate_two_timescale(BENCH, 32.0, dt)
     _, bound = analytic_ftle(BENCH, 1.0)
-    norms = traj.norms()
-    lam_series = np.log(norms[1:] / norms[0]) / traj.t[1:]
+    norms = np.linalg.norm(xyz, axis=1)
+    lam_series = np.log(norms[1:] / norms[0]) / t[1:]
     # first crossing into negative territory after the early transient
-    settled = traj.t[1:] > 1.0
+    settled = t[1:] > 1.0
     idx = np.flatnonzero(settled & (lam_series <= 0.0))[0]
-    crossing_time = traj.t[1:][idx]
+    crossing_time = t[1:][idx]
     assert abs(crossing_time - bound) <= dt + 1e-12
 
 
@@ -222,20 +227,45 @@ def test_scenario_is_seed_deterministic():
         assert np.array_equal(ca.voltage, cb.voltage)
 
 
+# -- ground-truth trips ---------------------------------------------------------------------
+
+# A 0.3 pu dip recovering at r/s sits below the 0.9 pu cap at 20 s
+# exactly when exp(-20 r) > 1/3, that is for r < ln(3)/20.
+RATE_BOUNDARY = math.log(3.0) / 20.0
+
+
+@pytest.mark.parametrize("kind", ["mixed", "fast-recovery"])
+@pytest.mark.parametrize("rate, trips", [(0.99 * RATE_BOUNDARY, True),
+                                         (1.01 * RATE_BOUNDARY, False)])
+def test_ground_truth_trips_at_the_recovery_boundary(generator_specs, kind, rate, trips):
+    # the noise is dropped and the record runs past the 3 s it was given
+    params = ScenarioParams(k1=QV_K1, k2=QV_K2, recovery=rate, noise_sigma=0.003)
+    assert ground_truth_trips(kind, params, generator_specs) == {
+        gen_id: trips for gen_id in generator_specs
+    }
+
+
+@pytest.mark.parametrize("level, trips", [(0.85, True), (0.95, False)])
+def test_an_lvrt_entry_is_its_own_cap_in_the_ground_truth(level, trips):
+    spec = GeneratorSpec(id="G1", xd_prime=0.0, p_active=0.0, lvrt=((0.9, 5.0),))
+    params = ScenarioParams(n_channels=1, level=level)
+    assert ground_truth_trips("stalled-recovery", params, {"G1": spec}) == {"G1": trips}
+
+
 # -- convergence-time regimes ------------------------------------------------------------
 
 def settle_time(p, t_end=80.0, dt=0.02, tol=0.1):
     """First time after which the numeric exponent stays within
     tol * eps of -eps until the end of the run."""
-    traj = simulate_two_timescale(p, t_end, dt)
-    norms = traj.norms()
-    lam = np.log(norms[1:] / norms[0]) / traj.t[1:]
+    t, xyz = simulate_two_timescale(p, t_end, dt)
+    norms = np.linalg.norm(xyz, axis=1)
+    lam = np.log(norms[1:] / norms[0]) / t[1:]
     inside = np.abs(lam - (-p.eps)) <= tol * p.eps
     if inside[-1]:
         k = len(inside) - 1
         while k > 0 and inside[k - 1]:
             k -= 1
-        return traj.t[1:][k]
+        return t[1:][k]
     return np.inf
 
 
