@@ -28,7 +28,7 @@ from itertools import chain
 import numpy as np
 
 from . import oel, synth
-from .distribution import reference_table
+from .distribution import _bin_edges, reference_table
 from .emd import decompose
 from .errors import StvsError, ValidationError, stage
 from .indices import (
@@ -289,10 +289,10 @@ def _cmd_exponents(args) -> int:
 
 
 def _cmd_thresholds(args) -> int:
-    """Print the critical oscillation index and the reference row it
-    was scored against, read from the cache ``imf_threshold`` read."""
+    """Print the critical oscillation index and the grid and reference
+    row it was scored against, read from the caches ``imf_threshold`` read."""
     value = stage("oscillation", imf_threshold, args.bins, args.lo, args.hi, args.shape)
-    edges = np.linspace(args.lo, args.hi, args.bins + 1)
+    edges, _ = _bin_edges(args.bins, args.lo, args.hi)
     ref = reference_table([args.shape], [OSC_X_STAR], edges)[0, 0]
     doc = {
         "imf_critical": value,

@@ -8,22 +8,24 @@ at bin centers and normalized; it is strictly decreasing in x, which
 makes it an ideal of asymptotic convergence that penalizes slow
 recovery.  Indices are natural-log KL divergences against it.
 
-Every index is scored through ``kl_index``: it bins the factors and
-scores them against the rows of a (gamma, x*, bin) reference table
-that ``reference_table`` builds once per grid and keeps read-only, so
-a single shape, the default shape and the tuner's whole grid take the
-same path.  One (gamma, x*) pair is a 1 x 1 grid.
+Every index and critical value is scored through ``kl_index``: it
+bins the factors and scores them against the rows of a (gamma, x*, bin)
+reference table that ``reference_table`` builds once per grid and keeps
+read-only, so a single shape, the default shape and the tuner's whole
+grid take the same path.  One (gamma, x*) pair is a 1 x 1 grid.
 
-Binning is one ``searchsorted`` of the grid's cached, read-only edges
-and one ``bincount``, with exactly the counts of ``np.histogram`` on
-the clamped factors but without its sort.  ``kl_index`` skips the
-checks ``kl_divergence_table`` makes of values it has just built itself
-(a histogram, a positive cached table); the public table functions keep
-every check.
+A (bins, lo, hi) grid is checked, and its edges built and cached
+read-only, in ``_bin_edges`` alone.  Binning is one ``searchsorted`` of
+the edges and one ``bincount``, with exactly the counts of
+``np.histogram`` on the clamped factors but without its sort.
+``kl_index`` skips the checks ``kl_divergence_table`` makes of values it
+has just built itself (a histogram, a positive cached table); the
+public table functions keep every check.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -36,18 +38,30 @@ from .errors import ValidationError
 # grid, but float64 does).
 _PROB_FLOOR = np.finfo(float).tiny
 
+# The most bins a grid may have: its edges take 8 MB, not gigabytes.
+MAX_BINS = 10**6
 
-@lru_cache(maxsize=8)
+
+@lru_cache(maxsize=8, typed=True)  # typed: 20.0 bins must not hit 20's entry
 def _bin_edges(bins: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
     """The edges of a histogram grid, and the keys ``_bin_counts`` searches.
 
-    Both are built once per grid and read-only; the keys are the edges
-    followed by NaN, which sorts above every float.
+    The grid needs 2 to ``MAX_BINS`` bins on a finite range whose width a
+    float holds.  Both arrays are built once per grid and read-only; the
+    keys are the edges followed by NaN, which sorts above every float.
     """
+    if not isinstance(bins, (int, np.integer)):
+        raise ValidationError(f"bins must be an integer, got {bins!r}")
     if bins < 2:
         raise ValidationError("need at least 2 bins")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValidationError(f"grid range [{lo}, {hi}] must be finite")
     if not lo < hi:
         raise ValidationError(f"invalid range [{lo}, {hi}]")
+    if not math.isfinite(hi - lo):  # np.linspace would overflow on the width
+        raise ValidationError(f"grid range [{lo}, {hi}] is wider than a float can hold")
+    if bins > MAX_BINS:
+        raise ValidationError(f"{bins} bins: not a count an array can hold")
     edges = np.linspace(lo, hi, bins + 1)
     keys = np.append(edges, np.nan)
     edges.flags.writeable = False

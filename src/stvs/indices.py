@@ -10,13 +10,12 @@ Two complementary quantities summarize a post-fault window:
   voltage dip.
 
 Both increase toward instability; each is compared against a critical
-value, yielding a classification and a signed percentage margin.  Every
-KL here, the critical oscillation value's included, reads its reference
-from the one cached table of ``distribution``; both indices are scored
-by ``distribution.kl_index``.  A generator's recovery index is scored
-inside ``assess``, as each critical signal is in the tuner, through
-``fsle_residual_series`` (None when it never dipped) and
-``oel.recovery_scores``.
+value, yielding a classification and a signed percentage margin.  Both
+indices and the critical oscillation value are scored by
+``distribution.kl_index``, on grids that ``distribution`` checks and
+builds.  A generator's recovery index is scored inside ``assess``, as
+each critical signal is in the tuner, through ``fsle_residual_series``
+(None when it never dipped) and ``oel.recovery_scores``.
 
 ``AssessmentConfig`` carries what a run may set: the analysis window
 and the generators' machine data.  The method's fixed choices (the
@@ -40,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import oel
-from .distribution import kl_divergence_table, kl_index, reference_table
+from .distribution import _bin_edges, kl_index
 from .embed import augment_rocov, delay_embed, normalize_channels
 from .emd import (
     DecompositionResult,
@@ -226,33 +225,21 @@ def imf_threshold(bins: int, lo: float, hi: float, gamma2: float) -> float:
     A fixed-magnitude oscillation never diverges, so its divergence
     factors concentrate at and just below 1: the construction spreads
     unit mass uniformly over the bin containing x = 1 and the two bins
-    below it, then measures the KL distance to the Gompertz reference
-    with shift 1 on the same grid.  The value depends only on the grid
-    and gamma2, so it is computed once per distinct set of them.
+    below it (one factor on each lower edge) and scores it through
+    ``kl_index`` against the Gompertz reference with shift 1.  The value
+    depends only on the grid and gamma2, so it is computed once per
+    distinct set of them.
     """
-    if not isinstance(bins, (int, np.integer)):
-        raise ValidationError(f"bins must be an integer, got {bins!r}")
-    if bins < 3:
+    if isinstance(bins, (int, np.integer)) and bins < 3:
         raise ValidationError("need at least 3 bins for the threshold")
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValidationError(f"grid range [{lo}, {hi}] must be finite")
-    if not lo < hi:
-        raise ValidationError(f"invalid range [{lo}, {hi}]")
-    if not math.isfinite(hi - lo):  # np.linspace would overflow on the width
-        raise ValidationError(f"grid range [{lo}, {hi}] is wider than a float can hold")
-    try:
-        edges = np.linspace(lo, hi, bins + 1)
-    except (MemoryError, ValueError) as exc:  # NumPy refuses the size at once
-        raise ValidationError(f"{bins} bins: not a count an array can hold") from exc
-    if not (edges[0] < 1.0 < edges[-1]):
+    edges, _ = _bin_edges(bins, lo, hi)
+    if not lo < 1.0 < hi:
         raise ValidationError("grid must contain the unit divergence factor")
-    ic = int(np.searchsorted(edges, 1.0, side="right") - 1)
-    if ic - 2 < 0:
+    ic = int(edges.searchsorted(1.0, side="right")) - 1
+    if ic < 2:
         raise ValidationError("grid leaves no room below the unit factor")
-    p = np.zeros(bins)
-    p[ic - 2: ic + 1] = 1.0 / 3.0
-    ref = reference_table([gamma2], [OSC_X_STAR], edges)[0, 0]
-    return float(kl_divergence_table(p, ref))
+    kl = kl_index(edges[ic - 2: ic + 1], (bins, lo, hi), [gamma2], [OSC_X_STAR])
+    return float(kl[0, 0])
 
 
 def _embedding_parameters(

@@ -311,7 +311,7 @@ class RowChecker:
 
 
 def trajectory_from_columns(
-    names: list[str], data: np.ndarray, checker: RowChecker
+    names: list[str], data: np.ndarray, checker: RowChecker, fault_clear_index: int = 0
 ) -> VoltageTrajectory:
     """Build a validated trajectory from already-parsed CSV columns.
 
@@ -319,7 +319,7 @@ def trajectory_from_columns(
     caller must not write to ``data`` again.  ``checker`` is the header
     ``names``' row checker; ``data`` is an append-only buffer whose
     leading rows it has seen in earlier calls: only the rows added since
-    are checked.
+    are checked.  The fault clear sample is ``fault_clear_index`` (0 for a file).
     """
     checker.check(data)
 
@@ -337,7 +337,7 @@ def trajectory_from_columns(
         q = column(q_name) if q_name in names else None
         channels.append(Channel(id=cid, voltage=column(col), reactive_power=q))
     return VoltageTrajectory(
-        channels=tuple(channels), dt=checker.dt, t_start=checker.t_start
+        tuple(channels), checker.dt, fault_clear_index, t_start=checker.t_start
     )
 
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import replace
 
 import numpy as np
 
@@ -173,8 +172,7 @@ class Monitor:
         if data_time + 1e-9 < self._next_report:
             return None
         try:
-            traj = trajectory_from_columns(self.names, data, checker)
-            traj = replace(traj, fault_clear_index=t0_index)
+            traj = trajectory_from_columns(self.names, data, checker, t0_index)
             doc = assess(traj, self.config).to_dict()
         except StvsError as exc:
             # with t0 the rows before t0 and the window's start are fixed,

@@ -23,8 +23,9 @@ from conftest import (
     osc_params,
     pickup_level,
 )
-from stvs import indices
+from stvs import distribution, indices
 from stvs.cli import run
+from stvs.errors import ValidationError
 from stvs.indices import AssessmentConfig, assess
 from stvs.ingest import load_trajectory, write_trajectory
 from stvs.oel import load_generator_config
@@ -89,22 +90,30 @@ def test_thresholds_reports_critical_value(capsys):
 
 
 def test_thresholds_prints_the_reference_row_imf_threshold_scored(capsys, monkeypatch):
-    scored = []
-    kl = indices.kl_divergence_table
+    scored, read = [], []
+    kl_index, reference_table = indices.kl_index, distribution.reference_table
 
-    def keeping(p, q):
-        scored.append((q, kl(p, q)))
-        return scored[-1][1]
+    def keeping(factors, grid, gammas, x_stars):
+        scored.append((grid, gammas, x_stars, kl_index(factors, grid, gammas, x_stars)))
+        return scored[-1][-1]
 
-    monkeypatch.setattr(indices, "kl_divergence_table", keeping)
+    def reading(gammas, x_stars, edges):  # the table kl_index scores against
+        read.append((edges, reference_table(gammas, x_stars, edges)))
+        return read[-1][-1]
+
+    monkeypatch.setattr(indices, "kl_index", keeping)
+    monkeypatch.setattr(distribution, "reference_table", reading)
     indices.imf_threshold.cache_clear()
     argv = ["thresholds", "--bins", "30", "--lo", "0.1", "--hi", "2", "--gamma2", "4"]
     code, doc = run_json(capsys, argv)
     indices.imf_threshold.cache_clear()  # drop the value scored through the wrapper
     assert code == 0
-    ((row, value),) = scored
-    assert doc["reference"]["probabilities"] == row.tolist()
-    assert doc["imf_critical"] == value
+    ((grid, gammas, x_stars, value),) = scored
+    ((edges, table),) = read
+    assert (grid, gammas, x_stars) == ((30, 0.1, 2.0), [4.0], [1.0])
+    assert doc["reference"]["bin_edges"] == edges.tolist()
+    assert doc["reference"]["probabilities"] == table[0, 0].tolist()
+    assert doc["imf_critical"] == value[0, 0]
 
 
 # -- assess -----------------------------------------------------------------------
@@ -1108,14 +1117,14 @@ NUMERIC_FLAGS = {
     "thresholds": ("--lo", "--hi", "--gamma2", "--bins"),
 }
 
-# Counts NumPy refuses before it allocates anything: 8 PB of edges, more
-# than an index can address, and far more than a float can hold.
+# Counts far past the bin cap: 8 PB of edges, more than an index can
+# address, and far more than a float can hold.
 REFUSED_BIN_COUNTS = (10**15, 10**20, 10**400)
 
 
 def bin_count_literals():
-    """Integer literals for --bins: small counts, and counts NumPy refuses
-    at once; never one that would really allocate gigabytes."""
+    """Integer literals for --bins: small counts, and counts past the bin
+    cap; never one that would really allocate gigabytes."""
     return st.one_of(
         st.integers(min_value=-3, max_value=10**4),
         st.sampled_from(REFUSED_BIN_COUNTS),
@@ -1179,6 +1188,38 @@ def test_a_bin_count_no_array_can_hold_is_one_oscillation_line(short_record, com
     assert run_in_process(argv) == (
         1, "", f"stvs: [oscillation] {count} bins: not a count an array can hold\n", []
     )
+
+
+# distribution.MAX_BINS, the most bins a grid may have
+BIN_CAP = 10**6
+
+
+def test_a_grid_past_the_bin_cap_is_refused_before_any_array_is_asked_for(
+    monkeypatch, short_record
+):
+    asked = []
+    linspace = np.linspace
+
+    def guarded(start, stop, num=50, **kwargs):  # refuses what the kernel would kill
+        if num > BIN_CAP + 1:
+            asked.append(num)
+            raise MemoryError(f"{num} edges")
+        return linspace(start, stop, num, **kwargs)
+
+    monkeypatch.setattr(np, "linspace", guarded)
+    count = 4 * 10**8
+    line = f"{count} bins: not a count an array can hold"
+    for score in (
+        lambda: indices.imf_threshold(count, 0.0, 1.5, 10.0),
+        lambda: distribution.kl_index(np.ones(3), (count, 0.0, 1.5), [10.0], [1.0]),
+    ):
+        with pytest.raises(ValidationError) as err:
+            score()
+        assert (str(err.value), asked) == (line, [])
+    argv = command_argv("thresholds", short_record) + ["--bins", str(count)]
+    assert run_in_process(argv) == (1, "", f"stvs: [oscillation] {line}\n", [])
+    assert asked == []
+    assert distribution.MAX_BINS == BIN_CAP
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import histogram_oracle, kl_oracle, reference_oracle
 from stvs import distribution
 from stvs.distribution import (
+    MAX_BINS,
     gompertz_reference_table,
     kl_divergence_table,
     kl_index,
@@ -62,6 +65,36 @@ def test_histogram_rejects_empty_and_bad_grid():
         kl_index(np.array([1.0]), (1, 0.0, 1.5), [10.0], [1.0])
     with pytest.raises(ValidationError):
         kl_index(np.array([1.0]), (20, 1.5, 0.0), [10.0], [1.0])
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ((20.0, 0.0, 1.5), "bins must be an integer, got 20.0"),
+        ((1, 0.0, 1.5), "need at least 2 bins"),
+        ((20, 0.0, np.inf), "grid range [0.0, inf] must be finite"),
+        ((20, np.nan, 1.5), "grid range [nan, 1.5] must be finite"),
+        ((20, 1.5, 0.0), "invalid range [1.5, 0.0]"),
+        ((20, -1e308, 1e308), "grid range [-1e+308, 1e+308] is wider than a float can hold"),
+        ((MAX_BINS + 1, 0.0, 1.5), f"{MAX_BINS + 1} bins: not a count an array can hold"),
+    ],
+    ids=["float-bins", "one-bin", "infinite-hi", "nan-lo", "reversed", "too-wide", "past-cap"],
+)
+def test_every_index_grid_gets_the_one_grid_check(grid, message):
+    edges = distribution._bin_edges(20, 0.0, 1.5)  # cached: 20.0 must not hit it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError) as err:
+            kl_index(np.array([1.0]), grid, [10.0], [1.0])
+    assert str(err.value) == message
+    assert distribution._bin_edges(20, 0.0, 1.5) is edges
+
+
+def test_a_grid_of_max_bins_is_built():
+    # uncached, so that its 16 MB do not stay
+    edges, keys = distribution._bin_edges.__wrapped__(MAX_BINS, 0.0, 1.5)
+    assert len(edges) == MAX_BINS + 1 and len(keys) == MAX_BINS + 2
+    assert (edges[0], edges[-1]) == (0.0, 1.5)
 
 
 @given(seed=st.integers(min_value=0, max_value=2**16))

@@ -75,7 +75,7 @@ def test_imf_threshold_depends_on_bin_count():
 
 @pytest.mark.parametrize("bins", [10**15, 10**20, 10**400], ids=["1e15", "1e20", "1e400"])
 def test_a_bin_count_no_array_can_hold_is_a_validation_error(bins):
-    # NumPy refuses each of these sizes before it allocates anything
+    # each is past distribution.MAX_BINS, refused before anything is allocated
     with pytest.raises(ValidationError) as exc:
         imf_threshold(bins, 0.0, 1.5, 10.0)
     assert str(exc.value) == f"{bins} bins: not a count an array can hold"
@@ -208,19 +208,20 @@ def test_every_kl_of_an_assess_runs_through_the_one_scorer(
     def forbidden(*args, **kwargs):
         raise AssertionError("kl_divergence_table called")
 
-    # the config scores the critical oscillation value, which assess reads back
     config = AssessmentConfig(generators=generator_specs)
     for module in (indices, oel):
         monkeypatch.setattr(module, "kl_index", counting)
-    monkeypatch.setattr(indices, "kl_divergence_table", forbidden)
+    monkeypatch.setattr(distribution, "kl_divergence_table", forbidden)
     traj = synth_scenario("mixed", osc_params(noise_sigma=0.003, seed=4))
+    imf_threshold.cache_clear()  # so that this assess scores the critical value
     result = assess(traj, config)
+    imf_threshold.cache_clear()  # drop the value scored through the wrapper
     assert all(g.tuning is not None for g in result.per_generator)
     assert result.oscillation.series is not None
     tuning = [(REC_GRID, oel.GAMMA1_RANGE[2], oel.X_STAR_RANGE[2])] * 2
-    # the oscillation index, then per generator its two critical
-    # signals over the tuning grid and its index at the tuned point
-    assert scored == [(IMF_GRID, 1, 1)] + (tuning + [(REC_GRID, 1, 1)]) * 3
+    # the oscillation index and its critical value, then per generator its
+    # two critical signals over the tuning grid and its index at the tuned point
+    assert scored == [(IMF_GRID, 1, 1)] * 2 + (tuning + [(REC_GRID, 1, 1)]) * 3
 
 
 def test_undamped_oscillation_scores_near_threshold():
@@ -447,20 +448,64 @@ KNOWN_FALSE_TRIPS = {
 }
 
 
-def test_no_trip_is_missed_from_three_seconds(generator_specs):
+def trip_verdicts(records, generator_specs):
+    """The missed and the false trips, each (*key, generator id), of the
+    (key, kind, scenario overrides) records."""
     missed, false_trips = [], set()
     config = AssessmentConfig(window_s=3.0, generators=generator_specs)
-    for kind, knob, value, sigma in TRIP_SWEEP:
-        params = ScenarioParams(k1=QV_K1, k2=QV_K2, noise_sigma=sigma, **{knob: value})
+    for key, kind, overrides in records:
+        params = ScenarioParams(k1=QV_K1, k2=QV_K2, **overrides)
         truth = ground_truth_trips(kind, params, generator_specs)
         for g in assess(synth_scenario(kind, params), config).per_generator:
-            record = (kind, round(value, 4), sigma, g.id)
             if truth[g.id] and g.classification != "trip":
-                missed.append(record)
+                missed.append((*key, g.id))
             elif g.classification == "trip" and not truth[g.id]:
-                false_trips.add(record)
+                false_trips.add((*key, g.id))
+    return missed, false_trips
+
+
+def test_no_trip_is_missed_from_three_seconds(generator_specs):
+    missed, false_trips = trip_verdicts(
+        [
+            ((kind, round(value, 4), sigma), kind, {knob: value, "noise_sigma": sigma})
+            for kind, knob, value, sigma in TRIP_SWEEP
+        ],
+        generator_specs,
+    )
     assert missed == []
     assert false_trips == KNOWN_FALSE_TRIPS
+
+
+# The creep axis: stalled records that drift up at 0.001-0.01 pu/s, from
+# levels below the 0.9 pu cap, with noise (see TRIP_SWEEP).
+CREEP_SWEEP = [
+    (level, creep, sigma)
+    for level in (0.75, 0.8, 0.85, 0.88)
+    for creep in (0.001, 0.002, 0.004, 0.006, 0.01)
+    for sigma in (0.001, 0.003)
+]
+
+# A known limit: each creeps 0.00-0.05 pu above the cap by 20 s, which
+# an index read from the first 3 s does not credit.
+KNOWN_CREEP_FALSE_TRIPS = {
+    *((0.75, 0.01, sigma, g) for sigma in (0.001, 0.003) for g in ("G1", "G2", "G3")),
+    *((0.8, 0.006, sigma, g) for sigma in (0.001, 0.003) for g in ("G1", "G2", "G3")),
+    *((0.88, 0.001, 0.001, g) for g in ("G1", "G2", "G3")),
+    (0.88, 0.001, 0.003, "G2"),
+}
+
+
+def test_no_creeping_trip_is_missed_from_three_seconds(generator_specs):
+    missed, false_trips = trip_verdicts(
+        [
+            ((level, creep, sigma), "stalled-recovery",
+             dict(level=level, stall_creep=creep, noise_sigma=sigma))
+            for level, creep, sigma in CREEP_SWEEP
+        ],
+        generator_specs,
+    )
+    assert missed == []
+    assert false_trips == KNOWN_CREEP_FALSE_TRIPS
 
 
 # -- column order ---------------------------------------------------------------------

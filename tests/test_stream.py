@@ -819,6 +819,25 @@ def test_stream_builds_one_trajectory_per_report_not_per_row(with_t0):
     assert len(built) < (len(lines) - 1) / 4
 
 
+def test_stream_checks_each_report_history_once(monkeypatch):
+    # one construction of the report's trajectory, with its fault clear
+    # sample placed, and one of its window; each checks every voltage
+    lines = record_lines("mixed", noise_sigma=0.001)
+    built = []
+    check = VoltageTrajectory.__post_init__
+
+    def counting(self):
+        built.append(self.n_samples)
+        check(self)
+
+    monkeypatch.setattr(VoltageTrajectory, "__post_init__", counting)
+    code, out, err, _ = stream(stream_argv(True), lines)
+    reports = len(out.splitlines())
+    assert (code, err) == (0, "")
+    assert reports == 26
+    assert len(built) == 2 * reports
+
+
 # -- how a stream ends without a report ------------------------------------------------
 
 
