@@ -36,7 +36,7 @@ in per-call NumPy overhead than in arithmetic, so the glue is kept
 lean without changing a bit of output: each pair of envelopes is
 averaged in place in the freshly evaluated upper envelope (the same
 IEEE operations as ``0.5 * (upper + lower)``), the direction set is
-built once per (directions, dimension) and kept read-only, the mode
+built once per dimension and kept read-only, the mode
 check counts extrema and zero crossings per channel without building
 extrema positions, stopping at the first channel that fails, and the
 sifting loop calls array methods (``a.sum()``, ``a.cumsum()``,
@@ -114,6 +114,7 @@ SD_THRESHOLD = 0.2  # sifting stops below this normalised envelope energy
 MAX_SIFTS = 10  # sifting passes per IMF
 MAX_IMFS = 12
 N_DIRECTIONS = 8  # projection directions of a multi-channel pass
+BAND_HZ = (0.0, 10.0)  # IMFs whose zero-crossing frequency lies here are kept
 _DIRECTION_SEED = 988_221_735  # fixed: decomposition must be deterministic
 _AMPLITUDE_FLOOR = 1e-12
 
@@ -327,21 +328,22 @@ def _envelopes(
 
 
 @lru_cache(maxsize=16)
-def _direction_vectors(n_directions: int, n_dim: int) -> np.ndarray:
-    """Deterministic quasi-uniform unit vectors for envelope projections.
+def _direction_vectors(n_dim: int) -> np.ndarray:
+    """``N_DIRECTIONS`` deterministic quasi-uniform unit vectors for
+    envelope projections.
 
     In one dimension ±1 give the same envelope mean, so there is one
-    direction, and a pass is plain EMD's.  Built once per (directions,
-    dimension) and read-only.
+    direction, and a pass is plain EMD's.  Built once per dimension and
+    read-only.
     """
     if n_dim == 1:
         vecs = np.ones((1, 1))
     elif n_dim == 2:
-        angles = np.pi * np.arange(n_directions) / n_directions
+        angles = np.pi * np.arange(N_DIRECTIONS) / N_DIRECTIONS
         vecs = np.column_stack([np.cos(angles), np.sin(angles)])
     else:
         rng = np.random.Generator(np.random.Philox(_DIRECTION_SEED))
-        vecs = rng.normal(size=(n_directions, n_dim))
+        vecs = rng.normal(size=(N_DIRECTIONS, n_dim))
         vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
     vecs.flags.writeable = False
     return vecs
@@ -408,7 +410,7 @@ def decompose_signals(signals: np.ndarray) -> tuple[list[np.ndarray], np.ndarray
     scale = float(np.max(np.abs(x))) or 1.0
     imfs: list[np.ndarray] = []
     r = x.copy()
-    directions = _direction_vectors(N_DIRECTIONS, n_ch)
+    directions = _direction_vectors(n_ch)
     while len(imfs) < MAX_IMFS:
         # The first pass is also the stop test: maxima and minima of a
         # finite projection alternate, so the pass is None exactly when
@@ -496,19 +498,15 @@ def decompose(traj: VoltageTrajectory) -> DecompositionResult:
     )
 
 
-def filter_imfs_by_frequency(
-    decomp: DecompositionResult, band: tuple[float, float]
-) -> DecompositionResult:
-    """Drop IMFs whose zero-crossing frequency falls outside ``band``.
+def filter_imfs_by_frequency(decomp: DecompositionResult) -> DecompositionResult:
+    """Drop IMFs whose zero-crossing frequency falls outside ``BAND_HZ``.
 
     IMFs are chosen by their stored frequency, and ``imfs``, ``freqs``
     and ``rms`` keep the same ones.  Removed energy is discarded as
     noise, not folded into the residual, so reconstruction changes by
     exactly the removed components.
     """
-    f_min, f_max = band
-    if not (0 <= f_min < f_max):
-        raise ValidationError(f"invalid frequency band {band}")
+    f_min, f_max = BAND_HZ
     kept = [
         [i for i, f in enumerate(freqs) if f_min <= f <= f_max]
         for freqs in decomp.freqs

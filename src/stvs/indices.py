@@ -19,15 +19,17 @@ each critical signal is in the tuner, through ``fsle_residual_series``
 
 ``AssessmentConfig`` carries what a run may set: the analysis window
 and the generators' machine data.  The method's fixed choices (the
-frequency band, the embedding dimension, the IMF grid, the oscillation
-reference shape gamma2, the untuned Gompertz shape and the pre-fault
-lookback) are the module constants below, read where they are used and
-never passed in; ``oel`` holds those of the recovery grid and the tuner,
-and ``emd`` those of the sifting.  Each channel recovers toward its own
-pre-fault voltage V_pre.  ``OscillationResult`` holds the oscillation
-index and its exponent series, None when no retained IMF oscillates
-(which ``to_dict`` notes as ``NO_OSC_TAG``); each generator's
-``GeneratorAssessment`` holds its index, dip weight and exponent series.
+embedding dimension, the IMF grid, the oscillation reference shape
+gamma2 and the untuned Gompertz shape) are the module constants below,
+read where they are used and never passed in; ``oel`` holds those of
+the recovery grid and the tuner, ``emd`` those of the sifting and the
+frequency band, and ``ingest`` the pre-fault lookback.  Each channel
+recovers toward its own pre-fault voltage V_pre, given with the record
+or estimated by ``ingest.estimate_prefault_voltage``.
+``OscillationResult`` holds the oscillation index and its exponent
+series, None when no retained IMF oscillates (which ``to_dict`` notes
+as ``NO_OSC_TAG``); each generator's ``GeneratorAssessment`` holds its
+index, dip weight and exponent series.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from . import oel
 from .distribution import _bin_edges, kl_index
 from .embed import augment_rocov, delay_embed, normalize_channels
 from .emd import (
+    BAND_HZ,
     DecompositionResult,
     _natural_order,
     decompose,
@@ -65,21 +68,17 @@ OSC_X_STAR = 1.0  # oscillation reference shift sits at the unit factor
 
 NO_OSC_TAG = "no oscillatory content"
 
-# Fixed choices of the method.  IMFs whose zero-crossing frequency lies
-# in BAND_HZ feed the oscillation index, embedded in EMBED_M dimensions
-# at most, and scored on the IMF histogram grid (bins, lo, hi) against
-# the Gompertz reference of shape GAMMA2: the paper's grid, whose
-# critical value is 2.07.  A generator without a tuned threshold is
-# scored on ``oel.REC_GRID`` with the default Gompertz shape (gamma1, x*).
-# With no explicit pre-fault voltage, V_pre is the mean over LOOKBACK_S
-# before fault onset.
-BAND_HZ = (0.0, 10.0)
+# Fixed choices of the method.  The IMFs ``emd.BAND_HZ`` keeps feed the
+# oscillation index, embedded in EMBED_M dimensions at most, and scored
+# on the IMF histogram grid (bins, lo, hi) against the Gompertz
+# reference of shape GAMMA2: the paper's grid, whose critical value is
+# 2.07.  A generator without a tuned threshold is scored on
+# ``oel.REC_GRID`` with the default Gompertz shape (gamma1, x*).
 EMBED_M = 4
 IMF_GRID = (20, 0.0, 1.5)
 GAMMA2 = 10.0
 GAMMA1_DEFAULT = 10.0
 X_STAR_DEFAULT = 1.05
-LOOKBACK_S = 0.5
 
 # Why a generator with machine data needs its Q: column; a stream
 # rejects the header that lacks it with the same line.
@@ -313,18 +312,6 @@ def analysis_window_s(traj: VoltageTrajectory, window_s: float) -> float:
     return min(window_s, available - traj.dt)
 
 
-def _resolve_prefault(traj: VoltageTrajectory) -> dict[str, float]:
-    if traj.prefault_voltage:
-        return dict(traj.prefault_voltage)
-    if traj.fault_clear_index == 0:
-        raise ValidationError(
-            "cannot estimate the pre-fault voltage: no samples before the "
-            "fault and no explicit value supplied"
-        )
-    lookback = min(LOOKBACK_S, traj.fault_clear_index * traj.dt)
-    return estimate_prefault_voltage(traj, lookback)
-
-
 def _assess_generator(
     gen_id: str,
     residual: np.ndarray,
@@ -403,10 +390,10 @@ def assess(
     window_s = analysis_window_s(traj, config.window_s)
 
     window = stage("ingest", extract_post_fault_window, traj, window_s)
-    v_pre = stage("ingest", _resolve_prefault, traj)
+    v_pre = traj.prefault_voltage or stage("ingest", estimate_prefault_voltage, traj)
 
     decomp = stage("emd", decompose, window)
-    retained = stage("emd", filter_imfs_by_frequency, decomp, BAND_HZ)
+    retained = stage("emd", filter_imfs_by_frequency, decomp)
 
     osc = stage("oscillation", oscillation_index, retained)
     threshold = stage("oscillation", imf_threshold, *IMF_GRID, GAMMA2)

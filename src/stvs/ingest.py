@@ -28,12 +28,18 @@ import numpy as np
 from .errors import ValidationError
 
 # Relative tolerance on sample spacing before a file is declared
-# non-uniformly sampled.
+# non-uniformly sampled.  The timestamps' own rounding is allowed on top:
+# a float holds a Unix time of 1.7e9 s (IEEE C37.118 PMU data) only to
+# 2.4e-7 s, which alone is 1.2e-5 of a 50 Hz step.
 DT_REL_TOL = 1e-6
 
 # Per-unit level below which a sample counts as "in fault" for the
 # auto-detection heuristics.
 FAULT_LEVEL_PU = 0.6
+
+# With no explicit pre-fault voltage, V_pre is the mean over this many
+# seconds before fault onset.
+LOOKBACK_S = 0.5
 
 TIME_COLUMN = "time"
 VOLTAGE_PREFIX = "V:"
@@ -226,7 +232,8 @@ class RowChecker:
     ``check(data)`` checks the rows of ``data`` that earlier calls have
     not, so a caller that appends rows to one buffer and checks after
     each append checks every row once.  A row is checked against
-    dt = t[1] - t[0]: its time step first (a NaN or infinite time is
+    dt = t[1] - t[0]: its time step first, within ``DT_REL_TOL`` of dt
+    plus twice the float spacing at its time (a NaN or infinite time is
     named as such), then each ``V:`` column's finiteness check and sign
     check.  Rows are numbered from 0, and the relative jitter a message
     quotes is the largest over all rows checked.  The header ``names`` is
@@ -281,12 +288,13 @@ class RowChecker:
             if not self.dt > 0:
                 raise ValidationError(f"{origin}: time column is not increasing")
         first = max(start, 1)
-        # a non-finite time (or an overflow) makes a NaN or inf jitter,
+        # a non-finite time (or an overflow) makes a NaN or inf error,
         # which fails the check below
         with np.errstate(invalid="ignore", over="ignore"):
-            jitter = np.abs(t[first:] - t[first - 1:-1] - self.dt) / self.dt
-        self.jitter_max = jitter.max(initial=self.jitter_max)
-        uniform = jitter <= DT_REL_TOL
+            error = np.abs(t[first:] - t[first - 1:-1] - self.dt)
+            slack = DT_REL_TOL * self.dt + 2 * np.spacing(np.abs(t[first:]))
+            self.jitter_max = (error / self.dt).max(initial=self.jitter_max)
+        uniform = error <= slack
         if not uniform.all():
             bad = first + int(np.argmin(uniform))
             self._check_time(t, bad)
@@ -418,36 +426,33 @@ def extract_post_fault_window(
 
 
 def _fault_onset_index(traj: VoltageTrajectory) -> int:
-    """First sample of the contiguous sub-0.6 pu run ending at t0.
+    """First sample of the last sub-0.6 pu run before t0, read from the
+    samples before t0 only.
 
-    If no sample right before fault clearing is depressed, the fault is
-    not visible in the record and the onset defaults to t0 itself.
+    A t0 placed a few samples after the fault still finds the run's
+    start.  If no sample before fault clearing is depressed, the fault
+    is not visible in the record and the onset defaults to t0 itself.
     """
-    v = traj.voltage_matrix()
-    low = np.any(v < FAULT_LEVEL_PU, axis=1)
     i = traj.fault_clear_index
-    if i == 0 or not low[i - 1]:
+    low = np.any(traj.voltage_matrix()[:i] < FAULT_LEVEL_PU, axis=1)
+    if not low.any():
         return i
+    i = int(np.flatnonzero(low)[-1])
     while i > 0 and low[i - 1]:
         i -= 1
     return i
 
 
-def estimate_prefault_voltage(
-    traj: VoltageTrajectory, lookback: float
-) -> dict[str, float]:
-    """Per-channel mean over a lookback window ending at fault onset."""
-    n = int(round(lookback / traj.dt))
-    if n < 1:
-        raise ValidationError(
-            f"lookback {lookback} s yields an empty window at dt={traj.dt}"
-        )
+def estimate_prefault_voltage(traj: VoltageTrajectory) -> dict[str, float]:
+    """Per-channel mean over the ``LOOKBACK_S`` before fault onset: at
+    least one sample, and no more than the record holds before onset."""
     onset = _fault_onset_index(traj)
-    if onset - n < 0:
+    if onset == 0:
         raise ValidationError(
-            f"lookback {lookback} s does not fit before fault onset "
-            f"(onset at sample {onset})"
+            "cannot estimate the pre-fault voltage: no samples before the "
+            "fault and no explicit value supplied"
         )
+    n = max(1, round(min(onset, LOOKBACK_S / traj.dt)))
     return {
         ch.id: float(np.mean(ch.voltage[onset - n:onset]))
         for ch in traj.channels

@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-
 import numpy as np
 
 from .distribution import kl_index
@@ -47,6 +45,10 @@ _RESIDUAL_TOL = 1e-9
 REC_GRID = (40, 0.0, 1.5)
 GAMMA1_RANGE = (1.0, 200.0, 40)
 X_STAR_RANGE = (0.8, 1.3, 26)
+# The tuner's default grids, built once and read-only.
+GAMMA1_GRID = np.geomspace(*GAMMA1_RANGE)
+X_STAR_GRID = np.linspace(*X_STAR_RANGE)
+GAMMA1_GRID.flags.writeable = X_STAR_GRID.flags.writeable = False
 # The overflow check of the critical signals reaches this far past the
 # latest pickup delay.
 PICKUP_PAD_S = 1.0
@@ -350,40 +352,26 @@ def recovery_scores(
     return delta_r0 * kl_index(series.divergence_factors, REC_GRID, gammas, x_stars)
 
 
-@lru_cache(maxsize=1)
-def _default_grids() -> tuple[np.ndarray, np.ndarray]:
-    """The tuner's default (gamma1, x*) grids, built once and read-only."""
-    grids = np.geomspace(*GAMMA1_RANGE), np.linspace(*X_STAR_RANGE)
-    for grid in grids:
-        grid.flags.writeable = False
-    return grids
-
-
 def tune_gamma(
     s1: np.ndarray,
     s2: np.ndarray,
     v_pre: float,
     dt: float,
-    gamma1_grid: np.ndarray | None = None,
-    x_star_grid: np.ndarray | None = None,
+    gamma1_grid: np.ndarray = GAMMA1_GRID,
+    x_star_grid: np.ndarray = X_STAR_GRID,
 ) -> TuningResult:
     """Two-stage grid search for the Gompertz shape of the recovery index.
 
     Stage 1 minimizes |D_s1 - D_s2| over the (gamma1, x*) grid to get
     f*; stage 2 returns the smallest gamma1 (ties to smallest x*) among
-    points within f* + f*.  The grids default to ``GAMMA1_RANGE`` and
-    ``X_STAR_RANGE``, built once and kept read-only.  The recovery
+    points within f* + f*.  The grids default to ``GAMMA1_GRID`` and
+    ``X_STAR_GRID``.  The recovery
     threshold is the s1/s2 index midpoint at the selected point.  Each
     critical signal recovers toward ``v_pre`` and is scored over the
     whole grid by ``recovery_scores``, the measured residual's rule,
     against the reference table cached per grid and shared by every
     generator.
     """
-    default_gammas, default_x_stars = _default_grids()
-    if gamma1_grid is None:
-        gamma1_grid = default_gammas
-    if x_star_grid is None:
-        x_star_grid = default_x_stars
     gamma1_grid = np.asarray(gamma1_grid, dtype=float)
     x_star_grid = np.asarray(x_star_grid, dtype=float)
     if gamma1_grid.size == 0 or x_star_grid.size == 0:

@@ -3,11 +3,14 @@
 ``Monitor`` is what ``stvs assess --stream`` runs.  Each row is parsed
 once into one buffer and checked once, on its own; a trajectory is
 built only for a row due a report: the first once ``FIRST_REPORT_S`` of
-post-fault data is in, then one per report interval of data.  With a
-fault clear time ``t0``, rows wait until one at or past t0 arrives, are
-then checked together, and t0 is placed once.  Without it, the fault
-clear sample is tracked row by row; a history with no fault signature
-yet is noted once, and once more at the end if none ever showed.
+post-fault data is in, then one per report interval of data, read
+within the float rounding of the row's timestamp.  With a fault
+clear time ``t0``, rows wait until one at or past t0 arrives, are then
+checked together, and t0 is placed once.  Without it, the fault clear
+sample is tracked row by row, and a new fault that moves it restarts
+the schedule: the next report comes ``FIRST_REPORT_S`` after the new
+clearing.  A history with no fault signature yet is noted once, and
+once more at the end if none ever showed.
 
 A row is read by ``ingest``'s row rule, as a file's rows are: the text
 before any ``#`` is split on commas, a line blank after that cut is
@@ -142,7 +145,10 @@ class Monitor:
                 f"[ingest] {exc}; every later report would contain it"
             ) from exc
         if self.t0 is None:
+            moved_from = self._t0_index
             self._t0_index = self._tracker.update(data, checker.voltage_index)
+            if self._next_report is not None and self._t0_index != moved_from:
+                self._next_report = FIRST_REPORT_S  # a new fault: start over
             if self._t0_index is None:
                 if not self._no_signature:
                     self.note(
@@ -169,7 +175,8 @@ class Monitor:
             return None
         if self._next_report is None:
             self._next_report = data_time
-        if data_time + 1e-9 < self._next_report:
+        # a Unix time of 1.7e9 s is held only to 2.4e-7 s
+        if data_time + 1e-9 + 4 * math.ulp(t) < self._next_report:
             return None
         try:
             traj = trajectory_from_columns(self.names, data, checker, t0_index)

@@ -80,7 +80,7 @@ def test_one_column_with_two_extrema_ends_sifting():
     mins, maxs = local_extrema_oracle(x)
     assert (len(mins), len(maxs)) == (1, 1)
     assert count_extrema(x) == 2
-    directions = emd._direction_vectors(8, 1)
+    directions = emd._direction_vectors(1)
     assert np.array_equal(directions, [[1.0]])
     assert emd._mean_envelope_mv(x[:, None], directions) is None
     imfs, residual = decompose_signals(x[:, None])
@@ -202,20 +202,20 @@ def test_zero_crossing_frequency_of_tones():
 
 def test_filter_keeps_in_band_tone():
     result, _ = _tone_stack_result()
-    kept = filter_imfs_by_frequency(result, (0.5, 5.0))
-    assert kept.n_imfs(0) == 1
-    assert zero_crossing_frequency(kept.imfs[0][0], kept.dt) == pytest.approx(
-        1.5, rel=0.2
-    )
+    kept = filter_imfs_by_frequency(result)  # BAND_HZ: 0-10 Hz
+    assert emd.BAND_HZ == (0.0, 10.0)
+    assert kept.n_imfs(0) == 2
+    for imf, f in zip(kept.imfs[0], (1.5, 0.2)):
+        assert zero_crossing_frequency(imf, kept.dt) == pytest.approx(f, rel=0.2)
 
 
 def test_filter_discards_out_of_band_energy():
     result, tones = _tone_stack_result()
-    kept = filter_imfs_by_frequency(result, (0.5, 5.0))
+    kept = filter_imfs_by_frequency(result)
     # removed energy is dropped, not moved into the residual
     assert np.array_equal(kept.residuals[0], result.residuals[0])
     drop = result.reconstruct(0) - kept.reconstruct(0)
-    expected = tones[25.0] + tones[0.2]
+    expected = tones[25.0]
     assert np.allclose(drop, expected, atol=1e-12)
 
 
@@ -229,7 +229,8 @@ def test_stored_imf_stats_equal_a_recomputation(n_channels):
     params = ScenarioParams(n_channels=n_channels, noise_sigma=0.003, seed=n_channels)
     window = extract_post_fault_window(synth_scenario("mixed", params), 3.0)
     decomp = decompose(window)
-    kept = filter_imfs_by_frequency(decomp, (0.5, 5.0))
+    kept = filter_imfs_by_frequency(decomp)
+    f_min, f_max = emd.BAND_HZ
     n_kept = 0
     for ch in range(decomp.n_channels):
         imfs = decomp.imfs[ch]
@@ -238,7 +239,7 @@ def test_stored_imf_stats_equal_a_recomputation(n_channels):
             assert freq == zero_crossing_frequency(imf, decomp.dt)
             assert rms == float(np.sqrt(np.mean(imf * imf)))
         # the filter keeps the same IMFs in all three tuples
-        picked = [i for i, f in enumerate(decomp.freqs[ch]) if 0.5 <= f <= 5.0]
+        picked = [i for i, f in enumerate(decomp.freqs[ch]) if f_min <= f <= f_max]
         assert len(kept.imfs[ch]) == len(picked)
         assert all(kept.imfs[ch][k] is imfs[i] for k, i in enumerate(picked))
         assert kept.freqs[ch] == tuple(decomp.freqs[ch][i] for i in picked)
@@ -617,8 +618,8 @@ def test_mode_condition_counts_plateaus_and_a_nan_like_is_imf():
 
 @pytest.mark.parametrize("n_dim", [1, 2, 3, 10])
 def test_direction_vectors_are_cached_read_only_and_equal_a_fresh_build(n_dim):
-    dirs = emd._direction_vectors(emd.N_DIRECTIONS, n_dim)
-    assert emd._direction_vectors(emd.N_DIRECTIONS, n_dim) is dirs
+    dirs = emd._direction_vectors(n_dim)
+    assert emd._direction_vectors(n_dim) is dirs
     assert not dirs.flags.writeable
     with pytest.raises(ValueError):
         dirs[0, 0] = 0.5
@@ -656,7 +657,7 @@ def test_mean_envelope_mv_equals_direction_loop(x, n_dir, drawn):
     # draws cover 1-10 channels, plateaus, one-extremum envelopes (k = 2),
     # skipped directions and passes with every direction skipped
     if drawn is None:
-        directions = emd._direction_vectors(n_dir, x.shape[1])
+        directions = emd._direction_vectors(x.shape[1])
     else:
         directions = np.random.default_rng(drawn).normal(size=(n_dir, x.shape[1]))
     assert_pass_matches_loop(x, directions)

@@ -34,14 +34,14 @@ from stvs.synth import ScenarioParams, ground_truth_trips, synth_scenario
 def osc_index_for(kind, window=3.0, **overrides):
     traj = synth_scenario(kind, osc_params(**overrides))
     w = extract_post_fault_window(traj, window)
-    decomp = filter_imfs_by_frequency(decompose(w), (0.0, 10.0))
+    decomp = filter_imfs_by_frequency(decompose(w))
     return oscillation_index(decomp)
 
 
 def residual_for(kind, **overrides):
     traj = synth_scenario(kind, ScenarioParams(**overrides))
     w = extract_post_fault_window(traj, 3.0)
-    decomp = filter_imfs_by_frequency(decompose(w), (0.0, 10.0))
+    decomp = filter_imfs_by_frequency(decompose(w))
     return decomp.residuals[0], w.dt
 
 
@@ -545,6 +545,47 @@ def test_every_verdict_is_the_same_whatever_the_column_order(
     n = len(traj.channels)
     for order in (range(n - 1, -1, -1), [*range(1, n), 0]):  # reversed, rotated
         assert per_id_document(reordered(traj, order), config) == want
+
+
+@pytest.mark.parametrize(
+    "kind, overrides, tuned",
+    [
+        ("mixed", dict(recovery=0.9, decay=0.45, noise_sigma=0.001, seed=3), True),
+        ("stalled-recovery", dict(level=0.7, noise_sigma=0.0012, seed=4), True),
+        ("stable-osc", dict(decay=0.5, n_channels=10, fs=200.0, noise_sigma=0.001), False),
+    ],
+    ids=["mixed-3ch-50hz", "stalled-3ch-50hz", "stable-10ch-200hz"],
+)
+def test_every_document_is_the_same_whatever_the_start_time(
+    kind, overrides, tuned, generator_specs
+):
+    # a record read from CSV carries no V_pre, so the lookback estimate
+    # runs; t0 moves with the record
+    traj = replace(synth_scenario(kind, osc_params(**overrides)), prefault_voltage=None)
+    config = AssessmentConfig(generators=generator_specs if tuned else None)
+    want = assess(traj.with_fault_clear_time(1.1), config).to_dict()
+    for shift in (-3.7, 1000.0, 1e6 + 0.123):
+        shifted = replace(traj, t_start=traj.t_start + shift)
+        assert assess(shifted.with_fault_clear_time(1.1 + shift), config).to_dict() == want
+
+
+@pytest.mark.parametrize("late", [1, 2, 5])
+def test_a_late_t0_averages_no_fault_sample_into_v_pre(monkeypatch, late):
+    # without its explicit V_pre, as a CSV load gives it; the fault runs
+    # 1.0-1.1 s, so a t0 a few samples late still finds its onset
+    traj = replace(synth_scenario("mixed", ScenarioParams()), prefault_voltage=None)
+    want = indices.estimate_prefault_voltage(traj.with_fault_clear_time(1.1))
+    assert want == {"G1": 1.0, "G2": 1.0, "G3": 1.0}
+    seen = []
+
+    def spy(traj):
+        seen.append(estimate(traj))
+        return seen[-1]
+
+    estimate = indices.estimate_prefault_voltage
+    monkeypatch.setattr(indices, "estimate_prefault_voltage", spy)
+    assess(traj.with_fault_clear_time(1.1 + late * traj.dt))
+    assert seen == [want]
 
 
 def test_channels_are_sifted_in_natural_id_order():

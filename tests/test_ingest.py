@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from stvs.errors import ValidationError
 from stvs.ingest import (
+    LOOKBACK_S,
     Channel,
     RowChecker,
     VoltageTrajectory,
@@ -267,20 +268,22 @@ def _dipped_trajectory(pre_vals):
 
 def test_prefault_mean_of_constant():
     traj = _dipped_trajectory(np.full(25, 1.0))
-    assert estimate_prefault_voltage(traj, 0.3)["A"] == pytest.approx(1.0)
+    assert estimate_prefault_voltage(traj)["A"] == pytest.approx(1.0)
 
 
 def test_prefault_arithmetic_mean():
-    traj = _dipped_trajectory([1.0] * 22 + [0.98, 1.00, 1.02])
-    assert estimate_prefault_voltage(traj, 0.06)["A"] == pytest.approx(1.0)
+    # LOOKBACK_S at dt 0.02 is the last 25 samples before onset; the
+    # five samples before them are left out
+    assert round(LOOKBACK_S / 0.02) == 25
+    traj = _dipped_trajectory([5.0] * 5 + [1.0] * 22 + [0.98, 1.00, 1.02])
+    assert estimate_prefault_voltage(traj)["A"] == pytest.approx(1.0)
 
 
 def test_prefault_empty_lookback_rejected():
-    traj = _dipped_trajectory(np.full(25, 1.0))
-    with pytest.raises(ValidationError):
-        estimate_prefault_voltage(traj, 0.0)
-    with pytest.raises(ValidationError):
-        estimate_prefault_voltage(traj, 10.0)  # does not fit before onset
+    # the onset at sample 0 leaves no sample to average
+    traj = _dipped_trajectory([])
+    with pytest.raises(ValidationError, match="no samples before the fault"):
+        estimate_prefault_voltage(traj)
 
 
 def test_detect_fault_clear_index():

@@ -438,8 +438,8 @@ def test_steep_critical_signal_is_a_staged_error_without_warnings(
 @pytest.mark.parametrize("grid", [0, 1])
 def test_default_tuning_grids_are_cached_read_only(grid):
     want = (np.geomspace(*oel.GAMMA1_RANGE), np.linspace(*oel.X_STAR_RANGE))[grid]
-    got = oel._default_grids()[grid]
-    assert oel._default_grids()[grid] is got
+    got = (oel.GAMMA1_GRID, oel.X_STAR_GRID)[grid]
+    assert tune_gamma.__defaults__[grid] is got
     assert not got.flags.writeable
     with pytest.raises(ValueError):
         got[0] = 0.5

@@ -5,9 +5,11 @@ against batch `assess` on the same rows, and the incremental pieces
 import contextlib
 import io
 import json
+import math
 import re
 import sys
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -32,9 +34,11 @@ from stvs.ingest import (
     FaultClearTracker,
     VoltageTrajectory,
     detect_fault_clear_index,
+    estimate_prefault_voltage,
+    load_trajectory,
     write_trajectory,
 )
-from stvs.stream import Monitor
+from stvs.stream import FIRST_REPORT_S, Monitor
 from stvs.synth import SCENARIO_KINDS, ScenarioParams, synth_scenario
 
 # -- the loop the stream replaced, kept as the oracle ------------------------------
@@ -59,9 +63,12 @@ def oracle_from_columns(names, data, origin="<data>"):
             if np.isnan(t[row]):
                 raise ValidationError(f"{origin}: time is not a number at row {row}")
         raise ValidationError(f"{origin}: time column is not increasing")
-    jitter = np.abs(diffs - dt) / dt
-    if not np.all(jitter <= DT_REL_TOL):  # a NaN time fails too
-        bad = int(np.argmin(jitter <= DT_REL_TOL)) + 1
+    error = np.abs(diffs - dt)
+    jitter = error / dt
+    # the timestamps' own rounding is allowed on top of DT_REL_TOL
+    uniform = error <= DT_REL_TOL * dt + 2 * np.spacing(np.abs(t[1:]))
+    if not np.all(uniform):  # a NaN time fails too
+        bad = int(np.argmin(uniform)) + 1
         if np.isnan(t[bad]):
             raise ValidationError(f"{origin}: time is not a number at row {bad}")
         raise ValidationError(
@@ -100,9 +107,10 @@ def oracle_stream(args, config):
     bad_width = 0
     status = 0
     no_signature = False
+    cleared_at = None
 
     def try_report(traj):
-        nonlocal next_report, no_signature
+        nonlocal next_report, no_signature, cleared_at
         if args.t0 is not None:
             traj = traj.with_fault_clear_time(args.t0)
         else:
@@ -116,6 +124,9 @@ def oracle_stream(args, config):
                 no_signature = True
                 return
             no_signature = False
+            if next_report is not None and clear_index != cleared_at:
+                next_report = 0.5  # a new fault restarts the report schedule
+            cleared_at = clear_index
             traj = traj.with_fault_clear_time(traj.t_start + clear_index * traj.dt)
         t0_time = traj.t_start + traj.fault_clear_index * traj.dt
         data_time = rows[-1][t_index] - t0_time
@@ -123,7 +134,7 @@ def oracle_stream(args, config):
             return
         if next_report is None:
             next_report = data_time
-        if data_time + 1e-9 < next_report:
+        if data_time + 1e-9 + 4 * math.ulp(rows[-1][t_index]) < next_report:
             return
         doc = assess(traj, config).to_dict()
         doc["latency_s"] = data_time
@@ -389,10 +400,15 @@ def test_stream_follows_a_second_fault_like_the_per_row_rebuild():
     argv = stream_argv(False)
     code, out, err, rows_at_write = stream(argv, lines)
     assert (code, out, err) == stream(argv, lines, oracle_stream)[:3]
-    # reports pause from the second fault until its data time passes the
-    # first one's: t0 has moved on to the second dip
-    gaps = np.diff(rows_at_write)
-    assert code == 0 and gaps.max() > 20 * gaps.min()
+    # t0 moves on to the second dip and the report schedule starts over:
+    # the first report after the move comes FIRST_REPORT_S after the
+    # second clearing, within one row, and one follows every 0.1 s
+    latency = [json.loads(doc)["latency_s"] for doc in out.splitlines()]
+    moved = next(k for k in range(1, len(latency)) if latency[k] < latency[k - 1])
+    assert code == 0
+    assert FIRST_REPORT_S <= latency[moved] < FIRST_REPORT_S + 0.02
+    assert set(np.diff(rows_at_write[moved:])) == {5}  # 0.1 s at 50 rows/s
+    assert rows_at_write[-1] >= len(lines) - 1 - 5
 
 
 @pytest.mark.parametrize("t0", [1.1, None])
@@ -888,7 +904,8 @@ def test_an_ingest_failure_that_a_later_row_can_mend_lets_the_stream_go_on():
         early[row] = ",".join(cells)
     code, out, err, _ = stream(stream_argv(False), early)
     assert code == 0
-    assert err.count("stvs: [ingest] lookback") > 1 and "stops" not in err
+    no_pre_fault = "stvs: [ingest] cannot estimate the pre-fault voltage: no samples"
+    assert err.count(no_pre_fault) > 1 and "stops" not in err
     assert out.splitlines()[-1] == clean.splitlines()[-1]
     # with --t0 at 2 rows/s: the first report's window holds one sample,
     # and the next row makes it two
@@ -896,6 +913,79 @@ def test_an_ingest_failure_that_a_later_row_can_mend_lets_the_stream_go_on():
     code, out, err, _ = stream(["assess", "--stream", "--t0", "2.5"], coarse)
     assert code == 0 and len(out.splitlines()) == 7
     assert err == "stvs: [ingest] window duration 0.5 s yields 1 samples (need >= 2)\n"
+
+
+def test_a_record_with_under_lookback_s_before_the_fault_gets_a_verdict(tmp_path):
+    # 0.3 s before the fault: V_pre is the mean of all 15 samples before
+    # the onset, where batch used to exit 1 and the stream to stop
+    lines = record_lines("mixed", prefault_s=0.3)
+    path = tmp_path / "short.csv"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err, _ = stream(["assess", "--in", str(path), "--t0", "0.4"], [])
+    assert (code, err) == (0, "")
+    batch = json.loads(out)
+    traj = load_trajectory(path).with_fault_clear_time(0.4)
+    assert estimate_prefault_voltage(traj) == {
+        ch.id: float(np.mean(ch.voltage[:15])) for ch in traj.channels
+    }
+    code, out, err, _ = stream(["assess", "--stream", "--t0", "0.4"], lines)
+    reports = [json.loads(doc) for doc in out.splitlines()]
+    assert (code, err, len(reports)) == (0, "", 26)
+    reports[-1].pop("latency_s")
+    batch.pop("latency_s")
+    assert reports[-1] == batch
+
+
+def epoch_lines(t_start, **params):
+    """A CSV record whose times start at ``t_start``."""
+    traj = synth_scenario("mixed", ScenarioParams(**params))
+    buf = io.StringIO()
+    write_trajectory(replace(traj, t_start=t_start), buf)
+    return buf.getvalue().splitlines()
+
+
+def classes(doc):
+    return doc["oscillation"]["class"], [g["class"] for g in doc["generators"]]
+
+
+def test_a_record_in_unix_epoch_seconds_gets_the_verdicts_of_one_at_zero(tmp_path):
+    # a float holds 1.7e9 s only to 2.4e-7 s: the rounding alone is 1.2e-5
+    # of a 50 Hz step, over DT_REL_TOL
+    t_start = 1.7e9
+    params = dict(post_s=8.9, noise_sigma=0.001)
+    runs = {}
+    for start in (0.0, t_start):
+        path = tmp_path / f"{start}.csv"
+        lines = epoch_lines(start, **params)
+        path.write_text("\n".join(lines) + "\n")
+        t0 = repr(start + 1.1)
+        batch = stream(["assess", "--in", str(path), "--t0", t0], [])
+        streamed = stream(["assess", "--stream", "--t0", t0], lines)
+        assert batch[0] == streamed[0] == 0 and batch[2] == streamed[2] == ""
+        runs[start] = json.loads(batch[1]), [json.loads(d) for d in streamed[1].splitlines()]
+    (batch0, reports0), (batch, reports) = runs[0.0], runs[t_start]
+    assert classes(batch) == classes(batch0)
+    assert len(reports) == len(reports0) == 85
+    assert [classes(doc) for doc in reports] == [classes(doc) for doc in reports0]
+    # t0 sits 55 steps in, each step read from times rounded to 2.4e-7 s
+    bound = 55 * 2 * np.spacing(t_start)
+    assert all(
+        abs(doc["latency_s"] - doc0["latency_s"]) < bound
+        for doc, doc0 in zip(reports, reports0)
+    )
+
+
+def test_a_step_error_over_dt_rel_tol_is_still_refused(tmp_path):
+    lines = epoch_lines(0.0)
+    cells = lines[8].split(",")  # data row 7
+    cells[0] = repr(float(cells[0]) + 2e-6 * 0.02)
+    lines[8] = ",".join(cells)
+    path = tmp_path / "jitter.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(
+        ValidationError, match=r"non-uniform sampling at row 7 \(relative jitter 2e-06\)$"
+    ):
+        load_trajectory(path)
 
 
 def test_stream_says_why_a_short_record_got_no_report(capsys, tmp_path):
