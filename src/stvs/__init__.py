@@ -7,72 +7,16 @@ divergence-factor distributions against a shifted reversed Gompertz
 reference via KL divergence.  Two indices result: a system-level
 oscillation index and a per-generator recovery (trip-prediction) index,
 each with a critical value, a classification and a signed margin.
+
+The package root holds what a caller of the whole pipeline needs; each
+lower-level step is imported from the module that defines it.
 """
 
-from .distribution import (
-    gompertz_reference_table,
-    kl_divergence_table,
-)
-from .embed import (
-    augment_rocov,
-    delay_embed,
-    normalize_channels,
-)
-from .emd import (
-    DecompositionResult,
-    decompose,
-    decompose_signals,
-    filter_imfs_by_frequency,
-    zero_crossing_frequency,
-)
-from .errors import (
-    ComputationError,
-    StvsError,
-    TriviallySafe,
-    TriviallyTripping,
-    ValidationError,
-)
-from .indices import (
-    AssessmentConfig,
-    StabilityAssessment,
-    assess,
-    classify,
-    imf_threshold,
-    oscillation_index,
-)
-from .ingest import (
-    Channel,
-    VoltageTrajectory,
-    detect_fault_clear_index,
-    estimate_prefault_voltage,
-    extract_post_fault_window,
-    load_trajectory,
-    write_trajectory,
-)
-from .lyapunov import (
-    ExponentSeries,
-    fsle_oscillation_series,
-    fsle_residual_series,
-    ftle_window,
-    noise_bias_variance,
-)
-from .oel import (
-    GeneratorSpec,
-    OELCharacteristic,
-    TuningResult,
-    construct_critical_signals,
-    fit_qv,
-    load_generator_config,
-    tune_gamma,
-    voltage_cap,
-)
+from .errors import ComputationError, StvsError, ValidationError
+from .indices import AssessmentConfig, StabilityAssessment, assess
+from .ingest import Channel, VoltageTrajectory, load_trajectory, write_trajectory
+from .oel import GeneratorSpec, load_generator_config
 from .stream import Monitor
-from .synth import (
-    ScenarioParams,
-    TwoTimescaleParams,
-    analytic_ftle,
-    simulate_two_timescale,
-    synth_scenario,
-)
+from .synth import ScenarioParams, synth_scenario
 
 __version__ = "0.1.0"

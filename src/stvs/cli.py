@@ -115,7 +115,7 @@ def _build_parser() -> _Parser:
     p_assess.add_argument("--stream", action="store_true",
                           help="read rows from stdin, emit JSON lines")
     p_assess.add_argument("--report-interval", dest="report_interval",
-                          type=_positive_float, default=0.1)
+                          type=_positive_float, default=None)
 
     p_dec = sub.add_parser(
         "decompose",
@@ -188,6 +188,10 @@ def _cmd_assess(args) -> int:
     if args.stream and (args.input or args.output):
         flag = "--in" if args.input else "--out"
         raise ValidationError(f"argument {flag}: not allowed with argument --stream")
+    if not args.stream and args.report_interval is not None:
+        raise ValidationError(
+            "argument --report-interval: not allowed without argument --stream"
+        )
     config = _assessment_config(args)
     if args.stream:
         return _cmd_stream(args, config)
@@ -227,7 +231,9 @@ def _cmd_stream(args, config: AssessmentConfig) -> int:
     if names is None:  # nothing to assess, as batch says of an empty file
         _note("the stream's first line holds no header, so no report was written")
         return 0
-    monitor = Monitor(names, config, args.t0, args.report_interval, _note)
+    # unset, the interval is Monitor's default
+    interval = {"report_interval": args.report_interval} if args.report_interval else {}
+    monitor = Monitor(names, config, args.t0, note=_note, **interval)
     try:
         for line in lines:
             doc = monitor.push(line)

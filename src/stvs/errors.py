@@ -23,14 +23,6 @@ class ComputationError(StvsError):
     """A pipeline stage failed on otherwise valid input."""
 
 
-class TriviallySafe(StvsError):
-    """Residual stays above every protection cap: no trip possible."""
-
-
-class TriviallyTripping(StvsError):
-    """No admissible recovery reaches any protection cap: trip certain."""
-
-
 def stage(name: str, fn, *args, **kwargs):
     """``fn(*args, **kwargs)``, re-raising a validation or computation
     failure with ``[name]`` before its message."""

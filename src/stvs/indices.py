@@ -51,12 +51,7 @@ from .emd import (
     dominant_imf_frequency,
     filter_imfs_by_frequency,
 )
-from .errors import (
-    TriviallySafe,
-    TriviallyTripping,
-    ValidationError,
-    stage,
-)
+from .errors import ValidationError, stage
 from .ingest import (
     VoltageTrajectory,
     estimate_prefault_voltage,
@@ -346,16 +341,13 @@ def _assess_generator(
         charac = oel.build_characteristic(
             spec, channel.voltage, channel.reactive_power
         )
-        try:
-            s1, s2 = oel.construct_critical_signals(
-                residual, dt, v_pre, list(charac.vcaps), series
-            )
-        except TriviallySafe:
-            label = "non-trip"
-        except TriviallyTripping:
-            label = "trip"
+        signals = oel.construct_critical_signals(
+            residual, dt, v_pre, list(charac.vcaps), series
+        )
+        if isinstance(signals, str):
+            label = signals
         else:
-            tuning = oel.tune_gamma(s1, s2, v_pre, dt)
+            tuning = oel.tune_gamma(*signals, v_pre, dt)
             gamma1, x_star = tuning.gamma1, tuning.x_star
 
     delta_r0 = abs(v_pre - float(residual[0]))

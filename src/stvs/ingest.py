@@ -237,8 +237,9 @@ class RowChecker:
     named as such), then each ``V:`` column's finiteness check and sign
     check.  Rows are numbered from 0, and the relative jitter a message
     quotes is the largest over all rows checked.  The header ``names`` is
-    checked when the checker is built: a repeated column name or a
-    ``V:``/``Q:`` column with an empty channel id is an error.
+    checked when the checker is built: a repeated column name, a
+    ``V:``/``Q:`` column with an empty channel id, a missing ``time``
+    column and no ``V:`` column are errors.
     """
 
     def __init__(self, names: list[str], origin: str) -> None:
@@ -247,15 +248,21 @@ class RowChecker:
                 raise ValidationError(f"{origin}: repeated column {col!r} in the header")
             if col in (VOLTAGE_PREFIX, REACTIVE_PREFIX):
                 raise ValidationError(f"{origin}: column {col!r} has no channel id")
+        if TIME_COLUMN not in names:
+            raise ValidationError(f"{origin}: missing {TIME_COLUMN!r} column")
+        self._voltages = [
+            (col, names.index(col)) for col in names if col.startswith(VOLTAGE_PREFIX)
+        ]
+        if not self._voltages:
+            raise ValidationError(
+                f"{origin}: no voltage columns with prefix {VOLTAGE_PREFIX!r}"
+            )
         self.origin = origin
         self.rows = 0  # rows checked so far
         self.dt = math.nan
         self.t_start = math.nan
         self.jitter_max = 0.0
-        self._time = names.index(TIME_COLUMN) if TIME_COLUMN in names else None
-        self._voltages = [
-            (col, names.index(col)) for col in names if col.startswith(VOLTAGE_PREFIX)
-        ]
+        self.time_index = names.index(TIME_COLUMN)
         self.voltage_index = [j for _, j in self._voltages]  # the V: columns
 
     def _check_time(self, t: np.ndarray, row: int) -> None:
@@ -270,16 +277,10 @@ class RowChecker:
         origin = self.origin
         if data.ndim != 2 or data.shape[0] < 2:
             raise ValidationError(f"{origin}: need at least 2 data rows")
-        if self._time is None:
-            raise ValidationError(f"{origin}: missing {TIME_COLUMN!r} column")
-        if not self._voltages:
-            raise ValidationError(
-                f"{origin}: no voltage columns with prefix {VOLTAGE_PREFIX!r}"
-            )
         start = self.rows
         if start == len(data):
             return
-        t = data[:, self._time]
+        t = data[:, self.time_index]
         if start == 0:
             self._check_time(t, 0)
             self._check_time(t, 1)

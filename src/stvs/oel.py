@@ -26,13 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distribution import kl_index
-from .errors import (
-    ComputationError,
-    TriviallySafe,
-    TriviallyTripping,
-    ValidationError,
-    WindowSampleError,
-)
+from .errors import ComputationError, ValidationError, WindowSampleError
 from .lyapunov import ExponentSeries, fsle_residual_series
 
 V_CAP_RANGE = (0.0, 2.0)  # physically admissible per-unit root window
@@ -251,19 +245,20 @@ def construct_critical_signals(
     eq0: float,
     vcaps: list[tuple[float, float]] | tuple[tuple[float, float], ...],
     exp_series: ExponentSeries,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray] | str:
     """Build the slowest/fastest critical recovery signals ``(s1, s2)``.
 
     The admissible tube extends the measured residual forward as
     R(t) = eq0 + (R(Tw) - eq0) exp(lam (t - Tw)) with lam spanning the
     observed exponent range.  s1 takes the slowest member shifted
     tangent to the cap characteristic from below, s2 the fastest member
-    shifted tangent from above.  Raises TriviallySafe when the residual
-    never dips below any cap, TriviallyTripping when even the fastest
-    admissible recovery can never reach the lowest cap.  Both signals
-    span the measurement window, where the tuner scores them: s1 is the
-    residual plus the least cap-minus-member gap over the cap times of
-    the slowest member, s2 plus the greatest gap of the fastest.  Raises
+    shifted tangent from above.  Returns the verdict itself when the caps
+    settle it: ``"non-trip"`` when the residual never dips below any
+    cap, ``"trip"`` when even the fastest admissible recovery can never
+    reach the lowest cap.  Both signals span the measurement window,
+    where the tuner scores them: s1 is the residual plus the least
+    cap-minus-member gap over the cap times of the slowest member, s2
+    plus the greatest gap of the fastest.  Raises
     ComputationError, naming the exponent and the horizon, when a
     shifted member leaves float range before ``PICKUP_PAD_S`` past the
     latest cap time.
@@ -308,13 +303,9 @@ def construct_critical_signals(
         return -np.inf if d_end < 0 else float(r[-1])
 
     if min(float(r.min()), future_inf(lam_slow)) > caps.max():
-        raise TriviallySafe(
-            "residual stays above every voltage cap: no trip possible"
-        )
+        return "non-trip"
     if max(float(r.max()), future_sup(lam_fast)) < caps.min():
-        raise TriviallyTripping(
-            "even the fastest admissible recovery never reaches a cap"
-        )
+        return "trip"
 
     horizon = float(times.max()) + PICKUP_PAD_S
     # a steep exponent can carry the tail past float range before the

@@ -41,7 +41,6 @@ from .indices import NO_REACTIVE_POWER, AssessmentConfig, assess
 from .ingest import (
     NO_FAULT_SIGNATURE,
     REACTIVE_PREFIX,
-    TIME_COLUMN,
     VOLTAGE_PREFIX,
     FaultClearTracker,
     RowChecker,
@@ -92,7 +91,6 @@ class Monitor:
         self.report_interval = report_interval
         self.note = note
         self.dropped = 0  # rows with the wrong column count
-        self._t_index = names.index(TIME_COLUMN) if TIME_COLUMN in names else 0
         # column-major, so that a column of the history is contiguous
         self._buf = np.empty((len(names), 256))
         self._n = 0
@@ -124,7 +122,7 @@ class Monitor:
                 )
             self.dropped += 1
             return None
-        t = vals[self._t_index]
+        t = vals[self._checker.time_index]
         if t <= self._last_t:
             self.note(f"out-of-order timestamp {t} (last {self._last_t}); row skipped")
             return None

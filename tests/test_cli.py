@@ -354,6 +354,8 @@ IS_A_DIRECTORY = "[Errno 21] Is a directory: 'd'"
          "argument --out: not allowed with argument --stream"),
         (["assess", "--stream", "--t0", "0"], "m.csv",
          "[ingest] cannot estimate the pre-fault voltage"),
+        (["assess", "--in", "m.csv", "--t0", "1.1", "--report-interval", "5"], None,
+         "argument --report-interval: not allowed without argument --stream"),
     ],
     ids=[
         "in-directory", "missing-in", "assess-out-directory",
@@ -361,6 +363,7 @@ IS_A_DIRECTORY = "[Errno 21] Is a directory: 'd'"
         "not-utf8-header-stream",
         "duplicate-section", "no-section-header", "interpolation", "not-utf8-ini",
         "stream-with-in", "stream-with-out", "stream-t0-without-pre-fault-rows",
+        "report-interval-without-stream",
     ],
 )
 def test_a_bad_input_or_output_is_one_line_and_exit_1(tmp_path, argv, stdin, named):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import make_interp_spline
 
 import stvs
-from conftest import P_ACTIVE, QV_K1, QV_K2, XD_PRIME, pickup_level
+from conftest import P_ACTIVE, QV_K1, QV_K2, XD_PRIME, osc_params, pickup_level
 from stvs import emd
 from stvs.emd import (
     DecompositionResult,
@@ -23,6 +23,7 @@ from stvs.emd import (
     is_imf,
     zero_crossing_frequency,
 )
+from stvs.indices import assess
 from stvs.ingest import (
     Channel,
     VoltageTrajectory,
@@ -811,3 +812,37 @@ def test_stream_with_a_config_loads_configparser_but_not_numpy_ma_or_scipy(tmp_p
     """
     lines = run_python(code, str(record), str(ini)).splitlines()
     assert lines[0].startswith("{") and lines[-1] == "['configparser']"
+
+
+# The least delta_r0 / dip over each record's generators, rounded down to
+# two decimals (ROADMAP item 18's known limit).
+END_EFFECT_FLOORS = [
+    (1, 50.0, 0.91),
+    (1, 200.0, 0.87),
+    (3, 50.0, 0.33),
+    (3, 200.0, 0.79),
+    (10, 50.0, 0.52),
+    (10, 200.0, 0.56),
+]
+
+
+@pytest.mark.parametrize("n_channels, fs, floor", END_EFFECT_FLOORS)
+def test_the_end_effect_keeps_the_recovery_weight_above_its_known_floor(
+    n_channels, fs, floor
+):
+    """A known limit, pinned so that it cannot grow unseen.
+
+    The dip weight delta_r0 = |V_pre - R(t0)| should equal the true dip,
+    V_pre less the recovery trend at t0, on noise-free ``mixed``.  It
+    reads short because ``_mirrored_knots`` reflects the first extrema
+    about sample 0, so both envelopes run flat at t0 while the signal
+    climbs from the dip: the mean envelope is lifted, the first IMFs take
+    in the start of the recovery and R(t0) sits above the trend.  These
+    floors are today's ratios; a boundary rule that mends the end effect
+    (ROADMAP item 18) tightens them.
+    """
+    params = osc_params(n_channels=n_channels, fs=fs)
+    result = assess(synth_scenario("mixed", params))
+    ratios = [g.delta_r0 / params.dip for g in result.per_generator]
+    assert len(ratios) == n_channels
+    assert min(ratios) >= floor

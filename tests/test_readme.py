@@ -1,13 +1,21 @@
-"""README's list of the method's fixed choices names constants that exist."""
+"""README's list of the method's fixed choices names constants that exist,
+and its list of the package root's names is the root's."""
 
 import ast
 import re
+import types
 from pathlib import Path
+
+import stvs
 
 ROOT = Path(__file__).resolve().parents[1]
 # ``* `stvs.<module>`: ...`` up to the next bullet or blank line
 BULLET = re.compile(r"^\* `stvs\.(\w+)`: (.*?)(?=^\*|^$)", re.M | re.S)
 CONSTANT = re.compile(r"`([A-Z][A-Z0-9_]*)`")
+# the Library section's sentence and the list after it, up to a blank line
+ROOT_LIST = re.compile(
+    r"^The package root exports exactly these names.*?(?=\n\n)", re.M | re.S
+)
 
 
 def module_assignments(module):
@@ -53,3 +61,15 @@ def test_a_stale_bullet_is_caught():
         "* `stvs.emd`: `MAX_IMFS` and\n  `NO_SUCH_NAME`.\n\n"
     )
     assert unassigned(stale) == ([("stream", "TIME_COLUMN"), ("emd", "NO_SUCH_NAME")], 2)
+
+
+def test_the_package_root_exports_what_the_readme_lists():
+    (block,) = ROOT_LIST.findall((ROOT / "README.md").read_text(encoding="utf-8"))
+    listed = re.findall(r"`(\w+)`", block)
+    public = {
+        name
+        for name, value in vars(stvs).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert len(listed) == len(set(listed))
+    assert public == set(listed)

@@ -1105,3 +1105,35 @@ def test_a_generator_without_q_stops_the_stream_before_any_row(tmp_path, rows, w
         "stvs: [recovery:G1] generator G1: trip prediction needs reactive power "
         "measurements for the Q-V fit\n"
     )
+
+
+# a header the batch reader rejects for what it lacks, and the line it gives
+HEADERS_WITHOUT = [
+    ("x,V:G1,Q:G1", "missing 'time' column"),
+    ("time,U:G1,Q:G1", "no voltage columns with prefix 'V:'"),
+]
+
+
+@pytest.mark.parametrize("header, named", HEADERS_WITHOUT, ids=["no-time", "no-voltage"])
+def test_a_monitor_rejects_a_header_without_time_or_voltage_when_it_is_built(header, named):
+    with pytest.raises(ValidationError) as exc:
+        Monitor(header.split(","), AssessmentConfig())
+    assert str(exc.value) == f"[ingest] <stdin>: {named}"
+
+
+@pytest.mark.parametrize("rows", [False, True], ids=["header-only", "rows"])
+@pytest.mark.parametrize("with_t0", [True, False])
+@pytest.mark.parametrize("header, named", HEADERS_WITHOUT, ids=["no-time", "no-voltage"])
+def test_a_header_without_time_or_voltage_stops_the_stream_before_any_row(
+    tmp_path, header, named, with_t0, rows
+):
+    lines = record_lines("mixed", n_channels=1)
+    assert lines[0] == "time,V:G1,Q:G1"
+    lines = [header, *lines[1:]] if rows else [header]
+    path = tmp_path / "bad_header.csv"
+    path.write_text("\n".join(lines) + "\n")
+    flags = ["--t0", "1.1"] if with_t0 else []
+    code, out, err, _ = stream(["assess", "--stream", *flags], lines)
+    assert (code, out, err) == (1, "", f"stvs: [ingest] <stdin>: {named}\n")
+    batch = stream(["assess", "--in", str(path), *flags], [])
+    assert batch[:3] == (1, "", f"stvs: [ingest] {path}: {named}\n")
