@@ -75,8 +75,8 @@ GAMMA2 = 10.0
 GAMMA1_DEFAULT = 10.0
 X_STAR_DEFAULT = 1.05
 
-# Why a generator with machine data needs its Q: column; a stream
-# rejects the header that lacks it with the same line.
+# Why a generator with pickups needs its Q: column; a stream rejects
+# the header that lacks it with the same line.
 NO_REACTIVE_POWER = "trip prediction needs reactive power measurements for the Q-V fit"
 
 
@@ -327,7 +327,7 @@ def _assess_generator(
     """
     if spec is not None:
         channel = window.channels[window.channel_ids.index(gen_id)]
-        if channel.reactive_power is None:
+        if spec.pickups and channel.reactive_power is None:
             raise ValidationError(f"generator {gen_id}: {NO_REACTIVE_POWER}")
     dt = window.dt
     series = fsle_residual_series(residual, eq0=v_pre, dt=dt)

@@ -235,8 +235,8 @@ class RowChecker:
     dt = t[1] - t[0]: its time step first, within ``DT_REL_TOL`` of dt
     plus twice the float spacing at its time (a NaN or infinite time is
     named as such), then each ``V:`` column's finiteness check and sign
-    check.  Rows are numbered from 0, and the relative jitter a message
-    quotes is the largest over all rows checked.  The header ``names`` is
+    check.  Rows are numbered from 0, and a sampling error quotes the
+    relative jitter of the row it names.  The header ``names`` is
     checked when the checker is built: a repeated column name, a
     ``V:``/``Q:`` column with an empty channel id, a missing ``time``
     column and no ``V:`` column are errors.
@@ -261,7 +261,6 @@ class RowChecker:
         self.rows = 0  # rows checked so far
         self.dt = math.nan
         self.t_start = math.nan
-        self.jitter_max = 0.0
         self.time_index = names.index(TIME_COLUMN)
         self.voltage_index = [j for _, j in self._voltages]  # the V: columns
 
@@ -294,14 +293,13 @@ class RowChecker:
         with np.errstate(invalid="ignore", over="ignore"):
             error = np.abs(t[first:] - t[first - 1:-1] - self.dt)
             slack = DT_REL_TOL * self.dt + 2 * np.spacing(np.abs(t[first:]))
-            self.jitter_max = (error / self.dt).max(initial=self.jitter_max)
         uniform = error <= slack
         if not uniform.all():
-            bad = first + int(np.argmin(uniform))
-            self._check_time(t, bad)
+            i = int(np.argmin(uniform))
+            self._check_time(t, first + i)
             raise ValidationError(
-                f"{origin}: non-uniform sampling at row {bad} "
-                f"(relative jitter {self.jitter_max:.3g})"
+                f"{origin}: non-uniform sampling at row {first + i} "
+                f"(relative jitter {error[i] / self.dt:.3g})"
             )
         block = data[start:, self.voltage_index]
         # two reductions for all columns in the usual case; a gate per

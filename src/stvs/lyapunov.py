@@ -58,6 +58,17 @@ def ftle_window(delta0: float, delta_t: float, t_window: float) -> float:
     return float(np.log(delta_t / delta0) / t_window)
 
 
+def _series(tail: np.ndarray, ref: float, dt: float, empty: str) -> ExponentSeries:
+    """lambda(k) = ln(tail[k - 1] / ref) / (k dt) over the offsets k where
+    ``tail`` is above zero; a ComputationError ``empty`` when none is."""
+    keep = tail > 0.0
+    if not keep.any():
+        raise ComputationError(empty)
+    k = np.arange(1, len(tail) + 1)[keep]
+    lambdas = np.log(tail[keep] / ref) / (k * dt)
+    return ExponentSeries(lambdas=lambdas, k_offsets=k, dt=dt)
+
+
 def fsle_residual_series(
     residual: np.ndarray,
     eq0: float,
@@ -80,13 +91,7 @@ def fsle_residual_series(
     d0 = float(dev[0])
     if d0 < EPS_FLOOR:
         return None
-    k = np.arange(1, len(dev))
-    keep = dev[1:] > 0.0
-    if not keep.any():
-        raise ComputationError("all residual deviations past t0 are zero")
-    k = k[keep]
-    lambdas = np.log(dev[1:][keep] / d0) / (k * dt)
-    return ExponentSeries(lambdas=lambdas, k_offsets=k, dt=dt)
+    return _series(dev[1:], d0, dt, "all residual deviations past t0 are zero")
 
 
 def fsle_oscillation_series(
@@ -113,13 +118,8 @@ def fsle_oscillation_series(
     ref = float(norms[i0])
     if ref <= 0.0:
         raise ComputationError("anchor norm is zero: no oscillation energy")
-    k = np.arange(i0 + 1, n) - i0
-    tail = norms[i0 + 1:]
-    keep = tail > 0.0
-    if not keep.any():
-        raise ComputationError("all embedded norms past the anchor are zero")
-    lambdas = np.log(tail[keep] / ref) / (k[keep] * dt)
-    return ExponentSeries(lambdas=lambdas, k_offsets=k[keep], dt=dt)
+    empty = "all embedded norms past the anchor are zero"
+    return _series(norms[i0 + 1:], ref, dt, empty)
 
 
 def noise_bias_variance(

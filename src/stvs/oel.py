@@ -81,10 +81,11 @@ class GeneratorSpec:
 
 @dataclass(frozen=True)
 class OELCharacteristic:
-    """Fitted Q-V line plus the voltage caps implied by the pickups."""
+    """Fitted Q-V line plus the voltage caps implied by the pickups;
+    ``k1`` and ``k2`` are None without pickups, which alone read Q."""
 
-    k1: float
-    k2: float
+    k1: float | None
+    k2: float | None
     vcaps: tuple[tuple[float, float], ...]  # (V_cap_i, t_i)
 
 
@@ -217,23 +218,24 @@ def voltage_cap(
 def build_characteristic(
     spec: GeneratorSpec,
     v_samples: np.ndarray,
-    q_samples: np.ndarray,
+    q_samples: np.ndarray | None,
 ) -> OELCharacteristic:
     """Fit the Q-V line and map every pickup to its voltage cap.
 
     Among several admissible caps the one nearest the last voltage
     sample wins.  LVRT entries are grid-code voltage-time pairs and
-    bypass the quartic.
+    bypass the quartic, so a generator without pickups fits no line
+    and reads no Q.
     """
-    k1, k2 = fit_qv(v_samples, q_samples)
-    v_current = float(np.asarray(v_samples, dtype=float)[-1])
-    vcaps = [
-        (
-            voltage_cap(e_i, spec.xd_prime, spec.p_active, k1, k2, v_current),
-            t_i,
-        )
-        for e_i, t_i in spec.pickups
-    ]
+    k1 = k2 = None
+    vcaps = []
+    if spec.pickups:
+        k1, k2 = fit_qv(v_samples, q_samples)
+        v_current = float(np.asarray(v_samples, dtype=float)[-1])
+        vcaps = [
+            (voltage_cap(e_i, spec.xd_prime, spec.p_active, k1, k2, v_current), t_i)
+            for e_i, t_i in spec.pickups
+        ]
     vcaps.extend(spec.lvrt)
     vcaps.sort(key=lambda vt: vt[1])
     return OELCharacteristic(k1=k1, k2=k2, vcaps=tuple(vcaps))

@@ -2,15 +2,15 @@
 
 ``Monitor`` is what ``stvs assess --stream`` runs.  Each row is parsed
 once into one buffer and checked once, on its own; a trajectory is
-built only for a row due a report: the first once ``FIRST_REPORT_S`` of
-post-fault data is in, then one per report interval of data, read
-within the float rounding of the row's timestamp.  With a fault
-clear time ``t0``, rows wait until one at or past t0 arrives, are then
-checked together, and t0 is placed once.  Without it, the fault clear
-sample is tracked row by row, and a new fault that moves it restarts
-the schedule: the next report comes ``FIRST_REPORT_S`` after the new
-clearing.  A history with no fault signature yet is noted once, and
-once more at the end if none ever showed.
+built only for a row due a report, whose post-fault data time reaches
+``FIRST_REPORT_S``, then a report interval past the last report, within
+the float rounding of its timestamp.  With a fault clear time ``t0``,
+rows wait until one at or past t0 arrives, are then checked together,
+and t0 is placed once.  Without it, the fault clear sample is tracked
+row by row, and a new fault that moves it restarts the schedule: the
+next report comes ``FIRST_REPORT_S`` after the new clearing.  A history
+with no fault signature yet is noted once, and once more at the end if
+none ever showed.
 
 A row is read by ``ingest``'s row rule, as a file's rows are: the text
 before any ``#`` is split on commas, a line blank after that cut is
@@ -59,8 +59,8 @@ class Monitor:
 
     A header that ``RowChecker`` rejects, a non-finite ``t0``, a
     ``report_interval`` that is not positive and finite, and a
-    ``config`` generator whose ``Q:`` column the header lacks are
-    rejected here, before any row.
+    ``config`` generator with pickups whose ``Q:`` column the header
+    lacks are rejected here, before any row.
     """
 
     def __init__(
@@ -79,10 +79,11 @@ class Monitor:
                 f"report_interval must be a positive, finite time in seconds, "
                 f"got {report_interval}"
             )
+        generators = config.generators or {}
         for col in names:
             cid = col[len(VOLTAGE_PREFIX):]
-            spec = col.startswith(VOLTAGE_PREFIX) and cid in (config.generators or {})
-            if spec and REACTIVE_PREFIX + cid not in names:
+            spec = col.startswith(VOLTAGE_PREFIX) and generators.get(cid)
+            if spec and spec.pickups and REACTIVE_PREFIX + cid not in names:
                 why = f"generator {cid}: {NO_REACTIVE_POWER}"
                 raise ValidationError(f"[recovery:{cid}] {why}")  # batch's line
         self.names = names
@@ -98,7 +99,8 @@ class Monitor:
         self._tracker = FaultClearTracker()
         self._t0_index: int | None = None
         self._data_time: float | None = None
-        self._next_report: float | None = None
+        self._next_report = FIRST_REPORT_S  # data time of the next report
+        self._due = False  # a row has come due, whether or not it reported
         # the history has had no fault signature so far; once one is
         # found it stays in every longer history
         self._no_signature = False
@@ -145,7 +147,7 @@ class Monitor:
         if self.t0 is None:
             moved_from = self._t0_index
             self._t0_index = self._tracker.update(data, checker.voltage_index)
-            if self._next_report is not None and self._t0_index != moved_from:
+            if self._t0_index != moved_from:
                 self._next_report = FIRST_REPORT_S  # a new fault: start over
             if self._t0_index is None:
                 if not self._no_signature:
@@ -169,13 +171,10 @@ class Monitor:
                 ) from exc
         t0_index = self._t0_index
         data_time = self._data_time = t - (checker.t_start + t0_index * checker.dt)
-        if data_time < FIRST_REPORT_S:
-            return None
-        if self._next_report is None:
-            self._next_report = data_time
         # a Unix time of 1.7e9 s is held only to 2.4e-7 s
         if data_time + 1e-9 + 4 * math.ulp(t) < self._next_report:
             return None
+        self._due = True
         try:
             traj = trajectory_from_columns(self.names, data, checker, t0_index)
             doc = assess(traj, self.config).to_dict()
@@ -206,14 +205,14 @@ class Monitor:
                 "the stream ended without a fault signature, so no report was "
                 "written; pass --t0"
             )
-        elif self._next_report is None:
+        elif not self._due:
             if self._data_time is not None:
                 self.note(
                     f"the stream ended {self._data_time:.3g} s after fault "
                     f"clearing, so no report was written; the first report "
                     f"needs {FIRST_REPORT_S} s"
                 )
-            elif self.t0 is not None and self._n:
+            elif self._n and self.t0 is not None and self._last_t < self.t0:
                 self.note(
                     f"the stream ended at {self._last_t} s, before the fault clear "
                     f"time {self.t0} s, so no report was written"

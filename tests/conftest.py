@@ -38,8 +38,8 @@ def osc_params(**overrides) -> ScenarioParams:
     return ScenarioParams(**merged)
 
 
-@pytest.fixture
-def generator_specs():
+def three_generator_specs() -> dict[str, GeneratorSpec]:
+    """G1-G3, each with one pickup at the 0.9 pu cap behind 20 s."""
     e_i = pickup_level()
     return {
         f"G{i}": GeneratorSpec(
@@ -50,6 +50,11 @@ def generator_specs():
         )
         for i in (1, 2, 3)
     }
+
+
+@pytest.fixture
+def generator_specs():
+    return three_generator_specs()
 
 
 # Point-by-point oracles for the vectorised reference and KL paths: the

@@ -1,3 +1,5 @@
+import math
+import re
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import QV_K1, QV_K2, osc_params
+from conftest import QV_K1, QV_K2, osc_params, three_generator_specs
 from stvs import distribution, emd, indices, oel
 from stvs.emd import (
     DecompositionResult,
@@ -15,7 +17,7 @@ from stvs.emd import (
     filter_imfs_by_frequency,
     zero_crossing_frequency,
 )
-from stvs.errors import ValidationError
+from stvs.errors import ComputationError, ValidationError
 from stvs.indices import (
     IMF_GRID,
     NO_OSC_TAG,
@@ -28,7 +30,7 @@ from stvs.indices import (
 from stvs.ingest import Channel, VoltageTrajectory, extract_post_fault_window
 from stvs.lyapunov import fsle_residual_series
 from stvs.oel import REC_GRID
-from stvs.synth import ScenarioParams, ground_truth_trips, synth_scenario
+from stvs.synth import SCENARIO_KINDS, ScenarioParams, ground_truth_trips, synth_scenario
 
 
 def osc_index_for(kind, window=3.0, **overrides):
@@ -420,6 +422,48 @@ def test_assess_json_contract(generator_specs):
         assert set(entry) == {"id", "index", "threshold", "margin", "class", "delta_r0"}
 
 
+# The sign of the margin each class implies; a margin of 0 fits either.
+MARGIN_SIGN = {"stable": -1, "unstable": 1, "non-trip": -1, "trip": 1}
+
+
+@given(
+    kind=st.sampled_from(SCENARIO_KINDS),
+    n_channels=st.integers(1, 6),
+    fs=st.sampled_from([25.0, 50.0, 100.0, 200.0]),
+    sigma=st.sampled_from([0.0, 0.0005, 0.001, 0.003]),
+    window_s=st.floats(0.1, 3.0),
+    seed=st.integers(0, 2**16),
+    machine_data=st.booleans(),
+)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_a_drawn_scenario_gets_a_sound_document_or_a_staged_error(
+    kind, n_channels, fs, sigma, window_s, seed, machine_data
+):
+    params = ScenarioParams(
+        n_channels=n_channels, fs=fs, noise_sigma=sigma, seed=seed, k1=QV_K1, k2=QV_K2
+    )
+    traj = synth_scenario(kind, params)
+    spec = three_generator_specs()["G1"]
+    generators = {cid: replace(spec, id=cid) for cid in traj.channel_ids}
+    config = AssessmentConfig(window_s, generators if machine_data else None)
+    try:
+        result = assess(traj, config)
+    except (ValidationError, ComputationError) as exc:
+        # known limits: a noise-free stalled Q has no spread to fit, and a
+        # steep recovery exponent can leave float range before the pickup
+        assert re.match(r"\[(ingest|emd|oscillation|recovery:G\d)\] ", str(exc)), str(exc)
+        return
+    osc = result.oscillation
+    verdicts = [
+        (osc.value, result.oscillation_classification, result.oscillation_margin),
+        *((g.index, g.classification, g.margin) for g in result.per_generator),
+    ]
+    for index, label, margin in verdicts:
+        assert math.isfinite(index) and index >= 0
+        if margin is not None and label in MARGIN_SIGN:  # a tuned or oscillation class
+            assert np.sign(margin) in (0, MARGIN_SIGN[label]), (label, margin)
+
+
 # -- trip prediction from 3 s against the ground truth ---------------------------------
 
 # Records of 3 s after fault clearing, scored against each generator's
@@ -464,16 +508,64 @@ def trip_verdicts(records, generator_specs):
     return missed, false_trips
 
 
-def test_no_trip_is_missed_from_three_seconds(generator_specs):
-    missed, false_trips = trip_verdicts(
-        [
-            ((kind, round(value, 4), sigma), kind, {knob: value, "noise_sigma": sigma})
-            for kind, knob, value, sigma in TRIP_SWEEP
-        ],
-        generator_specs,
-    )
+# The windows, in seconds, at which every TRIP_SWEEP record is assessed.
+SETTLE_WINDOWS = (0.5, 0.6, 0.8, 1.0, 1.5, 2.0, 2.5, 3.0)
+
+
+@pytest.fixture(scope="module")
+def trip_sweep():
+    """{(kind, value, sigma, generator id): (whether it trips, its class
+    at each of SETTLE_WINDOWS)} over TRIP_SWEEP."""
+    specs = three_generator_specs()
+    sweep = {}
+    for kind, knob, value, sigma in TRIP_SWEEP:
+        params = ScenarioParams(k1=QV_K1, k2=QV_K2, **{knob: value, "noise_sigma": sigma})
+        traj = synth_scenario(kind, params)
+        classes = {gen_id: [] for gen_id in specs}
+        for window_s in SETTLE_WINDOWS:
+            config = AssessmentConfig(window_s=window_s, generators=specs)
+            for g in assess(traj, config).per_generator:
+                classes[g.id].append(g.classification)
+        for gen_id, trips in ground_truth_trips(kind, params, specs).items():
+            sweep[(kind, round(value, 4), sigma, gen_id)] = trips, classes[gen_id]
+    return sweep
+
+
+def test_no_trip_is_missed_from_three_seconds(trip_sweep):
+    at_3s = SETTLE_WINDOWS.index(3.0)
+    missed, false_trips = [], set()
+    for key, (trips, classes) in trip_sweep.items():
+        if trips and classes[at_3s] != "trip":
+            missed.append(key)
+        elif classes[at_3s] == "trip" and not trips:
+            false_trips.add(key)
     assert missed == []
     assert false_trips == KNOWN_FALSE_TRIPS
+
+
+def settle_window(trips, classes):
+    """The first of SETTLE_WINDOWS from which the class stays right (trip
+    exactly when the generator trips), None when none is."""
+    right = [(c == "trip") == trips for c in classes]
+    return next((w for i, w in enumerate(SETTLE_WINDOWS) if all(right[i:])), None)
+
+
+def test_recovery_verdicts_settle_at_the_pinned_windows(trip_sweep):
+    settle = {key: settle_window(*verdicts) for key, verdicts in trip_sweep.items()}
+    assert {key for key, w in settle.items() if w is None} == KNOWN_FALSE_TRIPS
+    true_trips = {}
+    for key, (trips, _) in trip_sweep.items():
+        if trips:
+            true_trips.setdefault(key[0], []).append(settle[key])
+    # (count, every one settled by, median) of the true trips, in seconds
+    assert {kind: (len(w), max(w), np.median(w)) for kind, w in true_trips.items()} == {
+        "fast-recovery": (45, 0.5, 0.5),
+        "stalled-recovery": (24, 0.8, 0.5),
+        "mixed": (45, 2.5, 1.0),
+    }
+    assert np.percentile(true_trips["mixed"], 90) == 1.5
+    # non-trip generators classed trip at one window or more
+    assert sum(not trips and "trip" in c for trips, c in trip_sweep.values()) == 55
 
 
 # The creep axis: stalled records that drift up at 0.001-0.01 pu/s, from

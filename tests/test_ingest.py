@@ -77,6 +77,18 @@ def test_load_rejects_jittered_timestamps(tmp_path):
         load_trajectory(path)
 
 
+def test_a_sampling_error_quotes_the_jitter_of_the_row_it_names(tmp_path):
+    path = tmp_path / "jitter.csv"
+    t = 0.02 * np.arange(20)
+    t[3] += 2e-6  # 1e-4 of a step
+    t[7:] += 0.06  # a 0.08 s step: a jitter of 3, past the named row
+    write_csv(path, "time,V:A", [(t[i], 1.0) for i in range(20)])
+    with pytest.raises(
+        ValidationError, match=r"non-uniform sampling at row 3 \(relative jitter 0\.0001\)$"
+    ):
+        load_trajectory(path)
+
+
 @pytest.mark.parametrize("row", [0, 1, 2, 30])
 def test_load_names_a_nan_time(tmp_path, row):
     path = tmp_path / "nan_time.csv"

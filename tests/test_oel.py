@@ -262,6 +262,13 @@ def test_lvrt_entries_bypass_the_quartic():
     assert charac.vcaps == ((0.6, 0.5), (0.85, 1.5))  # verbatim, time-sorted
 
 
+@pytest.mark.parametrize("q", [None, np.full(30, 0.2)], ids=["no-q", "flat-q"])
+def test_an_lvrt_only_characteristic_fits_no_q_v_line(q):
+    spec = GeneratorSpec(id="W1", xd_prime=0.0, p_active=0.0, lvrt=((0.6, 0.5),))
+    charac = build_characteristic(spec, np.linspace(0.7, 0.9, 30), q)
+    assert charac == oel.OELCharacteristic(k1=None, k2=None, vcaps=((0.6, 0.5),))
+
+
 # -- critical signals -----------------------------------------------------------------
 
 def _recovering_residual(rate, dip=0.3, t_end=3.0):

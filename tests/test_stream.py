@@ -73,7 +73,7 @@ def oracle_from_columns(names, data, origin="<data>"):
             raise ValidationError(f"{origin}: time is not a number at row {bad}")
         raise ValidationError(
             f"{origin}: non-uniform sampling at row {bad} "
-            f"(relative jitter {jitter.max():.3g})"
+            f"(relative jitter {jitter[bad - 1]:.3g})"
         )
     channels = []
     for col in v_cols:
@@ -1003,6 +1003,37 @@ def test_stream_says_why_a_short_record_got_no_report(capsys, tmp_path):
     assert "oscillation" in json.loads(capsys.readouterr().out)
 
 
+def test_a_first_report_at_epoch_times_is_due_within_the_timestamp_slack():
+    # data row 80 reads t - t0 as 0.4999999990 at 1e6 s; without the slack
+    # on the first report it waited a row, for 25 reports from 0.52 s
+    latencies = {}
+    for t_start, t0 in ((0.0, "1.1"), (1e6, "1000001.1")):
+        lines = epoch_lines(t_start, noise_sigma=0.001, seed=3)
+        code, out, err, _ = stream(["assess", "--stream", "--t0", t0], lines)
+        assert (code, err) == (0, "")
+        latencies[t_start] = [json.loads(line)["latency_s"] for line in out.splitlines()]
+    assert len(latencies[1e6]) == len(latencies[0.0]) == 26
+    assert latencies[0.0][0] == FIRST_REPORT_S
+    assert abs(latencies[1e6][0] - FIRST_REPORT_S) < 1e-6
+
+
+def test_one_row_at_or_past_t0_is_told_it_needs_two():
+    argv = ["assess", "--stream", "--t0", "4.0"]
+    for t in ("5.0", "4.0"):
+        code, out, err, _ = stream(argv, ["time,V:G1", f"{t},1.0"])
+        assert (code, out) == (0, "")
+        assert err == (
+            "stvs: the stream ended with 1 data row(s), so no report was written; "
+            "a record needs at least 2\n"
+        )
+    code, out, err, _ = stream(argv, ["time,V:G1", "3.0,1.0"])  # before t0
+    assert (code, out) == (0, "")
+    assert err == (
+        "stvs: the stream ended at 3.0 s, before the fault clear time 4.0 s, so no "
+        "report was written\n"
+    )
+
+
 def test_stream_says_when_it_ended_before_t0():
     lines = record_lines("mixed")[:40]  # up to 0.76 s; t0 is 1.1 s
     code, out, err, _ = stream(["assess", "--stream", "--t0", "1.1"], lines)
@@ -1137,3 +1168,33 @@ def test_a_header_without_time_or_voltage_stops_the_stream_before_any_row(
     assert (code, out, err) == (1, "", f"stvs: [ingest] <stdin>: {named}\n")
     batch = stream(["assess", "--in", str(path), *flags], [])
     assert batch[:3] == (1, "", f"stvs: [ingest] {path}: {named}\n")
+
+
+@pytest.mark.parametrize("q", ["none", "flat"])
+def test_an_lvrt_only_generator_needs_no_reactive_power(tmp_path, q):
+    # an LVRT cap is a voltage level: only pickups read Q, through the Q-V line
+    (tmp_path / "lvrt.ini").write_text("[G1]\nlvrt = 0.3@1.0\n")
+    rows = [line.split(",") for line in record_lines("mixed", noise_sigma=0.001)]
+    assert rows[0] == ["time", "V:G1", "V:G2", "V:G3", "Q:G1", "Q:G2", "Q:G3"]
+    if q == "none":
+        rows = [row[:4] for row in rows]
+    else:
+        for row in rows[1:]:
+            row[4] = "0.2"
+    lines = [",".join(row) for row in rows]
+    path = tmp_path / "record.csv"
+    path.write_text("\n".join(lines) + "\n")
+    flags = ["--gen-config", str(tmp_path / "lvrt.ini"), "--t0", "1.1"]
+    code, out, err, _ = stream(["assess", "--in", str(path), *flags], [])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["generators"][0]["class"] == "non-trip"
+    code, out, err, _ = stream(["assess", "--stream", *flags], lines)
+    assert (code, err) == (0, "")
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert len(reports) == 26
+    assert {doc["generators"][0]["class"] for doc in reports} == {"non-trip"}
+    code, out, err, _ = stream(["tune", "--in", str(path), *flags], [])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["generators"] == [
+        {"id": "G1", "k1": None, "k2": None, "trivial": "non-trip", "vcaps": [[0.3, 1.0]]}
+    ]
