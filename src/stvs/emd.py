@@ -64,7 +64,7 @@ import os
 import re
 import sys
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from importlib.util import find_spec, module_from_spec
@@ -114,7 +114,6 @@ SD_THRESHOLD = 0.2  # sifting stops below this normalised envelope energy
 MAX_SIFTS = 10  # sifting passes per IMF
 MAX_IMFS = 12
 N_DIRECTIONS = 8  # projection directions of a multi-channel pass
-BAND_HZ = (0.0, 10.0)  # IMFs whose zero-crossing frequency lies here are kept
 _DIRECTION_SEED = 988_221_735  # fixed: decomposition must be deterministic
 _AMPLITUDE_FLOOR = 1e-12
 
@@ -147,13 +146,6 @@ class DecompositionResult:
 
     def reconstruct(self, channel: int) -> np.ndarray:
         out = self.residuals[channel].copy()
-        for imf in self.imfs[channel]:
-            out += imf
-        return out
-
-    def oscillatory(self, channel: int) -> np.ndarray:
-        """Sum of retained IMFs for one channel (zeros if none)."""
-        out = np.zeros_like(self.residuals[channel])
         for imf in self.imfs[channel]:
             out += imf
         return out
@@ -497,42 +489,3 @@ def decompose(traj: VoltageTrajectory) -> DecompositionResult:
         ),
     )
 
-
-def filter_imfs_by_frequency(decomp: DecompositionResult) -> DecompositionResult:
-    """Drop IMFs whose zero-crossing frequency falls outside ``BAND_HZ``.
-
-    IMFs are chosen by their stored frequency, and ``imfs``, ``freqs``
-    and ``rms`` keep the same ones.  Removed energy is discarded as
-    noise, not folded into the residual, so reconstruction changes by
-    exactly the removed components.
-    """
-    f_min, f_max = BAND_HZ
-    kept = [
-        [i for i, f in enumerate(freqs) if f_min <= f <= f_max]
-        for freqs in decomp.freqs
-    ]
-
-    def subset(per_channel):
-        return tuple(
-            tuple(values[i] for i in idx) for values, idx in zip(per_channel, kept)
-        )
-
-    return replace(
-        decomp,
-        imfs=subset(decomp.imfs),
-        freqs=subset(decomp.freqs),
-        rms=subset(decomp.rms),
-    )
-
-
-def dominant_imf_frequency(decomp: DecompositionResult) -> float | None:
-    """Frequency of the highest-RMS IMF with a frequency above 0, if any;
-    of equal RMS values, the first in the channels' natural id order."""
-    best_rms = 0.0
-    best_freq = None
-    for ch in _natural_order(decomp.channel_ids):
-        for freq, value in zip(decomp.freqs[ch], decomp.rms[ch]):
-            if value > best_rms and freq > 0:
-                best_rms = value
-                best_freq = freq
-    return best_freq

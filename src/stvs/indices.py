@@ -18,16 +18,16 @@ each critical signal is in the tuner, through ``fsle_residual_series``
 (None when it never dipped) and ``oel.recovery_scores``.
 
 ``AssessmentConfig`` carries what a run may set: the analysis window
-and the generators' machine data.  The method's fixed choices (the
-embedding dimension, the IMF grid, the oscillation reference shape
-gamma2 and the untuned Gompertz shape) are the module constants below,
-read where they are used and never passed in; ``oel`` holds those of
-the recovery grid and the tuner, ``emd`` those of the sifting and the
-frequency band, and ``ingest`` the pre-fault lookback.  Each channel
-recovers toward its own pre-fault voltage V_pre, given with the record
-or estimated by ``ingest.estimate_prefault_voltage``.
+and the generators' machine data.  The method's fixed choices (the IMF
+band, the embedding dimension, the IMF grid, the oscillation reference
+shape gamma2 and the untuned Gompertz shape) are the module constants
+below, read where they are used and never passed in; ``oel`` holds
+those of the recovery grid and the tuner, ``emd`` those of the sifting,
+and ``ingest`` the pre-fault lookback.  Each channel recovers toward
+its own pre-fault voltage V_pre, given with the record or estimated by
+``ingest.estimate_prefault_voltage``.
 ``OscillationResult`` holds the oscillation index and its exponent
-series, None when no retained IMF oscillates (which ``to_dict`` notes
+series, None when no IMF in the band oscillates (which ``to_dict`` notes
 as ``NO_OSC_TAG``); each generator's ``GeneratorAssessment`` holds its
 index, dip weight and exponent series.
 """
@@ -43,14 +43,7 @@ import numpy as np
 from . import oel
 from .distribution import _bin_edges, kl_index
 from .embed import augment_rocov, delay_embed, normalize_channels
-from .emd import (
-    BAND_HZ,
-    DecompositionResult,
-    _natural_order,
-    decompose,
-    dominant_imf_frequency,
-    filter_imfs_by_frequency,
-)
+from .emd import DecompositionResult, _natural_order, decompose
 from .errors import ValidationError, stage
 from .ingest import (
     VoltageTrajectory,
@@ -63,12 +56,14 @@ OSC_X_STAR = 1.0  # oscillation reference shift sits at the unit factor
 
 NO_OSC_TAG = "no oscillatory content"
 
-# Fixed choices of the method.  The IMFs ``emd.BAND_HZ`` keeps feed the
-# oscillation index, embedded in EMBED_M dimensions at most, and scored
-# on the IMF histogram grid (bins, lo, hi) against the Gompertz
-# reference of shape GAMMA2: the paper's grid, whose critical value is
-# 2.07.  A generator without a tuned threshold is scored on
-# ``oel.REC_GRID`` with the default Gompertz shape (gamma1, x*).
+# Fixed choices of the method.  The IMFs whose zero-crossing frequency
+# lies in BAND_HZ (Hz) feed the oscillation index, embedded in EMBED_M
+# dimensions at most, and scored on the IMF histogram grid (bins, lo,
+# hi) against the Gompertz reference of shape GAMMA2: the paper's grid,
+# whose critical value is 2.07.  A generator without a tuned threshold
+# is scored on ``oel.REC_GRID`` with the default Gompertz shape
+# (gamma1, x*).
+BAND_HZ = (0.0, 10.0)
 EMBED_M = 4
 IMF_GRID = (20, 0.0, 1.5)
 GAMMA2 = 10.0
@@ -116,7 +111,7 @@ class AssessmentConfig:
 @dataclass(frozen=True)
 class OscillationResult:
     """System-level oscillation index and the exponent series it scored,
-    None when no retained IMF oscillates (the report notes NO_OSC_TAG)."""
+    None when no IMF in the band oscillates (the report notes NO_OSC_TAG)."""
 
     value: float
     series: ExponentSeries | None = None
@@ -244,7 +239,7 @@ def _embedding_parameters(
     The delay targets a quarter of the dominant oscillation period so
     the embedding span covers most of a cycle: that makes the embedded
     norm read the oscillation envelope instead of the instantaneous
-    phase.  With no measurable oscillation frequency (no retained IMF
+    phase.  With no measurable oscillation frequency (no IMF in the band
     crosses zero) the delay is one sample.  On short windows the
     dimension drops before the delay collapses so that at least a
     handful of embedded points remain.
@@ -258,7 +253,14 @@ def _embedding_parameters(
 
 
 def oscillation_index(decomp: DecompositionResult) -> OscillationResult:
-    """System-level oscillation index from the retained IMFs.
+    """System-level oscillation index from the IMFs in ``BAND_HZ``.
+
+    Each channel's IMFs whose stored zero-crossing frequency lies in
+    ``BAND_HZ`` are summed in order; the rest are dropped as noise, and
+    the residuals are not read.  The dominant frequency, which sets the
+    embedding delay and the anchor, is that of the in-band IMF with the
+    highest stored RMS and a frequency above 0, the first one winning a
+    tie.
 
     Pipeline: per-channel IMF sums -> unit-RMS normalization -> ROCOV
     augmentation -> delay embedding -> amplitude-ratio divergence
@@ -273,17 +275,21 @@ def oscillation_index(decomp: DecompositionResult) -> OscillationResult:
     order of their ids, the order ``decompose`` sifts them in, so the
     index does not depend on the record's column order.
     """
+    f_min, f_max = BAND_HZ
     signals = []
+    best_rms, freq = 0.0, None
     for ch in _natural_order(decomp.channel_ids):
-        if decomp.n_imfs(ch) == 0:
-            continue
-        osc = decomp.oscillatory(ch)
+        osc = np.zeros_like(decomp.residuals[ch])
+        for imf, f, rms in zip(decomp.imfs[ch], decomp.freqs[ch], decomp.rms[ch]):
+            if f_min <= f <= f_max:
+                osc += imf
+                if rms > best_rms and f > 0:
+                    best_rms, freq = rms, f
         if float(np.sqrt(np.mean(osc**2))) > 1e-9:
             signals.append(osc)
     if not signals:
         return OscillationResult(value=0.0)
 
-    freq = dominant_imf_frequency(decomp)
     period = (
         max(2, int(round(1.0 / (freq * decomp.dt)))) if freq else None
     )
@@ -385,9 +391,8 @@ def assess(
     v_pre = traj.prefault_voltage or stage("ingest", estimate_prefault_voltage, traj)
 
     decomp = stage("emd", decompose, window)
-    retained = stage("emd", filter_imfs_by_frequency, decomp)
 
-    osc = stage("oscillation", oscillation_index, retained)
+    osc = stage("oscillation", oscillation_index, decomp)
     threshold = stage("oscillation", imf_threshold, *IMF_GRID, GAMMA2)
     osc_label, osc_margin = classify(osc.value, threshold)
 
@@ -396,7 +401,7 @@ def assess(
             f"recovery:{gen_id}",
             _assess_generator,
             gen_id,
-            retained.residuals[ch_index],
+            decomp.residuals[ch_index],
             window,
             v_pre[gen_id],
             (config.generators or {}).get(gen_id),

@@ -495,12 +495,16 @@ class FaultClearTracker:
     def update(self, data: np.ndarray, columns: list[int]) -> int | None:
         """Index after the rows of ``data`` (n, columns), voltages in ``columns``."""
         start = self._next
-        v = data[start:, columns]
-        a, b, c, d = v[:-3], v[1:-2], v[2:-1], v[3:]
-        dips = np.flatnonzero(
-            ((a < FAULT_LEVEL_PU) & (a < b) & (b < c) & (c < d)).any(axis=1)
-        )
-        if dips.size:
-            self.index = start + int(dips[-1]) + 1
-        self._next = max(start, len(data) - 3)
+        end = max(start, len(data) - 3)  # one past the last checkable candidate
+        # a dip needs a candidate below FAULT_LEVEL_PU, so one reduction
+        # rules out most rows; a NaN minimum runs the full test
+        if end > start and not data[start:end, columns].min() >= FAULT_LEVEL_PU:
+            v = data[start:, columns]
+            a, b, c, d = v[:-3], v[1:-2], v[2:-1], v[3:]
+            dips = np.flatnonzero(
+                ((a < FAULT_LEVEL_PU) & (a < b) & (b < c) & (c < d)).any(axis=1)
+            )
+            if dips.size:
+                self.index = start + int(dips[-1]) + 1
+        self._next = end
         return self.index

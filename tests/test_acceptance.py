@@ -14,12 +14,7 @@ import pytest
 from conftest import kl_index_oracle, osc_params
 from stvs.cli import run
 from stvs.distribution import kl_divergence_table
-from stvs.emd import (
-    count_extrema,
-    count_zero_crossings,
-    decompose,
-    filter_imfs_by_frequency,
-)
+from stvs.emd import count_extrema, count_zero_crossings, decompose
 from stvs.indices import (
     GAMMA1_DEFAULT,
     X_STAR_DEFAULT,
@@ -179,7 +174,7 @@ def test_criterion_6_index_monotonicity(capsys):
     for decay in (0.05, 0.1, 0.2, 0.4, 0.8):
         traj = synth_scenario("stable-osc", osc_params(decay=decay))
         window = extract_post_fault_window(traj, 3.0)
-        decomp = filter_imfs_by_frequency(decompose(window))
+        decomp = decompose(window)
         osc_values.append(oscillation_index(decomp).value)
     assert all(a > b for a, b in zip(osc_values, osc_values[1:]))
 
@@ -188,7 +183,7 @@ def test_criterion_6_index_monotonicity(capsys):
     for rate in (0.05, 0.1, 0.5, 1.0, 2.0):
         traj = synth_scenario("fast-recovery", ScenarioParams(recovery=rate, dip=0.3))
         window = extract_post_fault_window(traj, 3.0)
-        decomp = filter_imfs_by_frequency(decompose(window))
+        decomp = decompose(window)
         residual = decomp.residuals[0]
         series = fsle_residual_series(residual, eq0=1.0, dt=window.dt)
         weight = abs(1.0 - residual[0])

@@ -13,13 +13,10 @@ import stvs
 from conftest import P_ACTIVE, QV_K1, QV_K2, XD_PRIME, osc_params, pickup_level
 from stvs import emd
 from stvs.emd import (
-    DecompositionResult,
     count_extrema,
     count_zero_crossings,
     decompose,
     decompose_signals,
-    dominant_imf_frequency,
-    filter_imfs_by_frequency,
     is_imf,
     zero_crossing_frequency,
 )
@@ -170,28 +167,37 @@ def test_decompose_is_deterministic():
         assert np.array_equal(a.residuals[ch], b.residuals[ch])
 
 
-# -- frequency filtering ------------------------------------------------------
+# A known limit, ROADMAP item 18: EMD's end effect lifts the residual at
+# the window's first sample, where the recovery is steepest, so the
+# recovery weight |V_pre - R(t0)| reads less than the true dip.  The
+# floors are today's figures (the minimum over channels of
+# |V_pre - R(t0)| / dip on noise-free `mixed`) rounded down to 0.01, at
+# 50 Hz and 200 Hz: the test fails if the effect gets worse.
+@pytest.mark.parametrize(
+    "recovery, n_channels, floors",
+    [
+        (0.3, 1, (0.95, 0.95)),
+        (0.3, 3, (0.93, 0.93)),
+        (0.3, 10, (0.87, 0.84)),
+        (0.9, 1, (0.91, 0.91)),
+        (0.9, 3, (0.81, 0.81)),
+        (0.9, 10, (0.63, 0.61)),
+    ],
+    ids=["r0.3-1ch", "r0.3-3ch", "r0.3-10ch", "r0.9-1ch", "r0.9-3ch", "r0.9-10ch"],
+)
+def test_the_residual_reads_a_known_share_of_the_dip_at_t0(recovery, n_channels, floors):
+    for fs, floor in zip((50.0, 200.0), floors):
+        params = osc_params(recovery=recovery, n_channels=n_channels, fs=fs)
+        traj = synth_scenario("mixed", params)
+        decomp = decompose(extract_post_fault_window(traj, 3.0))
+        share = min(
+            abs(traj.prefault_voltage[cid] - decomp.residuals[ch][0]) / params.dip
+            for ch, cid in enumerate(decomp.channel_ids)
+        )
+        assert share >= floor, (fs, share)
 
-def _tone_stack_result(dt=0.02, n=151):
-    t = dt * np.arange(n)
-    tones = {
-        25.0: 0.01 * np.sin(2 * np.pi * 25.0 * t),
-        1.5: 0.05 * np.sin(2 * np.pi * 1.5 * t),
-        0.2: 0.03 * np.sin(2 * np.pi * 0.2 * t),
-    }
-    imfs = tuple(tones.values())
-    return (
-        DecompositionResult(
-            channel_ids=("A",),
-            imfs=(imfs,),
-            residuals=(np.full(n, 1.0),),
-            dt=dt,
-            freqs=(tuple(zero_crossing_frequency(imf, dt) for imf in imfs),),
-            rms=(tuple(float(np.sqrt(np.mean(imf * imf))) for imf in imfs),),
-        ),
-        tones,
-    )
 
+# -- IMF frequency and RMS ---------------------------------------------------
 
 def test_zero_crossing_frequency_of_tones():
     dt = 0.005
@@ -201,53 +207,17 @@ def test_zero_crossing_frequency_of_tones():
         assert zero_crossing_frequency(tone, dt) == pytest.approx(f, rel=0.05)
 
 
-def test_filter_keeps_in_band_tone():
-    result, _ = _tone_stack_result()
-    kept = filter_imfs_by_frequency(result)  # BAND_HZ: 0-10 Hz
-    assert emd.BAND_HZ == (0.0, 10.0)
-    assert kept.n_imfs(0) == 2
-    for imf, f in zip(kept.imfs[0], (1.5, 0.2)):
-        assert zero_crossing_frequency(imf, kept.dt) == pytest.approx(f, rel=0.2)
-
-
-def test_filter_discards_out_of_band_energy():
-    result, tones = _tone_stack_result()
-    kept = filter_imfs_by_frequency(result)
-    # removed energy is dropped, not moved into the residual
-    assert np.array_equal(kept.residuals[0], result.residuals[0])
-    drop = result.reconstruct(0) - kept.reconstruct(0)
-    expected = tones[25.0]
-    assert np.allclose(drop, expected, atol=1e-12)
-
-
-def test_dominant_imf_frequency_picks_highest_rms():
-    result, _ = _tone_stack_result()
-    assert dominant_imf_frequency(result) == pytest.approx(1.5, rel=0.2)
-
-
 @pytest.mark.parametrize("n_channels", [1, 3, 10])
 def test_stored_imf_stats_equal_a_recomputation(n_channels):
     params = ScenarioParams(n_channels=n_channels, noise_sigma=0.003, seed=n_channels)
     window = extract_post_fault_window(synth_scenario("mixed", params), 3.0)
     decomp = decompose(window)
-    kept = filter_imfs_by_frequency(decomp)
-    f_min, f_max = emd.BAND_HZ
-    n_kept = 0
     for ch in range(decomp.n_channels):
         imfs = decomp.imfs[ch]
         assert imfs and len(decomp.freqs[ch]) == len(decomp.rms[ch]) == len(imfs)
         for imf, freq, rms in zip(imfs, decomp.freqs[ch], decomp.rms[ch]):
             assert freq == zero_crossing_frequency(imf, decomp.dt)
             assert rms == float(np.sqrt(np.mean(imf * imf)))
-        # the filter keeps the same IMFs in all three tuples
-        picked = [i for i, f in enumerate(decomp.freqs[ch]) if f_min <= f <= f_max]
-        assert len(kept.imfs[ch]) == len(picked)
-        assert all(kept.imfs[ch][k] is imfs[i] for k, i in enumerate(picked))
-        assert kept.freqs[ch] == tuple(decomp.freqs[ch][i] for i in picked)
-        assert kept.rms[ch] == tuple(decomp.rms[ch][i] for i in picked)
-        n_kept += len(picked)
-    n_all = sum(decomp.n_imfs(ch) for ch in range(decomp.n_channels))
-    assert 0 < n_kept < n_all
 
 
 def test_decompose_signals_rejects_bad_shapes():

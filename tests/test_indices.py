@@ -11,12 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import QV_K1, QV_K2, osc_params, three_generator_specs
 from stvs import distribution, emd, indices, oel
-from stvs.emd import (
-    DecompositionResult,
-    decompose,
-    filter_imfs_by_frequency,
-    zero_crossing_frequency,
-)
+from stvs.emd import DecompositionResult, decompose, zero_crossing_frequency
 from stvs.errors import ComputationError, ValidationError
 from stvs.indices import (
     IMF_GRID,
@@ -36,14 +31,14 @@ from stvs.synth import SCENARIO_KINDS, ScenarioParams, ground_truth_trips, synth
 def osc_index_for(kind, window=3.0, **overrides):
     traj = synth_scenario(kind, osc_params(**overrides))
     w = extract_post_fault_window(traj, window)
-    decomp = filter_imfs_by_frequency(decompose(w))
+    decomp = decompose(w)
     return oscillation_index(decomp)
 
 
 def residual_for(kind, **overrides):
     traj = synth_scenario(kind, ScenarioParams(**overrides))
     w = extract_post_fault_window(traj, 3.0)
-    decomp = filter_imfs_by_frequency(decompose(w))
+    decomp = decompose(w)
     return decomp.residuals[0], w.dt
 
 
@@ -170,6 +165,57 @@ def test_imf_without_zero_crossing_embeds_with_unit_delay(monkeypatch):
     result = oscillation_index(decomp)
     assert taus == [1]
     assert result.series is not None and np.isfinite(result.value)
+
+
+def _tone_result(amplitudes, dt=0.02, n=151, residual=1.0):
+    """A one-channel decomposition whose IMFs are the tones {Hz: amplitude},
+    in the order given, over a flat residual."""
+    t = dt * np.arange(n)
+    imfs = tuple(a * np.sin(2 * np.pi * f * t) for f, a in amplitudes.items())
+    return DecompositionResult(
+        channel_ids=("A",),
+        imfs=(imfs,),
+        residuals=(np.full(n, residual),),
+        dt=dt,
+        freqs=(tuple(zero_crossing_frequency(imf, dt) for imf in imfs),),
+        rms=(tuple(float(np.sqrt(np.mean(imf * imf))) for imf in imfs),),
+    )
+
+
+def test_an_imf_outside_the_band_leaves_the_index_bit_identical():
+    assert indices.BAND_HZ == (0.0, 10.0)
+    in_band = oscillation_index(_tone_result({1.5: 0.05, 0.2: 0.03}))
+    # a 15 Hz IMF first, and another residual: neither is read
+    with_fast = oscillation_index(
+        _tone_result({15.0: 0.01, 1.5: 0.05, 0.2: 0.03}, residual=0.8)
+    )
+    assert in_band.series is not None
+    assert with_fast.value == in_band.value
+    assert np.array_equal(with_fast.series.lambdas, in_band.series.lambdas)
+    assert np.array_equal(with_fast.series.k_offsets, in_band.series.k_offsets)
+
+
+def test_the_strongest_imf_outside_the_band_does_not_set_the_delay(monkeypatch):
+    seen = []
+    embed, series = indices.delay_embed, indices.fsle_oscillation_series
+
+    def recording_embed(states, m, tau):
+        seen.append(("tau", tau))
+        return embed(states, m, tau)
+
+    def recording_series(points, dt, anchor):
+        seen.append(("anchor", anchor))
+        return series(points, dt, anchor)
+
+    monkeypatch.setattr(indices, "delay_embed", recording_embed)
+    monkeypatch.setattr(indices, "fsle_oscillation_series", recording_series)
+    # the 15 Hz IMF has the highest RMS; of the in-band ones, the 1.5 Hz
+    decomp = _tone_result({15.0: 0.2, 0.2: 0.03, 1.5: 0.05})
+    assert max(decomp.rms[0]) == decomp.rms[0][0]
+    oscillation_index(decomp)
+    assert decomp.freqs[0][2] == pytest.approx(1.5, rel=0.2)
+    period = round(1.0 / (decomp.freqs[0][2] * decomp.dt))
+    assert seen == [("tau", round(period / 4)), ("anchor", period)]
 
 
 def test_zero_crossing_frequency_runs_once_per_imf_per_assess(
@@ -661,6 +707,78 @@ def test_every_document_is_the_same_whatever_the_start_time(
         assert assess(shifted.with_fault_clear_time(1.1 + shift), config).to_dict() == want
 
 
+def rescaled(traj, specs, c, machine=True):
+    """Q times c; with ``machine``, also P times c and X'd over c."""
+    traj = replace(
+        traj,
+        channels=tuple(
+            replace(ch, reactive_power=ch.reactive_power * c) for ch in traj.channels
+        ),
+    )
+    if machine:
+        specs = {
+            gid: replace(s, xd_prime=s.xd_prime / c, p_active=s.p_active * c)
+            for gid, s in specs.items()
+        }
+    return traj, specs
+
+
+# ROADMAP item 6's Q-scaling check: E^2 = (V + X'd Q / V)^2 + (X'd P / V)^2
+# is unchanged when Q and P scale by c and X'd by 1/c, so the voltage caps
+# may move only in their last bits, and the tuned shape, the index and the
+# class not at all
+Q_SCALING_RECORDS = [
+    (kind, seed, sigma)
+    for kind in ("mixed", "stalled-recovery", "fast-recovery")
+    for seed in (0, 1)
+    for sigma in (0.0, 0.001)
+]
+
+
+def q_scaling_record(kind, seed, sigma):
+    # a noise-free stalled Q has no spread to fit: give it a rider and a creep
+    extra = dict(stall_osc_amp=0.01, stall_creep=0.004) if kind == "stalled-recovery" else {}
+    return synth_scenario(kind, osc_params(seed=seed, noise_sigma=sigma, **extra))
+
+
+def test_every_verdict_is_the_same_when_q_and_p_scale_by_c_and_xd_prime_by_1_over_c(
+    generator_specs,
+):
+    n_tuned = 0
+    for kind, seed, sigma in Q_SCALING_RECORDS:
+        traj = q_scaling_record(kind, seed, sigma)
+        want = assess(traj, AssessmentConfig(generators=generator_specs)).per_generator
+        for c in (0.01, 10.0, 100.0):
+            scaled, specs = rescaled(traj, generator_specs, c)
+            got = assess(scaled, AssessmentConfig(generators=specs)).per_generator
+            for g, w in zip(got, want):
+                assert (g.id, g.classification, g.index) == (w.id, w.classification, w.index)
+                assert (g.threshold is None) == (w.threshold is None)
+                if w.threshold is not None:
+                    assert g.threshold == pytest.approx(w.threshold, rel=1e-9, abs=0)
+                    n_tuned += 1
+    assert n_tuned == 3 * 3 * len(Q_SCALING_RECORDS)
+
+
+def test_scaling_q_alone_moves_every_threshold(generator_specs):
+    # the named counter-case: the machine data is in Q's units, so the
+    # invariance must not hold when Q alone scales; tenfold Q clears a
+    # stalled record's trips
+    flipped = set()
+    for kind, seed, sigma in Q_SCALING_RECORDS:
+        traj = q_scaling_record(kind, seed, sigma)
+        want = assess(traj, AssessmentConfig(generators=generator_specs)).per_generator
+        for c in (0.01, 10.0, 100.0):
+            scaled, specs = rescaled(traj, generator_specs, c, machine=False)
+            got = assess(scaled, AssessmentConfig(generators=specs)).per_generator
+            for g, w in zip(got, want):
+                if g.threshold is not None and w.threshold is not None:
+                    assert g.threshold != pytest.approx(w.threshold, rel=1e-9, abs=0)
+                if g.classification != w.classification:
+                    flipped.add((kind, c, w.classification, g.classification))
+    assert ("stalled-recovery", 10.0, "trip", "non-trip") in flipped
+
+
 @pytest.mark.parametrize("late", [1, 2, 5])
 def test_a_late_t0_averages_no_fault_sample_into_v_pre(monkeypatch, late):
     # without its explicit V_pre, as a CSV load gives it; the fault runs
@@ -695,7 +813,6 @@ TRACED_NAMES = {
     indices: (
         "extract_post_fault_window",
         "decompose",
-        "filter_imfs_by_frequency",
         "oscillation_index",
         "imf_threshold",
         "delay_embed",

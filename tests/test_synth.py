@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import QV_K1, QV_K2
-from stvs.emd import decompose, filter_imfs_by_frequency
+from stvs.emd import decompose
 from stvs.errors import ValidationError
 from stvs.ingest import extract_post_fault_window
 from stvs.oel import GeneratorSpec
@@ -145,7 +145,7 @@ def test_mixed_scenario_round_trips_through_emd():
     p = ScenarioParams(decay=0.2, recovery=0.1, dip=0.3, freq_hz=1.5)
     traj = synth_scenario("mixed", p)
     window = extract_post_fault_window(traj, 3.0)
-    decomp = filter_imfs_by_frequency(decompose(window))
+    decomp = decompose(window)
     t = window.dt * np.arange(window.n_samples)
     expected_residual = 1.0 - 0.3 * np.exp(-0.1 * t)
     inner = (t >= 0.5) & (t <= 2.5)
