@@ -9,14 +9,21 @@ references were recorded on (perfbench/README.md names them):
 For every bank item of the two batch workloads it diffs the ``assess``
 document against ``perfbench/reference/<workload>.json``, and for every
 stream record it diffs each ``assess --stream`` report, with the
-benchmark's own tolerances (``bench_check.diff``).  It reads the
-benchmark's inputs and checks and writes nothing under ``perfbench/``.
+benchmark's own tolerances (``bench_check.diff``).  Each stream record
+is also written to a CSV file and assessed with ``assess --in``: the
+run must exit 0 with nothing on stderr, and its document must equal the
+record's last reference report key for key, ``latency_s`` aside, which
+is the check ``perfbench/run.py`` applies to the records it draws.  It
+reads the benchmark's inputs and checks and writes nothing under
+``perfbench/``.
 Prints one line per workload and every difference found; exits 1 if any
 item differs.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import sys
 import tempfile
@@ -51,12 +58,30 @@ def check_batch(workload: str, ref: dict) -> tuple[int, list[str]]:
     return inputs.BANKS[workload].size, problems
 
 
-def check_stream(workload: str, ref: dict, ini: str) -> tuple[int, list[str]]:
+def without_latency(doc: dict) -> dict:
+    return {k: v for k, v in check.verdict(doc).items() if k != "latency_s"}
+
+
+def check_file(csv: Path, ini: str, last: dict) -> list[str]:
+    """Problems with ``assess --in csv`` against the last stream report."""
+    argv = ["assess", "--in", str(csv), "--t0", str(inputs.T0), "--gen-config", ini]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = stvs.cli.run(argv)
+    if code != 0 or err.getvalue():
+        return [f" from a file: exit code {code}, stderr {err.getvalue()!r}"]
+    if without_latency(json.loads(out.getvalue())) != without_latency(last):
+        return [" from a file: the document differs from the last reference report"]
+    return []
+
+
+def check_stream(workload: str, ref: dict, ini: str, tmp: str) -> tuple[int, list[str]]:
     argv = [*inputs.STREAM_ARGV, "--gen-config", ini]
     problems, n_reports = [], 0
     for item in range(inputs.BANKS[workload].size):
         inp = inputs.make_input(workload, item)
-        result = bench_stream.run_stream(stvs.cli.run, argv, inputs.csv_lines(inp.traj))
+        lines = inputs.csv_lines(inp.traj)
+        result = bench_stream.run_stream(stvs.cli.run, argv, lines)
         label = f"{workload} record {item}"
         want = ref["items"].get(str(item))
         if want is None:
@@ -76,6 +101,9 @@ def check_stream(workload: str, ref: dict, ini: str) -> tuple[int, list[str]]:
             ]
             if report["config"] != ref["config"]:
                 problems.append(f"{label} report[{j}]: config echo differs from the reference")
+        csv = Path(tmp) / f"record-{item}.csv"
+        csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        problems += [f"{label}{p}" for p in check_file(csv, ini, want["reports"][-1])]
         n_reports += len(got)
     return n_reports, problems
 
@@ -89,8 +117,9 @@ def main() -> int:
         for workload in inputs.WORKLOADS:
             ref = check.load_reference(workload)
             if workload == "stream-1gen":
-                n, found = check_stream(workload, ref, ini)
-                what = f"{inputs.BANKS[workload].size} records, {n} reports"
+                n, found = check_stream(workload, ref, ini, tmp)
+                size = inputs.BANKS[workload].size
+                what = f"{size} records, {n} reports, {size} files"
             else:
                 n, found = check_batch(workload, ref)
                 what = f"{n} items"

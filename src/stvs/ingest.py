@@ -9,12 +9,14 @@ A file and a stream of rows go through the same rules.  Text is UTF-8.
 the line is split on commas and each name stripped.  ``split_row``
 reads a data line: the text before any ``#`` is split on commas, and a
 line blank after that cut is no row; each field is read with Python's
-``float``, by ``parse_row`` for one row and ``_rows_array`` for many.
-Data rows are numbered from 0, skipped lines not counted, in every
-message.  ``RowChecker`` checks rows, ``_bad_voltage`` finds a bad
-voltage sample, ``trajectory_from_columns`` builds the trajectory and
-``FaultClearTracker`` finds the fault clear sample when no time is
-given; ``write_columns`` writes every CSV the package emits.
+``float``, by ``parse_row`` for a stream's row and by ``load_trajectory``
+as it reads a file, in one pass.  Data rows are numbered from 0,
+skipped lines not counted, in every message.  ``Rows`` holds a
+record's parsed rows, checks each once and builds the trajectory from
+them, for a file and a stream alike; ``_bad_voltage`` finds a bad
+voltage sample and ``FaultClearTracker`` finds the fault clear sample
+when no time is given; ``write_columns`` writes every CSV the package
+emits.
 """
 
 from __future__ import annotations
@@ -150,35 +152,6 @@ def parse_row(line: str) -> list[float] | None:
     return None if fields is None else [float(field) for field in fields]
 
 
-def _rows_array(names: list[str], rows: list[list[str]], origin: str) -> np.ndarray:
-    """The (rows, columns) float array of the ``split_row`` fields
-    ``rows`` under the header ``names``.
-
-    NumPy reads each field with ``float``, as ``parse_row`` does; the
-    rows are read one by one only to name a bad one.  A row with another
-    column count than the header, or a field ``float`` cannot read, is
-    an error naming its row and, for a field, its column.
-    """
-    width = len(names)
-    try:
-        return np.array(rows, dtype=float).reshape(len(rows), width)
-    except ValueError:  # a ragged row, a field that is not a number, another width
-        for row, fields in enumerate(rows):
-            if len(fields) != width:
-                raise ValidationError(
-                    f"{origin}: row {row} has {len(fields)} columns (header has {width})"
-                ) from None
-            for name, field in zip(names, fields):
-                try:
-                    float(field)
-                except ValueError:
-                    raise ValidationError(
-                        f"{origin}: {field.strip()!r} in column {name!r} at row {row} "
-                        f"is not a number"
-                    ) from None
-        raise
-
-
 def not_utf8(origin: str, exc: UnicodeDecodeError) -> ValidationError:
     """The error for text ``origin`` that ``exc`` found not UTF-8."""
     byte = exc.object[exc.start]
@@ -186,15 +159,17 @@ def not_utf8(origin: str, exc: UnicodeDecodeError) -> ValidationError:
 
 
 def load_trajectory(path) -> VoltageTrajectory:
-    """Load and validate a trajectory from CSV.
+    """Load and validate a trajectory from CSV, in one pass.
 
     The header and the rows are read by the rules in the module
-    docstring.  dt is inferred from the time column and must be uniform
-    within ``DT_REL_TOL`` relative tolerance.  A row with another column
-    count than the header, a field that is not a number, and a NaN,
-    infinite or non-positive voltage are rejected with the offending row
-    index.  A file that cannot be opened or is not UTF-8 text is
-    rejected.
+    docstring, each row parsed into ``Rows`` as it is read; the rows are
+    checked once the last is in.  dt is inferred from the time column
+    and must be uniform within ``DT_REL_TOL`` relative tolerance.  A row
+    with another column count than the header, a field that is not a
+    number (its column named), and a NaN, infinite or non-positive
+    voltage are rejected with the offending row index; of the first two,
+    the first bad row wins.  A file that cannot be opened or is not
+    UTF-8 text is rejected.
     """
     origin = str(path)
     try:
@@ -202,15 +177,31 @@ def load_trajectory(path) -> VoltageTrajectory:
             names = parse_header(fh.readline())
             if names is None:
                 raise ValidationError(f"{origin}: empty file")
-            checker = RowChecker(names, origin)
-            rows = [fields for fields in map(split_row, fh) if fields is not None]
+            rows = Rows(names, origin)
+            width = len(names)
+            for fields in filter(None, map(split_row, fh)):
+                if len(fields) != width:
+                    raise ValidationError(
+                        f"{origin}: row {rows.n} has {len(fields)} columns "
+                        f"(header has {width})"
+                    )
+                try:
+                    rows.append([float(field) for field in fields])
+                except ValueError:  # read again only to name the field
+                    for name, field in zip(names, fields):
+                        try:
+                            float(field)
+                        except ValueError:
+                            raise ValidationError(
+                                f"{origin}: {field.strip()!r} in column {name!r} "
+                                f"at row {rows.n} is not a number"
+                            ) from None
     except UnicodeDecodeError as exc:
         raise not_utf8(origin, exc) from exc
     except OSError as exc:  # a missing path, a directory
         raise ValidationError(f"{origin}: {exc.strerror}") from exc
     # a header with no rows is reported by the row check
-    data = _rows_array(names, rows, origin)
-    return trajectory_from_columns(names, data, checker)
+    return rows.trajectory()
 
 
 def fault_clear_index(t0: float, t_start: float, dt: float, n_samples: int) -> int:
@@ -226,20 +217,23 @@ def fault_clear_index(t0: float, t_start: float, dt: float, n_samples: int) -> i
     return idx
 
 
-class RowChecker:
-    """The row checks of parsed CSV columns, run once per row.
+class Rows:
+    """The parsed rows of one record under the CSV header ``names``:
+    held in one buffer, each row checked once, viewed as a trajectory.
 
-    ``check(data)`` checks the rows of ``data`` that earlier calls have
-    not, so a caller that appends rows to one buffer and checks after
-    each append checks every row once.  A row is checked against
+    ``append`` adds a row to a column-major buffer, so a column of the
+    record is contiguous; the buffer doubles as it fills.  ``n`` counts
+    the rows and ``data`` views them as (rows, columns).  ``check()``
+    checks the rows earlier calls have not, so a caller that checks
+    after each append checks every row once.  A row is checked against
     dt = t[1] - t[0]: its time step first, within ``DT_REL_TOL`` of dt
     plus twice the float spacing at its time (a NaN or infinite time is
     named as such), then each ``V:`` column's finiteness check and sign
     check.  Rows are numbered from 0, and a sampling error quotes the
     relative jitter of the row it names.  The header ``names`` is
-    checked when the checker is built: a repeated column name, a
-    ``V:``/``Q:`` column with an empty channel id, a missing ``time``
-    column and no ``V:`` column are errors.
+    checked here, before any row: a repeated column name, a ``V:``/``Q:``
+    column with an empty channel id, a missing ``time`` column and no
+    ``V:`` column are errors.
     """
 
     def __init__(self, names: list[str], origin: str) -> None:
@@ -257,12 +251,28 @@ class RowChecker:
             raise ValidationError(
                 f"{origin}: no voltage columns with prefix {VOLTAGE_PREFIX!r}"
             )
+        self.names = names
         self.origin = origin
-        self.rows = 0  # rows checked so far
+        self.n = 0  # rows appended
+        self._checked = 0  # rows checked so far
+        self._buf = np.empty((len(names), 256))
         self.dt = math.nan
         self.t_start = math.nan
         self.time_index = names.index(TIME_COLUMN)
         self.voltage_index = [j for _, j in self._voltages]  # the V: columns
+
+    def append(self, values: list[float]) -> None:
+        """Add the row ``values``, one per column of the header."""
+        n = self.n
+        if n == self._buf.shape[1]:
+            self._buf = np.concatenate([self._buf, np.empty_like(self._buf)], axis=1)
+        self._buf[:, n] = values
+        self.n = n + 1
+
+    @property
+    def data(self) -> np.ndarray:
+        """The rows so far, a (rows, columns) view of the buffer."""
+        return self._buf[:, :self.n].T
 
     def _check_time(self, t: np.ndarray, row: int) -> None:
         """Raise if the time at ``row`` is NaN or infinite."""
@@ -271,14 +281,15 @@ class RowChecker:
         if math.isinf(t[row]):
             raise ValidationError(f"{self.origin}: time is not finite at row {row}")
 
-    def check(self, data: np.ndarray) -> None:
-        """Check the rows of ``data`` past the first ``self.rows``."""
+    def check(self) -> None:
+        """Check the rows not checked yet."""
         origin = self.origin
-        if data.ndim != 2 or data.shape[0] < 2:
+        if self.n < 2:
             raise ValidationError(f"{origin}: need at least 2 data rows")
-        start = self.rows
-        if start == len(data):
+        start = self._checked
+        if start == self.n:
             return
+        data = self.data
         t = data[:, self.time_index]
         if start == 0:
             self._check_time(t, 0)
@@ -314,38 +325,33 @@ class RowChecker:
                     raise ValidationError(
                         f"{origin}: {what} voltage in {col!r} at row {start + row}"
                     )
-        self.rows = len(data)
+        self._checked = self.n
 
+    def trajectory(self, fault_clear_index: int = 0) -> VoltageTrajectory:
+        """The validated trajectory of the rows so far, its fault clear
+        sample ``fault_clear_index`` (0 for a file).
 
-def trajectory_from_columns(
-    names: list[str], data: np.ndarray, checker: RowChecker, fault_clear_index: int = 0
-) -> VoltageTrajectory:
-    """Build a validated trajectory from already-parsed CSV columns.
+        The rows not yet checked are checked first.  The channels hold
+        read-only views of the buffer's columns, which rows appended
+        later leave unchanged.
+        """
+        self.check()
+        names = self.names
 
-    The channels hold read-only views of the columns of ``data``, so the
-    caller must not write to ``data`` again.  ``checker`` is the header
-    ``names``' row checker; ``data`` is an append-only buffer whose
-    leading rows it has seen in earlier calls: only the rows added since
-    are checked.  The fault clear sample is ``fault_clear_index`` (0 for a file).
-    """
-    checker.check(data)
+        def column(name: str) -> np.ndarray:
+            view = self._buf[names.index(name), :self.n]
+            view.flags.writeable = False
+            return view
 
-    def column(name: str) -> np.ndarray:
-        view = data[:, names.index(name)]
-        view.flags.writeable = False
-        return view
-
-    channels = []
-    for col in names:
-        if not col.startswith(VOLTAGE_PREFIX):
-            continue
-        cid = col[len(VOLTAGE_PREFIX):]
-        q_name = REACTIVE_PREFIX + cid
-        q = column(q_name) if q_name in names else None
-        channels.append(Channel(id=cid, voltage=column(col), reactive_power=q))
-    return VoltageTrajectory(
-        tuple(channels), checker.dt, fault_clear_index, t_start=checker.t_start
-    )
+        channels = []
+        for col, _ in self._voltages:
+            cid = col[len(VOLTAGE_PREFIX):]
+            q_name = REACTIVE_PREFIX + cid
+            q = column(q_name) if q_name in names else None
+            channels.append(Channel(id=cid, voltage=column(col), reactive_power=q))
+        return VoltageTrajectory(
+            tuple(channels), self.dt, fault_clear_index, t_start=self.t_start
+        )
 
 
 def write_columns(dest, names: list[str], columns) -> None:

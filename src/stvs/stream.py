@@ -1,10 +1,11 @@
 """Assessment of a record that arrives one CSV row at a time.
 
 ``Monitor`` is what ``stvs assess --stream`` runs.  Each row is parsed
-once into one buffer and checked once, on its own; a trajectory is
-built only for a row due a report, whose post-fault data time reaches
-``FIRST_REPORT_S``, then a report interval past the last report, within
-the float rounding of its timestamp.  With a fault clear time ``t0``,
+once into the record's ``ingest.Rows``, which holds a file's rows too,
+and checked once, on its own; a trajectory is built only for a row due
+a report, whose post-fault data time reaches ``FIRST_REPORT_S``, then a
+report interval past the last report, within the float rounding of its
+timestamp.  With a fault clear time ``t0``,
 rows wait until one at or past t0 arrives, are then checked together,
 and t0 is placed once.  Without it, the fault clear sample is tracked
 row by row, and a new fault that moves it restarts the schedule: the
@@ -34,8 +35,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 
-import numpy as np
-
 from .errors import StvsError, ValidationError, WindowSampleError, stage
 from .indices import NO_REACTIVE_POWER, AssessmentConfig, assess
 from .ingest import (
@@ -43,10 +42,9 @@ from .ingest import (
     REACTIVE_PREFIX,
     VOLTAGE_PREFIX,
     FaultClearTracker,
-    RowChecker,
+    Rows,
     fault_clear_index,
     parse_row,
-    trajectory_from_columns,
 )
 
 # Post-fault data, in seconds, before the first report.
@@ -57,7 +55,7 @@ class Monitor:
     """The reports of a record whose CSV header is ``names``, fed one
     row at a time; every other message goes to ``note`` as one line.
 
-    A header that ``RowChecker`` rejects, a non-finite ``t0``, a
+    A header that ``Rows`` rejects, a non-finite ``t0``, a
     ``report_interval`` that is not positive and finite, and a
     ``config`` generator with pickups whose ``Q:`` column the header
     lacks are rejected here, before any row.
@@ -71,7 +69,7 @@ class Monitor:
         report_interval: float = 0.1,
         note: Callable[[str], None] = lambda text: None,
     ) -> None:
-        self._checker = stage("ingest", RowChecker, names, origin="<stdin>")
+        self._rows = stage("ingest", Rows, names, origin="<stdin>")
         if t0 is not None and not math.isfinite(t0):
             raise ValidationError(f"[ingest] t0 must be a finite time in seconds, got {t0}")
         if not 0 < report_interval < math.inf:  # NaN fails the comparison too
@@ -86,16 +84,12 @@ class Monitor:
             if spec and spec.pickups and REACTIVE_PREFIX + cid not in names:
                 why = f"generator {cid}: {NO_REACTIVE_POWER}"
                 raise ValidationError(f"[recovery:{cid}] {why}")  # batch's line
-        self.names = names
         self.config = config
         self.t0 = t0
         self.report_interval = report_interval
         self.note = note
         self.dropped = 0  # rows with the wrong column count
-        # column-major, so that a column of the history is contiguous
-        self._buf = np.empty((len(names), 256))
-        self._n = 0
-        self._last_t = -np.inf
+        self._last_t = -math.inf
         self._tracker = FaultClearTracker()
         self._t0_index: int | None = None
         self._data_time: float | None = None
@@ -115,38 +109,33 @@ class Monitor:
             return None
         if vals is None:
             return None
-        if len(vals) != len(self.names):
+        rows = self._rows
+        if len(vals) != len(rows.names):
             if not self.dropped:
                 self.note(
                     f"dropping row with {len(vals)} columns (header has "
-                    f"{len(self.names)}): {line.strip()}; such rows are dropped and "
+                    f"{len(rows.names)}): {line.strip()}; such rows are dropped and "
                     f"counted"
                 )
             self.dropped += 1
             return None
-        t = vals[self._checker.time_index]
+        t = vals[rows.time_index]
         if t <= self._last_t:
             self.note(f"out-of-order timestamp {t} (last {self._last_t}); row skipped")
             return None
         self._last_t = t
-        n = self._n
-        if n == self._buf.shape[1]:
-            self._buf = np.concatenate([self._buf, np.empty_like(self._buf)], axis=1)
-        self._buf[:, n] = vals
-        self._n = n = n + 1
-        if n < 2 or (self.t0 is not None and t < self.t0):
+        rows.append(vals)
+        if rows.n < 2 or (self.t0 is not None and t < self.t0):
             return None
-        data = self._buf[:, :n].T
-        checker = self._checker
         try:
-            checker.check(data)
+            rows.check()
         except ValidationError as exc:
             raise ValidationError(
                 f"[ingest] {exc}; every later report would contain it"
             ) from exc
         if self.t0 is None:
             moved_from = self._t0_index
-            self._t0_index = self._tracker.update(data, checker.voltage_index)
+            self._t0_index = self._tracker.update(rows.data, rows.voltage_index)
             if self._t0_index != moved_from:
                 self._next_report = FIRST_REPORT_S  # a new fault: start over
             if self._t0_index is None:
@@ -163,26 +152,26 @@ class Monitor:
                 # t_start and dt are fixed and a row at or past t0 is in, so
                 # a failure means t0 is before the first row
                 self._t0_index = fault_clear_index(
-                    self.t0, checker.t_start, checker.dt, n
+                    self.t0, rows.t_start, rows.dt, rows.n
                 )
             except ValidationError as exc:
                 raise ValidationError(
-                    f"[ingest] {checker.origin}: {exc}; it is before the first row"
+                    f"[ingest] {rows.origin}: {exc}; it is before the first row"
                 ) from exc
         t0_index = self._t0_index
-        data_time = self._data_time = t - (checker.t_start + t0_index * checker.dt)
+        data_time = self._data_time = t - (rows.t_start + t0_index * rows.dt)
         # a Unix time of 1.7e9 s is held only to 2.4e-7 s
         if data_time + 1e-9 + 4 * math.ulp(t) < self._next_report:
             return None
         self._due = True
         try:
-            traj = trajectory_from_columns(self.names, data, checker, t0_index)
+            traj = rows.trajectory(t0_index)
             doc = assess(traj, self.config).to_dict()
         except StvsError as exc:
             # with t0 the rows before t0 and the window's start are fixed,
             # and rows only append to the window; save a one-sample window
-            # (n - t0_index == 2) that the next row lengthens
-            fixed = self.t0 is not None and n - t0_index > 2
+            # (rows.n - t0_index == 2) that the next row lengthens
+            fixed = self.t0 is not None and rows.n - t0_index > 2
             if fixed and (
                 str(exc).startswith("[ingest]") or isinstance(exc, WindowSampleError)
             ):
@@ -212,13 +201,13 @@ class Monitor:
                     f"clearing, so no report was written; the first report "
                     f"needs {FIRST_REPORT_S} s"
                 )
-            elif self._n and self.t0 is not None and self._last_t < self.t0:
+            elif self._rows.n and self.t0 is not None and self._last_t < self.t0:
                 self.note(
                     f"the stream ended at {self._last_t} s, before the fault clear "
                     f"time {self.t0} s, so no report was written"
                 )
             else:  # fewer than 2 rows were kept
                 self.note(
-                    f"the stream ended with {self._n} data row(s), so no report "
+                    f"the stream ended with {self._rows.n} data row(s), so no report "
                     f"was written; a record needs at least 2"
                 )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stvs.oel import GeneratorSpec
-from stvs.synth import ScenarioParams
+from stvs.synth import ScenarioParams, ground_truth_trips
 
 # Oscillation family preset: a 4.8 Hz main mode whose envelope carries
 # the damping under test, a faint persistent ambient mode and a
@@ -55,6 +55,15 @@ def three_generator_specs() -> dict[str, GeneratorSpec]:
 @pytest.fixture
 def generator_specs():
     return three_generator_specs()
+
+
+def expected_verdicts(kind, params, generators=None):
+    """The right verdicts on a record of ``kind`` drawn on ``params``:
+    its oscillation class, ``unstable`` for ``growing-osc`` and
+    ``stable`` for every other kind, and whether each of ``generators``
+    trips, by ``synth.ground_truth_trips``."""
+    osc = "unstable" if kind == "growing-osc" else "stable"
+    return osc, ground_truth_trips(kind, params, generators) if generators else {}
 
 
 # Point-by-point oracles for the vectorised reference and KL paths: the

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ from stvs.errors import ValidationError
 from stvs.ingest import (
     LOOKBACK_S,
     Channel,
-    RowChecker,
+    Rows,
     VoltageTrajectory,
     detect_fault_clear_index,
     estimate_prefault_voltage,
@@ -20,6 +21,7 @@ from stvs.ingest import (
     write_columns,
     write_trajectory,
 )
+from stvs.synth import ScenarioParams, synth_scenario
 
 
 def write_csv(path, header, rows):
@@ -160,13 +162,68 @@ def test_load_requires_time_and_voltage_columns(tmp_path):
 def test_a_repeated_column_or_an_empty_channel_id_is_rejected(tmp_path, header, named):
     names = header.split(",")
     with pytest.raises(ValidationError) as exc:
-        RowChecker(names, "<stdin>")
+        Rows(names, "<stdin>")
     assert str(exc.value) == f"<stdin>: {named}"
     path = tmp_path / "hdr.csv"
     write_csv(path, header, [(0.02 * i, *[1.0] * (len(names) - 1)) for i in range(5)])
     with pytest.raises(ValidationError) as exc:
         load_trajectory(path)
     assert str(exc.value) == f"{path}: {named}"
+
+
+# A record of 15 rows under "time,V:G1,Q:G1"; each case replaces the
+# values of some rows, and a "# c" key puts a comment line before a row.
+@pytest.mark.parametrize(
+    "edits, error",
+    [
+        ({5: "abc,0.5"}, "'abc' in column 'V:G1' at row 5 is not a number"),
+        # every row is parsed before any row is checked
+        ({3: "nan,0.5", 12: "1.0, x "}, "'x' in column 'Q:G1' at row 12 is not a number"),
+        ({4: "1.0", 9: "abc,0.5"}, "row 4 has 2 columns (header has 3)"),
+        ({4: "abc,0.5", 9: "1.0,0.5,0.5"}, "'abc' in column 'V:G1' at row 4 is not a number"),
+        ({"# c": 2, 6: "1e309x,0.5"}, "'1e309x' in column 'V:G1' at row 6 is not a number"),
+    ],
+)
+def test_the_first_bad_row_of_a_file_names_its_field(tmp_path, edits, error):
+    rows = [f"{0.02 * r!r},{edits.get(r, '1.0,0.5')}" for r in range(15)]
+    if "# c" in edits:
+        rows.insert(edits["# c"], "# c")
+    path = tmp_path / "fields.csv"
+    path.write_text("time,V:G1,Q:G1\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    with pytest.raises(ValidationError) as exc:
+        load_trajectory(path)
+    assert str(exc.value) == f"{path}: {error}"
+
+
+def test_a_long_file_loads_in_bounded_memory(tmp_path):
+    # 10 minutes of 3 channels with Q at 50 Hz: 30,056 rows of 7 columns
+    traj = synth_scenario("mixed", ScenarioParams(post_s=600.0, noise_sigma=0.001))
+    path = tmp_path / "long.csv"
+    write_trajectory(traj, path)
+    tracemalloc.start()
+    try:
+        back = load_trajectory(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (back.n_samples, len(back.channels)) == (30_056, 3)
+    assert peak <= 4 * 30_056 * 7 * 8
+
+
+def test_rows_appended_after_a_trajectory_leave_it_unchanged():
+    rows = Rows(["time", "V:A", "Q:A"], "<rows>")
+    for i in range(10):
+        rows.append([0.02 * i, 1.0 - 0.01 * i, 0.1 * i])
+    traj = rows.trajectory()
+    (ch,) = traj.channels
+    v, q = ch.voltage.copy(), ch.reactive_power.copy()
+    for i in range(10, 600):  # past the buffer's first doubling
+        rows.append([0.02 * i, 0.5, -1.0])
+    assert rows.trajectory().n_samples == rows.n == 600
+    assert np.array_equal(ch.voltage, v) and np.array_equal(ch.reactive_power, q)
+    for samples in (ch.voltage, ch.reactive_power):
+        with pytest.raises(ValueError, match="read-only"):
+            samples[0] = 2.0
 
 
 @pytest.mark.parametrize("t0", [np.nan, np.inf, -np.inf, 1e308, -1e308])

@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stvs.cli as cli
-import stvs.stream
 from conftest import P_ACTIVE, QV_K1, QV_K2, XD_PRIME, pickup_level
 from stvs.cli import run
 from stvs.errors import StvsError, ValidationError
@@ -32,6 +31,7 @@ from stvs.ingest import (
     VOLTAGE_PREFIX,
     Channel,
     FaultClearTracker,
+    Rows,
     VoltageTrajectory,
     detect_fault_clear_index,
     estimate_prefault_voltage,
@@ -820,13 +820,13 @@ def test_tracker_catches_up_on_a_backlog():
 def test_stream_builds_one_trajectory_per_report_not_per_row(with_t0):
     lines = record_lines("mixed", post_s=3.0, noise_sigma=0.001)
     built = []
-    real = stvs.stream.trajectory_from_columns
+    real = Rows.trajectory
 
     def counting(*args, **kwargs):
         built.append(1)
         return real(*args, **kwargs)
 
-    with mock.patch.object(stvs.stream, "trajectory_from_columns", counting):
+    with mock.patch.object(Rows, "trajectory", counting):
         code, out, err, _ = stream(stream_argv(with_t0), lines)
     reports = len(out.splitlines())
     assert code == 0 and "stops" not in err
