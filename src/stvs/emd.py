@@ -43,6 +43,26 @@ sifting loop calls array methods (``a.sum()``, ``a.cumsum()``,
 ``a.argsort()``) rather than NumPy's module-level wrappers, which run
 the same reductions behind a few microseconds of dispatch.
 
+A wide pass, of at least ``HELPER_MIN_SIZE`` samples x channels with 2
+or more used directions, shares its fits with one helper process: the
+envelopes of the later half of its used directions go to the helper,
+which runs the same :func:`_envelopes` on the same knots and writes each
+pair's 0.5 * (upper + lower) into an anonymous shared mapping while the
+parent fits its own half.  The parent then adds the helper's means
+after its own, in direction order, so the mean envelope, every IMF and
+every document are the serial ones bit for bit.  The helper is forked
+on the first such pass, only where ``os.sched_getaffinity`` reports 2
+or more CPUs and the process runs one Python thread.  It points its
+standard streams at the null device, closes every other file it
+inherits but its two pipes, ends with ``os._exit`` once its
+command pipe ends, so it dies with its parent, and is restarted when a
+pass outgrows the mapping; a forked child drops its parent's helper
+and forks its own.  When the helper fails or dies, or the parent's half
+fails, the parent drops it and runs the whole pass serially, so it
+raises exactly what the serial pass raises.  Smaller passes,
+one-direction records, platforms without ``sched_getaffinity`` and
+processes with other threads take the serial loop.
+
 The two compiled modules, ``scipy.interpolate._dierckx`` and
 ``scipy.linalg._flapack``, are loaded from their files in the scipy
 installation by :func:`_scipy_extension`, without running the
@@ -59,10 +79,13 @@ importing ``scipy.interpolate`` first) is used as it is.
 
 from __future__ import annotations
 
+import gc
 import math
 import os
 import re
+import struct
 import sys
+import threading
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -377,15 +400,219 @@ def _mean_envelope_mv(
     order = env.argsort(kind="stable")
     n_used = int(used.sum())
     lens = np.bincount(env, minlength=2 * n_used)
-    envelopes = _envelopes(pos[sel][order], lens, x, n)
-    total = np.zeros(x.shape)
-    for upper, lower in zip(envelopes, envelopes):  # consecutive pairs
-        # 0.5 * (upper + lower), formed in the fresh upper envelope
+    idx = pos[sel][order]
+    total = None
+    if n_used >= 2 and x.size >= HELPER_MIN_SIZE:
+        total = _shared_pass(x, idx, lens, n_used, len(directions))
+    if total is None:  # the serial pass
+        total = np.zeros(x.shape)
+        _add_means(total, _envelopes(idx, lens, x, n))
+    total /= n_used
+    return total
+
+
+def _add_means(total: np.ndarray, envelopes: Iterator[np.ndarray]) -> None:
+    """Add 0.5 * (upper + lower) of each consecutive pair of
+    ``envelopes`` to ``total``, in order, each formed in place in the
+    fresh upper envelope."""
+    for upper, lower in zip(envelopes, envelopes):
         upper += lower
         upper *= 0.5
         total += upper
-    total /= n_used
+
+
+# -- the helper process -------------------------------------------------------------
+
+# Samples x channels from which a pass with 2 or more used directions
+# hands the later half of them to the helper: below it the pipe round
+# trip and the second batch cost more than the half fit saves.
+HELPER_MIN_SIZE = 1_800
+_COMMAND = struct.Struct("4q")  # samples, channels, extrema, envelopes
+_OK = b"\0"
+
+
+class _Helper:
+    """A forked process that fits envelopes on its parent's request.
+
+    The two share an anonymous mapping of ``size`` float64 slots: the
+    pass's samples (n x c), then one n x c mean per envelope pair of the
+    helper's half, then its envelopes' extrema counts and extrema.  A
+    command on the pipe ``cmd`` names the sizes; one status byte on the
+    pipe ``result`` answers it.
+    """
+
+    def __init__(self, size: int) -> None:
+        import mmap  # only where a helper starts: 0.4 ms of a cold start
+
+        self.size = size
+        self.floats = np.frombuffer(mmap.mmap(-1, 8 * size), dtype=float)
+        self.ints = self.floats.view(np.int64)
+        commands, self.cmd = os.pipe()
+        self.result, replies = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (commands, self.cmd, self.result, replies):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            self._serve(commands, replies)
+        os.close(commands)
+        os.close(replies)
+
+    def _serve(self, commands: int, replies: int) -> None:
+        """The helper's loop, which never returns: fit the half a
+        command names and answer it, until the command pipe ends."""
+        code = 1
+        try:
+            gc.disable()  # no finalizer of the parent's garbage runs here
+            null = os.open(os.devnull, os.O_RDWR)
+            keep = (commands, replies)
+            for fd in (0, 1, 2):  # hold none of the parent's streams open
+                if fd not in keep:
+                    os.dup2(null, fd)
+            # nor any other file of the parent's (the parent's ends of
+            # these pipes, a pipe whose reader waits for its end)
+            lo, hi = sorted(keep)
+            os.closerange(3, lo)
+            os.closerange(lo + 1, hi)
+            os.closerange(hi + 1, os.sysconf("SC_OPEN_MAX"))
+            while len(command := os.read(commands, _COMMAND.size)) == _COMMAND.size:
+                n, c, n_idx, n_env = _COMMAND.unpack(command)
+                x, means, lens, idx = self._regions(n, c, n_idx, n_env)
+                try:
+                    envelopes = _envelopes(idx, lens, x, n)
+                    for mean, (upper, lower) in zip(means, zip(envelopes, envelopes)):
+                        np.add(upper, lower, out=mean)
+                        mean *= 0.5
+                    reply = _OK
+                except Exception:  # answered: the parent reruns the pass and raises
+                    reply = b"\1"
+                os.write(replies, reply)
+            code = 0
+        finally:
+            os._exit(code)
+
+    def _regions(
+        self, n: int, c: int, n_idx: int, n_env: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Views of the samples, the means, the extrema counts and the
+        extrema of a pass in the shared mapping."""
+        nc = n * c
+        end = nc * (1 + n_env // 2)
+        return (
+            self.floats[:nc].reshape(n, c),
+            self.floats[nc:end].reshape(n_env // 2, n, c),
+            self.ints[end:end + n_env],
+            self.ints[end + n_env:end + n_env + n_idx],
+        )
+
+    def fit(self, x: np.ndarray, idx: np.ndarray, lens: np.ndarray) -> np.ndarray:
+        """Start the fit of the envelopes ``lens`` through the extrema
+        ``idx`` of ``x``; returns the view their means will fill."""
+        n, c = x.shape
+        rx, means, rlens, ridx = self._regions(n, c, len(idx), len(lens))
+        rx[...] = x
+        rlens[...] = lens
+        ridx[...] = idx
+        os.write(self.cmd, _COMMAND.pack(n, c, len(idx), len(lens)))
+        return means
+
+    def wait(self) -> None:
+        """Wait for the fit; raise if it failed or the helper died."""
+        if os.read(self.result, 1) != _OK:
+            raise ChildProcessError("the envelope helper failed")
+
+    def close(self) -> None:
+        """Close this process's ends of the pipes: the helper exits once
+        no process holds the command pipe open."""
+        os.close(self.cmd)
+        os.close(self.result)
+
+
+_helper: _Helper | None = None
+
+
+def _shared_pass(
+    x: np.ndarray, idx: np.ndarray, lens: np.ndarray, n_used: int, n_dir: int
+) -> np.ndarray | None:
+    """The sum of a pass's envelope means, the later half of its used
+    directions fitted by the helper meanwhile and added after the
+    parent's own, in direction order: the serial sum bit for bit.
+
+    None when no helper can run (one CPU, other threads, no
+    ``sched_getaffinity``) or when the helper or the parent's half
+    fails; the helper is then dropped, and the serial pass that follows
+    raises what it raises.
+    """
+    n = x.shape[0]
+    # room for the samples, then for the means, extrema counts and
+    # extrema of the helper's half of n_dir directions
+    size = x.size * (1 + n_dir // 2) + (n_dir // 2) * (2 + n)
+    helper = _running_helper(size)
+    if helper is None:
+        return None
+    own = 2 * (n_used - n_used // 2)  # the parent's envelopes
+    cut = int(lens[:own].sum())
+    total = np.zeros(x.shape)
+    done = False
+    try:
+        means = helper.fit(x, idx[cut:], lens[own:])
+        _add_means(total, _envelopes(idx[:cut], lens[:own], x, n))
+        helper.wait()
+        done = True
+    except (OSError, ValueError):  # a dead helper; a failed fit, rerun serially
+        return None
+    finally:
+        if not done:
+            _drop_helper()
+    for mean in means:
+        total += mean
     return total
+
+
+def _running_helper(size: int) -> _Helper | None:
+    """The helper, forked on first use with a mapping of at least
+    ``size`` slots, or None where it cannot help or cannot start."""
+    global _helper
+    if threading.active_count() > 1:
+        return None
+    if _helper is not None:
+        if _helper.size >= size:
+            return _helper
+        _drop_helper()  # a larger pass: restart with a larger mapping
+    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        return None
+    try:
+        _helper = _Helper(size)
+    except OSError:
+        return None
+    return _helper
+
+
+def _drop_helper() -> None:
+    """Stop the helper: it exits at the end of its command pipe."""
+    global _helper
+    helper, _helper = _helper, None
+    if helper is not None:
+        helper.close()
+        try:
+            os.waitpid(helper.pid, 0)
+        except ChildProcessError:  # reaped by someone else
+            pass
+
+
+def _forget_helper() -> None:
+    """In a forked child: let go of the parent's helper, which goes on
+    serving the parent; the child forks its own when it needs one."""
+    global _helper
+    if _helper is not None:
+        _helper.close()
+        _helper = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
 
 
 def decompose_signals(signals: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:

@@ -163,13 +163,14 @@ def load_trajectory(path) -> VoltageTrajectory:
 
     The header and the rows are read by the rules in the module
     docstring, each row parsed into ``Rows`` as it is read; the rows are
-    checked once the last is in.  dt is inferred from the time column
-    and must be uniform within ``DT_REL_TOL`` relative tolerance.  A row
-    with another column count than the header, a field that is not a
-    number (its column named), and a NaN, infinite or non-positive
-    voltage are rejected with the offending row index; of the first two,
-    the first bad row wins.  A file that cannot be opened or is not
-    UTF-8 text is rejected.
+    checked once the last is in, and the channels returned hold just
+    the rows read, not the buffer's spare capacity.  dt is inferred from
+    the time column and must be uniform within ``DT_REL_TOL`` relative
+    tolerance.  A row with another column count than the header, a field
+    that is not a number (its column named), and a NaN, infinite or
+    non-positive voltage are rejected with the offending row index; of
+    the first two, the first bad row wins.  A file that cannot be opened
+    or is not UTF-8 text is rejected.
     """
     origin = str(path)
     try:
@@ -200,6 +201,7 @@ def load_trajectory(path) -> VoltageTrajectory:
         raise not_utf8(origin, exc) from exc
     except OSError as exc:  # a missing path, a directory
         raise ValidationError(f"{origin}: {exc.strerror}") from exc
+    rows.trim()
     # a header with no rows is reported by the row check
     return rows.trajectory()
 
@@ -222,7 +224,8 @@ class Rows:
     held in one buffer, each row checked once, viewed as a trajectory.
 
     ``append`` adds a row to a column-major buffer, so a column of the
-    record is contiguous; the buffer doubles as it fills.  ``n`` counts
+    record is contiguous; the buffer doubles as it fills, and ``trim``
+    drops its spare capacity once a file is read.  ``n`` counts
     the rows and ``data`` views them as (rows, columns).  ``check()``
     checks the rows earlier calls have not, so a caller that checks
     after each append checks every row once.  A row is checked against
@@ -268,6 +271,12 @@ class Rows:
             self._buf = np.concatenate([self._buf, np.empty_like(self._buf)], axis=1)
         self._buf[:, n] = values
         self.n = n + 1
+
+    def trim(self) -> None:
+        """Drop the buffer's spare capacity, so trajectories built from
+        here on keep alive just the rows held (one copy of them)."""
+        if 0 < self.n < self._buf.shape[1]:
+            self._buf = self._buf[:, :self.n].copy()
 
     @property
     def data(self) -> np.ndarray:

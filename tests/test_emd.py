@@ -1,6 +1,10 @@
 import os
+import select
+import signal
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -816,3 +820,191 @@ def test_the_end_effect_keeps_the_recovery_weight_above_its_known_floor(
     ratios = [g.delta_r0 / params.dip for g in result.per_generator]
     assert len(ratios) == n_channels
     assert min(ratios) >= floor
+
+
+# -- the envelope helper ------------------------------------------------------------
+
+HELPER_CAN_RUN = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+needs_helper = pytest.mark.skipif(not HELPER_CAN_RUN, reason="the helper needs 2 CPUs")
+NEVER = sys.maxsize  # a gate no pass reaches
+
+
+def window_of(kind, n_channels=10, fs=200.0, noise_sigma=0.001, seed=5, preset=False):
+    make = osc_params if preset else ScenarioParams
+    params = make(n_channels=n_channels, fs=fs, noise_sigma=noise_sigma, seed=seed)
+    return extract_post_fault_window(synth_scenario(kind, params), 3.0)
+
+
+def counting_fits(monkeypatch):
+    """The extrema counts of every half handed to the helper, as handed."""
+    handed = []
+    fit = emd._Helper.fit
+
+    def counting(self, x, idx, lens):
+        handed.append(len(lens))
+        return fit(self, x, idx, lens)
+
+    monkeypatch.setattr(emd._Helper, "fit", counting)
+    return handed
+
+
+def decompose_gated(monkeypatch, window, gate):
+    monkeypatch.setattr(emd, "HELPER_MIN_SIZE", gate)
+    return decompose(window)
+
+
+@pytest.mark.parametrize("noise_sigma", [0.0, 0.001])
+@pytest.mark.parametrize("n_channels, fs", [(3, 50.0), (3, 200.0), (10, 50.0), (10, 200.0)])
+@pytest.mark.parametrize(
+    "kind, preset", [("mixed", False), ("stable-osc", False), ("growing-osc", True)]
+)
+def test_the_helper_gives_the_serial_decomposition_bit_for_bit(
+    monkeypatch, kind, preset, n_channels, fs, noise_sigma
+):
+    window = window_of(kind, n_channels, fs, noise_sigma, preset=preset)
+    handed = counting_fits(monkeypatch)
+    serial = decompose_gated(monkeypatch, window, NEVER)
+    assert handed == []
+    shared = decompose_gated(monkeypatch, window, 0)
+    assert any(shared.imfs)
+    assert_decompositions_equal(shared, serial)
+    # each pass of 8 used directions hands 4 of them, 8 envelopes, over
+    assert bool(handed) == HELPER_CAN_RUN
+    assert set(handed) <= {2, 4, 6, 8}
+
+
+def test_a_pass_above_the_gate_equals_the_direction_loop(monkeypatch):
+    x = window_of("stable-osc").voltage_matrix()
+    assert x.size >= emd.HELPER_MIN_SIZE
+    handed = counting_fits(monkeypatch)
+    assert assert_pass_matches_loop(x, emd._direction_vectors(10)) is not None
+    assert bool(handed) == HELPER_CAN_RUN
+
+
+def test_an_infinite_sample_raises_the_serial_error_through_the_helper(monkeypatch):
+    window = window_of("stable-osc")
+    x = window.voltage_matrix().copy()
+    x[301, 4] = np.inf
+    errors = []
+    for gate in (NEVER, 0):
+        monkeypatch.setattr(emd, "HELPER_MIN_SIZE", gate)
+        with pytest.raises(ValueError) as err:
+            decompose_signals(x)
+        errors.append(str(err.value))
+    assert errors == ["Array must not contain infs or nans."] * 2
+    # the failed helper is dropped, and the next wide pass starts another
+    assert emd._helper is None
+    assert_decompositions_equal(decompose(window), decompose_gated(monkeypatch, window, NEVER))
+
+
+@needs_helper
+def test_a_dead_helper_is_dropped_and_replaced(monkeypatch):
+    window = window_of("mixed")
+    want = decompose_gated(monkeypatch, window, NEVER)
+    assert_decompositions_equal(decompose_gated(monkeypatch, window, 0), want)
+    dead = emd._helper.pid
+    os.kill(dead, signal.SIGKILL)
+    assert_decompositions_equal(decompose(window), want)
+    assert emd._helper.pid != dead
+
+
+@needs_helper
+def test_a_larger_pass_restarts_the_helper_with_a_larger_mapping(monkeypatch):
+    short, long = window_of("stable-osc"), window_of("stable-osc", fs=400.0)
+    monkeypatch.setattr(emd, "HELPER_MIN_SIZE", 0)
+    decompose(short)
+    first = emd._helper
+    got = decompose(long)
+    assert emd._helper.pid != first.pid and emd._helper.size > first.size
+    assert_decompositions_equal(got, decompose_gated(monkeypatch, long, NEVER))
+
+
+def process_gone(pid):
+    """No process ``pid``, or only its zombie (a parent that never reaps
+    leaves one)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@needs_helper
+def test_the_helper_exits_with_its_parent():
+    code = """if True:
+        from stvs import emd
+        from stvs.indices import assess
+        from stvs.synth import ScenarioParams, synth_scenario
+        params = ScenarioParams(n_channels=10, fs=200.0, noise_sigma=0.001)
+        assess(synth_scenario("stable-osc", params))
+        print(emd._helper.pid)
+    """
+    pid = int(run_python(code))
+    deadline = time.monotonic() + 5.0
+    while not process_gone(pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert process_gone(pid)
+
+
+@needs_helper
+def test_the_helper_holds_none_of_its_parents_files(monkeypatch):
+    emd._drop_helper()  # the next wide pass forks a helper with the pipe open
+    read_end, write_end = os.pipe()
+    try:
+        decompose_gated(monkeypatch, window_of("stable-osc"), 0)
+        assert emd._helper is not None
+        os.close(write_end)
+        # the reader sees the end of the pipe at once, not when the helper exits
+        assert select.select([read_end], [], [], 5.0)[0] == [read_end]
+        assert os.read(read_end, 1) == b""
+    finally:
+        os.close(read_end)
+
+
+@needs_helper
+def test_a_forked_child_decomposes_on_its_own(monkeypatch):
+    monkeypatch.setattr(emd, "HELPER_MIN_SIZE", 0)
+    window = window_of("stable-osc")
+    want = decompose(window)
+    helper = emd._helper
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: report and exit, whatever happens
+        ok = b"0"
+        try:
+            assert emd._helper is None
+            assert_decompositions_equal(decompose(window), want)
+            assert emd._helper.pid not in (None, helper.pid)
+            ok = b"1"
+        finally:
+            os.write(write_end, ok)
+            os._exit(0)
+    os.close(write_end)
+    answer = os.read(read_end, 1)
+    os.close(read_end)
+    os.waitpid(pid, 0)
+    assert answer == b"1"
+    assert emd._helper is helper
+    assert_decompositions_equal(decompose(window), want)
+
+
+def test_threads_decomposing_at_once_take_the_serial_path(monkeypatch):
+    windows = [window_of("stable-osc", seed=seed) for seed in (5, 6)]
+    want = [decompose_gated(monkeypatch, w, NEVER) for w in windows]
+    monkeypatch.setattr(emd, "HELPER_MIN_SIZE", 0)
+    handed = counting_fits(monkeypatch)
+    got = [None, None]
+    both = threading.Barrier(2)
+
+    def work(i):
+        both.wait()
+        got[i] = decompose(windows[i])
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    for g, w in zip(got, want):
+        assert_decompositions_equal(g, w)
+    assert handed == []

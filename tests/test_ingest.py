@@ -210,6 +210,23 @@ def test_a_long_file_loads_in_bounded_memory(tmp_path):
     assert peak <= 4 * 30_056 * 7 * 8
 
 
+def test_a_loaded_trajectory_keeps_just_the_rows_read_alive(tmp_path):
+    # 16,456 rows of 7 columns, just past the buffer's doubling to 32,768
+    # rows: channels that viewed the whole buffer would keep its spare
+    # half alive
+    traj = synth_scenario("mixed", ScenarioParams(post_s=328.0, noise_sigma=0.001))
+    path = tmp_path / "long.csv"
+    write_trajectory(traj, path)
+    tracemalloc.start()
+    try:
+        back = load_trajectory(path)
+        alive = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert (back.n_samples, len(back.channels)) == (16_456, 3)
+    assert alive <= 1.05 * 16_456 * 7 * 8
+
+
 def test_rows_appended_after_a_trajectory_leave_it_unchanged():
     rows = Rows(["time", "V:A", "Q:A"], "<rows>")
     for i in range(10):

@@ -835,6 +835,24 @@ def test_stream_builds_one_trajectory_per_report_not_per_row(with_t0):
     assert len(built) < (len(lines) - 1) / 4
 
 
+def test_stream_reports_view_the_row_buffer_without_a_copy():
+    lines = record_lines("mixed", post_s=3.0, noise_sigma=0.001)
+    views = []
+    real = Rows.trajectory
+
+    def viewing(self, *args, **kwargs):
+        traj = real(self, *args, **kwargs)
+        samples = [ch.voltage for ch in traj.channels]
+        samples += [ch.reactive_power for ch in traj.channels]
+        views.append(all(np.shares_memory(a, self.data) for a in samples))
+        return traj
+
+    with mock.patch.object(Rows, "trajectory", viewing):
+        code, out, err, _ = stream(stream_argv(True), lines)
+    assert code == 0 and "stops" not in err
+    assert len(views) >= 20 and all(views)
+
+
 def test_stream_checks_each_report_history_once(monkeypatch):
     # one construction of the report's trajectory, with its fault clear
     # sample placed, and one of its window; each checks every voltage
